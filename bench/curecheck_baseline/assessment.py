@@ -1,0 +1,278 @@
+"""Cure-model appropriateness assessment.
+
+The procedure:
+
+  (i)   fit every latency family with and without a cured fraction and
+        compare by AIC;
+  (ii)  if a non-cure model wins, a cure model is not appropriate;
+  (iii) if the fitted cure fraction is tiny (default <= 0.025), either a
+        cure model is not valid or follow-up is too short to tell;
+  (iv)  otherwise compute r_hat = S0(tau) / S(tau), the model's estimated
+        share of still-susceptible subjects among survivors at the horizon
+        tau — small values (default < 0.05) mean nearly everyone still at
+        risk is cured, so a cure model is appropriate.
+
+The Maller-Zhou follow-up test and a nonparametric follow-up summary are
+attached to the result for side-by-side reporting, but the verdict field
+is driven by steps (i)-(iv) alone; disagreements are surfaced as notes.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .diagnostics import FollowUpTest, alpha_n_test
+from .errors import AssessmentError, DomainError
+from .models import (
+    FAMILIES,
+    FamilySpec,
+    FitOptions,
+    ModelFit,
+    Params,
+    check_params,
+    fit_model,
+    latency_survival,
+)
+from .survival import FollowUpSummary, SurvivalSample, followup_summary
+
+VERDICT_APPROPRIATE = "appropriate"
+VERDICT_NONCURE = "not_appropriate_noncure_selected"
+VERDICT_SMALL_CURE = "not_appropriate_small_cure_fraction"
+VERDICT_INSUFFICIENT = "not_appropriate_insufficient_followup"
+
+VERDICTS = (
+    VERDICT_APPROPRIATE,
+    VERDICT_NONCURE,
+    VERDICT_SMALL_CURE,
+    VERDICT_INSUFFICIENT,
+)
+
+_AIC_TIE_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class AssessmentConfig:
+    """Settings for receus_assess; defaults follow the recommended thresholds."""
+
+    families: tuple[str, ...] = FAMILIES
+    cure_fraction_threshold: float = 0.025
+    r_threshold: float = 0.05
+    tau: float | None = None  # None: the sample's maximum observed time
+    alpha_threshold: float = 0.05
+    late_window: float | None = None  # None: 20% of the maximum follow-up
+    fit_options: FitOptions | None = None
+
+    def __post_init__(self):
+        if not self.families:
+            raise DomainError("at least one latency family is required")
+        for fam in self.families:
+            if fam not in FAMILIES:
+                raise DomainError(
+                    f"unknown family {fam!r}; expected one of {', '.join(FAMILIES)}"
+                )
+        for name in ("cure_fraction_threshold", "r_threshold", "alpha_threshold"):
+            v = getattr(self, name)
+            if not (0.0 < v < 1.0):
+                raise DomainError(f"{name} must lie strictly in (0, 1), got {v!r}")
+        if self.tau is not None and not self.tau > 0.0:
+            raise DomainError(f"tau must be > 0, got {self.tau!r}")
+        if self.late_window is not None and not self.late_window > 0.0:
+            raise DomainError(f"late_window must be > 0, got {self.late_window!r}")
+
+
+@dataclass(frozen=True)
+class ModelTableRow:
+    """One fitted (family, cure) spec in the comparison table."""
+
+    spec: FamilySpec
+    aic: float | None
+    converged: bool
+    fit: ModelFit | None = None
+    error: str | None = None
+
+
+@dataclass(frozen=True)
+class CureAssessment:
+    """Full assessment output: comparison table, verdict, and follow-up checks."""
+
+    model_table: tuple[ModelTableRow, ...]
+    selected: ModelFit
+    cure_model_selected: bool
+    cure_fraction: float | None
+    s0_at_tau: float | None
+    s_at_tau: float | None
+    r_hat: float | None
+    tau: float
+    cure_fraction_pass: bool
+    r_pass: bool
+    verdict: str
+    summary: FollowUpSummary
+    followup_test: FollowUpTest
+    config: AssessmentConfig
+    notes: tuple[str, ...] = field(default_factory=tuple)
+
+
+def verdict_from_flags(cure_model_selected: bool, cure_fraction_pass: bool, r_pass: bool) -> str:
+    """The verdict as a pure function of the three step outcomes."""
+    if not cure_model_selected:
+        return VERDICT_NONCURE
+    if not cure_fraction_pass:
+        return VERDICT_SMALL_CURE
+    if not r_pass:
+        return VERDICT_INSUFFICIENT
+    return VERDICT_APPROPRIATE
+
+
+def select_model_by_aic(
+    sample: SurvivalSample,
+    families: tuple[str, ...] = FAMILIES,
+    options: FitOptions | None = None,
+) -> tuple[tuple[ModelTableRow, ...], ModelFit]:
+    """Fit cure and non-cure variants of each family; pick the lowest AIC.
+
+    Every candidate gets a table row even when its fit fails or does not
+    converge; only converged fits can be selected.  AIC ties (within 1e-12)
+    go to the candidate with fewer parameters, then to the earlier family in
+    ``FAMILIES`` order.
+    """
+    rows: list[ModelTableRow] = []
+    for family in families:
+        for cure in (False, True):
+            spec = FamilySpec(family, cure=cure)
+            try:
+                fit = fit_model(sample, spec, options)
+            except Exception as exc:
+                rows.append(
+                    ModelTableRow(spec=spec, aic=None, converged=False, error=str(exc))
+                )
+                continue
+            rows.append(
+                ModelTableRow(spec=spec, aic=fit.aic, converged=fit.converged, fit=fit)
+            )
+    return tuple(rows), _select_from_rows(rows).fit  # type: ignore[return-value]
+
+
+def _select_from_rows(rows: list[ModelTableRow] | tuple[ModelTableRow, ...]) -> ModelTableRow:
+    """Pick the winning row: lowest AIC among converged fits.
+
+    Ties within 1e-12 go to the candidate with fewer parameters, then to
+    the earlier family in ``FAMILIES`` order.
+    """
+    candidates = [r for r in rows if r.converged and r.fit is not None]
+    if not candidates:
+        detail = "; ".join(
+            f"{r.spec.label}: {r.error or 'did not converge'}" for r in rows
+        )
+        raise AssessmentError(f"no model converged ({detail})")
+    best_aic = min(r.aic for r in candidates)  # type: ignore[type-var]
+    tied = [r for r in candidates if r.aic <= best_aic + _AIC_TIE_TOL]  # type: ignore[operator]
+    tied.sort(key=lambda r: (r.spec.n_params, FAMILIES.index(r.spec.family)))
+    return tied[0]
+
+
+def receus_components(
+    spec: FamilySpec, params: Params, tau: float
+) -> tuple[float, float, float]:
+    """(S0(tau), S(tau), r_hat) for a cure spec at horizon tau >= 0.
+
+    r_hat = S0(tau) / [c + (1 - c) S0(tau)] estimates the proportion of
+    still-susceptible subjects among those surviving past tau.
+    """
+    if not spec.cure:
+        raise DomainError("the susceptible-survivor ratio requires a cure spec")
+    check_params(spec, params)
+    if not tau >= 0.0:
+        raise DomainError(f"tau must be >= 0, got {tau!r}")
+    s0 = float(latency_survival(spec, params, tau))
+    c = float(params.cure_fraction)  # type: ignore[arg-type]
+    s = c + (1.0 - c) * s0
+    return s0, s, s0 / s
+
+
+def receus_ratio(fit: ModelFit, tau: float) -> tuple[float, float, float]:
+    """(S0(tau), S(tau), r_hat) evaluated at a fitted cure model's estimates."""
+    return receus_components(fit.spec, fit.params, tau)
+
+
+def receus_assess(sample: SurvivalSample, config: AssessmentConfig | None = None) -> CureAssessment:
+    """Run the full appropriateness assessment on a right-censored sample."""
+    cfg = config or AssessmentConfig()
+    if sample.n_events == 0:
+        raise AssessmentError("no events: fitting undefined")
+    summary = followup_summary(sample, late_window=cfg.late_window)
+    followup = alpha_n_test(sample, threshold=cfg.alpha_threshold)
+    rows, selected = select_model_by_aic(sample, cfg.families, cfg.fit_options)
+    tau = cfg.tau if cfg.tau is not None else sample.max_time
+    notes: list[str] = []
+
+    unconverged_better = [
+        r
+        for r in rows
+        if not r.converged and r.aic is not None and r.aic < selected.aic - _AIC_TIE_TOL
+    ]
+    for r in unconverged_better:
+        notes.append(
+            f"{r.spec.label} had a lower AIC ({r.aic:.4f}) but did not converge; "
+            f"the best converged fit was used instead"
+        )
+
+    cure_model_selected = selected.spec.cure
+    if cure_model_selected:
+        ratio_fit: ModelFit | None = selected
+    else:
+        cure_rows = [
+            r for r in rows if r.spec.cure and r.converged and r.fit is not None
+        ]
+        cure_rows.sort(
+            key=lambda r: (r.aic, r.spec.n_params, FAMILIES.index(r.spec.family))
+        )
+        ratio_fit = cure_rows[0].fit if cure_rows else None
+        if ratio_fit is not None:
+            notes.append(
+                f"cure-specific quantities below come from the best cure fit "
+                f"({ratio_fit.spec.label}), shown for transparency; "
+                f"a non-cure model was selected"
+            )
+        else:
+            notes.append("no cure fit converged; cure-specific quantities unavailable")
+
+    if ratio_fit is not None:
+        cure_fraction = float(ratio_fit.params.cure_fraction)  # type: ignore[arg-type]
+        s0_at_tau, s_at_tau, r_hat = receus_ratio(ratio_fit, tau)
+        cure_fraction_pass = cure_fraction > cfg.cure_fraction_threshold
+        r_pass = r_hat < cfg.r_threshold
+    else:
+        cure_fraction = s0_at_tau = s_at_tau = r_hat = None
+        cure_fraction_pass = r_pass = False
+
+    verdict = verdict_from_flags(cure_model_selected, cure_fraction_pass, r_pass)
+    if verdict == VERDICT_SMALL_CURE:
+        notes.append(
+            "the fitted cure fraction is at or below the threshold: either a cure "
+            "model is not valid for these data or follow-up is too short to tell"
+        )
+    appropriate = verdict == VERDICT_APPROPRIATE
+    if appropriate != followup.sufficient_followup:
+        notes.append(
+            "the model-based verdict and the Maller-Zhou follow-up test disagree "
+            f"(verdict {verdict!r}, alpha_n {followup.alpha_n:.4g}); "
+            "the verdict field reflects the model-based procedure only"
+        )
+
+    return CureAssessment(
+        model_table=rows,
+        selected=selected,
+        cure_model_selected=cure_model_selected,
+        cure_fraction=cure_fraction,
+        s0_at_tau=s0_at_tau,
+        s_at_tau=s_at_tau,
+        r_hat=r_hat,
+        tau=tau,
+        cure_fraction_pass=cure_fraction_pass,
+        r_pass=r_pass,
+        verdict=verdict,
+        summary=summary,
+        followup_test=followup,
+        config=cfg,
+        notes=tuple(notes),
+    )

@@ -1,0 +1,386 @@
+"""Command-line interface: CSV in, assessment / fits / curves / samples out.
+
+Subcommands:
+
+    assess     full appropriateness assessment (text or JSON report)
+    fit        one (family, cure) maximum-likelihood fit
+    km         Kaplan-Meier curve as step-coordinate CSV or SVG
+    simulate   generate a seeded mixture sample as CSV
+    restrict   censor a dataset at an earlier follow-up cutoff
+
+Exit codes: 0 when the assessment verdict is "appropriate" (and for
+successful non-assess subcommands), 2 when a cure model is judged not
+appropriate, 1 on any execution error (message on stderr).
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import sys
+
+from . import __version__
+from .assessment import AssessmentConfig, VERDICT_APPROPRIATE, receus_assess
+from .errors import CurecheckError, ValidationError
+from .models import FAMILIES, FamilySpec, fit_model, wald_intervals
+from .plot import emit_km_plot, km_plot_csv, km_plot_svg
+from .report import ReportDocument, build_report, render_json, render_text
+from .simulate import (
+    AdministrativeCensoring,
+    Censoring,
+    CompositeCensoring,
+    ExponentialCensoring,
+    SimulationConfig,
+    UniformCensoring,
+    restrict_followup,
+    simulate_mixture,
+)
+from .survival import SurvivalSample, kaplan_meier, validate_sample
+
+_TRUE = {"1", "true"}
+_FALSE = {"0", "false"}
+
+
+def read_csv(
+    path: str,
+    time_col: str = "time",
+    event_col: str = "event",
+    time_scale: float = 1.0,
+) -> SurvivalSample:
+    """Load a right-censored sample from a headered CSV file.
+
+    Times are divided by ``time_scale`` (365.25 turns days into years).
+    Event cells must be one of 0/1/true/false (case-insensitive).  Parse
+    errors name the file row (1 = header) and column.
+    """
+    if not (time_scale > 0.0):
+        raise ValidationError(f"time_scale must be > 0, got {time_scale!r}")
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    with fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValidationError(f"empty file: {path} has no header row")
+        for col in (time_col, event_col):
+            if col not in reader.fieldnames:
+                raise ValidationError(
+                    f"missing column {col!r} in {path} "
+                    f"(found: {', '.join(reader.fieldnames)})"
+                )
+        records: list[tuple[float, bool]] = []
+        for i, row in enumerate(reader, start=2):
+            raw_t = (row.get(time_col) or "").strip()
+            raw_e = (row.get(event_col) or "").strip()
+            try:
+                t = float(raw_t)
+            except ValueError:
+                raise ValidationError(
+                    f"unparseable time {raw_t!r} at row {i}, column {time_col!r} of {path}"
+                ) from None
+            low = raw_e.lower()
+            if low in _TRUE:
+                e = True
+            elif low in _FALSE:
+                e = False
+            else:
+                raise ValidationError(
+                    f"unparseable event {raw_e!r} at row {i}, column {event_col!r} "
+                    f"of {path}: expected 0, 1, true or false"
+                )
+            records.append((t / time_scale, e))
+    if not records:
+        raise ValidationError(f"empty file: {path} has a header but no data rows")
+    return validate_sample(records)
+
+
+def write_csv(
+    sample: SurvivalSample,
+    path: str,
+    time_col: str = "time",
+    event_col: str = "event",
+) -> None:
+    """Write a sample as CSV; times use full repr precision and round-trip."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([time_col, event_col])
+        for t, e in sample.records:
+            writer.writerow([repr(t), 1 if e else 0])
+
+
+def _add_io_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("data", help="CSV file with one row per subject")
+    p.add_argument("--time-col", default="time", help="time column name (default: time)")
+    p.add_argument("--event-col", default="event", help="event column name (default: event)")
+    p.add_argument(
+        "--time-scale",
+        type=float,
+        default=1.0,
+        metavar="S",
+        help="divide times by S on input, e.g. 365.25 for days to years (default: 1)",
+    )
+
+
+def _parse_families(text: str) -> tuple[str, ...]:
+    fams = tuple(f.strip() for f in text.split(",") if f.strip())
+    for f in fams:
+        if f not in FAMILIES:
+            raise ValidationError(
+                f"unknown family {f!r}; expected a comma list drawn from {', '.join(FAMILIES)}"
+            )
+    if not fams:
+        raise ValidationError("at least one family is required")
+    return fams
+
+
+def _parse_censoring(text: str) -> Censoring:
+    kind, _, rest = text.partition(":")
+    try:
+        if kind == "administrative":
+            return AdministrativeCensoring(float(rest))
+        if kind == "uniform":
+            return UniformCensoring(float(rest))
+        if kind == "exponential":
+            return ExponentialCensoring(float(rest))
+        if kind == "composite":
+            admin, _, dropout = rest.partition(",")
+            return CompositeCensoring(float(admin), float(dropout))
+    except ValueError:
+        raise ValidationError(f"bad censoring arguments in {text!r}") from None
+    raise ValidationError(
+        f"unknown censoring {text!r}; expected administrative:T, uniform:MAX, "
+        f"exponential:RATE or composite:T,MAX"
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="curecheck",
+        description="Decide whether a right-censored dataset supports a mixture cure model.",
+    )
+    parser.add_argument("--version", action="version", version=f"curecheck {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_assess = sub.add_parser("assess", help="run the full appropriateness assessment")
+    _add_io_args(p_assess)
+    p_assess.add_argument(
+        "--families",
+        default=",".join(FAMILIES),
+        help="comma list of latency families to compare (default: all five)",
+    )
+    p_assess.add_argument("--tau", type=float, default=None,
+                          help="assessment horizon (default: maximum observed time)")
+    p_assess.add_argument("--cure-threshold", type=float, default=0.025, metavar="C",
+                          help="minimum meaningful cure fraction (default: 0.025)")
+    p_assess.add_argument("--r-threshold", type=float, default=0.05, metavar="R",
+                          help="maximum uncured-among-survivors ratio (default: 0.05)")
+    p_assess.add_argument("--alpha-threshold", type=float, default=0.05, metavar="A",
+                          help="follow-up test threshold (default: 0.05)")
+    p_assess.add_argument("--late-window", type=float, default=None,
+                          help="trailing window for the late event rate (default: 20%% of max)")
+    p_assess.add_argument("--restrict", type=float, default=None, metavar="T",
+                          help="censor the data at T before assessing")
+    p_assess.add_argument("--format", choices=("text", "json"), default="text")
+    p_assess.add_argument("--plot", choices=("svg", "csv"), default=None,
+                          help="also write the Kaplan-Meier curve in this format")
+    p_assess.add_argument("--plot-out", default=None, metavar="PATH",
+                          help="plot destination (default: <data stem>_km.<format>)")
+    p_assess.add_argument("--label", default=None, help="dataset label for the report")
+
+    p_fit = sub.add_parser("fit", help="fit a single latency family")
+    _add_io_args(p_fit)
+    p_fit.add_argument("--family", choices=FAMILIES, default="weibull")
+    p_fit.add_argument("--cure", action="store_true", help="include a cured fraction")
+    p_fit.add_argument("--level", type=float, default=0.95,
+                       help="confidence level for Wald intervals (default: 0.95)")
+    p_fit.add_argument("--format", choices=("text", "json"), default="text")
+
+    p_km = sub.add_parser("km", help="emit the Kaplan-Meier curve")
+    _add_io_args(p_km)
+    p_km.add_argument("--plot", choices=("svg", "csv"), default="csv")
+    p_km.add_argument("--out", default=None, metavar="PATH",
+                      help="output file (default: stdout)")
+
+    p_sim = sub.add_parser("simulate", help="generate a seeded mixture sample")
+    p_sim.add_argument("--n", type=int, required=True)
+    p_sim.add_argument("--cure-fraction", type=float, required=True)
+    p_sim.add_argument("--family", choices=FAMILIES, required=True)
+    p_sim.add_argument("--params", required=True,
+                       help="comma list of latency parameters, e.g. 0.8,0.8")
+    p_sim.add_argument("--censoring", required=True,
+                       help="administrative:T | uniform:MAX | exponential:RATE | composite:T,MAX")
+    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--out", default=None, metavar="PATH",
+                       help="output CSV (default: stdout)")
+    p_sim.add_argument("--truth-out", default=None, metavar="PATH",
+                       help="also write the ground-truth record as JSON")
+
+    p_res = sub.add_parser("restrict", help="censor a dataset at a follow-up cutoff")
+    _add_io_args(p_res)
+    p_res.add_argument("--cutoff", type=float, required=True)
+    p_res.add_argument("--out", default=None, metavar="PATH",
+                       help="output CSV (default: stdout)")
+    return parser
+
+
+def run_assess(args: argparse.Namespace) -> tuple[ReportDocument, int]:
+    """Assessment pipeline behind the ``assess`` subcommand."""
+    sample = read_csv(args.data, args.time_col, args.event_col, args.time_scale)
+    if args.restrict is not None:
+        sample = restrict_followup(sample, args.restrict)
+    config = AssessmentConfig(
+        families=_parse_families(args.families),
+        cure_fraction_threshold=args.cure_threshold,
+        r_threshold=args.r_threshold,
+        alpha_threshold=args.alpha_threshold,
+        tau=args.tau,
+        late_window=args.late_window,
+    )
+    assessment = receus_assess(sample, config)
+    label = args.label if args.label is not None else _stem(args.data)
+    source = {
+        "path": args.data,
+        "time_col": args.time_col,
+        "event_col": args.event_col,
+        "time_scale": args.time_scale,
+    }
+    if args.restrict is not None:
+        source["restrict"] = args.restrict
+    doc = build_report(assessment, label=label, source=source)
+    if args.plot is not None:
+        out = args.plot_out or f"{_stem(args.data)}_km.{args.plot}"
+        emit_km_plot(kaplan_meier(sample), out, args.plot)
+    code = 0 if assessment.verdict == VERDICT_APPROPRIATE else 2
+    return doc, code
+
+
+def _stem(path: str) -> str:
+    name = path.replace("\\", "/").rsplit("/", 1)[-1]
+    return name.rsplit(".", 1)[0] if "." in name else name
+
+
+def _emit(text: str, out: str | None) -> None:
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+
+
+def _cmd_fit(args: argparse.Namespace) -> int:
+    sample = read_csv(args.data, args.time_col, args.event_col, args.time_scale)
+    spec = FamilySpec(args.family, cure=args.cure)
+    fit = fit_model(sample, spec)
+    intervals = wald_intervals(fit, args.level)
+    if args.format == "json":
+        payload = {
+            "family": spec.family,
+            "cure": spec.cure,
+            "params": fit.param_dict,
+            "log_likelihood": fit.log_likelihood,
+            "aic": fit.aic,
+            "n": fit.n,
+            "n_events": fit.n_events,
+            "converged": fit.converged,
+            "intervals": {
+                "level": intervals.level,
+                "values": intervals.intervals,
+                "diagnostic": intervals.diagnostic,
+            },
+        }
+        print(json.dumps(payload, indent=2, allow_nan=False))
+        return 0
+    print(f"{spec.label}: loglik = {fit.log_likelihood:.6g}, AIC = {fit.aic:.6g}, "
+          f"converged = {'yes' if fit.converged else 'no'}")
+    for name, value in fit.param_dict.items():
+        if intervals.intervals is not None:
+            lo, hi = intervals.intervals[name]
+            print(f"  {name} = {value:.6g}  [{lo:.6g}, {hi:.6g}] at {intervals.level:.0%}")
+        else:
+            print(f"  {name} = {value:.6g}")
+    if intervals.diagnostic:
+        print(f"  note: {intervals.diagnostic}")
+    return 0
+
+
+def _cmd_km(args: argparse.Namespace) -> int:
+    sample = read_csv(args.data, args.time_col, args.event_col, args.time_scale)
+    curve = kaplan_meier(sample)
+    text = km_plot_svg(curve) if args.plot == "svg" else km_plot_csv(curve)
+    _emit(text, args.out)
+    return 0
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    try:
+        latency = tuple(float(v) for v in args.params.split(","))
+    except ValueError:
+        raise ValidationError(f"bad latency parameters {args.params!r}") from None
+    config = SimulationConfig(
+        n=args.n,
+        cure_fraction=args.cure_fraction,
+        family=args.family,
+        latency=latency,
+        censoring=_parse_censoring(args.censoring),
+        seed=args.seed,
+    )
+    sample, truth = simulate_mixture(config)
+    rows = ["time,event"]
+    rows += [f"{t!r},{1 if e else 0}" for t, e in sample.records]
+    _emit("\r\n".join(rows) + "\r\n", args.out)
+    if args.truth_out is not None:
+        payload = {
+            "n": config.n,
+            "cure_fraction": config.cure_fraction,
+            "family": config.family,
+            "latency": list(config.latency),
+            "censoring": truth.censoring,
+            "seed": config.seed,
+            "n_cured": truth.n_cured,
+            "n_uncured": truth.n_uncured,
+            "n_events": truth.n_events,
+        }
+        with open(args.truth_out, "w") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+    return 0
+
+
+def _cmd_restrict(args: argparse.Namespace) -> int:
+    sample = read_csv(args.data, args.time_col, args.event_col, args.time_scale)
+    restricted = restrict_followup(sample, args.cutoff)
+    rows = [f"{args.time_col},{args.event_col}"]
+    rows += [f"{t!r},{1 if e else 0}" for t, e in restricted.records]
+    _emit("\r\n".join(rows) + "\r\n", args.out)
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        if args.command == "assess":
+            doc, code = run_assess(args)
+            print(render_json(doc) if args.format == "json" else render_text(doc))
+            return code
+        if args.command == "fit":
+            return _cmd_fit(args)
+        if args.command == "km":
+            return _cmd_km(args)
+        if args.command == "simulate":
+            return _cmd_simulate(args)
+        if args.command == "restrict":
+            return _cmd_restrict(args)
+    except CurecheckError as exc:
+        print(f"curecheck: error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"curecheck: error: {exc}", file=sys.stderr)
+        return 1
+    raise AssertionError(f"unhandled command {args.command!r}")
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,0 +1,201 @@
+"""Simulation of right-censored samples with a known cured fraction.
+
+Each subject is cured with probability ``cure_fraction`` (no event, ever);
+otherwise an event time is drawn from the latency family by inverse-CDF
+sampling.  An independent censoring time U is drawn from the configured
+censoring mechanism and the observation is (min(T, U), T <= U), with cured
+subjects recorded as censored at U — no latent event time is stored for
+them.
+
+Draws come from numpy's seeded PCG64 generator as plain uniforms; every
+family transform is an explicit inverse CDF (the gamma and log-normal
+quantiles invert their distribution functions numerically to 1e-10), so a
+given (config, seed) reproduces byte-identical samples across platforms.
+
+``restrict_followup`` emulates an earlier analysis cutoff: observations
+beyond the cutoff are censored there, everything else is untouched.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DomainError, ValidationError
+from .models import FamilySpec, Params, check_params, latency_quantile
+from .survival import SurvivalSample, validate_sample
+
+
+@dataclass(frozen=True)
+class AdministrativeCensoring:
+    """Everyone still at risk is censored at a fixed study-end time."""
+
+    time: float
+
+    kind = "administrative"
+
+    def describe(self) -> str:
+        return f"administrative(time={self.time})"
+
+
+@dataclass(frozen=True)
+class UniformCensoring:
+    """Censoring times drawn uniformly on (0, maximum)."""
+
+    maximum: float
+
+    kind = "uniform"
+
+    def describe(self) -> str:
+        return f"uniform(0, {self.maximum})"
+
+
+@dataclass(frozen=True)
+class ExponentialCensoring:
+    """Censoring times drawn from an exponential with the given rate."""
+
+    rate: float
+
+    kind = "exponential"
+
+    def describe(self) -> str:
+        return f"exponential(rate={self.rate})"
+
+
+@dataclass(frozen=True)
+class CompositeCensoring:
+    """Study-end censoring plus uniform dropout on (0, dropout_maximum)."""
+
+    time: float
+    dropout_maximum: float
+
+    kind = "composite"
+
+    def describe(self) -> str:
+        return f"composite(administrative={self.time}, dropout=uniform(0, {self.dropout_maximum}))"
+
+
+Censoring = AdministrativeCensoring | UniformCensoring | ExponentialCensoring | CompositeCensoring
+
+
+@dataclass(frozen=True)
+class SimulationConfig:
+    n: int
+    cure_fraction: float
+    family: str
+    latency: tuple[float, ...]
+    censoring: Censoring
+    seed: int
+    time_unit: str = "time"
+
+
+@dataclass(frozen=True)
+class GroundTruth:
+    """The generative settings behind a simulated sample, for harness use."""
+
+    config: SimulationConfig
+    n_cured: int
+    n_uncured: int
+    n_events: int
+    censoring: str
+
+
+def _validate_config(config: SimulationConfig) -> None:
+    if not isinstance(config.n, int) or config.n < 1:
+        raise ValidationError(f"n must be a positive integer, got {config.n!r}")
+    c = config.cure_fraction
+    if not (isinstance(c, (int, float)) and math.isfinite(c) and 0.0 <= c <= 1.0):
+        raise ValidationError(f"cure_fraction must lie in [0, 1], got {c!r}")
+    try:
+        check_params(FamilySpec(config.family), Params(latency=tuple(config.latency)))
+    except DomainError as exc:
+        raise ValidationError(str(exc)) from exc
+    cen = config.censoring
+    if isinstance(cen, AdministrativeCensoring):
+        if not cen.time > 0.0:
+            raise ValidationError(f"administrative censoring time must be > 0, got {cen.time!r}")
+        if math.isinf(cen.time) and c > 0.0:
+            raise ValidationError(
+                "administrative censoring at infinity is incompatible with a "
+                "positive cure fraction: cured subjects would never be observed"
+            )
+    elif isinstance(cen, UniformCensoring):
+        if not (math.isfinite(cen.maximum) and cen.maximum > 0.0):
+            raise ValidationError(f"uniform censoring maximum must be finite and > 0, got {cen.maximum!r}")
+    elif isinstance(cen, ExponentialCensoring):
+        if not (math.isfinite(cen.rate) and cen.rate > 0.0):
+            raise ValidationError(f"exponential censoring rate must be finite and > 0, got {cen.rate!r}")
+    elif isinstance(cen, CompositeCensoring):
+        if not (math.isfinite(cen.time) and cen.time > 0.0):
+            raise ValidationError(f"administrative censoring time must be finite and > 0, got {cen.time!r}")
+        if not (math.isfinite(cen.dropout_maximum) and cen.dropout_maximum > 0.0):
+            raise ValidationError(
+                f"dropout maximum must be finite and > 0, got {cen.dropout_maximum!r}"
+            )
+    else:
+        raise ValidationError(f"unknown censoring mechanism {cen!r}")
+
+
+def _censoring_times(cen: Censoring, u: np.ndarray) -> np.ndarray:
+    if isinstance(cen, AdministrativeCensoring):
+        return np.full(u.shape, cen.time)
+    if isinstance(cen, UniformCensoring):
+        return cen.maximum * u
+    if isinstance(cen, ExponentialCensoring):
+        return -np.log1p(-u) / cen.rate
+    return np.minimum(cen.time, cen.dropout_maximum * u)
+
+
+def simulate_mixture(config: SimulationConfig) -> tuple[SurvivalSample, GroundTruth]:
+    """Generate a seeded right-censored sample from the mixture mechanism."""
+    _validate_config(config)
+    rng = np.random.default_rng(config.seed)
+    n = config.n
+    # Three fixed blocks of uniforms keep the stream layout independent of
+    # how many subjects happen to be cured.
+    u_cure = rng.random(n)
+    u_latency = rng.random(n)
+    u_censor = rng.random(n)
+
+    cured = u_cure < config.cure_fraction
+    censor_times = _censoring_times(config.censoring, u_censor)
+
+    times = np.array(censor_times, dtype=float)
+    events = np.zeros(n, dtype=bool)
+    uncured = ~cured
+    if np.any(uncured):
+        t_event = np.asarray(
+            latency_quantile(config.family, tuple(config.latency), u_latency[uncured]),
+            dtype=float,
+        )
+        u_cen = censor_times[uncured]
+        observed = np.minimum(t_event, u_cen)
+        times[uncured] = observed
+        events[uncured] = t_event <= u_cen
+
+    sample = validate_sample(list(zip(times.tolist(), events.tolist())), time_unit=config.time_unit)
+    truth = GroundTruth(
+        config=config,
+        n_cured=int(np.count_nonzero(cured)),
+        n_uncured=int(np.count_nonzero(uncured)),
+        n_events=int(np.count_nonzero(events)),
+        censoring=config.censoring.describe(),
+    )
+    return sample, truth
+
+
+def restrict_followup(sample: SurvivalSample, cutoff: float) -> SurvivalSample:
+    """Censor every observation beyond ``cutoff`` at the cutoff.
+
+    Records with time <= cutoff are unchanged (events stay events); records
+    with time > cutoff become censored at exactly ``cutoff``.  Applying the
+    same cutoff twice is a no-op.
+    """
+    if not (isinstance(cutoff, (int, float)) and math.isfinite(cutoff) and cutoff > 0.0):
+        raise DomainError(f"cutoff must be finite and > 0, got {cutoff!r}")
+    beyond = sample.times > cutoff
+    times = np.where(beyond, float(cutoff), sample.times)
+    events = sample.events & ~beyond
+    return validate_sample(list(zip(times.tolist(), events.tolist())), time_unit=sample.time_unit)

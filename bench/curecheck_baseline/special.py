@@ -1,0 +1,356 @@
+"""Self-contained special functions used by the model and simulation code.
+
+Keeps the package free of heavy numeric dependencies: log-gamma
+(Lanczos), the error function (Cody-style rational approximations),
+the regularized incomplete gamma function (series / continued fraction
+split) and the numeric inverses needed for quantile sampling.
+
+Accuracy: erf/erfc and log_gamma are good to ~1e-14 relative; the
+incomplete gamma iterates to machine tolerance with a documented
+target of 1e-12 relative. The test suite checks all of them against
+scipy and brute-force quadrature.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import DomainError
+
+_SQRT2 = math.sqrt(2.0)
+_SQRPI = 5.6418958354775628695e-1  # 1/sqrt(pi)
+
+# Lanczos g=7, n=9 coefficient set.
+_LANCZOS_G = 7.0
+_LANCZOS = (
+    0.99999999999980993,
+    676.5203681218851,
+    -1259.1392167224028,
+    771.32342877765313,
+    -176.61502916214059,
+    12.507343278686905,
+    -0.13857109526572012,
+    9.9843695780195716e-6,
+    1.5056327351493116e-7,
+)
+
+
+def log_gamma(x: float) -> float:
+    """Natural log of the gamma function for x > 0."""
+    if not (x > 0.0) or not math.isfinite(x):
+        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
+    if x < 0.5:
+        # Reflection keeps the Lanczos sum in its accurate range.
+        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
+    z = x - 1.0
+    acc = _LANCZOS[0]
+    for i in range(1, len(_LANCZOS)):
+        acc += _LANCZOS[i] / (z + i)
+    t = z + _LANCZOS_G + 0.5
+    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(acc)
+
+
+# Cody rational approximation data for erf/erfc (netlib CALERF layout).
+_ERF_A = (
+    3.16112374387056560e00, 1.13864154151050156e02,
+    3.77485237685302021e02, 3.20937758913846947e03,
+    1.85777706184603153e-1,
+)
+_ERF_B = (
+    2.36012909523441209e01, 2.44024637934444173e02,
+    1.28261652607737228e03, 2.84423683343917062e03,
+)
+_ERF_C = (
+    5.64188496988670089e-1, 8.88314979438837594e00,
+    6.61191906371416295e01, 2.98635138197400131e02,
+    8.81952221241769090e02, 1.71204761263407058e03,
+    2.05107837782607147e03, 1.23033935479799725e03,
+    2.15311535474403846e-8,
+)
+_ERF_D = (
+    1.57449261107098347e01, 1.17693950891312499e02,
+    5.37181101862009858e02, 1.62138957456669019e03,
+    3.29079923573345963e03, 4.36261909014324716e03,
+    3.43936767414372164e03, 1.23033935480374942e03,
+)
+_ERF_P = (
+    3.05326634961232344e-1, 3.60344899949804439e-1,
+    1.25781726111229246e-1, 1.60837851487422766e-2,
+    6.58749161529837803e-4, 1.63153871373020978e-2,
+)
+_ERF_Q = (
+    2.56852019228982242e00, 1.87295284992346047e00,
+    5.27905102951428412e-1, 6.05183413124413191e-2,
+    2.33520497626869185e-3,
+)
+
+
+def _erf_small(y: np.ndarray) -> np.ndarray:
+    # |y| <= 0.46875: erf(y) = y * R(y^2)
+    z = y * y
+    num = _ERF_A[4] * z
+    den = z
+    for i in range(3):
+        num = (num + _ERF_A[i]) * z
+        den = (den + _ERF_B[i]) * z
+    return y * (num + _ERF_A[3]) / (den + _ERF_B[3])
+
+
+def _erfc_mid(y: np.ndarray) -> np.ndarray:
+    # 0.46875 < y <= 4
+    num = _ERF_C[8] * y
+    den = y
+    for i in range(7):
+        num = (num + _ERF_C[i]) * y
+        den = (den + _ERF_D[i]) * y
+    r = (num + _ERF_C[7]) / (den + _ERF_D[7])
+    # Split exp(-y^2) to avoid cancellation in the argument.
+    ysq = np.floor(y * 16.0) / 16.0
+    return np.exp(-ysq * ysq) * np.exp(-(y - ysq) * (y + ysq)) * r
+
+
+def _erfc_large(y: np.ndarray) -> np.ndarray:
+    # y > 4; underflows to 0 beyond ~26.6
+    z = 1.0 / (y * y)
+    num = _ERF_P[5] * z
+    den = z
+    for i in range(4):
+        num = (num + _ERF_P[i]) * z
+        den = (den + _ERF_Q[i]) * z
+    r = z * (num + _ERF_P[4]) / (den + _ERF_Q[4])
+    r = (_SQRPI - r) / y
+    ysq = np.floor(y * 16.0) / 16.0
+    with np.errstate(under="ignore"):
+        out = np.exp(-ysq * ysq) * np.exp(-(y - ysq) * (y + ysq)) * r
+    return np.where(y > 26.6, 0.0, out)
+
+
+def erfc(x):
+    """Complementary error function, scalar or ndarray."""
+    arr = np.asarray(x, dtype=float)
+    scalar = arr.ndim == 0
+    y = np.abs(np.atleast_1d(arr))
+    out = np.empty_like(y)
+    m1 = y <= 0.46875
+    m2 = (y > 0.46875) & (y <= 4.0)
+    m3 = y > 4.0
+    if m1.any():
+        out[m1] = 1.0 - _erf_small(y[m1])
+    if m2.any():
+        out[m2] = _erfc_mid(y[m2])
+    if m3.any():
+        out[m3] = _erfc_large(y[m3])
+    out = np.where(np.atleast_1d(arr) < 0.0, 2.0 - out, out)
+    return float(out[0]) if scalar else out
+
+
+def erf(x):
+    """Error function, scalar or ndarray."""
+    arr = np.asarray(x, dtype=float)
+    scalar = arr.ndim == 0
+    a = np.atleast_1d(arr)
+    y = np.abs(a)
+    out = np.empty_like(y)
+    m1 = y <= 0.46875
+    if m1.any():
+        out[m1] = _erf_small(a[m1])
+    m2 = ~m1
+    if m2.any():
+        sub = np.empty_like(y[m2])
+        ym = y[m2]
+        mid = ym <= 4.0
+        if mid.any():
+            sub[mid] = 1.0 - _erfc_mid(ym[mid])
+        if (~mid).any():
+            sub[~mid] = 1.0 - _erfc_large(ym[~mid])
+        out[m2] = np.sign(a[m2]) * sub
+    return float(out[0]) if scalar else out
+
+
+def normal_cdf(z):
+    """Standard normal CDF Phi(z)."""
+    return 0.5 * erfc(-np.asarray(z, dtype=float) / _SQRT2) if np.ndim(z) else 0.5 * erfc(-z / _SQRT2)
+
+
+def normal_sf(z):
+    """Standard normal survival function 1 - Phi(z)."""
+    return 0.5 * erfc(np.asarray(z, dtype=float) / _SQRT2) if np.ndim(z) else 0.5 * erfc(z / _SQRT2)
+
+
+_MAX_INC_GAMMA_ITER = 600
+
+
+def _inc_gamma(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Regularized incomplete gamma pair (P, Q) for scalar a > 0, array x >= 0.
+
+    Series expansion where x < a + 1, Lentz continued fraction otherwise;
+    both iterated to machine tolerance (capped at 600 terms).
+    """
+    if not (a > 0.0) or not math.isfinite(a):
+        raise DomainError(f"incomplete gamma requires a > 0, got {a!r}")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(x < 0.0):
+        raise DomainError("incomplete gamma requires x >= 0")
+    p = np.zeros_like(x)
+    q = np.ones_like(x)
+    lg = log_gamma(a)
+    nonzero = x > 0.0
+    ser = nonzero & (x < a + 1.0)
+    if ser.any():
+        xs = x[ser]
+        term = np.full_like(xs, 1.0 / a)
+        total = term.copy()
+        # Elements converge at very different speeds (slowest near x ~ a);
+        # keep iterating only the unconverged ones.
+        active = np.arange(xs.size)
+        ak = a
+        for _ in range(_MAX_INC_GAMMA_ITER):
+            ak += 1.0
+            term[active] *= xs[active] / ak
+            total[active] += term[active]
+            done = np.abs(term[active]) <= np.abs(total[active]) * 1e-16
+            if done.any():
+                active = active[~done]
+                if active.size == 0:
+                    break
+        with np.errstate(under="ignore"):
+            pref = np.exp(-xs + a * np.log(xs) - lg)
+        p[ser] = pref * total
+        q[ser] = 1.0 - p[ser]
+    cfm = nonzero & ~ser
+    if cfm.any():
+        xc = x[cfm]
+        tiny = 1e-300
+        b = xc + 1.0 - a
+        c = np.full_like(xc, 1.0 / tiny)
+        d = 1.0 / b
+        h = d.copy()
+        active = np.arange(xc.size)
+        for i in range(1, _MAX_INC_GAMMA_ITER):
+            an = -i * (i - a)
+            b[active] += 2.0
+            da = an * d[active] + b[active]
+            da = np.where(np.abs(da) < tiny, tiny, da)
+            ca = b[active] + an / c[active]
+            ca = np.where(np.abs(ca) < tiny, tiny, ca)
+            da = 1.0 / da
+            delta = da * ca
+            d[active] = da
+            c[active] = ca
+            h[active] *= delta
+            done = np.abs(delta - 1.0) <= 1e-16
+            if done.any():
+                active = active[~done]
+                if active.size == 0:
+                    break
+        with np.errstate(under="ignore"):
+            pref = np.exp(-xc + a * np.log(xc) - lg)
+        q[cfm] = pref * h
+        p[cfm] = 1.0 - q[cfm]
+    return p, q
+
+
+def reg_lower_gamma(a: float, x):
+    """Regularized lower incomplete gamma P(a, x), scalar or ndarray x."""
+    scalar = np.ndim(x) == 0
+    p, _ = _inc_gamma(a, x)
+    return float(p[0]) if scalar else p
+
+
+def reg_upper_gamma(a: float, x):
+    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
+    scalar = np.ndim(x) == 0
+    _, q = _inc_gamma(a, x)
+    return float(q[0]) if scalar else q
+
+
+def inv_reg_lower_gamma(a: float, u: float, tol: float = 1e-10) -> float:
+    """Solve P(a, x) = u for x, by bracketing bisection then Newton polish.
+
+    Both run on log(x), so ``tol`` is a relative tolerance on x; the root
+    can span hundreds of orders of magnitude (small a, tiny u).
+    """
+    if not (0.0 <= u < 1.0):
+        raise DomainError(f"inv_reg_lower_gamma requires 0 <= u < 1, got {u!r}")
+    if u == 0.0:
+        return 0.0
+    hi = max(a, 1.0)
+    for _ in range(400):
+        if reg_lower_gamma(a, hi) >= u:
+            break
+        hi *= 2.0
+    else:
+        raise DomainError("inv_reg_lower_gamma: failed to bracket from above")
+    lo = hi
+    for _ in range(1200):
+        lo *= 0.5
+        if reg_lower_gamma(a, lo) < u:
+            break
+        hi = lo
+    else:
+        return 0.0  # root below the smallest positive float
+    y_lo, y_hi = math.log(lo), math.log(hi)
+    for _ in range(30):
+        y_mid = 0.5 * (y_lo + y_hi)
+        if reg_lower_gamma(a, math.exp(y_mid)) < u:
+            y_lo = y_mid
+        else:
+            y_hi = y_mid
+    y = 0.5 * (y_lo + y_hi)
+    lg = log_gamma(a)
+    for _ in range(60):
+        x = math.exp(y)
+        f = reg_lower_gamma(a, x) - u
+        if f > 0.0:
+            y_hi = min(y_hi, y)
+        elif f < 0.0:
+            y_lo = max(y_lo, y)
+        else:
+            return x
+        with np.errstate(under="ignore"):
+            slope = math.exp(a * y - x - lg)  # dP/d(log x) = x * pdf(x)
+        if slope <= 0.0 or not math.isfinite(slope):
+            y_next = 0.5 * (y_lo + y_hi)
+        else:
+            y_next = y - f / slope
+            if not (y_lo < y_next < y_hi):
+                y_next = 0.5 * (y_lo + y_hi)
+        if abs(y_next - y) <= tol:
+            return math.exp(y_next)
+        y = y_next
+    return math.exp(y)
+
+
+def inv_normal_cdf(u: float, tol: float = 1e-13) -> float:
+    """Standard normal quantile, bisection bracket then Newton on Phi."""
+    if not (0.0 < u < 1.0):
+        raise DomainError(f"inv_normal_cdf requires 0 < u < 1, got {u!r}")
+    lo, hi = -40.0, 40.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if normal_cdf(mid) < u:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-2:
+            break
+    x = 0.5 * (lo + hi)
+    for _ in range(40):
+        f = normal_cdf(x) - u
+        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        if pdf <= 0.0:
+            break
+        xn = x - f / pdf
+        if abs(xn - x) <= tol * max(1.0, abs(xn)):
+            return xn
+        x = xn
+    return x
+
+
+def chi2_sf_1df(d: float) -> float:
+    """Upper tail P(X >= d) for a chi-square with one degree of freedom."""
+    if d < 0.0:
+        raise DomainError(f"chi-square statistic must be >= 0, got {d!r}")
+    return erfc(math.sqrt(0.5 * d))

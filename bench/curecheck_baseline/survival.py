@@ -1,0 +1,213 @@
+"""Censored-sample representation, Kaplan-Meier estimation, follow-up summaries.
+
+A sample is a vector of (observed time, event indicator) pairs sorted
+ascending by time with events placed before censorings at tied times;
+that canonical order encodes the usual product-limit tie convention
+(censored subjects at t are still at risk for the step at t).
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_right
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import DomainError, ValidationError
+
+
+@dataclass(frozen=True)
+class SurvivalSample:
+    """Validated right-censored sample in canonical order.
+
+    Construct through :func:`validate_sample`; the arrays are read-only.
+    """
+
+    times: np.ndarray
+    events: np.ndarray
+    time_unit: str = "time"
+
+    def __post_init__(self):
+        self.times.setflags(write=False)
+        self.events.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return int(self.times.size)
+
+    @property
+    def n_events(self) -> int:
+        return int(self.events.sum())
+
+    @property
+    def n_censored(self) -> int:
+        return self.n - self.n_events
+
+    @property
+    def max_time(self) -> float:
+        return float(self.times[-1])
+
+    @property
+    def max_event_time(self) -> float | None:
+        """Largest observed event time, or None when nothing was observed to fail."""
+        if self.n_events == 0:
+            return None
+        return float(self.times[self.events].max())
+
+    @property
+    def records(self) -> list[tuple[float, bool]]:
+        return [(float(t), bool(e)) for t, e in zip(self.times, self.events)]
+
+    def scaled(self, factor: float) -> "SurvivalSample":
+        """Sample with every time multiplied by a positive factor."""
+        if not (factor > 0.0) or not math.isfinite(factor):
+            raise ValidationError(f"scale factor must be positive and finite, got {factor!r}")
+        return SurvivalSample(
+            times=self.times * factor, events=self.events.copy(), time_unit=self.time_unit
+        )
+
+
+def validate_sample(raw, time_unit: str = "time") -> SurvivalSample:
+    """Validate raw (time, event) pairs and return them in canonical order.
+
+    Raises :class:`ValidationError` naming the offending input row for
+    negative, non-finite or non-numeric times, and for empty input.
+    """
+    rows = list(raw)
+    if not rows:
+        raise ValidationError("empty sample: at least one (time, event) record required")
+    times = np.empty(len(rows), dtype=float)
+    events = np.empty(len(rows), dtype=bool)
+    for i, row in enumerate(rows):
+        try:
+            t, e = row
+        except (TypeError, ValueError):
+            raise ValidationError(f"malformed record at row {i}: expected (time, event) pair") from None
+        try:
+            t = float(t)
+        except (TypeError, ValueError):
+            raise ValidationError(f"non-numeric time at row {i}: {row[0]!r}") from None
+        if math.isnan(t) or math.isinf(t):
+            raise ValidationError(f"non-finite time at row {i}")
+        if t < 0.0:
+            raise ValidationError(f"negative time at row {i}")
+        times[i] = t
+        events[i] = bool(e)
+    # Stable sort on (time, events-first): censorings get secondary key 1.
+    order = np.lexsort((~events, times))
+    return SurvivalSample(times=times[order], events=events[order], time_unit=time_unit)
+
+
+@dataclass(frozen=True)
+class KMStep:
+    time: float
+    n_at_risk: int
+    n_events: int
+    survival: float
+
+
+@dataclass(frozen=True)
+class KaplanMeierCurve:
+    """Product-limit estimate: one step per distinct event time.
+
+    ``censor_times`` carries the censored observation times so plots can
+    draw tick marks; it does not affect the estimate itself.
+    """
+
+    steps: tuple[KMStep, ...]
+    n_total: int
+    censor_times: tuple[float, ...] = field(default=())
+
+    @property
+    def final_survival(self) -> float:
+        return self.steps[-1].survival if self.steps else 1.0
+
+
+def kaplan_meier(sample: SurvivalSample) -> KaplanMeierCurve:
+    """Kaplan-Meier curve of the sample.
+
+    Censored observations shrink the risk set but contribute no step.
+    """
+    times = sample.times
+    n = sample.n
+    if sample.n_events == 0:
+        return KaplanMeierCurve(
+            steps=(), n_total=n, censor_times=tuple(float(t) for t in times)
+        )
+    event_times, event_counts = np.unique(times[sample.events], return_counts=True)
+    at_risk = n - np.searchsorted(times, event_times, side="left")
+    steps = []
+    surv = 1.0
+    for t, d, r in zip(event_times, event_counts, at_risk):
+        surv *= 1.0 - int(d) / int(r)
+        steps.append(KMStep(time=float(t), n_at_risk=int(r), n_events=int(d), survival=surv))
+    censor_times = tuple(float(t) for t in times[~sample.events])
+    return KaplanMeierCurve(steps=tuple(steps), n_total=n, censor_times=censor_times)
+
+
+def km_survival_at(curve: KaplanMeierCurve, t: float) -> float:
+    """Right-continuous evaluation of the step function at time t >= 0.
+
+    Beyond the last step the terminal value is carried forward.
+    """
+    if not (t >= 0.0):
+        raise DomainError(f"evaluation time must be >= 0, got {t!r}")
+    if not curve.steps:
+        return 1.0
+    idx = bisect_right([s.time for s in curve.steps], t)
+    if idx == 0:
+        return 1.0
+    return curve.steps[idx - 1].survival
+
+
+@dataclass(frozen=True)
+class FollowUpSummary:
+    """Follow-up quantities reported ahead of any model fitting.
+
+    ``plateau_length`` is the flat stretch after the last event;
+    ``late_event_rate`` is events per unit time inside the trailing
+    window of width ``late_window``.
+    """
+
+    n: int
+    n_events: int
+    median_followup: float
+    max_followup: float
+    max_event_time: float | None
+    km_at_max: float
+    plateau_length: float
+    late_event_rate: float
+    late_window: float
+
+
+DEFAULT_LATE_WINDOW_FRACTION = 0.2
+
+
+def followup_summary(sample: SurvivalSample, late_window: float | None = None) -> FollowUpSummary:
+    """Summary statistics of observed follow-up.
+
+    The median pools event and censoring times. ``late_window`` defaults
+    to 20% of the maximum follow-up.
+    """
+    max_fu = sample.max_time
+    if late_window is None:
+        late_window = DEFAULT_LATE_WINDOW_FRACTION * max_fu if max_fu > 0.0 else 1.0
+    if not (late_window > 0.0):
+        raise ValidationError(f"late_window must be > 0, got {late_window!r}")
+    curve = kaplan_meier(sample)
+    max_event = sample.max_event_time
+    plateau = max_fu - max_event if max_event is not None else max_fu
+    lo = max_fu - late_window
+    in_window = (sample.times > lo) & (sample.times <= max_fu) & sample.events
+    return FollowUpSummary(
+        n=sample.n,
+        n_events=sample.n_events,
+        median_followup=float(np.median(sample.times)),
+        max_followup=max_fu,
+        max_event_time=max_event,
+        km_at_max=km_survival_at(curve, max_fu),
+        plateau_length=float(plateau),
+        late_event_rate=float(in_window.sum()) / late_window,
+        late_window=float(late_window),
+    )
