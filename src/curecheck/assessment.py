@@ -203,7 +203,11 @@ def receus_assess(sample: SurvivalSample, config: AssessmentConfig | None = None
     followup = alpha_n_test(sample, threshold=cfg.alpha_threshold)
     rows, selected = select_model_by_aic(sample, cfg.families, cfg.fit_options)
     tau = cfg.tau if cfg.tau is not None else sample.max_time
-    notes: list[str] = []
+    notes = [
+        f"{r.spec.label} fit failed and is missing from the AIC comparison: {r.error}"
+        for r in rows
+        if r.error is not None
+    ]
 
     unconverged_better = [
         r

@@ -14,8 +14,10 @@ probability: S(t) = c + (1-c) S0(t) and f(t) = (1-c) f0(t).
 Fitting maximizes the censored-data log-likelihood
 sum_events log f + sum_censored log S over a transformed space
 (logit of the cure fraction, log of each latency parameter) with a
-Nelder-Mead simplex, deterministic restarts on non-convergence, and a
-finite-difference Newton polish for high-accuracy optima.
+Nelder-Mead simplex and deterministic restarts on non-convergence, then
+finishes with finite-difference Newton steps for high-accuracy optima.
+The likelihood is evaluated once per distinct (time, event) pair, each
+term weighted by the number of records that share it.
 """
 
 from __future__ import annotations
@@ -222,40 +224,40 @@ def population_survival(spec: FamilySpec, params: Params, t) -> float | np.ndarr
 
 @dataclass(frozen=True)
 class _LikCache:
-    """Precomputed pieces of a sample shared across likelihood evaluations."""
+    """Precomputed pieces of a sample shared across likelihood evaluations.
+
+    Tied records are merged: ``we`` and ``wc`` count the records at each
+    distinct time, and every sum over records is weighted by them.
+    """
 
     n_events: int  # all events, including any at time 0
     n_zero_events: int
-    te: np.ndarray  # event times > 0
+    te: np.ndarray  # distinct event times > 0
+    we: np.ndarray
     log_te: np.ndarray
     sum_te: float
     sum_log_te: float
-    tc: np.ndarray  # censoring times > 0 (zeros contribute log S(0) = 0)
+    tc: np.ndarray  # distinct censoring times > 0 (zeros contribute log S(0) = 0)
+    wc: np.ndarray
     log_tc: np.ndarray
 
 
 def _build_cache(sample: SurvivalSample) -> _LikCache:
-    events = sample.events
-    times = sample.times
-    te_all = times[events]
-    tc_all = times[~events]
-    te = te_all[te_all > 0.0]
-    tc = tc_all[tc_all > 0.0]
+    times, events = sample.times, sample.events
+    te, we = np.unique(times[events & (times > 0.0)], return_counts=True)
+    tc, wc = np.unique(times[~events & (times > 0.0)], return_counts=True)
+    we, wc, log_te = we.astype(float), wc.astype(float), np.log(te)
     return _LikCache(
-        n_events=int(te_all.size),
-        n_zero_events=int(te_all.size - te.size),
-        te=te,
-        log_te=np.log(te),
-        sum_te=float(te.sum()),
-        sum_log_te=float(np.log(te).sum()) if te.size else 0.0,
-        tc=tc,
-        log_tc=np.log(tc) if tc.size else tc,
+        n_events=sample.n_events,
+        n_zero_events=sample.n_events - int(we.sum()),
+        te=te, we=we, log_te=log_te, sum_te=float(we @ te), sum_log_te=float(we @ log_te),
+        tc=tc, wc=wc, log_tc=np.log(tc),
     )
 
 
 def _event_log_pdf_sum(family: str, theta: tuple[float, ...], cache: _LikCache) -> float:
     """sum over events of log f0(t); -inf when the density vanishes there."""
-    n_pos = cache.te.size
+    n_pos = cache.n_events - cache.n_zero_events
     if family == "exponential":
         (rate,) = theta
         return cache.n_events * math.log(rate) - rate * cache.sum_te
@@ -277,7 +279,7 @@ def _event_log_pdf_sum(family: str, theta: tuple[float, ...], cache: _LikCache) 
             zero_part
             + n_pos * (math.log(shape) - log_scale)
             + (shape - 1.0) * (cache.sum_log_te - n_pos * log_scale)
-            - float(np.exp(u).sum())
+            - float(cache.we @ np.exp(u))
         )
     if family == "gamma":
         shape, rate = theta
@@ -293,7 +295,7 @@ def _event_log_pdf_sum(family: str, theta: tuple[float, ...], cache: _LikCache) 
         return (
             n_pos * (math.log(shape) - log_scale)
             + (shape - 1.0) * (cache.sum_log_te - n_pos * log_scale)
-            - 2.0 * float(np.logaddexp(0.0, u).sum())
+            - 2.0 * float(cache.we @ np.logaddexp(0.0, u))
         )
     if family == "lognormal":
         scale, sigma = theta
@@ -301,13 +303,13 @@ def _event_log_pdf_sum(family: str, theta: tuple[float, ...], cache: _LikCache) 
         return (
             -cache.sum_log_te
             - n_pos * (math.log(sigma) + 0.5 * _LOG_2PI)
-            - 0.5 * float((z * z).sum())
+            - 0.5 * float(cache.we @ (z * z))
         )
     raise DomainError(f"unknown family {family!r}")
 
 
 def _censor_log_sf(family: str, theta: tuple[float, ...], cache: _LikCache) -> np.ndarray:
-    """Array of log S0(t) over the positive censoring times."""
+    """Array of log S0(t) over the distinct positive censoring times."""
     if cache.tc.size == 0:
         return cache.tc
     if family == "exponential":
@@ -336,10 +338,10 @@ def _loglik_value(spec: FamilySpec, params: Params, cache: _LikCache) -> float:
         log_sf = _censor_log_sf(spec.family, theta, cache)
         if spec.cure:
             c = float(params.cure_fraction)  # type: ignore[arg-type]
-            cen = float(np.log(c + (1.0 - c) * np.exp(log_sf)).sum())
+            cen = float(cache.wc @ np.log(c + (1.0 - c) * np.exp(log_sf)))
             ll = cache.n_events * math.log1p(-c) + ev + cen
         else:
-            ll = ev + float(log_sf.sum())
+            ll = ev + float(cache.wc @ log_sf)
     return ll if not math.isnan(ll) else -math.inf
 
 
@@ -375,7 +377,7 @@ class FitOptions:
     max_iter: int = 5000
     restarts: int = 3
     init: Params | None = None
-    polish: bool = True
+    polish: bool = True  # finish with Newton steps
 
 
 @dataclass(frozen=True)
@@ -510,7 +512,7 @@ def _fd_hessian(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     return H
 
 
-def _newton_polish(f, x: np.ndarray, fx: float, max_steps: int = 6):
+def _newton_polish(f, x: np.ndarray, fx: float, max_steps: int = 12):
     """Damped Newton steps accepted only when they do not worsen f."""
     for _ in range(max_steps):
         g = _fd_gradient(f, x)
@@ -554,18 +556,17 @@ def fit_model(
         raise FitError(
             f"cannot fit {spec.label}: {spec.n_params + 1} records required, got {sample.n}"
         )
-    zero_events = int(np.sum(sample.events & (sample.times == 0.0)))
-    if zero_events and spec.family in _ZERO_EVENT_FORBIDDEN:
+    cache = _build_cache(sample)
+    if cache.n_zero_events and spec.family in _ZERO_EVENT_FORBIDDEN:
         raise DomainError(
             f"events at time exactly 0 are outside the support of the {spec.family} density"
         )
-    if zero_events and spec.family == "weibull":
+    if cache.n_zero_events and spec.family == "weibull":
         raise DomainError(
             "events at time exactly 0 make the weibull likelihood degenerate; "
             "remove or shift them before fitting"
         )
 
-    cache = _build_cache(sample)
     init = opts.init if opts.init is not None else initial_params(spec, sample)
     check_params(spec, init)
     neg = _make_objective(spec, cache)
@@ -595,11 +596,6 @@ def fit_model(
         converged = r.converged
 
     if opts.polish:
-        for step, ftol in ((1e-2, 1e-11), (1e-4, 1e-12)):
-            r = minimize_simplex(neg, best_x, step=step, ftol=ftol, max_iter=1000)
-            n_iter += r.n_iter
-            if r.fx <= best_f:
-                best_x, best_f = r.x, r.fx
         best_x, best_f = _newton_polish(neg, best_x, best_f)
 
     if best_f > f0:  # never return something worse than the start

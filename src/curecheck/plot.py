@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import io
 import math
+from bisect import bisect_right
 
 from .errors import DomainError
-from .survival import KaplanMeierCurve, km_survival_at
+from .survival import KaplanMeierCurve
 
 _WIDTH = 640.0
 _HEIGHT = 420.0
@@ -131,10 +132,12 @@ def km_plot_svg(curve: KaplanMeierCurve, label: str = "Kaplan-Meier estimate") -
     out.append(
         f'<path d="{" ".join(d)}" fill="none" stroke="{_LINE_COLOR}" stroke-width="1.8"/>'
     )
-    # censor marks
+    # censor marks, each at the curve's right-continuous value (1 before the first step)
+    step_times = [s.time for s in curve.steps]
     for t in curve.censor_times:
+        i = bisect_right(step_times, t)
         x = sx(t)
-        y = sy(km_survival_at(curve, t))
+        y = sy(curve.steps[i - 1].survival if i else 1.0)
         out.append(
             f'<line x1="{_fmt(x)}" y1="{_fmt(y - 4)}" x2="{_fmt(x)}" '
             f'y2="{_fmt(y + 4)}" stroke="{_TICK_COLOR}" stroke-width="1.4"/>'

@@ -302,6 +302,29 @@ def test_assessment_reports_unconverged_rows():
         assert row.aic is not None
 
 
+def test_assessment_notes_each_failed_fit():
+    # A textbook long plateau on which the gamma non-cure likelihood is not
+    # finite at its starting values: the row stays in the table and the
+    # loss is named in the notes.
+    cfg = SimulationConfig(
+        n=400,
+        cure_fraction=0.3,
+        family="exponential",
+        latency=(1.0,),
+        censoring=AdministrativeCensoring(1000.0),
+        seed=3,
+    )
+    sample, _ = simulate_mixture(cfg)
+    a = receus_assess(sample)
+    failed = [row for row in a.model_table if row.error is not None]
+    assert [row.spec.label for row in failed] == ["gamma non-cure"]
+    assert "non-finite gamma non-cure likelihood" in failed[0].error
+    assert a.notes[0] == (
+        f"gamma non-cure fit failed and is missing from the AIC comparison: {failed[0].error}"
+    )
+    assert sum("fit failed" in note for note in a.notes) == 1
+
+
 def test_config_validation():
     with pytest.raises(DomainError, match="at least one"):
         AssessmentConfig(families=())

@@ -291,6 +291,42 @@ def test_loglik_matches_naive_scipy_summation():
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), spec.label
 
 
+def test_loglik_matches_naive_scipy_summation_on_tied_data():
+    # Times on a quarter-unit grid: many records share each time, events and
+    # censorings fall on the same instants, and some records sit at 0 --
+    # censored for every family, events too where f0(0) is finite
+    # (exponential, and weibull with shape exactly 1).
+    rng = np.random.default_rng(2024)
+    for family in FAMILIES:
+        for cure in (False, True):
+            spec = FamilySpec(family, cure=cure)
+            for trial in range(6):
+                theta = _random_theta(rng, family)
+                if family == "weibull" and trial % 2 == 0:
+                    theta = (1.0, theta[1])
+                zero_events = family == "exponential" or (family == "weibull" and theta[0] == 1.0)
+                params = Params(
+                    latency=theta,
+                    cure_fraction=float(rng.uniform(0.05, 0.9)) if cure else None,
+                )
+                n = int(rng.integers(60, 300))
+                times = np.round(rng.exponential(scale=1.2, size=n) * 4.0) / 4.0
+                events = rng.random(n) < 0.6
+                times[:4] = 0.0
+                events[:4] = (False, False, zero_events, zero_events)
+                events &= (times > 0.0) | zero_events
+                sample = validate_sample(list(zip(times.tolist(), events.tolist())))
+                pos = sample.times > 0.0
+                shared = np.intersect1d(
+                    sample.times[sample.events & pos], sample.times[~sample.events & pos]
+                )
+                assert shared.size > 0
+                assert np.unique(sample.times).size < n / 2
+                got = log_likelihood(spec, params, sample)
+                want = _naive_loglik(spec, params, sample.records)
+                assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), spec.label
+
+
 def test_loglik_censored_at_zero_contributes_nothing():
     base = [(1.0, True), (2.0, True), (3.0, False)]
     spec = FamilySpec("weibull", cure=True)
@@ -461,6 +497,60 @@ def test_fit_gradient_vanishes_at_optimum():
         xm[i] -= h
         grad.append((f(xp) - f(xm)) / (2 * h))
     assert max(abs(g) for g in grad) < 1e-3
+
+
+def test_fits_are_optima_on_day_granular_short_followup():
+    # The registry regime: integer days, follow-up cut at one year.  A tight
+    # scipy Nelder-Mead restarted from each reported optimum must not find a
+    # higher likelihood.
+    from scipy.optimize import minimize
+
+    from curecheck.simulate import (
+        CompositeCensoring,
+        SimulationConfig,
+        restrict_followup,
+        simulate_mixture,
+    )
+
+    cfg = SimulationConfig(
+        n=2000,
+        cure_fraction=0.4,
+        family="weibull",
+        latency=(0.8, 0.8),
+        censoring=CompositeCensoring(7.3, 14.6),
+        seed=7,
+    )
+    drawn, _ = simulate_mixture(cfg)
+    days = np.ceil(drawn.times * 365.25) / 365.25
+    sample = restrict_followup(validate_sample(zip(days.tolist(), drawn.events.tolist())), 1.0)
+    assert np.unique(sample.times).size < sample.n / 3
+    for family in FAMILIES:
+        for cure in (False, True):
+            spec = FamilySpec(family, cure=cure)
+            fit = fit_model(sample, spec)
+
+            def neg(x, spec=spec, cure=cure):
+                params = Params(
+                    latency=tuple(math.exp(v) for v in x[int(cure):]),
+                    cure_fraction=1.0 / (1.0 + math.exp(-x[0])) if cure else None,
+                )
+                try:
+                    ll = log_likelihood(spec, params, sample)
+                except (DomainError, OverflowError):
+                    return math.inf
+                return -ll if math.isfinite(ll) else math.inf
+
+            c = fit.params.cure_fraction
+            x0 = [math.log(c / (1.0 - c))] if cure else []
+            x0 += [math.log(v) for v in fit.params.latency]
+            assert neg(np.array(x0)) == pytest.approx(-fit.log_likelihood, abs=1e-9)
+            res = minimize(
+                neg,
+                np.array(x0),
+                method="Nelder-Mead",
+                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000, "maxfev": 20000},
+            )
+            assert -res.fun <= fit.log_likelihood + 1e-6, spec.label
 
 
 # ---------------------------------------------------------------------------
