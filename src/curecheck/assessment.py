@@ -66,10 +66,7 @@ class AssessmentConfig:
         if not self.families:
             raise DomainError("at least one latency family is required")
         for fam in self.families:
-            if fam not in FAMILIES:
-                raise DomainError(
-                    f"unknown family {fam!r}; expected one of {', '.join(FAMILIES)}"
-                )
+            FamilySpec(fam)  # raises DomainError on an unknown family
         for name in ("cure_fraction_threshold", "r_threshold", "alpha_threshold"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):

@@ -16,7 +16,6 @@ appropriate, 1 on any execution error (message on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -36,78 +35,8 @@ from .simulate import (
     restrict_followup,
     simulate_mixture,
 )
-from .survival import SurvivalSample, kaplan_meier, validate_sample
-
-_TRUE = {"1", "true"}
-_FALSE = {"0", "false"}
-
-
-def read_csv(
-    path: str,
-    time_col: str = "time",
-    event_col: str = "event",
-    time_scale: float = 1.0,
-) -> SurvivalSample:
-    """Load a right-censored sample from a headered CSV file.
-
-    Times are divided by ``time_scale`` (365.25 turns days into years).
-    Event cells must be one of 0/1/true/false (case-insensitive).  Parse
-    errors name the file row (1 = header) and column.
-    """
-    if not (time_scale > 0.0):
-        raise ValidationError(f"time_scale must be > 0, got {time_scale!r}")
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValidationError(f"empty file: {path} has no header row")
-        for col in (time_col, event_col):
-            if col not in reader.fieldnames:
-                raise ValidationError(
-                    f"missing column {col!r} in {path} "
-                    f"(found: {', '.join(reader.fieldnames)})"
-                )
-        records: list[tuple[float, bool]] = []
-        for i, row in enumerate(reader, start=2):
-            raw_t = (row.get(time_col) or "").strip()
-            raw_e = (row.get(event_col) or "").strip()
-            try:
-                t = float(raw_t)
-            except ValueError:
-                raise ValidationError(
-                    f"unparseable time {raw_t!r} at row {i}, column {time_col!r} of {path}"
-                ) from None
-            low = raw_e.lower()
-            if low in _TRUE:
-                e = True
-            elif low in _FALSE:
-                e = False
-            else:
-                raise ValidationError(
-                    f"unparseable event {raw_e!r} at row {i}, column {event_col!r} "
-                    f"of {path}: expected 0, 1, true or false"
-                )
-            records.append((t / time_scale, e))
-    if not records:
-        raise ValidationError(f"empty file: {path} has a header but no data rows")
-    return validate_sample(records)
-
-
-def write_csv(
-    sample: SurvivalSample,
-    path: str,
-    time_col: str = "time",
-    event_col: str = "event",
-) -> None:
-    """Write a sample as CSV; times use full repr precision and round-trip."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([time_col, event_col])
-        for t, e in sample.records:
-            writer.writerow([repr(t), 1 if e else 0])
+# write_csv is unused here; it stays importable as cli.write_csv, next to cli.read_csv.
+from .survival import kaplan_meier, read_csv, write_csv  # noqa: F401
 
 
 def _add_io_args(p: argparse.ArgumentParser) -> None:
@@ -121,18 +50,6 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
         metavar="S",
         help="divide times by S on input, e.g. 365.25 for days to years (default: 1)",
     )
-
-
-def _parse_families(text: str) -> tuple[str, ...]:
-    fams = tuple(f.strip() for f in text.split(",") if f.strip())
-    for f in fams:
-        if f not in FAMILIES:
-            raise ValidationError(
-                f"unknown family {f!r}; expected a comma list drawn from {', '.join(FAMILIES)}"
-            )
-    if not fams:
-        raise ValidationError("at least one family is required")
-    return fams
 
 
 def _parse_censoring(text: str) -> Censoring:
@@ -231,7 +148,7 @@ def run_assess(args: argparse.Namespace) -> tuple[ReportDocument, int]:
     if args.restrict is not None:
         sample = restrict_followup(sample, args.restrict)
     config = AssessmentConfig(
-        families=_parse_families(args.families),
+        families=tuple(f.strip() for f in args.families.split(",") if f.strip()),
         cure_fraction_threshold=args.cure_threshold,
         r_threshold=args.r_threshold,
         alpha_threshold=args.alpha_threshold,

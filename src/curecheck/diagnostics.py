@@ -6,7 +6,8 @@ Three quantitative checks that complement the model-based assessment:
   evaluated at the largest observed time;
 * a deviance test comparing a cure fit against its nested non-cure fit,
   with the boundary-corrected null distribution (an equal mixture of a
-  point mass at 0 and a 1-df chi-square);
+  point mass at 0 and a 1-df chi-square); ``deviance_from_fits`` holds
+  its one formula, which the report reuses on the assessment's fits;
 * the Maller-Zhou sufficient-follow-up statistic
   alpha_n = (1 - N_n / n)^n, where N_n counts events in the interval
   (2 y_max_event - y_max, y_max_event] just below the largest event.
@@ -69,6 +70,18 @@ def nonparametric_cure_evidence(sample: SurvivalSample) -> CureFractionEvidence:
     return CureFractionEvidence(p_hat_n=1.0 - cure_hat, cure_fraction_hat=cure_hat)
 
 
+def deviance_from_fits(cure_fit: ModelFit, noncure_fit: ModelFit) -> tuple[float, float]:
+    """(d, p): the boundary deviance statistic of a cure fit against its non-cure fit.
+
+    d = max(0, 2 (loglik_cure - loglik_noncure)).  The non-cure model sits on
+    the boundary (cure fraction 0) of the cure model, so the null
+    distribution is the mixture 0.5 chi2_0 + 0.5 chi2_1 and the p-value is
+    p = 0.5 * P(chi2_1 >= d).
+    """
+    d = max(0.0, 2.0 * (cure_fit.log_likelihood - noncure_fit.log_likelihood))
+    return d, 0.5 * chi2_sf_1df(d)
+
+
 def deviance_cure_test(
     sample: SurvivalSample,
     family: str = "weibull",
@@ -76,10 +89,8 @@ def deviance_cure_test(
 ) -> CureFractionEvidence:
     """Test for a cured fraction by comparing cure and non-cure fits of one family.
 
-    The statistic is d_n = 2 (loglik_cure - loglik_noncure), clamped at 0;
-    because the non-cure model sits on the boundary (cure fraction 0) of the
-    cure model, the null distribution is the mixture 0.5 chi2_0 + 0.5 chi2_1
-    and the p-value is 0.5 * P(chi2_1 >= d_n).
+    Both fits are made here; the statistic and its p-value come from
+    ``deviance_from_fits``.
 
     If either fit fails or does not converge the deviance fields are absent
     and ``diagnostic`` says why.
@@ -103,14 +114,12 @@ def deviance_cure_test(
                 diagnostic=f"{spec.label} fit did not converge; deviance test unavailable",
             )
         fits[cure] = fit
-    d_n = 2.0 * (fits[True].log_likelihood - fits[False].log_likelihood)
-    d_n = max(d_n, 0.0)
-    p_value = 0.5 * chi2_sf_1df(d_n)
+    d_n, p_value = deviance_from_fits(fits[True], fits[False])
     return CureFractionEvidence(
         p_hat_n=base.p_hat_n,
         cure_fraction_hat=base.cure_fraction_hat,
         deviance=d_n,
-        deviance_p_value=float(p_value),
+        deviance_p_value=p_value,
         cure_fit=fits[True],
         noncure_fit=fits[False],
     )

@@ -1,5 +1,10 @@
 """Parametric latency families, censored-data likelihoods, ML fitting.
 
+Each latency family is one private record, an instance of a ``_Family``
+subclass, in the ordered table ``_TABLE``: parameter names, event log-density
+sum, the one log S0 formula, quantile, starting values and zero-time-event
+rule.  ``FAMILIES`` is the table's order, also the AIC tie-break order.
+
 Latency parameterizations (all parameters strictly positive):
 
     exponential   rate l            S0(t) = exp(-l t)
@@ -38,22 +43,181 @@ from .special import (
 )
 from .survival import SurvivalSample, kaplan_meier
 
-# Family order doubles as the AIC tie-break order.
-FAMILIES = ("exponential", "weibull", "gamma", "loglogistic", "lognormal")
+_LOG_2PI = math.log(2.0 * math.pi)
 
-_FAMILY_PARAM_NAMES = {
-    "exponential": ("rate",),
-    "weibull": ("shape", "scale"),
-    "gamma": ("shape", "rate"),
-    "loglogistic": ("shape", "scale"),
-    "lognormal": ("scale", "sigma"),
+
+# ---------------------------------------------------------------------------
+# latency families
+# ---------------------------------------------------------------------------
+
+
+class _Family:
+    """One latency family: every formula and rule that depends on it.
+
+    Each method takes the latency parameters last, in ``param_names`` order.
+
+    * ``log_pdf_sum(cache, *theta)``: sum of log f0 over the events of a
+      ``_LikCache``, events at time 0 included; -inf where f0 vanishes.
+    * ``log_sf(t, log_t, *theta)``: log S0 at times t >= 0 given log_t = log(t),
+      the one log S0 formula (likelihood censoring term, ``latency_survival``).
+    * ``quantile(u, *theta)``: the latency CDF inverted on a 1-D array in [0, 1).
+    * ``start(te, mean_te)``: starting values from the event times.
+    * ``zero_events``: events at time exactly 0 are "allowed"; rejected by
+      ``fit_model`` alone under "no fit" (defined but degenerate maximum); or
+      rejected everywhere under "outside support" (density undefined or
+      unbounded at 0).  They are never nudged.
+    """
+
+    param_names: tuple[str, ...]
+    zero_events: str
+
+
+class _Exponential(_Family):
+    param_names = ("rate",)
+    zero_events = "allowed"
+
+    def log_pdf_sum(self, cache, rate):
+        return cache.n_events * math.log(rate) - rate * cache.sum_te
+
+    def log_sf(self, t, log_t, rate):
+        return -rate * t
+
+    def quantile(self, u, rate):
+        return -np.log1p(-u) / rate
+
+    def start(self, te, mean_te):
+        return (1.0 / mean_te,)
+
+
+class _Weibull(_Family):
+    param_names = ("shape", "scale")
+    zero_events = "no fit"
+
+    def log_pdf_sum(self, cache, shape, scale):
+        log_scale = math.log(scale)
+        n_pos = cache.n_events - cache.n_zero_events
+        zero_part = 0.0
+        if cache.n_zero_events:
+            if shape < 1.0:
+                raise DomainError(
+                    "weibull density is unbounded at time 0 when shape < 1; "
+                    "events at time exactly 0 are not supported"
+                )
+            if shape > 1.0:
+                return -math.inf  # f0(0) = 0
+            zero_part = cache.n_zero_events * (math.log(shape) - log_scale)
+        u = shape * (cache.log_te - log_scale)
+        return (
+            zero_part
+            + n_pos * (math.log(shape) - log_scale)
+            + (shape - 1.0) * (cache.sum_log_te - n_pos * log_scale)
+            - float(cache.we @ np.exp(u))
+        )
+
+    def log_sf(self, t, log_t, shape, scale):
+        return -np.exp(shape * (log_t - math.log(scale)))
+
+    def quantile(self, u, shape, scale):
+        return scale * np.power(-np.log1p(-u), 1.0 / shape)
+
+    def start(self, te, mean_te):
+        return (1.0, mean_te)
+
+
+class _Gamma(_Family):
+    param_names = ("shape", "rate")
+    zero_events = "outside support"
+
+    def log_pdf_sum(self, cache, shape, rate):
+        return (
+            cache.n_events * (shape * math.log(rate) - log_gamma(shape))
+            + (shape - 1.0) * cache.sum_log_te
+            - rate * cache.sum_te
+        )
+
+    def log_sf(self, t, log_t, shape, rate):
+        return np.log(reg_upper_gamma(shape, rate * t))
+
+    def quantile(self, u, shape, rate):
+        return np.array([inv_reg_lower_gamma(shape, v) / rate for v in u])
+
+    def start(self, te, mean_te):
+        return (1.0, 1.0 / mean_te)
+
+
+class _LogLogistic(_Family):
+    param_names = ("shape", "scale")
+    zero_events = "outside support"
+
+    def log_pdf_sum(self, cache, shape, scale):
+        log_scale = math.log(scale)
+        n_pos = cache.n_events - cache.n_zero_events
+        u = shape * (cache.log_te - log_scale)
+        return (
+            n_pos * (math.log(shape) - log_scale)
+            + (shape - 1.0) * (cache.sum_log_te - n_pos * log_scale)
+            - 2.0 * float(cache.we @ np.logaddexp(0.0, u))
+        )
+
+    def log_sf(self, t, log_t, shape, scale):
+        return -np.logaddexp(0.0, shape * (log_t - math.log(scale)))
+
+    def quantile(self, u, shape, scale):
+        with np.errstate(divide="ignore"):
+            return scale * np.power(u / (1.0 - u), 1.0 / shape)
+
+    def start(self, te, mean_te):
+        return (1.0, mean_te)
+
+
+class _LogNormal(_Family):
+    param_names = ("scale", "sigma")
+    zero_events = "outside support"
+
+    def log_pdf_sum(self, cache, scale, sigma):
+        n_pos = cache.n_events - cache.n_zero_events
+        z = (cache.log_te - math.log(scale)) / sigma
+        return (
+            -cache.sum_log_te
+            - n_pos * (math.log(sigma) + 0.5 * _LOG_2PI)
+            - 0.5 * float(cache.we @ (z * z))
+        )
+
+    def log_sf(self, t, log_t, scale, sigma):
+        return np.log(normal_sf((log_t - math.log(scale)) / sigma))
+
+    def quantile(self, u, scale, sigma):
+        return np.array(
+            [scale * math.exp(sigma * inv_normal_cdf(v)) if v > 0.0 else 0.0 for v in u]
+        )
+
+    def start(self, te, mean_te):
+        pos = te[te > 0.0]
+        if not pos.size:
+            return (1.0, 1.0)
+        logs = np.log(pos)
+        return (math.exp(float(logs.mean())), max(float(logs.std()), 0.05))
+
+
+_TABLE = {
+    "exponential": _Exponential(),
+    "weibull": _Weibull(),
+    "gamma": _Gamma(),
+    "loglogistic": _LogLogistic(),
+    "lognormal": _LogNormal(),
 }
 
-# Families whose density is undefined or unbounded at t = 0 for some or
-# all parameter values; events at exactly 0 are rejected, never nudged.
-_ZERO_EVENT_FORBIDDEN = frozenset({"gamma", "loglogistic", "lognormal"})
+# Family order doubles as the AIC tie-break order.
+FAMILIES = tuple(_TABLE)
 
-_LOG_2PI = math.log(2.0 * math.pi)
+
+def _family(name: str) -> _Family:
+    try:
+        return _TABLE[name]
+    except KeyError:
+        raise DomainError(
+            f"unknown family {name!r}; expected one of {', '.join(FAMILIES)}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -64,14 +228,11 @@ class FamilySpec:
     cure: bool = False
 
     def __post_init__(self):
-        if self.family not in _FAMILY_PARAM_NAMES:
-            raise DomainError(
-                f"unknown family {self.family!r}; expected one of {', '.join(FAMILIES)}"
-            )
+        _family(self.family)
 
     @property
     def latency_param_names(self) -> tuple[str, ...]:
-        return _FAMILY_PARAM_NAMES[self.family]
+        return _family(self.family).param_names
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -132,66 +293,14 @@ def check_params(spec: FamilySpec, params: Params) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _latency_log_sf(family: str, theta: tuple[float, ...], t: np.ndarray) -> np.ndarray:
-    """log S0(t) for a strictly nonnegative time array (zeros allowed)."""
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        if family == "exponential":
-            (rate,) = theta
-            return -rate * t
-        if family == "weibull":
-            shape, scale = theta
-            return -np.power(t / scale, shape)
-        if family == "gamma":
-            shape, rate = theta
-            q = reg_upper_gamma(shape, rate * t)
-            return np.log(np.asarray(q, dtype=float))
-        if family == "loglogistic":
-            shape, scale = theta
-            out = np.where(t > 0.0, np.log(np.where(t > 0.0, t, 1.0) / scale), -np.inf)
-            return -np.logaddexp(0.0, shape * out)
-        if family == "lognormal":
-            scale, sigma = theta
-            pos = t > 0.0
-            z = np.where(pos, np.log(np.where(pos, t, 1.0) / scale) / sigma, -np.inf)
-            sf = normal_sf(z)
-            return np.log(np.asarray(sf, dtype=float))
-    raise DomainError(f"unknown family {family!r}")
-
-
 def latency_quantile(family: str, theta: tuple[float, ...], u) -> float | np.ndarray:
     """Inverse of the latency CDF: the time t with 1 - S0(t) = u, u in [0, 1)."""
     scalar = np.isscalar(u)
     uu = np.asarray(u, dtype=float)
     if np.any(~np.isfinite(uu)) or np.any(uu < 0.0) or np.any(uu >= 1.0):
         raise DomainError("quantile level must lie in [0, 1)")
-    if family == "exponential":
-        (rate,) = theta
-        out = -np.log1p(-uu) / rate
-    elif family == "weibull":
-        shape, scale = theta
-        out = scale * np.power(-np.log1p(-uu), 1.0 / shape)
-    elif family == "gamma":
-        shape, rate = theta
-        flat = np.array([inv_reg_lower_gamma(shape, v) / rate for v in np.atleast_1d(uu).ravel()])
-        out = flat.reshape(np.atleast_1d(uu).shape)
-    elif family == "loglogistic":
-        shape, scale = theta
-        with np.errstate(divide="ignore"):
-            out = scale * np.power(uu / (1.0 - uu), 1.0 / shape)
-    elif family == "lognormal":
-        scale, sigma = theta
-        flat = np.array(
-            [
-                scale * math.exp(sigma * inv_normal_cdf(v)) if v > 0.0 else 0.0
-                for v in np.atleast_1d(uu).ravel()
-            ]
-        )
-        out = flat.reshape(np.atleast_1d(uu).shape)
-    else:
-        raise DomainError(f"unknown family {family!r}")
-    if scalar:
-        return float(np.asarray(out).reshape(()))
-    return np.asarray(out, dtype=float)
+    out = _family(family).quantile(uu.ravel(), *theta).reshape(uu.shape)
+    return float(out) if scalar else out
 
 
 def latency_survival(spec: FamilySpec, params: Params, t) -> float | np.ndarray:
@@ -201,7 +310,9 @@ def latency_survival(spec: FamilySpec, params: Params, t) -> float | np.ndarray:
     tt = np.asarray(t, dtype=float)
     if np.any(~np.isfinite(tt)) or np.any(tt < 0.0):
         raise DomainError("evaluation time must be finite and >= 0")
-    out = np.exp(_latency_log_sf(spec.family, params.latency, np.atleast_1d(tt)))
+    t1 = np.atleast_1d(tt)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        out = np.exp(_family(spec.family).log_sf(t1, np.log(t1), *params.latency))
     out = np.clip(out, 0.0, 1.0)
     if scalar:
         return float(out[0])
@@ -255,87 +366,28 @@ def _build_cache(sample: SurvivalSample) -> _LikCache:
     )
 
 
-def _event_log_pdf_sum(family: str, theta: tuple[float, ...], cache: _LikCache) -> float:
-    """sum over events of log f0(t); -inf when the density vanishes there."""
-    n_pos = cache.n_events - cache.n_zero_events
-    if family == "exponential":
-        (rate,) = theta
-        return cache.n_events * math.log(rate) - rate * cache.sum_te
-    if family == "weibull":
-        shape, scale = theta
-        log_scale = math.log(scale)
-        zero_part = 0.0
-        if cache.n_zero_events:
-            if shape < 1.0:
-                raise DomainError(
-                    "weibull density is unbounded at time 0 when shape < 1; "
-                    "events at time exactly 0 are not supported"
-                )
-            if shape > 1.0:
-                return -math.inf  # f0(0) = 0
-            zero_part = cache.n_zero_events * (math.log(shape) - log_scale)
-        u = shape * (cache.log_te - log_scale)
-        return (
-            zero_part
-            + n_pos * (math.log(shape) - log_scale)
-            + (shape - 1.0) * (cache.sum_log_te - n_pos * log_scale)
-            - float(cache.we @ np.exp(u))
+def _checked_cache(spec: FamilySpec, sample: SurvivalSample, fitting: bool) -> _LikCache:
+    """The sample's likelihood cache, once its events at time 0 pass the family's rule."""
+    cache = _build_cache(sample)
+    rule = _family(spec.family).zero_events
+    if cache.n_zero_events and rule == "outside support":
+        raise DomainError(
+            f"events at time exactly 0 are outside the support of the {spec.family} density"
         )
-    if family == "gamma":
-        shape, rate = theta
-        return (
-            cache.n_events * (shape * math.log(rate) - log_gamma(shape))
-            + (shape - 1.0) * cache.sum_log_te
-            - rate * cache.sum_te
+    if cache.n_zero_events and rule == "no fit" and fitting:
+        raise DomainError(
+            f"events at time exactly 0 make the {spec.family} likelihood degenerate; "
+            "remove or shift them before fitting"
         )
-    if family == "loglogistic":
-        shape, scale = theta
-        log_scale = math.log(scale)
-        u = shape * (cache.log_te - log_scale)
-        return (
-            n_pos * (math.log(shape) - log_scale)
-            + (shape - 1.0) * (cache.sum_log_te - n_pos * log_scale)
-            - 2.0 * float(cache.we @ np.logaddexp(0.0, u))
-        )
-    if family == "lognormal":
-        scale, sigma = theta
-        z = (cache.log_te - math.log(scale)) / sigma
-        return (
-            -cache.sum_log_te
-            - n_pos * (math.log(sigma) + 0.5 * _LOG_2PI)
-            - 0.5 * float(cache.we @ (z * z))
-        )
-    raise DomainError(f"unknown family {family!r}")
-
-
-def _censor_log_sf(family: str, theta: tuple[float, ...], cache: _LikCache) -> np.ndarray:
-    """Array of log S0(t) over the distinct positive censoring times."""
-    if cache.tc.size == 0:
-        return cache.tc
-    if family == "exponential":
-        (rate,) = theta
-        return -rate * cache.tc
-    if family == "weibull":
-        shape, scale = theta
-        return -np.exp(shape * (cache.log_tc - math.log(scale)))
-    if family == "gamma":
-        shape, rate = theta
-        return np.log(np.asarray(reg_upper_gamma(shape, rate * cache.tc), dtype=float))
-    if family == "loglogistic":
-        shape, scale = theta
-        return -np.logaddexp(0.0, shape * (cache.log_tc - math.log(scale)))
-    if family == "lognormal":
-        scale, sigma = theta
-        z = (cache.log_tc - math.log(scale)) / sigma
-        return np.log(np.asarray(normal_sf(z), dtype=float))
-    raise DomainError(f"unknown family {family!r}")
+    return cache
 
 
 def _loglik_value(spec: FamilySpec, params: Params, cache: _LikCache) -> float:
     theta = tuple(float(v) for v in params.latency)
+    family = _family(spec.family)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        ev = _event_log_pdf_sum(spec.family, theta, cache)
-        log_sf = _censor_log_sf(spec.family, theta, cache)
+        ev = family.log_pdf_sum(cache, *theta)
+        log_sf = family.log_sf(cache.tc, cache.log_tc, *theta) if cache.tc.size else cache.tc
         if spec.cure:
             c = float(params.cure_fraction)  # type: ignore[arg-type]
             cen = float(cache.wc @ np.log(c + (1.0 - c) * np.exp(log_sf)))
@@ -352,12 +404,7 @@ def log_likelihood(spec: FamilySpec, params: Params, sample: SurvivalSample) -> 
     undefined there; censored records at 0 contribute log S(0) = 0.
     """
     check_params(spec, params)
-    cache = _build_cache(sample)
-    if cache.n_zero_events and spec.family in _ZERO_EVENT_FORBIDDEN:
-        raise DomainError(
-            f"events at time exactly 0 are outside the support of the {spec.family} density"
-        )
-    return float(_loglik_value(spec, params, cache))
+    return float(_loglik_value(spec, params, _checked_cache(spec, sample, fitting=False)))
 
 
 def aic_value(k: int, log_lik: float) -> float:
@@ -377,7 +424,6 @@ class FitOptions:
     max_iter: int = 5000
     restarts: int = 3
     init: Params | None = None
-    polish: bool = True  # finish with Newton steps
 
 
 @dataclass(frozen=True)
@@ -461,24 +507,7 @@ def initial_params(spec: FamilySpec, sample: SurvivalSample) -> Params:
     mean_te = float(te.mean()) if te.size else 1.0
     if mean_te <= 0.0:
         mean_te = 1.0
-    family = spec.family
-    if family == "exponential":
-        latency: tuple[float, ...] = (1.0 / mean_te,)
-    elif family == "weibull":
-        latency = (1.0, mean_te)
-    elif family == "gamma":
-        latency = (1.0, 1.0 / mean_te)
-    elif family == "loglogistic":
-        latency = (1.0, mean_te)
-    else:  # lognormal
-        pos = te[te > 0.0]
-        if pos.size:
-            logs = np.log(pos)
-            mu = float(logs.mean())
-            sd = float(logs.std())
-        else:
-            mu, sd = 0.0, 1.0
-        latency = (math.exp(mu), max(sd, 0.05))
+    latency = _family(spec.family).start(te, mean_te)
     cure_fraction = None
     if spec.cure:
         km_tail = kaplan_meier(sample).final_survival
@@ -556,16 +585,7 @@ def fit_model(
         raise FitError(
             f"cannot fit {spec.label}: {spec.n_params + 1} records required, got {sample.n}"
         )
-    cache = _build_cache(sample)
-    if cache.n_zero_events and spec.family in _ZERO_EVENT_FORBIDDEN:
-        raise DomainError(
-            f"events at time exactly 0 are outside the support of the {spec.family} density"
-        )
-    if cache.n_zero_events and spec.family == "weibull":
-        raise DomainError(
-            "events at time exactly 0 make the weibull likelihood degenerate; "
-            "remove or shift them before fitting"
-        )
+    cache = _checked_cache(spec, sample, fitting=True)
 
     init = opts.init if opts.init is not None else initial_params(spec, sample)
     check_params(spec, init)
@@ -595,9 +615,7 @@ def fit_model(
             best_x, best_f = r.x, r.fx
         converged = r.converged
 
-    if opts.polish:
-        best_x, best_f = _newton_polish(neg, best_x, best_f)
-
+    best_x, best_f = _newton_polish(neg, best_x, best_f)
     if best_f > f0:  # never return something worse than the start
         best_x, best_f = x0, f0
 

@@ -16,6 +16,7 @@ from importlib import resources
 
 from . import __version__
 from .assessment import CureAssessment, ModelTableRow, VERDICT_APPROPRIATE
+from .diagnostics import deviance_from_fits
 
 _CLINICAL_BANNER = (
     "Quantitative output cannot settle biological plausibility. Confirm with\n"
@@ -124,13 +125,11 @@ def _deviance_dict(a: CureAssessment) -> dict | None:
             fits[row.spec.cure] = row.fit
     if True not in fits or False not in fits:
         return None
-    from .special import chi2_sf_1df
-
-    d = max(0.0, 2.0 * (fits[True].log_likelihood - fits[False].log_likelihood))
+    d, p = deviance_from_fits(fits[True], fits[False])
     return {
         "family": fam,
         "deviance": d,
-        "p_value": 0.5 * chi2_sf_1df(d),
+        "p_value": p,
     }
 
 

@@ -1,11 +1,12 @@
 """Self-contained special functions used by the model and simulation code.
 
 Keeps the package free of heavy numeric dependencies: log-gamma
-(Lanczos), the error function (Cody-style rational approximations),
-the regularized incomplete gamma function (series / continued fraction
-split) and the numeric inverses needed for quantile sampling.
+(Lanczos), the complementary error function (Cody-style rational
+approximations), the regularized incomplete gamma function (series /
+continued fraction split) and the numeric inverses needed for quantile
+sampling.
 
-Accuracy: erf/erfc and log_gamma are good to ~1e-14 relative; the
+Accuracy: erfc and log_gamma are good to ~1e-14 relative; the
 incomplete gamma iterates to machine tolerance with a documented
 target of 1e-12 relative. The test suite checks all of them against
 scipy and brute-force quadrature.
@@ -143,29 +144,6 @@ def erfc(x):
     if m3.any():
         out[m3] = _erfc_large(y[m3])
     out = np.where(np.atleast_1d(arr) < 0.0, 2.0 - out, out)
-    return float(out[0]) if scalar else out
-
-
-def erf(x):
-    """Error function, scalar or ndarray."""
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    a = np.atleast_1d(arr)
-    y = np.abs(a)
-    out = np.empty_like(y)
-    m1 = y <= 0.46875
-    if m1.any():
-        out[m1] = _erf_small(a[m1])
-    m2 = ~m1
-    if m2.any():
-        sub = np.empty_like(y[m2])
-        ym = y[m2]
-        mid = ym <= 4.0
-        if mid.any():
-            sub[mid] = 1.0 - _erfc_mid(ym[mid])
-        if (~mid).any():
-            sub[~mid] = 1.0 - _erfc_large(ym[~mid])
-        out[m2] = np.sign(a[m2]) * sub
     return float(out[0]) if scalar else out
 
 

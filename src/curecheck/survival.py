@@ -1,4 +1,4 @@
-"""Censored-sample representation, Kaplan-Meier estimation, follow-up summaries.
+"""Censored samples and their CSV I/O, Kaplan-Meier estimation, follow-up summaries.
 
 A sample is a vector of (observed time, event indicator) pairs sorted
 ascending by time with events placed before censorings at tied times;
@@ -8,6 +8,7 @@ that canonical order encodes the usual product-limit tie convention
 
 from __future__ import annotations
 
+import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -15,6 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError
+
+_TRUE = {"1", "true"}
+_FALSE = {"0", "false"}
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,74 @@ class KaplanMeierCurve:
     @property
     def final_survival(self) -> float:
         return self.steps[-1].survival if self.steps else 1.0
+
+
+def read_csv(
+    path: str,
+    time_col: str = "time",
+    event_col: str = "event",
+    time_scale: float = 1.0,
+) -> SurvivalSample:
+    """Load a right-censored sample from a headered CSV file.
+
+    Times are divided by ``time_scale`` (365.25 turns days into years).
+    Event cells must be one of 0/1/true/false (case-insensitive).  Parse
+    errors name the file row (1 = header) and column.
+    """
+    if not (time_scale > 0.0):
+        raise ValidationError(f"time_scale must be > 0, got {time_scale!r}")
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    with fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValidationError(f"empty file: {path} has no header row")
+        for col in (time_col, event_col):
+            if col not in reader.fieldnames:
+                raise ValidationError(
+                    f"missing column {col!r} in {path} "
+                    f"(found: {', '.join(reader.fieldnames)})"
+                )
+        records: list[tuple[float, bool]] = []
+        for i, row in enumerate(reader, start=2):
+            raw_t = (row.get(time_col) or "").strip()
+            raw_e = (row.get(event_col) or "").strip()
+            try:
+                t = float(raw_t)
+            except ValueError:
+                raise ValidationError(
+                    f"unparseable time {raw_t!r} at row {i}, column {time_col!r} of {path}"
+                ) from None
+            low = raw_e.lower()
+            if low in _TRUE:
+                e = True
+            elif low in _FALSE:
+                e = False
+            else:
+                raise ValidationError(
+                    f"unparseable event {raw_e!r} at row {i}, column {event_col!r} "
+                    f"of {path}: expected 0, 1, true or false"
+                )
+            records.append((t / time_scale, e))
+    if not records:
+        raise ValidationError(f"empty file: {path} has a header but no data rows")
+    return validate_sample(records)
+
+
+def write_csv(
+    sample: SurvivalSample,
+    path: str,
+    time_col: str = "time",
+    event_col: str = "event",
+) -> None:
+    """Write a sample as CSV; times use full repr precision and round-trip."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([time_col, event_col])
+        for t, e in sample.records:
+            writer.writerow([repr(t), 1 if e else 0])
 
 
 def kaplan_meier(sample: SurvivalSample) -> KaplanMeierCurve:

@@ -87,7 +87,7 @@ def test_deviance_diagnostic_when_fit_cannot_run():
 def test_deviance_diagnostic_when_not_converged():
     sample = _truncated_exponential_sample(7)
     res = deviance_cure_test(
-        sample, family="weibull", options=FitOptions(max_iter=2, restarts=0, polish=False)
+        sample, family="weibull", options=FitOptions(max_iter=2, restarts=0)
     )
     assert res.deviance is None
     assert "did not converge" in res.diagnostic

@@ -611,7 +611,7 @@ def test_wald_intervals_unavailable_without_convergence():
     fit = fit_model(
         sample,
         FamilySpec("weibull"),
-        FitOptions(max_iter=2, restarts=0, polish=False),
+        FitOptions(max_iter=2, restarts=0),
     )
     assert not fit.converged
     iv = wald_intervals(fit)

@@ -1,6 +1,10 @@
 """CSV input/output, report rendering, plot export, and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -452,3 +456,18 @@ def test_package_root_exports_are_complete():
         assert name in curecheck.__all__
     assert curecheck.read_csv is read_csv
     assert curecheck.write_csv is write_csv
+
+
+def test_module_entry_point_runs_without_warnings():
+    # `python -m curecheck.cli` imports the package before running the module;
+    # if the package itself imported cli, runpy would warn on stderr.
+    import curecheck
+
+    env = dict(os.environ, PYTHONPATH=str(Path(curecheck.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curecheck.cli", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"curecheck {curecheck.__version__}"
+    assert proc.stderr == ""
