@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagnostics import FollowUpTest, alpha_n_test
-from .errors import AssessmentError, DomainError
+from .errors import AssessmentError, CurecheckError, DomainError
 from .models import (
     FAMILIES,
     FamilySpec,
@@ -138,7 +138,7 @@ def select_model_by_aic(
             spec = FamilySpec(family, cure=cure)
             try:
                 fit = fit_model(sample, spec, options)
-            except Exception as exc:
+            except CurecheckError as exc:
                 rows.append(
                     ModelTableRow(spec=spec, aic=None, converged=False, error=str(exc))
                 )

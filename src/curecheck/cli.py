@@ -35,8 +35,7 @@ from .simulate import (
     restrict_followup,
     simulate_mixture,
 )
-# write_csv is unused here; it stays importable as cli.write_csv, next to cli.read_csv.
-from .survival import kaplan_meier, read_csv, write_csv  # noqa: F401
+from .survival import kaplan_meier, read_csv, write_csv
 
 
 def _add_io_args(p: argparse.ArgumentParser) -> None:
@@ -178,14 +177,6 @@ def _stem(path: str) -> str:
     return name.rsplit(".", 1)[0] if "." in name else name
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-
-
 def _cmd_fit(args: argparse.Namespace) -> int:
     sample = read_csv(args.data, args.time_col, args.event_col, args.time_scale)
     spec = FamilySpec(args.family, cure=args.cure)
@@ -226,7 +217,11 @@ def _cmd_km(args: argparse.Namespace) -> int:
     sample = read_csv(args.data, args.time_col, args.event_col, args.time_scale)
     curve = kaplan_meier(sample)
     text = km_plot_svg(curve) if args.plot == "svg" else km_plot_csv(curve)
-    _emit(text, args.out)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
     return 0
 
 
@@ -244,9 +239,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     sample, truth = simulate_mixture(config)
-    rows = ["time,event"]
-    rows += [f"{t!r},{1 if e else 0}" for t, e in sample.records]
-    _emit("\r\n".join(rows) + "\r\n", args.out)
+    write_csv(sample, args.out)
     if args.truth_out is not None:
         payload = {
             "n": config.n,
@@ -267,10 +260,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_restrict(args: argparse.Namespace) -> int:
     sample = read_csv(args.data, args.time_col, args.event_col, args.time_scale)
-    restricted = restrict_followup(sample, args.cutoff)
-    rows = [f"{args.time_col},{args.event_col}"]
-    rows += [f"{t!r},{1 if e else 0}" for t, e in restricted.records]
-    _emit("\r\n".join(rows) + "\r\n", args.out)
+    write_csv(restrict_followup(sample, args.cutoff), args.out, args.time_col, args.event_col)
     return 0
 
 

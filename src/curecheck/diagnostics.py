@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CurecheckError, DomainError
 from .models import FamilySpec, FitOptions, ModelFit, fit_model
 from .special import chi2_sf_1df
 from .survival import SurvivalSample, kaplan_meier
@@ -101,7 +101,7 @@ def deviance_cure_test(
         spec = FamilySpec(family, cure=cure)
         try:
             fit = fit_model(sample, spec, options)
-        except Exception as exc:  # fit errors become a reported diagnostic
+        except CurecheckError as exc:  # fit errors become a reported diagnostic
             return CureFractionEvidence(
                 p_hat_n=base.p_hat_n,
                 cure_fraction_hat=base.cure_fraction_hat,

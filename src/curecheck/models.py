@@ -139,7 +139,7 @@ class _Gamma(_Family):
         return np.log(reg_upper_gamma(shape, rate * t))
 
     def quantile(self, u, shape, rate):
-        return np.array([inv_reg_lower_gamma(shape, v) / rate for v in u])
+        return inv_reg_lower_gamma(shape, u) / rate
 
     def start(self, te, mean_te):
         return (1.0, 1.0 / mean_te)
@@ -187,9 +187,8 @@ class _LogNormal(_Family):
         return np.log(normal_sf((log_t - math.log(scale)) / sigma))
 
     def quantile(self, u, scale, sigma):
-        return np.array(
-            [scale * math.exp(sigma * inv_normal_cdf(v)) if v > 0.0 else 0.0 for v in u]
-        )
+        z = inv_normal_cdf(np.where(u > 0.0, u, 0.5))
+        return np.where(u > 0.0, scale * np.exp(sigma * z), 0.0)
 
     def start(self, te, mean_te):
         pos = te[te > 0.0]
@@ -295,6 +294,7 @@ def check_params(spec: FamilySpec, params: Params) -> None:
 
 def latency_quantile(family: str, theta: tuple[float, ...], u) -> float | np.ndarray:
     """Inverse of the latency CDF: the time t with 1 - S0(t) = u, u in [0, 1)."""
+    check_params(FamilySpec(family), Params(latency=tuple(theta)))
     scalar = np.isscalar(u)
     uu = np.asarray(u, dtype=float)
     if np.any(~np.isfinite(uu)) or np.any(uu < 0.0) or np.any(uu >= 1.0):
@@ -391,7 +391,8 @@ def _loglik_value(spec: FamilySpec, params: Params, cache: _LikCache) -> float:
         if spec.cure:
             c = float(params.cure_fraction)  # type: ignore[arg-type]
             cen = float(cache.wc @ np.log(c + (1.0 - c) * np.exp(log_sf)))
-            ll = cache.n_events * math.log1p(-c) + ev + cen
+            # _expit rounds logits above ~36.8 to c = 1.0, where log(1 - c) = -inf.
+            ll = cache.n_events * (math.log1p(-c) if c < 1.0 else -math.inf) + ev + cen
         else:
             ll = ev + float(cache.wc @ log_sf)
     return ll if not math.isnan(ll) else -math.inf

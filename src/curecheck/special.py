@@ -3,13 +3,13 @@
 Keeps the package free of heavy numeric dependencies: log-gamma
 (Lanczos), the complementary error function (Cody-style rational
 approximations), the regularized incomplete gamma function (series /
-continued fraction split) and the numeric inverses needed for quantile
-sampling.
+continued fraction split) and the quantiles needed for sampling, which
+one vectorized solver inverts on all levels at once.
 
 Accuracy: erfc and log_gamma are good to ~1e-14 relative; the
 incomplete gamma iterates to machine tolerance with a documented
-target of 1e-12 relative. The test suite checks all of them against
-scipy and brute-force quadrature.
+target of 1e-12 relative; gamma quantiles are solved to 1e-10 relative.
+The test suite checks all of them against scipy and brute-force quadrature.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRPI = 5.6418958354775628695e-1  # 1/sqrt(pi)
 
 # Lanczos g=7, n=9 coefficient set.
@@ -149,12 +150,12 @@ def erfc(x):
 
 def normal_cdf(z):
     """Standard normal CDF Phi(z)."""
-    return 0.5 * erfc(-np.asarray(z, dtype=float) / _SQRT2) if np.ndim(z) else 0.5 * erfc(-z / _SQRT2)
+    return 0.5 * erfc(-np.asarray(z, dtype=float) / _SQRT2)
 
 
 def normal_sf(z):
     """Standard normal survival function 1 - Phi(z)."""
-    return 0.5 * erfc(np.asarray(z, dtype=float) / _SQRT2) if np.ndim(z) else 0.5 * erfc(z / _SQRT2)
+    return 0.5 * erfc(np.asarray(z, dtype=float) / _SQRT2)
 
 
 _MAX_INC_GAMMA_ITER = 600
@@ -244,87 +245,75 @@ def reg_upper_gamma(a: float, x):
     return float(q[0]) if scalar else q
 
 
-def inv_reg_lower_gamma(a: float, u: float, tol: float = 1e-10) -> float:
-    """Solve P(a, x) = u for x, by bracketing bisection then Newton polish.
+_SOLVE_MAX_STEPS = 100
+_GAMMA_LOG_XTOL = 1e-10  # on log x, so relative on x
+_NORMAL_XTOL = 1e-13
+_E_RATIO = math.e / (math.e - 1.0)  # from log(x / a) <= x / (e a)
+_LOG_MIN_FLOAT = math.log(5e-324)
 
-    Both run on log(x), so ``tol`` is a relative tolerance on x; the root
-    can span hundreds of orders of magnitude (small a, tiny u).
+
+def _solve_increasing(F, dF, u, lo, hi, tol):
+    """Roots x of F(x) = u for an increasing F, elementwise on a 1-D array u.
+
+    Newton steps from the middle of each bracket (lo, hi); as in Numerical
+    Recipes' rtsafe, a step that leaves the current bracket, or is more than
+    half the step before last, becomes a bisection.  F and dF only see the
+    elements whose last step was larger than ``tol``.
     """
-    if not (0.0 <= u < 1.0):
-        raise DomainError(f"inv_reg_lower_gamma requires 0 <= u < 1, got {u!r}")
-    if u == 0.0:
-        return 0.0
-    hi = max(a, 1.0)
-    for _ in range(400):
-        if reg_lower_gamma(a, hi) >= u:
+    lo, hi = np.full(u.shape, lo), np.full(u.shape, hi)
+    x, step = 0.5 * (lo + hi), hi - lo
+    prev = step.copy()
+    active = np.arange(u.size)
+    for _ in range(_SOLVE_MAX_STEPS):
+        xa = x[active]
+        f = F(xa) - u[active]
+        lo[active] = la = np.where(f < 0.0, xa, lo[active])
+        hi[active] = ha = np.where(f > 0.0, xa, hi[active])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = f / dF(xa)
+        xn = xa - newton
+        ok = (la <= xn) & (xn <= ha) & (np.abs(newton) <= 0.5 * prev[active])
+        x[active] = xn = np.where(ok, xn, 0.5 * (la + ha))
+        prev[active], step[active] = step[active], np.abs(xn - xa)
+        active = active[~(step[active] <= tol)]
+        if not active.size:
             break
-        hi *= 2.0
-    else:
-        raise DomainError("inv_reg_lower_gamma: failed to bracket from above")
-    lo = hi
-    for _ in range(1200):
-        lo *= 0.5
-        if reg_lower_gamma(a, lo) < u:
-            break
-        hi = lo
-    else:
-        return 0.0  # root below the smallest positive float
-    y_lo, y_hi = math.log(lo), math.log(hi)
-    for _ in range(30):
-        y_mid = 0.5 * (y_lo + y_hi)
-        if reg_lower_gamma(a, math.exp(y_mid)) < u:
-            y_lo = y_mid
-        else:
-            y_hi = y_mid
-    y = 0.5 * (y_lo + y_hi)
-    lg = log_gamma(a)
-    for _ in range(60):
-        x = math.exp(y)
-        f = reg_lower_gamma(a, x) - u
-        if f > 0.0:
-            y_hi = min(y_hi, y)
-        elif f < 0.0:
-            y_lo = max(y_lo, y)
-        else:
-            return x
-        with np.errstate(under="ignore"):
-            slope = math.exp(a * y - x - lg)  # dP/d(log x) = x * pdf(x)
-        if slope <= 0.0 or not math.isfinite(slope):
-            y_next = 0.5 * (y_lo + y_hi)
-        else:
-            y_next = y - f / slope
-            if not (y_lo < y_next < y_hi):
-                y_next = 0.5 * (y_lo + y_hi)
-        if abs(y_next - y) <= tol:
-            return math.exp(y_next)
-        y = y_next
-    return math.exp(y)
-
-
-def inv_normal_cdf(u: float, tol: float = 1e-13) -> float:
-    """Standard normal quantile, bisection bracket then Newton on Phi."""
-    if not (0.0 < u < 1.0):
-        raise DomainError(f"inv_normal_cdf requires 0 < u < 1, got {u!r}")
-    lo, hi = -40.0, 40.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < u:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-2:
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(40):
-        f = normal_cdf(x) - u
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf <= 0.0:
-            break
-        xn = x - f / pdf
-        if abs(xn - x) <= tol * max(1.0, abs(xn)):
-            return xn
-        x = xn
     return x
+
+
+def inv_reg_lower_gamma(a: float, u):
+    """Solve P(a, x) = u for x, scalar or ndarray u in [0, 1); u = 0 gives 0.
+
+    Solved on log(x) to 1e-10 relative, as the root can span hundreds of
+    orders of magnitude, in the bracket from P(a, x) <= x^a / Gamma(a + 1) and
+    the Chernoff bound 1 - P(a, x) <= exp(a - x) (x / a)^a.  A root below the
+    smallest positive float gives 0.
+    """
+    uu = np.asarray(u, dtype=float)
+    if not np.all((uu >= 0.0) & (uu < 1.0)):
+        raise DomainError(f"inv_reg_lower_gamma requires 0 <= u < 1, got {u!r}")
+    lg, pos = log_gamma(a), uu > 0.0
+    up = uu[pos]
+    lo, hi = (np.log(up) + lg + math.log(a)) / a, np.log((a - np.log1p(-up)) * _E_RATIO)
+    y = _solve_increasing(
+        lambda y: reg_lower_gamma(a, np.exp(y)),
+        lambda y: np.exp(a * y - np.exp(y) - lg),  # dP/d(log x) = x * pdf(x)
+        up, lo, hi, _GAMMA_LOG_XTOL,
+    )
+    x = np.zeros(uu.shape)
+    x[pos] = np.where(y < _LOG_MIN_FLOAT, 0.0, np.exp(y))
+    return float(x) if x.ndim == 0 else x
+
+
+def inv_normal_cdf(u):
+    """Standard normal quantile, scalar or ndarray u in (0, 1), solved on Phi over [-40, 40]."""
+    uu = np.asarray(u, dtype=float)
+    if not np.all((uu > 0.0) & (uu < 1.0)):
+        raise DomainError(f"inv_normal_cdf requires 0 < u < 1, got {u!r}")
+    z = _solve_increasing(
+        normal_cdf, lambda z: np.exp(-0.5 * z * z) / _SQRT2PI, uu.ravel(), -40.0, 40.0, _NORMAL_XTOL
+    )
+    return float(z[0]) if uu.ndim == 0 else z.reshape(uu.shape)
 
 
 def chi2_sf_1df(d: float) -> float:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from bisect import bisect_right
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,16 +186,15 @@ def read_csv(
 
 def write_csv(
     sample: SurvivalSample,
-    path: str,
+    path: str | None,
     time_col: str = "time",
     event_col: str = "event",
 ) -> None:
-    """Write a sample as CSV; times use full repr precision and round-trip."""
-    with open(path, "w", newline="") as fh:
+    """Write a sample as CSV to ``path`` (stdout when None); every cell reads back exactly."""
+    with open(path, "w", newline="") if path is not None else nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh)
         writer.writerow([time_col, event_col])
-        for t, e in sample.records:
-            writer.writerow([repr(t), 1 if e else 0])
+        writer.writerows([repr(t), 1 if e else 0] for t, e in sample.records)
 
 
 def kaplan_meier(sample: SurvivalSample) -> KaplanMeierCurve:

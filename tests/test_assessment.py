@@ -217,6 +217,17 @@ def test_model_table_has_two_rows_per_family():
     assert selected.aic == best
 
 
+def test_selection_lets_programming_errors_through(monkeypatch):
+    # Only CurecheckError becomes a failed table row; anything else is a bug.
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken fit")
+
+    monkeypatch.setattr("curecheck.assessment.fit_model", broken)
+    with pytest.raises(RuntimeError, match="broken fit") as info:
+        select_model_by_aic(_simulated_cure_sample(n=100), ("exponential",))
+    assert type(info.value) is RuntimeError  # not an AssessmentError over failed rows
+
+
 # ---------------------------------------------------------------------------
 # end-to-end assessment
 

@@ -84,6 +84,15 @@ def test_deviance_diagnostic_when_fit_cannot_run():
     assert res.cure_fraction_hat == 0.0  # nonparametric part still reported
 
 
+def test_deviance_lets_programming_errors_through(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken fit")
+
+    monkeypatch.setattr("curecheck.diagnostics.fit_model", broken)
+    with pytest.raises(RuntimeError, match="broken fit"):
+        deviance_cure_test(_truncated_exponential_sample(7), family="weibull")
+
+
 def test_deviance_diagnostic_when_not_converged():
     sample = _truncated_exponential_sample(7)
     res = deviance_cure_test(

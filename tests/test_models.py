@@ -25,6 +25,8 @@ from curecheck.models import (
     log_likelihood,
     population_survival,
     wald_intervals,
+    _build_cache,
+    _make_objective,
 )
 from curecheck.survival import validate_sample
 
@@ -182,6 +184,22 @@ def test_latency_quantile_edges():
         latency_quantile("weibull", (0.8, 0.8), 1.0)
     with pytest.raises(DomainError):
         latency_quantile("weibull", (0.8, 0.8), -0.1)
+
+
+def test_latency_quantile_validates_parameters():
+    for family, theta in (("weibull", (1.0,)), ("weibull", (-1.0, 1.0)), ("lognormal", (1.0, -0.5))):
+        with pytest.raises(DomainError):
+            latency_quantile(family, theta, 0.5)
+
+
+def test_latency_quantile_arrays_match_scalars():
+    u = np.array([[0.0, 1e-9, 0.3], [0.5, 0.9, 1 - 1e-9]])
+    for family, theta in (("gamma", (0.7, 0.8)), ("lognormal", (0.7, 1.2))):
+        q = latency_quantile(family, theta, u)
+        assert q.shape == u.shape
+        assert q[0, 0] == 0.0
+        scalars = [latency_quantile(family, theta, float(v)) for v in u.ravel()]
+        np.testing.assert_allclose(q.ravel(), scalars, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +378,14 @@ def test_loglik_zero_time_event_rules():
 
 # ---------------------------------------------------------------------------
 # AIC
+
+def test_objective_is_infinite_where_the_cure_fraction_rounds_to_one(long_followup_sample):
+    # The logit of the cure fraction maps to c == 1.0 from about 36.8 on.
+    neg = _make_objective(FamilySpec("weibull", cure=True), _build_cache(long_followup_sample))
+    assert math.isfinite(neg(np.array([36.0, 0.0, 0.0])))
+    assert neg(np.array([37.0, 0.0, 0.0])) == math.inf
+    assert neg(np.array([40.0, 0.0, 0.0])) == math.inf
+
 
 def test_aic_values():
     assert aic_value(3, -265.9932) == pytest.approx(537.9864, abs=1e-3)

@@ -425,6 +425,28 @@ def test_cli_restrict_roundtrip(tmp_path, capsys):
     assert s.records == [(0.5, True), (1.0, False), (1.0, False)]
 
 
+def test_cli_restrict_quotes_column_names_so_output_reads_back(tmp_path, capsys):
+    src = tmp_path / "src.csv"
+    src.write_text('"t,x",event\n0.5,1\n2.0,1\n5.0,0\n')
+    dst = tmp_path / "dst.csv"
+    code = main(["restrict", str(src), "--time-col", "t,x", "--cutoff", "1.0", "--out", str(dst)])
+    capsys.readouterr()
+    assert code == 0
+    assert dst.read_text().splitlines()[0] == '"t,x",event'
+    assert read_csv(str(dst), time_col="t,x").records == [(0.5, True), (1.0, False), (1.0, False)]
+
+
+def test_cli_simulate_stdout_equals_write_csv_file(tmp_path, capsys):
+    cfg = SimulationConfig(n=40, cure_fraction=0.3, family="gamma", latency=(0.7, 0.8),
+                           censoring=CompositeCensoring(7.3, 14.6), seed=4)
+    path = tmp_path / "sample.csv"
+    write_csv(simulate_mixture(cfg)[0], str(path))
+    assert main(["simulate", "--n", "40", "--cure-fraction", "0.3", "--family", "gamma",
+                 "--params", "0.7,0.8", "--censoring", "composite:7.3,14.6", "--seed", "4"]) == 0
+    assert capsys.readouterr().out.encode() == path.read_bytes()
+    assert path.read_bytes().startswith(b"time,event\r\n")
+
+
 def test_cli_exit_codes_cover_all_branches(cure_csv, capsys):
     # 0 = appropriate, 2 = not appropriate, 1 = error: all three observable.
     assert main(["assess", cure_csv, "--families", "weibull"]) == 0

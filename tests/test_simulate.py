@@ -1,6 +1,8 @@
 """Mixture-model simulation and follow-up truncation."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,3 +253,42 @@ def test_truncation_flips_followup_verdict():
         if full.sufficient_followup and not trunc.sufficient_followup:
             flipped += 1
     assert flipped >= 80, f"flipped {flipped}/100"
+
+
+# The simulate step of the benchmark's aux_simulate_km workload (bench/workloads.py)
+# and its stored output.
+BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+BENCH_SIM_LATENCY = {
+    "exponential": (1.0,),
+    "weibull": (0.8, 0.8),
+    "gamma": (0.7, 0.8),
+    "loglogistic": (1.5, 1.0),
+    "lognormal": (0.7, 1.2),
+}
+
+
+def test_simulate_reproduces_the_benchmark_reference():
+    reference = json.loads(BENCH_REFERENCE.read_text())["simulate"]["n=200/seed=11"]
+    for family, latency in BENCH_SIM_LATENCY.items():
+        cfg = _cfg(n=200, family=family, latency=latency,
+                   censoring=CompositeCensoring(7.3, 14.6), seed=11)
+        sample, _ = simulate_mixture(cfg)
+        want = reference[family]
+        assert "".join("1" if e else "0" for e in sample.events) == want["events"], family
+        np.testing.assert_allclose(sample.times, want["times"], rtol=1e-9, atol=0.0, err_msg=family)
+
+
+def test_restrict_matches_revalidating_the_censored_records():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(1, 60))
+        times = rng.integers(0, 12, n) / 4.0  # coarse grid: many ties, some at the cutoff
+        s = validate_sample(zip(times.tolist(), (rng.random(n) < 0.5).tolist()))
+        cutoff = float(rng.choice([0.25, 1.0, 1.5, 2.75]))
+        r = restrict_followup(s, cutoff)
+        beyond = s.times > cutoff
+        want = validate_sample(zip(np.where(beyond, cutoff, s.times).tolist(),
+                                   (s.events & ~beyond).tolist()))
+        assert r.times.tobytes() == want.times.tobytes()
+        assert r.events.tobytes() == want.events.tobytes()
+        assert not r.times.flags.writeable and not r.events.flags.writeable

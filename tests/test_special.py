@@ -173,3 +173,43 @@ def test_chi2_sf_1df_matches_scipy():
     assert chi2_sf_1df(0.0) == 1.0
     with pytest.raises(DomainError):
         chi2_sf_1df(-0.1)
+
+
+# ---------------------------------------------------------------------------
+# quantiles on arrays
+
+def test_inverses_take_arrays_and_keep_their_shape():
+    u = np.array([[1e-12, 0.05, 0.4], [0.5, 0.9, 1 - 1e-6]])
+    for a in (0.3, 2.5, 40.0):
+        x = inv_reg_lower_gamma(a, u)
+        assert x.shape == u.shape
+        np.testing.assert_allclose(x, st.gamma.ppf(u, a), rtol=1e-7)
+        scalars = [inv_reg_lower_gamma(a, float(v)) for v in u.ravel()]
+        np.testing.assert_allclose(x.ravel(), scalars, rtol=1e-12)
+    z = inv_normal_cdf(u)
+    assert z.shape == u.shape
+    np.testing.assert_allclose(z, st.norm.ppf(u), rtol=1e-8, atol=1e-10)
+    assert isinstance(inv_normal_cdf(0.3), float)
+    assert isinstance(inv_reg_lower_gamma(2.0, 0.3), float)
+
+
+def test_inverse_edges_on_arrays():
+    x = inv_reg_lower_gamma(2.0, np.array([0.0, 0.5, 0.0]))
+    assert x[0] == 0.0 and x[2] == 0.0 and x[1] > 0.0
+    assert inv_reg_lower_gamma(2.0, np.array([])).shape == (0,)
+    for bad in (1.0, -0.1, math.nan):
+        with pytest.raises(DomainError, match="0 <= u < 1"):
+            inv_reg_lower_gamma(2.0, np.array([0.5, bad]))
+    for bad in (0.0, 1.0, math.nan):
+        with pytest.raises(DomainError, match="0 < u < 1"):
+            inv_normal_cdf(np.array([0.5, bad]))
+
+
+def test_inverse_extremes():
+    # A gamma root below the smallest positive float is 0, not an error.
+    assert inv_reg_lower_gamma(0.01, 1e-12) == 0.0
+    assert inv_reg_lower_gamma(0.05, 1e-300) == 0.0
+    # Far tails and large shapes, where plain Newton from the bracket middle is slow.
+    assert inv_normal_cdf(1e-300) == pytest.approx(st.norm.ppf(1e-300), rel=1e-12)
+    assert inv_reg_lower_gamma(1000.0, 0.3) == pytest.approx(st.gamma.ppf(0.3, 1000.0), rel=1e-10)
+    assert inv_reg_lower_gamma(0.001, 0.5) == pytest.approx(st.gamma.ppf(0.5, 0.001), rel=1e-9)
