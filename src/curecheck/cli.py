@@ -23,7 +23,7 @@ from . import __version__
 from .assessment import AssessmentConfig, VERDICT_APPROPRIATE, receus_assess
 from .errors import CurecheckError, ValidationError
 from .models import FAMILIES, FamilySpec, fit_model, wald_intervals
-from .plot import emit_km_plot, km_plot_csv, km_plot_svg
+from .plot import emit_km_plot
 from .report import ReportDocument, build_report, render_json, render_text
 from .simulate import (
     AdministrativeCensoring,
@@ -215,13 +215,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_km(args: argparse.Namespace) -> int:
     sample = read_csv(args.data, args.time_col, args.event_col, args.time_scale)
-    curve = kaplan_meier(sample)
-    text = km_plot_svg(curve) if args.plot == "svg" else km_plot_csv(curve)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+    emit_km_plot(kaplan_meier(sample), args.out, args.plot)
     return 0
 
 
@@ -280,10 +274,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_simulate(args)
         if args.command == "restrict":
             return _cmd_restrict(args)
-    except CurecheckError as exc:
-        print(f"curecheck: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CurecheckError, OSError) as exc:
         print(f"curecheck: error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command!r}")

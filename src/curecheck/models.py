@@ -677,7 +677,8 @@ def wald_intervals(fit: ModelFit, level: float = 0.95) -> WaldIntervals:
             diagnostic=fit.se_diagnostic
             or "standard errors unavailable for this fit",
         )
-    z = inv_normal_cdf(0.5 * (1.0 + level))
+    # The lower tail: 0.5 * (1 + level) rounds to 1.0 for a level just below 1.
+    z = -inv_normal_cdf(0.5 * (1.0 - level))
     x = _transform(fit.spec, fit.params)
     out: dict[str, tuple[float, float]] = {}
     for i, name in enumerate(fit.spec.param_names):

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from bisect import bisect_right
+from contextlib import nullcontext
 
 from .errors import DomainError
 from .survival import KaplanMeierCurve
@@ -146,13 +148,10 @@ def km_plot_svg(curve: KaplanMeierCurve, label: str = "Kaplan-Meier estimate") -
     return "\n".join(out) + "\n"
 
 
-def emit_km_plot(curve: KaplanMeierCurve, path: str, format: str = "svg") -> None:
-    """Write the curve to ``path`` as ``svg`` or step-coordinate ``csv``."""
-    if format == "svg":
-        content = km_plot_svg(curve)
-    elif format == "csv":
-        content = km_plot_csv(curve)
-    else:
+def emit_km_plot(curve: KaplanMeierCurve, path: str | None, format: str = "svg") -> None:
+    """Write the curve to ``path`` (stdout when None) as ``svg`` or step-coordinate ``csv``."""
+    render = {"svg": km_plot_svg, "csv": km_plot_csv}.get(format)
+    if render is None:
         raise DomainError(f"unknown plot format {format!r}; expected 'svg' or 'csv'")
-    with open(path, "w", newline="") as fh:
-        fh.write(content)
+    with open(path, "w", newline="") if path is not None else nullcontext(sys.stdout) as fh:
+        fh.write(render(curve))

@@ -3,9 +3,9 @@
 Each subject is cured with probability ``cure_fraction`` (no event, ever);
 otherwise an event time is drawn from the latency family by inverse-CDF
 sampling.  An independent censoring time U is drawn from the configured
-censoring mechanism and the observation is (min(T, U), T <= U), with cured
-subjects recorded as censored at U — no latent event time is stored for
-them.
+censoring mechanism and the observation is (min(T, U), T <= U), with T = +inf
+for a cured subject.  Both arrays go straight into the check and sort shared
+with ``validate_sample`` and ``read_csv``.
 
 Draws come from numpy's seeded PCG64 generator as plain uniforms; every
 family transform is an explicit inverse CDF on all draws at once (the gamma
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .models import FamilySpec, Params, check_params, latency_quantile
-from .survival import SurvivalSample, validate_sample
+from .survival import SurvivalSample, _canonical_sample
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,6 @@ class SimulationConfig:
     latency: tuple[float, ...]
     censoring: Censoring
     seed: int
-    time_unit: str = "time"
 
 
 @dataclass(frozen=True)
@@ -162,25 +161,15 @@ def simulate_mixture(config: SimulationConfig) -> tuple[SurvivalSample, GroundTr
     cured = u_cure < config.cure_fraction
     censor_times = _censoring_times(config.censoring, u_censor)
 
-    times = np.array(censor_times, dtype=float)
-    events = np.zeros(n, dtype=bool)
-    uncured = ~cured
-    if np.any(uncured):
-        t_event = np.asarray(
-            latency_quantile(config.family, tuple(config.latency), u_latency[uncured]),
-            dtype=float,
-        )
-        u_cen = censor_times[uncured]
-        observed = np.minimum(t_event, u_cen)
-        times[uncured] = observed
-        events[uncured] = t_event <= u_cen
-
-    sample = validate_sample(list(zip(times.tolist(), events.tolist())), time_unit=config.time_unit)
+    # A cured subject's event time is +inf: it is censored at its censoring time.
+    t_event = np.full(n, math.inf)
+    t_event[~cured] = latency_quantile(config.family, tuple(config.latency), u_latency[~cured])
+    sample = _canonical_sample(np.minimum(t_event, censor_times), t_event <= censor_times)
     truth = GroundTruth(
         config=config,
         n_cured=int(np.count_nonzero(cured)),
-        n_uncured=int(np.count_nonzero(uncured)),
-        n_events=int(np.count_nonzero(events)),
+        n_uncured=int(np.count_nonzero(~cured)),
+        n_events=sample.n_events,
         censoring=config.censoring.describe(),
     )
     return sample, truth
@@ -198,4 +187,4 @@ def restrict_followup(sample: SurvivalSample, cutoff: float) -> SurvivalSample:
     beyond = sample.times > cutoff
     # Capped times stay sorted and the capped records, now censored, follow any event there.
     times = np.minimum(sample.times, float(cutoff))
-    return SurvivalSample(times=times, events=sample.events & ~beyond, time_unit=sample.time_unit)
+    return SurvivalSample(times=times, events=sample.events & ~beyond)

@@ -4,6 +4,10 @@ A sample is a vector of (observed time, event indicator) pairs sorted
 ascending by time with events placed before censorings at tied times;
 that canonical order encodes the usual product-limit tie convention
 (censored subjects at t are still at risk for the step at t).
+
+``validate_sample`` (pairs), ``read_csv`` (two CSV columns) and
+``simulate.simulate_mixture`` (arrays) all go through ``_canonical_sample``:
+one vectorized finite, non-negative check and one stable sort.
 """
 
 from __future__ import annotations
@@ -14,25 +18,26 @@ import sys
 from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
 
-_TRUE = {"1", "true"}
-_FALSE = {"0", "false"}
+_BINARY = {0: False, 1: True}
+_EVENT_WORDS = {"0": False, "1": True, "false": False, "true": True}
 
 
 @dataclass(frozen=True)
 class SurvivalSample:
     """Validated right-censored sample in canonical order.
 
-    Construct through :func:`validate_sample`; the arrays are read-only.
+    Construct through :func:`validate_sample` or :func:`read_csv`; the
+    arrays are read-only.
     """
 
     times: np.ndarray
     events: np.ndarray
-    time_unit: str = "time"
 
     def __post_init__(self):
         self.times.setflags(write=False)
@@ -69,40 +74,51 @@ class SurvivalSample:
         """Sample with every time multiplied by a positive factor."""
         if not (factor > 0.0) or not math.isfinite(factor):
             raise ValidationError(f"scale factor must be positive and finite, got {factor!r}")
-        return SurvivalSample(
-            times=self.times * factor, events=self.events.copy(), time_unit=self.time_unit
-        )
+        return SurvivalSample(times=self.times * factor, events=self.events.copy())
 
 
-def validate_sample(raw, time_unit: str = "time") -> SurvivalSample:
+def _canonical_sample(times, events, where="row {}".format) -> SurvivalSample:
+    """Check float ``times`` (``where(i)`` names record i) and sort into canonical order."""
+    ok = (times >= 0.0) & (times < math.inf)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        kind = "negative" if math.isfinite(times[i]) else "non-finite"
+        raise ValidationError(f"{kind} time at {where(i)}")
+    # Stable sort on (time, events-first): censorings get secondary key 1.
+    order = np.lexsort((~events, times))
+    return SurvivalSample(times=times[order], events=events[order])
+
+
+def validate_sample(raw) -> SurvivalSample:
     """Validate raw (time, event) pairs and return them in canonical order.
 
-    Raises :class:`ValidationError` naming the offending input row for
-    negative, non-finite or non-numeric times, and for empty input.
+    An event is a value equal to 0 or 1 (bool, int, float, numpy scalar).
+    Raises :class:`ValidationError` naming the offending row for malformed
+    records, non-numeric, negative or non-finite times, non-binary events.
     """
     rows = list(raw)
     if not rows:
         raise ValidationError("empty sample: at least one (time, event) record required")
-    times = np.empty(len(rows), dtype=float)
-    events = np.empty(len(rows), dtype=bool)
-    for i, row in enumerate(rows):
-        try:
-            t, e = row
-        except (TypeError, ValueError):
-            raise ValidationError(f"malformed record at row {i}: expected (time, event) pair") from None
-        try:
-            t = float(t)
-        except (TypeError, ValueError):
-            raise ValidationError(f"non-numeric time at row {i}: {row[0]!r}") from None
-        if math.isnan(t) or math.isinf(t):
-            raise ValidationError(f"non-finite time at row {i}")
-        if t < 0.0:
-            raise ValidationError(f"negative time at row {i}")
-        times[i] = t
-        events[i] = bool(e)
-    # Stable sort on (time, events-first): censorings get secondary key 1.
-    order = np.lexsort((~events, times))
-    return SurvivalSample(times=times[order], events=events[order], time_unit=time_unit)
+    try:
+        time_cells, event_cells = zip(*rows, strict=True)
+        times = np.fromiter(map(float, time_cells), float, len(rows))
+        events = np.fromiter(map(_BINARY.__getitem__, event_cells), bool, len(rows))
+    except (TypeError, ValueError, KeyError):
+        for i, row in enumerate(rows):  # name the first record that fails
+            try:
+                t, e = row
+            except (TypeError, ValueError):
+                raise ValidationError(f"malformed record at row {i}: expected (time, event) pair") from None
+            try:
+                float(t)
+            except (TypeError, ValueError):
+                raise ValidationError(f"non-numeric time at row {i}: {t!r}") from None
+            try:
+                _BINARY[e]
+            except (TypeError, KeyError):
+                raise ValidationError(f"non-binary event {e!r} at row {i}: expected 0 or 1") from None
+        raise
+    return _canonical_sample(times, events)
 
 
 @dataclass(frozen=True)
@@ -139,49 +155,51 @@ def read_csv(
     """Load a right-censored sample from a headered CSV file.
 
     Times are divided by ``time_scale`` (365.25 turns days into years).
-    Event cells must be one of 0/1/true/false (case-insensitive).  Parse
-    errors name the file row (1 = header) and column.
+    Event cells must be one of 0/1/true/false (case-insensitive).  Errors
+    name the file row (1 = header; blank lines are skipped and not counted)
+    and column.  Extra columns are ignored.
     """
-    if not (time_scale > 0.0):
-        raise ValidationError(f"time_scale must be > 0, got {time_scale!r}")
+    if not (0.0 < time_scale < math.inf):
+        raise ValidationError(f"time_scale must be finite and > 0, got {time_scale!r}")
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValidationError(f"empty file: {path} has no header row")
+        # A repeated column name means its last occurrence.
+        column = {name: j for j, name in enumerate(header)}
         for col in (time_col, event_col):
-            if col not in reader.fieldnames:
-                raise ValidationError(
-                    f"missing column {col!r} in {path} "
-                    f"(found: {', '.join(reader.fieldnames)})"
-                )
-        records: list[tuple[float, bool]] = []
-        for i, row in enumerate(reader, start=2):
-            raw_t = (row.get(time_col) or "").strip()
-            raw_e = (row.get(event_col) or "").strip()
+            if col not in column:
+                raise ValidationError(f"missing column {col!r} in {path} (found: {', '.join(header)})")
+        rows = list(filter(None, reader))  # a blank line reads as []
+    if not rows:
+        raise ValidationError(f"empty file: {path} has a header but no data rows")
+    jt, je = column[time_col], column[event_col]
+    try:
+        with np.errstate(over="ignore"):  # an overflow to inf is reported as non-finite
+            times = np.fromiter(map(float, map(itemgetter(jt), rows)), float, len(rows)) / time_scale
+        words = map(str.lower, map(str.strip, map(itemgetter(je), rows)))
+        events = np.fromiter(map(_EVENT_WORDS.__getitem__, words), bool, len(rows))
+    except (IndexError, ValueError, KeyError):
+        for i, row in enumerate(rows, start=2):  # name the first cell that fails
+            raw_t, raw_e = (row[j].strip() if j < len(row) else "" for j in (jt, je))
             try:
-                t = float(raw_t)
+                float(raw_t)
             except ValueError:
                 raise ValidationError(
                     f"unparseable time {raw_t!r} at row {i}, column {time_col!r} of {path}"
                 ) from None
-            low = raw_e.lower()
-            if low in _TRUE:
-                e = True
-            elif low in _FALSE:
-                e = False
-            else:
+            if raw_e.lower() not in _EVENT_WORDS:
                 raise ValidationError(
                     f"unparseable event {raw_e!r} at row {i}, column {event_col!r} "
                     f"of {path}: expected 0, 1, true or false"
-                )
-            records.append((t / time_scale, e))
-    if not records:
-        raise ValidationError(f"empty file: {path} has a header but no data rows")
-    return validate_sample(records)
+                ) from None
+        raise
+    return _canonical_sample(times, events, lambda i: f"row {i + 2}, column {time_col!r} of {path}")
 
 
 def write_csv(

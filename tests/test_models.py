@@ -623,6 +623,16 @@ def test_wald_intervals_widen_with_level():
         assert wide[name][1] > narrow[name][1]
 
 
+def test_wald_intervals_at_the_largest_level_below_one():
+    fit = _cure_fit()
+    level = 0.9999999999999999  # 1 - 2**-53; 0.5 * (1 + level) rounds to 1.0
+    widest = wald_intervals(fit, level=level).intervals
+    narrow = wald_intervals(fit, level=0.99).intervals
+    for name, (lo, hi) in widest.items():
+        assert 0.0 < lo < narrow[name][0] and narrow[name][1] < hi
+        assert math.isfinite(hi) and (name != "cure_fraction" or hi <= 1.0)
+
+
 def test_wald_intervals_level_validation():
     fit = _cure_fit()
     for bad in (0.0, 1.0, -0.2, 1.5):

@@ -1,6 +1,7 @@
 """CSV input/output, report rendering, plot export, and the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -125,6 +126,88 @@ def test_read_csv_rejects_bad_time_scale(tmp_path):
         read_csv(str(p), time_scale=0.0)
 
 
+def test_read_csv_bad_times_name_row_column_and_path(tmp_path):
+    p = tmp_path / "d.csv"
+    for body, want in (
+        ("1.0,1\n-2.0,0\n", "negative time at row 3, column 'time' of "),
+        ("1.0,1\n\n2.0,0\nnan,1\n", "non-finite time at row 4, column 'time' of "),
+        ("1.0,1\n-inf,1\n", "non-finite time at row 3, column 'time' of "),
+    ):
+        p.write_text("time,event\n" + body)
+        with pytest.raises(ValidationError) as info:
+            read_csv(str(p))
+        assert str(info.value) == want + str(p)
+
+
+def test_read_csv_rejects_non_finite_time_scale(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("time,event\n1.0,1\n")
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValidationError, match="time_scale must be finite and > 0"):
+            read_csv(str(p), time_scale=bad)
+
+
+def test_read_csv_time_scale_overflow_is_a_non_finite_time(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("time,event\n1.0,1\n1e308,0\n")
+    with pytest.raises(ValidationError, match="non-finite time at row 3"):
+        read_csv(str(p), time_scale=1e-10)
+
+
+def test_read_csv_skips_blank_lines_without_counting_them(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("time,event\n\n1.0,1\n\n\n2.0,0\nsoon,1\n")
+    with pytest.raises(ValidationError, match="unparseable time 'soon' at row 4,"):
+        read_csv(str(p))
+    p.write_text("time,event\n\n1.0,1\n\n2.0,0\n\n")
+    assert read_csv(str(p)).records == [(1.0, True), (2.0, False)]
+
+
+def test_read_csv_short_row_reads_as_an_empty_cell(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("time,event\n1.0,1\n2.0\n")
+    with pytest.raises(ValidationError, match="unparseable event '' at row 3, column 'event'"):
+        read_csv(str(p))
+    p.write_text("event,time\n1,1.0\n0\n")
+    with pytest.raises(ValidationError, match="unparseable time '' at row 3, column 'time'"):
+        read_csv(str(p))
+
+
+def test_read_csv_names_the_first_bad_cell_in_file_order(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("time,event\n1.0,1\n-1.0,yes\nsoon,1\n")
+    with pytest.raises(ValidationError, match="unparseable event 'yes' at row 3"):
+        read_csv(str(p))
+    p.write_text("time,event\n1.0,1\nlater,yes\n")
+    with pytest.raises(ValidationError, match="unparseable time 'later' at row 3"):
+        read_csv(str(p))
+
+
+def test_read_csv_ignores_extra_columns_and_reads_quoted_headers(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text('id,"time",note,"event, observed",more\n7,2.0,x,0,9,10\n8,1.0,"a,b",1,\n')
+    s = read_csv(str(p), event_col="event, observed")
+    assert s.records == [(1.0, True), (2.0, False)]
+
+
+def test_read_csv_event_words_are_stripped_and_case_blind(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("time,event\n1.0, TRUE \n2.0,False\n3.0, 0\n4.0,1 \n")
+    assert [e for _, e in read_csv(str(p)).records] == [True, False, False, True]
+
+
+def test_csv_round_trip_is_exact_with_ties_and_zeros(tmp_path):
+    s = validate_sample(
+        [(0.0, False), (0.0, True), (2.5, False), (2.5, True), (2.5, True), (1e-300, True),
+         (0.1 + 0.2, False), (7.3, True), (7.3, False)]
+    )
+    path = tmp_path / "ties.csv"
+    write_csv(s, str(path))
+    back = read_csv(str(path))
+    assert back.times.tobytes() == s.times.tobytes()
+    assert back.events.tobytes() == s.events.tobytes()
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(55)
     times = rng.exponential(size=80) * 3.7
@@ -241,8 +324,41 @@ def test_emit_km_plot_formats(tmp_path):
         emit_km_plot(curve, str(tmp_path / "c.png"), "png")
 
 
+def test_emit_km_plot_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys):
+    curve = kaplan_meier(validate_sample([(1.0, True), (2.0, False), (2.0, True), (3.5, False)]))
+    for fmt, render in (("svg", km_plot_svg), ("csv", km_plot_csv)):
+        path = tmp_path / f"c.{fmt}"
+        emit_km_plot(curve, str(path), fmt)
+        emit_km_plot(curve, None, fmt)
+        assert capsys.readouterr().out == render(curve)
+        assert path.read_bytes() == render(curve).encode()
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
+
+def test_cli_km_stdout_and_out_file_match_the_renderers(tmp_path, capsys):
+    p = tmp_path / "d.csv"
+    p.write_text("time,event\n1.0,1\n2.0,0\n2.0,1\n3.5,0\n")
+    curve = kaplan_meier(read_csv(str(p)))
+    for fmt, render in (("svg", km_plot_svg), ("csv", km_plot_csv)):
+        out = tmp_path / f"km.{fmt}"
+        assert main(["km", str(p), "--plot", fmt]) == 0
+        assert capsys.readouterr().out == render(curve)
+        assert main(["km", str(p), "--plot", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == render(curve).encode()
+
+
+def test_cli_fit_at_the_largest_level_below_one(cure_csv, capsys):
+    code = main(["fit", cure_csv, "--family", "weibull", "--cure", "--format", "json",
+                 "--level", "0.9999999999999999"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    parsed = json.loads(captured.out)
+    assert parsed["intervals"]["level"] == 0.9999999999999999
+    lo, hi = parsed["intervals"]["values"]["cure_fraction"]
+    assert 0.0 < lo < parsed["params"]["cure_fraction"] < hi <= 1.0
+
 
 def test_cli_assess_text_appropriate(cure_csv, capsys):
     code = main(["assess", cure_csv, "--families", "weibull"])

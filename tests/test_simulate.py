@@ -173,11 +173,6 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.times, b.times)
 
 
-def test_time_unit_propagates():
-    sample, _ = simulate_mixture(_cfg(time_unit="years"))
-    assert sample.time_unit == "years"
-
-
 # ---------------------------------------------------------------------------
 # follow-up restriction
 

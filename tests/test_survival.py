@@ -60,6 +60,34 @@ def test_empty_sample_rejected():
         validate_sample([])
 
 
+def test_events_must_equal_zero_or_one():
+    for bad, shown in (("0", "'0'"), (None, "None"), (2, "2"), (0.5, "0.5"), ([1], r"\[1\]")):
+        with pytest.raises(ValidationError, match=rf"non-binary event {shown} at row 1"):
+            validate_sample([(1.0, True), (2.0, bad)])
+    ones = (True, 1, 1.0, np.True_, np.int64(1), np.float32(1.0))
+    zeros = (False, 0, 0.0, np.False_, np.int8(0), np.float64(0.0))
+    s = validate_sample([(float(i), e) for i, e in enumerate(ones + zeros)])
+    assert s.events.tolist() == [True] * 6 + [False] * 6
+
+
+def test_validate_takes_a_one_shot_iterator_of_pairs():
+    s = validate_sample(zip([2.0, 1.0, 1.0], [False, False, True]))
+    assert s.records == [(1.0, True), (1.0, False), (2.0, False)]
+
+
+def test_first_failing_record_is_named_in_input_order():
+    with pytest.raises(ValidationError, match=r"malformed record at row 1"):
+        validate_sample([(1.0, True), (2.0, True, 3), (3.0, True)])
+    with pytest.raises(ValidationError, match=r"malformed record at row 0"):
+        validate_sample([(1.0,), (2.0,)])
+    with pytest.raises(ValidationError, match=r"malformed record at row 2"):
+        validate_sample([(1.0, True), (2.0, True), 5])
+    with pytest.raises(ValidationError, match=r"non-binary event 'x' at row 1"):
+        validate_sample([(1.0, True), (2.0, "x"), ("soon", True)])
+    with pytest.raises(ValidationError, match=r"non-finite time at row 1"):
+        validate_sample([(1.0, True), (-math.inf, True), (-1.0, True)])
+
+
 def test_sample_arrays_are_read_only():
     s = validate_sample([(1.0, True), (2.0, False)])
     with pytest.raises(ValueError):
