@@ -26,7 +26,6 @@ from .errors import AssessmentError, CurecheckError, DomainError
 from .models import (
     FAMILIES,
     FamilySpec,
-    FitOptions,
     ModelFit,
     Params,
     check_params,
@@ -60,7 +59,6 @@ class AssessmentConfig:
     tau: float | None = None  # None: the sample's maximum observed time
     alpha_threshold: float = 0.05
     late_window: float | None = None  # None: 20% of the maximum follow-up
-    fit_options: FitOptions | None = None
 
     def __post_init__(self):
         if not self.families:
@@ -123,7 +121,6 @@ def verdict_from_flags(cure_model_selected: bool, cure_fraction_pass: bool, r_pa
 def select_model_by_aic(
     sample: SurvivalSample,
     families: tuple[str, ...] = FAMILIES,
-    options: FitOptions | None = None,
 ) -> tuple[tuple[ModelTableRow, ...], ModelFit]:
     """Fit cure and non-cure variants of each family; pick the lowest AIC.
 
@@ -137,7 +134,7 @@ def select_model_by_aic(
         for cure in (False, True):
             spec = FamilySpec(family, cure=cure)
             try:
-                fit = fit_model(sample, spec, options)
+                fit = fit_model(sample, spec)
             except CurecheckError as exc:
                 rows.append(
                     ModelTableRow(spec=spec, aic=None, converged=False, error=str(exc))
@@ -198,7 +195,7 @@ def receus_assess(sample: SurvivalSample, config: AssessmentConfig | None = None
         raise AssessmentError("no events: fitting undefined")
     summary = followup_summary(sample, late_window=cfg.late_window)
     followup = alpha_n_test(sample, threshold=cfg.alpha_threshold)
-    rows, selected = select_model_by_aic(sample, cfg.families, cfg.fit_options)
+    rows, selected = select_model_by_aic(sample, cfg.families)
     tau = cfg.tau if cfg.tau is not None else sample.max_time
     notes = [
         f"{r.spec.label} fit failed and is missing from the AIC comparison: {r.error}"
@@ -224,10 +221,7 @@ def receus_assess(sample: SurvivalSample, config: AssessmentConfig | None = None
         cure_rows = [
             r for r in rows if r.spec.cure and r.converged and r.fit is not None
         ]
-        cure_rows.sort(
-            key=lambda r: (r.aic, r.spec.n_params, FAMILIES.index(r.spec.family))
-        )
-        ratio_fit = cure_rows[0].fit if cure_rows else None
+        ratio_fit = _select_from_rows(cure_rows).fit if cure_rows else None
         if ratio_fit is not None:
             notes.append(
                 f"cure-specific quantities below come from the best cure fit "

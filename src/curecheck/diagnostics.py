@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurecheckError, DomainError
-from .models import FamilySpec, FitOptions, ModelFit, fit_model
+from .models import FamilySpec, ModelFit, fit_model
 from .special import chi2_sf_1df
 from .survival import SurvivalSample, kaplan_meier
 
@@ -82,11 +82,7 @@ def deviance_from_fits(cure_fit: ModelFit, noncure_fit: ModelFit) -> tuple[float
     return d, 0.5 * chi2_sf_1df(d)
 
 
-def deviance_cure_test(
-    sample: SurvivalSample,
-    family: str = "weibull",
-    options: FitOptions | None = None,
-) -> CureFractionEvidence:
+def deviance_cure_test(sample: SurvivalSample, family: str = "weibull") -> CureFractionEvidence:
     """Test for a cured fraction by comparing cure and non-cure fits of one family.
 
     Both fits are made here; the statistic and its p-value come from
@@ -100,7 +96,7 @@ def deviance_cure_test(
     for cure in (False, True):
         spec = FamilySpec(family, cure=cure)
         try:
-            fit = fit_model(sample, spec, options)
+            fit = fit_model(sample, spec)
         except CurecheckError as exc:  # fit errors become a reported diagnostic
             return CureFractionEvidence(
                 p_hat_n=base.p_hat_n,

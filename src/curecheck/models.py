@@ -20,9 +20,12 @@ Fitting maximizes the censored-data log-likelihood
 sum_events log f + sum_censored log S over a transformed space
 (logit of the cure fraction, log of each latency parameter) with a
 Nelder-Mead simplex and deterministic restarts on non-convergence, then
-finishes with finite-difference Newton steps for high-accuracy optima.
-The likelihood is evaluated once per distinct (time, event) pair, each
-term weighted by the number of records that share it.
+finishes with damped Newton steps for high-accuracy optima.  One
+central-difference stencil gives the gradient and Hessian at each Newton
+point; its Hessian at the returned point is the observed information
+behind the standard errors.  The likelihood is evaluated once per
+distinct (time, event) pair, each term weighted by the number of records
+that share it.
 """
 
 from __future__ import annotations
@@ -418,16 +421,6 @@ def aic_value(k: int, log_lik: float) -> float:
 
 
 @dataclass(frozen=True)
-class FitOptions:
-    """Knobs for fit_model; the defaults are used throughout the package."""
-
-    ftol: float = 1e-9
-    max_iter: int = 5000
-    restarts: int = 3
-    init: Params | None = None
-
-
-@dataclass(frozen=True)
 class ModelFit:
     """A maximized model: spec, estimates, likelihood value, and diagnostics."""
 
@@ -516,40 +509,36 @@ def initial_params(spec: FamilySpec, sample: SurvivalSample) -> Params:
     return Params(latency=latency, cure_fraction=cure_fraction)
 
 
-def _fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
+def _fd_derivatives(f, x: np.ndarray, fx: float, h: float = 1e-4):
+    """Central-difference gradient and Hessian of f at x, given fx = f(x).
 
-
-def _fd_hessian(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
+    One stencil feeds both: the gradient reuses the f(x +- h e_i) values of
+    the Hessian diagonal.  The Hessian of the negative log-likelihood at the
+    optimum is the observed information.
+    """
     n = x.size
-    H = np.zeros((n, n))
-    f0 = f(x)
+    e = h * np.eye(n)
+    g = np.empty(n)
+    H = np.empty((n, n))
     for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        H[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / (h * h)
+        f_up, f_down = f(x + e[i]), f(x - e[i])
+        g[i] = (f_up - f_down) / (2.0 * h)
+        H[i, i] = (f_up - 2.0 * fx + f_down) / (h * h)
         for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
             H[i, j] = H[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
+                f(x + e[i] + e[j]) - f(x + e[i] - e[j]) - f(x - e[i] + e[j]) + f(x - e[i] - e[j])
             ) / (4.0 * h * h)
-    return H
+    return g, H
 
 
-def _newton_polish(f, x: np.ndarray, fx: float, max_steps: int = 12):
-    """Damped Newton steps accepted only when they do not worsen f."""
+def _newton_finish(f, x: np.ndarray, fx: float, max_steps: int = 12):
+    """Damped Newton steps accepted only when they do not worsen f.
+
+    Returns (x, f(x), H) with H the stencil Hessian at the returned x.
+    """
+    g, H = _fd_derivatives(f, x, fx)
     for _ in range(max_steps):
-        g = _fd_gradient(f, x)
-        if not np.all(np.isfinite(g)):
-            break
-        H = _fd_hessian(f, x)
-        if not np.all(np.isfinite(H)):
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
             break
         try:
             np.linalg.cholesky(H)
@@ -567,19 +556,22 @@ def _newton_polish(f, x: np.ndarray, fx: float, max_steps: int = 12):
         if not math.isfinite(f_new) or f_new > fx:
             break
         x, fx = x_new, f_new
+        g, H = _fd_derivatives(f, x, fx)
         if step_norm < 1e-10:
             break
-    return x, fx
+    return x, fx, H
 
 
+# Simplex settings of every fit: objective-spread tolerance, iteration cap
+# per simplex run, and restarts (each from a shifted point) on non-convergence.
+_FTOL = 1e-9
+_MAX_ITER = 5000
+_RESTARTS = 3
 _RESTART_SHIFTS = (0.5, -0.75, 1.0)
 
 
-def fit_model(
-    sample: SurvivalSample, spec: FamilySpec, options: FitOptions | None = None
-) -> ModelFit:
+def fit_model(sample: SurvivalSample, spec: FamilySpec) -> ModelFit:
     """Maximum-likelihood fit of ``spec`` to a right-censored sample."""
-    opts = options or FitOptions()
     if sample.n_events == 0:
         raise FitError("no events: fitting undefined")
     if sample.n < spec.n_params + 1:
@@ -588,41 +580,38 @@ def fit_model(
         )
     cache = _checked_cache(spec, sample, fitting=True)
 
-    init = opts.init if opts.init is not None else initial_params(spec, sample)
+    init = initial_params(spec, sample)
     check_params(spec, init)
     neg = _make_objective(spec, cache)
     x0 = _transform(spec, init)
-    f0 = neg(x0)
-    if not math.isfinite(f0):
+    if not math.isfinite(neg(x0)):
         raise FitError(f"initial parameters give a non-finite {spec.label} likelihood")
 
-    res = minimize_simplex(neg, x0, step=0.25, ftol=opts.ftol, max_iter=opts.max_iter)
+    res = minimize_simplex(neg, x0, step=0.25, ftol=_FTOL, max_iter=_MAX_ITER)
     best_x, best_f = res.x, res.fx
     n_iter = res.n_iter
     converged = res.converged
     n_restarts = 0
-    while not converged and n_restarts < opts.restarts:
+    while not converged and n_restarts < _RESTARTS:
         shift = _RESTART_SHIFTS[n_restarts % len(_RESTART_SHIFTS)]
         n_restarts += 1
         r = minimize_simplex(
             neg,
             best_x + shift,
             step=0.25 / (1 + n_restarts),
-            ftol=opts.ftol,
-            max_iter=opts.max_iter,
+            ftol=_FTOL,
+            max_iter=_MAX_ITER,
         )
         n_iter += r.n_iter
         if r.fx <= best_f:
             best_x, best_f = r.x, r.fx
         converged = r.converged
 
-    best_x, best_f = _newton_polish(neg, best_x, best_f)
-    if best_f > f0:  # never return something worse than the start
-        best_x, best_f = x0, f0
+    best_x, best_f, info = _newton_finish(neg, best_x, best_f)
 
     params = _untransform(spec, best_x)
     ll = -best_f
-    se, se_diag = _standard_errors(neg, best_x)
+    se, se_diag = _standard_errors(info)
     return ModelFit(
         spec=spec,
         params=params,
@@ -639,9 +628,8 @@ def fit_model(
     )
 
 
-def _standard_errors(neg, x: np.ndarray):
-    """SEs on the transformed scale from the observed information, or a reason."""
-    H = _fd_hessian(neg, x)
+def _standard_errors(H: np.ndarray):
+    """SEs on the transformed scale from the observed information H, or a reason."""
     if not np.all(np.isfinite(H)):
         return None, "observed information matrix is not finite at the optimum"
     try:

@@ -157,25 +157,29 @@ def read_csv(
     Times are divided by ``time_scale`` (365.25 turns days into years).
     Event cells must be one of 0/1/true/false (case-insensitive).  Errors
     name the file row (1 = header; blank lines are skipped and not counted)
-    and column.  Extra columns are ignored.
+    and column.  Extra columns are ignored.  The file is read as UTF-8
+    whatever the locale; a leading byte-order mark is skipped.
     """
     if not (0.0 < time_scale < math.inf):
         raise ValidationError(f"time_scale must be finite and > 0, got {time_scale!r}")
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"empty file: {path} has no header row")
-        # A repeated column name means its last occurrence.
-        column = {name: j for j, name in enumerate(header)}
-        for col in (time_col, event_col):
-            if col not in column:
-                raise ValidationError(f"missing column {col!r} in {path} (found: {', '.join(header)})")
-        rows = list(filter(None, reader))  # a blank line reads as []
+        try:
+            header = next(reader, None)
+            rows = list(filter(None, reader))  # a blank line reads as []
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError(f"cannot read {path}: {exc}") from None
+    if header is None:
+        raise ValidationError(f"empty file: {path} has no header row")
+    # A repeated column name means its last occurrence.
+    column = {name: j for j, name in enumerate(header)}
+    for col in (time_col, event_col):
+        if col not in column:
+            raise ValidationError(f"missing column {col!r} in {path} (found: {', '.join(header)})")
     if not rows:
         raise ValidationError(f"empty file: {path} has a header but no data rows")
     jt, je = column[time_col], column[event_col]

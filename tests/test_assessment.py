@@ -23,7 +23,6 @@ from curecheck.assessment import (
 from curecheck.errors import AssessmentError, DomainError
 from curecheck.models import (
     FamilySpec,
-    FitOptions,
     ModelFit,
     Params,
     fit_model,
@@ -203,6 +202,24 @@ def test_selection_fails_when_nothing_converges():
         _select_from_rows(rows)
 
 
+def test_shown_cure_fit_follows_the_selection_rule(monkeypatch):
+    # A non-cure model wins; the cure rows tie within 1e-12, so the cure fit
+    # shown is the one the selection rule picks: fewer parameters, not the
+    # lower AIC.
+    rows = (
+        _row("weibull", False, 90.0),
+        _row("weibull", True, 100.0),
+        _row("exponential", True, 100.0 + 1e-13),
+    )
+    assert rows[1].aic < rows[2].aic
+    monkeypatch.setattr(
+        "curecheck.assessment.select_model_by_aic", lambda sample, families: (rows, rows[0].fit)
+    )
+    a = receus_assess(_simulated_cure_sample(n=300))
+    assert _select_from_rows(rows[1:]).spec.label == "exponential cure"
+    assert any("best cure fit (exponential cure)" in note for note in a.notes)
+
+
 def test_model_table_has_two_rows_per_family():
     sample = _simulated_cure_sample(n=300)
     families = ("exponential", "weibull")
@@ -301,13 +318,7 @@ def test_assessment_fails_when_no_model_fits():
 
 def test_assessment_reports_unconverged_rows():
     sample = _simulated_cure_sample(n=300)
-    a = receus_assess(
-        sample,
-        AssessmentConfig(
-            families=("weibull",),
-            fit_options=FitOptions(max_iter=5000, restarts=3),
-        ),
-    )
+    a = receus_assess(sample, AssessmentConfig(families=("weibull",)))
     for row in a.model_table:
         assert row.converged
         assert row.aic is not None

@@ -11,7 +11,7 @@ from curecheck.diagnostics import (
     nonparametric_cure_evidence,
 )
 from curecheck.errors import DomainError
-from curecheck.models import FitOptions, latency_quantile
+from curecheck.models import latency_quantile
 from curecheck.simulate import (
     AdministrativeCensoring,
     SimulationConfig,
@@ -93,11 +93,10 @@ def test_deviance_lets_programming_errors_through(monkeypatch):
         deviance_cure_test(_truncated_exponential_sample(7), family="weibull")
 
 
-def test_deviance_diagnostic_when_not_converged():
-    sample = _truncated_exponential_sample(7)
-    res = deviance_cure_test(
-        sample, family="weibull", options=FitOptions(max_iter=2, restarts=0)
-    )
+def test_deviance_diagnostic_when_not_converged(monkeypatch):
+    monkeypatch.setattr("curecheck.models._MAX_ITER", 2)
+    monkeypatch.setattr("curecheck.models._RESTARTS", 0)
+    res = deviance_cure_test(_truncated_exponential_sample(7), family="weibull")
     assert res.deviance is None
     assert "did not converge" in res.diagnostic
 

@@ -14,7 +14,6 @@ from curecheck.errors import DomainError, FitError
 from curecheck.models import (
     FAMILIES,
     FamilySpec,
-    FitOptions,
     Params,
     aic_value,
     check_params,
@@ -416,6 +415,18 @@ def test_fit_exponential_events_only_analytic_mle():
     assert fit.log_likelihood == pytest.approx(ll_at_mle, rel=1e-12)
 
 
+def test_exponential_standard_error_matches_observed_information():
+    # loglik(u) = d u - e^u T in u = log(rate): at the MLE rate d / T the
+    # observed information is exactly d, so the SE of log(rate) is 1 / sqrt(d).
+    rng = np.random.default_rng(12)
+    y = rng.exponential(scale=2.0, size=300)
+    c = rng.uniform(0.0, 4.0, size=300)
+    sample = validate_sample(list(zip(np.minimum(y, c).tolist(), (y <= c).tolist())))
+    assert 0 < sample.n_events < sample.n
+    fit = fit_model(sample, FamilySpec("exponential"))
+    assert fit.standard_errors[0] == pytest.approx(1.0 / math.sqrt(sample.n_events), rel=1e-6)
+
+
 def test_fit_never_worse_than_initializer():
     rng = np.random.default_rng(31)
     times = rng.exponential(scale=1.0, size=80)
@@ -477,16 +488,6 @@ def test_fit_zero_time_event_rejected_where_degenerate():
         fit_model(sample, FamilySpec("gamma"))
     fit = fit_model(sample, FamilySpec("exponential"))  # fine: density positive at 0
     assert fit.converged
-
-
-def test_fit_accepts_explicit_initializer():
-    rng = np.random.default_rng(41)
-    y = rng.weibull(1.4, size=120) * 2.0
-    sample = validate_sample([(float(t), True) for t in y])
-    init = Params(latency=(1.2, 1.8))
-    fit = fit_model(sample, FamilySpec("weibull"), FitOptions(init=init))
-    assert fit.converged
-    assert fit.params.latency[0] == pytest.approx(1.4, rel=0.2)
 
 
 def test_fit_records_metadata():
@@ -640,15 +641,13 @@ def test_wald_intervals_level_validation():
             wald_intervals(fit, level=bad)
 
 
-def test_wald_intervals_unavailable_without_convergence():
+def test_wald_intervals_unavailable_without_convergence(monkeypatch):
+    monkeypatch.setattr("curecheck.models._MAX_ITER", 2)
+    monkeypatch.setattr("curecheck.models._RESTARTS", 0)
     rng = np.random.default_rng(4)
     times = rng.exponential(size=100)
     sample = validate_sample([(float(t), True) for t in times])
-    fit = fit_model(
-        sample,
-        FamilySpec("weibull"),
-        FitOptions(max_iter=2, restarts=0),
-    )
+    fit = fit_model(sample, FamilySpec("weibull"))
     assert not fit.converged
     iv = wald_intervals(fit)
     assert iv.intervals is None

@@ -427,6 +427,46 @@ def test_cli_assess_missing_file_is_an_error(capsys):
     assert "cannot read" in captured.err
 
 
+def _run_cli(*argv):
+    import curecheck
+
+    env = dict(os.environ, PYTHONPATH=str(Path(curecheck.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "curecheck.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "body, reason",
+    [
+        (b"time,event\n1.0,1\n2.0,\xff\n", "can't decode byte 0xff"),
+        (b"time,event\n1.0,1\n" + b"9" * 200_000 + b",1\n", "field larger than field limit"),
+    ],
+    ids=["not-utf8", "oversized-cell"],
+)
+def test_cli_unreadable_csv_is_an_error_not_a_traceback(tmp_path, body, reason):
+    p = tmp_path / "d.csv"
+    p.write_bytes(body)
+    proc = _run_cli("km", str(p))
+    assert proc.returncode == 1
+    assert f"curecheck: error: cannot read {p}: " in proc.stderr
+    assert reason in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cli_reads_csv_with_byte_order_mark(tmp_path):
+    p = tmp_path / "excel.csv"
+    p.write_bytes(b"\xef\xbb\xbftime,event\n1.0,1\n2.0,0\n")
+    proc = _run_cli("km", str(p))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        "time,survival,n_at_risk,n_events", "0.0,1.0,2,0", "1.0,0.5,2,1",
+    ]
+
+
 def test_cli_fit_json(cure_csv, capsys):
     code = main(["fit", cure_csv, "--family", "weibull", "--cure", "--format", "json"])
     out = capsys.readouterr().out
@@ -601,11 +641,7 @@ def test_module_entry_point_runs_without_warnings():
     # if the package itself imported cli, runpy would warn on stderr.
     import curecheck
 
-    env = dict(os.environ, PYTHONPATH=str(Path(curecheck.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "curecheck.cli", "--version"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _run_cli("--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"curecheck {curecheck.__version__}"
     assert proc.stderr == ""
