@@ -203,16 +203,18 @@ def receus_assess(sample: SurvivalSample, config: AssessmentConfig | None = None
         if r.error is not None
     ]
 
-    unconverged_better = [
-        r
-        for r in rows
-        if not r.converged and r.aic is not None and r.aic < selected.aic - _AIC_TIE_TOL
-    ]
-    for r in unconverged_better:
-        notes.append(
-            f"{r.spec.label} had a lower AIC ({r.aic:.4f}) but did not converge; "
-            f"the best converged fit was used instead"
-        )
+    for r in rows:
+        if r.converged or r.aic is None:
+            continue
+        if r.aic < selected.aic - _AIC_TIE_TOL:
+            notes.append(
+                f"{r.spec.label} had a lower AIC ({r.aic:.4f}) but did not converge; "
+                f"the best converged fit was used instead"
+            )
+        else:
+            notes.append(
+                f"{r.spec.label} did not converge (AIC {r.aic:.4f}) and cannot be selected"
+            )
 
     cure_model_selected = selected.spec.cure
     if cure_model_selected:

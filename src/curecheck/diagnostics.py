@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CurecheckError, DomainError
 from .models import FamilySpec, ModelFit, fit_model
 from .special import chi2_sf_1df
-from .survival import SurvivalSample, kaplan_meier
+from .survival import SurvivalSample, _km_tail
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def nonparametric_cure_evidence(sample: SurvivalSample) -> CureFractionEvidence:
     the event.  No p-value accompanies this estimate; ``deviance_cure_test``
     is the quantitative companion.
     """
-    cure_hat = kaplan_meier(sample).final_survival
+    cure_hat = _km_tail(sample)
     return CureFractionEvidence(p_hat_n=1.0 - cure_hat, cure_fraction_hat=cure_hat)
 
 

@@ -17,15 +17,22 @@ A cure spec adds cure_fraction c in (0,1), the long-run survivor
 probability: S(t) = c + (1-c) S0(t) and f(t) = (1-c) f0(t).
 
 Fitting maximizes the censored-data log-likelihood
-sum_events log f + sum_censored log S over a transformed space
-(logit of the cure fraction, log of each latency parameter) with a
-Nelder-Mead simplex and deterministic restarts on non-convergence, then
-finishes with damped Newton steps for high-accuracy optima.  One
-central-difference stencil gives the gradient and Hessian at each Newton
-point; its Hessian at the returned point is the observed information
-behind the standard errors.  The likelihood is evaluated once per
-distinct (time, event) pair, each term weighted by the number of records
-that share it.
+sum_events log f + sum_censored log S over a transformed space (logit of
+the cure fraction, boxed to [-40, 40], and log of each latency parameter)
+with a trust-region Newton method from ``initial_params``: each step solves
+the quadratic model exactly within the trust radius, and the radius follows
+the ratio of actual to predicted gain.  A fit has converged when every
+gradient component is within 1e-8 in absolute value.  Scores and second
+derivatives are closed form: each family gives its event term and its
+log S0 at every distinct censoring time with their derivatives in the log
+parameters (the gamma shape alone by a central difference in log k), and
+one shared cure layer chains them through the mixture and logit c.  Their
+Hessian at the returned point is the observed information behind the
+standard errors.  A trust region that does not converge gets one
+Nelder-Mead simplex run from its best point and then runs again.  The
+likelihood is evaluated once per distinct (time, event) pair, each term
+weighted by the number of records that share it, and in log space
+throughout, so far-tail survival never underflows to log 0.
 """
 
 from __future__ import annotations
@@ -41,12 +48,13 @@ from .special import (
     inv_normal_cdf,
     inv_reg_lower_gamma,
     log_gamma,
-    normal_sf,
-    reg_upper_gamma,
+    log_normal_sf,
+    log_reg_upper_gamma,
 )
-from .survival import SurvivalSample, kaplan_meier
+from .survival import SurvivalSample, _km_tail
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_SHAPE_STEP = 5e-4  # central-difference step in log(gamma shape)
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +77,12 @@ class _Family:
       ``fit_model`` alone under "no fit" (defined but degenerate maximum); or
       rejected everywhere under "outside support" (density undefined or
       unbounded at 0).  They are never nudged.
+    * ``derivatives(cache, *theta)``: the fit engine's terms on the scale of
+      the log parameters, ``(ev, ev_g, ev_h, ls, ls_g, ls_h)``: the event
+      log-density sum ``ev`` (``log_pdf_sum``) with its gradient (p,) and
+      Hessian (p, p), and log S0 at the cache's censoring times (``log_sf``)
+      with its gradients (m, p) and Hessians (m, p, p).  Events at time 0
+      reach it only where the family allows them.
     """
 
     param_names: tuple[str, ...]
@@ -85,6 +99,14 @@ class _Exponential(_Family):
     def log_sf(self, t, log_t, rate):
         return -rate * t
 
+    def derivatives(self, cache, rate):
+        ls = self.log_sf(cache.tc, cache.log_tc, rate)
+        bt = rate * cache.sum_te
+        return (
+            self.log_pdf_sum(cache, rate), np.array([cache.n_events - bt]), np.array([[-bt]]),
+            ls, ls[:, None], ls[:, None, None],
+        )
+
     def quantile(self, u, rate):
         return -np.log1p(-u) / rate
 
@@ -92,9 +114,47 @@ class _Exponential(_Family):
         return (1.0 / mean_te,)
 
 
-class _Weibull(_Family):
+def _stack_hessian(huu, huv, hvv):
+    """(..., 2, 2) symmetric Hessians from their three distinct entries."""
+    return np.stack([np.stack([huu, huv], -1), np.stack([huv, hvv], -1)], -2)
+
+
+class _ShapeScale(_Family):
+    """Families with log S0 = -G(z), z = shape (log t - log scale), and
+    log f0 = log(shape / scale) + (shape - 1) log(t / scale) + k log S0, with
+    k = ``event_weight``; ``dG(z)`` gives (G', G'')."""
+
     param_names = ("shape", "scale")
+    event_weight: float
+
+    def _log_sf_terms(self, log_t, shape, log_scale):
+        z = shape * (log_t - log_scale)
+        g1, g2 = self.dG(z)
+        grad = np.stack([-g1 * z, shape * g1], -1)
+        return grad, _stack_hessian(-(g2 * z + g1) * z, shape * (g2 * z + g1), -shape * shape * g2)
+
+    def derivatives(self, cache, shape, scale):
+        log_scale = math.log(scale)
+        n = cache.n_events - cache.n_zero_events
+        a = cache.sum_log_te - n * log_scale
+        eg, eh = self._log_sf_terms(cache.log_te, shape, log_scale)
+        cg, ch = self._log_sf_terms(cache.log_tc, shape, log_scale)
+        k = self.event_weight
+        return (
+            self.log_pdf_sum(cache, shape, scale),
+            np.array([n + shape * a, -n * shape]) + k * (cache.we @ eg),
+            np.array([[shape * a, -n * shape], [-n * shape, 0.0]]) + k * np.tensordot(cache.we, eh, 1),
+            self.log_sf(cache.tc, cache.log_tc, shape, scale), cg, ch,
+        )
+
+
+class _Weibull(_ShapeScale):
     zero_events = "no fit"
+    event_weight = 1.0
+
+    def dG(self, z):
+        g = np.exp(z)
+        return g, g
 
     def log_pdf_sum(self, cache, shape, scale):
         log_scale = math.log(scale)
@@ -139,7 +199,31 @@ class _Gamma(_Family):
         )
 
     def log_sf(self, t, log_t, shape, rate):
-        return np.log(reg_upper_gamma(shape, rate * t))
+        return log_reg_upper_gamma(shape, rate * t)
+
+    def derivatives(self, cache, shape, rate):
+        # Rate: closed form through x r = x g(k, x) / Q(k, x), with g the
+        # Gamma(k, 1) density at x = rate t.  Shape: central differences in
+        # log k of log Q, of x r and of log Gamma(k), so no digamma is needed.
+        h = _SHAPE_STEP
+        shapes = (shape, shape * math.exp(h), shape * math.exp(-h))
+        lg = [log_gamma(k) for k in shapes]
+        n, log_rate = cache.n_events, math.log(rate)
+        a = n * log_rate + cache.sum_log_te
+        bt = rate * cache.sum_te
+        ev_g = np.array([shape * a - n * (lg[1] - lg[2]) / (2.0 * h), n * shape - bt])
+        ev_uu = shape * a - n * (lg[1] - 2.0 * lg[0] + lg[2]) / (h * h)
+        ev_h = np.array([[ev_uu, n * shape], [n * shape, -bt]])
+        x, log_x = rate * cache.tc, log_rate + cache.log_tc
+        lq = [self.log_sf(cache.tc, cache.log_tc, k, rate) for k in shapes]
+        xr = [np.exp(k * log_x - x - g - q) for k, g, q in zip(shapes, lg, lq)]
+        ls_g = np.stack([(lq[1] - lq[2]) / (2.0 * h), -xr[0]], -1)
+        ls_h = _stack_hessian(
+            (lq[1] - 2.0 * lq[0] + lq[2]) / (h * h),
+            -(xr[1] - xr[2]) / (2.0 * h),
+            xr[0] * (x - shape - xr[0]),
+        )
+        return self.log_pdf_sum(cache, shape, rate), ev_g, ev_h, lq[0], ls_g, ls_h
 
     def quantile(self, u, shape, rate):
         return inv_reg_lower_gamma(shape, u) / rate
@@ -148,9 +232,13 @@ class _Gamma(_Family):
         return (1.0, 1.0 / mean_te)
 
 
-class _LogLogistic(_Family):
-    param_names = ("shape", "scale")
+class _LogLogistic(_ShapeScale):
     zero_events = "outside support"
+    event_weight = 2.0
+
+    def dG(self, z):
+        p = 1.0 / (1.0 + np.exp(-z))
+        return p, p * (1.0 - p)
 
     def log_pdf_sum(self, cache, shape, scale):
         log_scale = math.log(scale)
@@ -187,7 +275,22 @@ class _LogNormal(_Family):
         )
 
     def log_sf(self, t, log_t, scale, sigma):
-        return np.log(normal_sf((log_t - math.log(scale)) / sigma))
+        return log_normal_sf((log_t - math.log(scale)) / sigma)
+
+    def derivatives(self, cache, scale, sigma):
+        log_scale = math.log(scale)
+        n = cache.n_events - cache.n_zero_events
+        ze = (cache.log_te - log_scale) / sigma
+        s1, s2 = float(cache.we @ ze), float(cache.we @ (ze * ze))
+        ev_g = np.array([s1 / sigma, s2 - n])
+        ev_h = np.array([[-n / sigma**2, -2.0 * s1 / sigma], [-2.0 * s1 / sigma, -2.0 * s2]])
+        z = (cache.log_tc - log_scale) / sigma
+        ls = self.log_sf(cache.tc, cache.log_tc, scale, sigma)
+        lam = np.exp(-0.5 * z * z - 0.5 * _LOG_2PI - ls)  # hazard of z: phi / (1 - Phi)
+        dlam = lam * (lam - z)
+        ls_g = np.stack([lam / sigma, lam * z], -1)
+        ls_h = _stack_hessian(-dlam / sigma**2, -(dlam * z + lam) / sigma, -z * (dlam * z + lam))
+        return self.log_pdf_sum(cache, scale, sigma), ev_g, ev_h, ls, ls_g, ls_h
 
     def quantile(self, u, scale, sigma):
         z = inv_normal_cdf(np.where(u > 0.0, u, 0.5))
@@ -385,20 +488,59 @@ def _checked_cache(spec: FamilySpec, sample: SurvivalSample, fitting: bool) -> _
     return cache
 
 
+def _mixture_value(spec: FamilySpec, c, ev: float, ls: np.ndarray, cache: _LikCache) -> float:
+    """The log-likelihood from the event term ev and log S0 at the censoring times."""
+    if not spec.cure:
+        return ev + float(cache.wc @ ls)
+    cen = float(cache.wc @ np.log(c + (1.0 - c) * np.exp(ls)))
+    # _expit rounds logits above ~36.8 to c = 1.0, where log(1 - c) = -inf.
+    return cache.n_events * (math.log1p(-c) if c < 1.0 else -math.inf) + ev + cen
+
+
 def _loglik_value(spec: FamilySpec, params: Params, cache: _LikCache) -> float:
     theta = tuple(float(v) for v in params.latency)
     family = _family(spec.family)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         ev = family.log_pdf_sum(cache, *theta)
-        log_sf = family.log_sf(cache.tc, cache.log_tc, *theta) if cache.tc.size else cache.tc
-        if spec.cure:
-            c = float(params.cure_fraction)  # type: ignore[arg-type]
-            cen = float(cache.wc @ np.log(c + (1.0 - c) * np.exp(log_sf)))
-            # _expit rounds logits above ~36.8 to c = 1.0, where log(1 - c) = -inf.
-            ll = cache.n_events * (math.log1p(-c) if c < 1.0 else -math.inf) + ev + cen
-        else:
-            ll = ev + float(cache.wc @ log_sf)
+        ls = family.log_sf(cache.tc, cache.log_tc, *theta) if cache.tc.size else cache.tc
+        ll = _mixture_value(spec, params.cure_fraction, ev, ls, cache)
     return ll if not math.isnan(ll) else -math.inf
+
+
+def _loglik_derivatives(spec: FamilySpec, x: np.ndarray, cache: _LikCache):
+    """(log-likelihood, gradient, Hessian) at x in the fitting coordinates.
+
+    The family gives its terms on the log-parameter scale; the cure layer
+    below is shared.  With m = c + (1 - c) S0 and L = log S0 the partial
+    derivatives of log m are T_L = (1 - c) S0 / m, T_LL = T_L (1 - T_L),
+    T_c = (1 - S0) / m, T_cc = -T_c^2 and T_cL = -S0 / m^2, chained through
+    y = logit c with dc/dy = c (1 - c).
+    """
+    params = _untransform(spec, x)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        ev, ev_g, ev_h, ls, ls_g, ls_h = _family(spec.family).derivatives(cache, *params.latency)
+        c = params.cure_fraction
+        ll = _mixture_value(spec, c, ev, ls, cache)
+        wc = cache.wc
+        if not spec.cure:
+            return ll, ev_g + wc @ ls_g, ev_h + np.tensordot(wc, ls_h, 1)
+        s0 = np.exp(ls)
+        m = c + (1.0 - c) * s0
+        t_l = (1.0 - c) * s0 / m
+        t_c = (1.0 - s0) / m
+        dc = c * (1.0 - c)
+        n_e = cache.n_events
+        w_l = wc * t_l
+        g = np.concatenate([[dc * float(wc @ t_c) - n_e * c], ev_g + w_l @ ls_g])
+        h = np.empty((g.size, g.size))
+        h[0, 0] = (
+            -dc * dc * float(wc @ (t_c * t_c)) + dc * (1.0 - 2.0 * c) * float(wc @ t_c) - n_e * dc
+        )
+        h[0, 1:] = h[1:, 0] = -dc * ((wc * s0 / (m * m)) @ ls_g)
+        h[1:, 1:] = (
+            ev_h + (ls_g.T * (w_l * (1.0 - t_l))) @ ls_g + np.tensordot(w_l, ls_h, 1)
+        )
+    return ll, g, h
 
 
 def log_likelihood(spec: FamilySpec, params: Params, sample: SurvivalSample) -> float:
@@ -504,70 +646,103 @@ def initial_params(spec: FamilySpec, sample: SurvivalSample) -> Params:
     latency = _family(spec.family).start(te, mean_te)
     cure_fraction = None
     if spec.cure:
-        km_tail = kaplan_meier(sample).final_survival
-        cure_fraction = min(max(km_tail, 0.01), 0.99)
+        cure_fraction = min(max(_km_tail(sample), 0.01), 0.99)
     return Params(latency=latency, cure_fraction=cure_fraction)
 
 
-def _fd_derivatives(f, x: np.ndarray, fx: float, h: float = 1e-4):
-    """Central-difference gradient and Hessian of f at x, given fx = f(x).
+# Trust-region settings of every fit.  The gradient tolerance is absolute: on
+# a ridge where the cure fraction tends to 0 the log-likelihood still to gain
+# is about |d loglik / d logit c|, which a relative rule would leave behind.
+_GTOL = 1e-8
+_MAX_ITER = 100
+_MAX_RADIUS = 10.0
+_LOGIT_BOX = 40.0  # logit c is kept in [-40, 40], _expit's clamp
 
-    One stencil feeds both: the gradient reuses the f(x +- h e_i) values of
-    the Hessian diagonal.  The Hessian of the negative log-likelihood at the
-    optimum is the observed information.
+
+def _tr_step(g: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
+    """Minimizer of g.s + s.b.s / 2 over |s| <= radius (Moré & Sorensen 1983).
+
+    On the boundary (b + mu I) s = -g with mu > max(0, -lambda_min): Newton's
+    method on 1/radius - 1/|s(mu)|, bisecting whenever a step leaves the
+    bracket.  When g has no component along the lowest eigenvector (the
+    "hard case") no such mu exists, and that eigenvector fills the step up
+    to the boundary.
     """
-    n = x.size
-    e = h * np.eye(n)
-    g = np.empty(n)
-    H = np.empty((n, n))
-    for i in range(n):
-        f_up, f_down = f(x + e[i]), f(x - e[i])
-        g[i] = (f_up - f_down) / (2.0 * h)
-        H[i, i] = (f_up - 2.0 * fx + f_down) / (h * h)
-        for j in range(i + 1, n):
-            H[i, j] = H[j, i] = (
-                f(x + e[i] + e[j]) - f(x + e[i] - e[j]) - f(x - e[i] + e[j]) + f(x - e[i] - e[j])
-            ) / (4.0 * h * h)
-    return g, H
+    lam, v = np.linalg.eigh(b)
+    a = v.T @ g
+    if lam[0] > 0.0:
+        s = -(v @ (a / lam))
+        if np.linalg.norm(s) <= radius:
+            return s
+    # |s(mu)| > radius below the root, |s(mu)| <= radius from `above` on.
+    below = max(0.0, -lam[0])
+    above = mu = below + float(np.linalg.norm(g)) / radius
+    for _ in range(60):
+        d = lam + mu
+        norm = math.sqrt(float(np.sum((a / d) ** 2)))
+        if abs(norm - radius) <= 1e-6 * radius:
+            break
+        if norm > radius:
+            below = mu
+        else:
+            above = mu
+        if above - below <= 1e-12 * above:  # no root: the hard case
+            mu = above
+            break
+        mu += norm * norm * (norm - radius) / (radius * float(np.sum(a * a / d**3)))
+        if not below < mu < above:
+            mu = 0.5 * (below + above)
+    s = -(v @ (a / (lam + mu)))
+    gap = radius * radius - float(s @ s)
+    if gap < 0.0:
+        return s * (radius / math.sqrt(float(s @ s)))
+    along = float(s @ v[:, 0])  # the root of |s + tau v0| = radius nearer 0
+    return s + math.copysign(gap / (math.sqrt(along * along + gap) + abs(along)), along) * v[:, 0]
 
 
-def _newton_finish(f, x: np.ndarray, fx: float, max_steps: int = 12):
-    """Damped Newton steps accepted only when they do not worsen f.
+def _finite(point) -> bool:
+    ll, g, h = point
+    return math.isfinite(ll) and bool(np.all(np.isfinite(g)) and np.all(np.isfinite(h)))
 
-    Returns (x, f(x), H) with H the stencil Hessian at the returned x.
+
+def _trust_region(spec: FamilySpec, cache: _LikCache, x: np.ndarray, point):
+    """Maximize the log-likelihood from x, where point = _loglik_derivatives at x.
+
+    Returns (x, (ll, g, H), iterations, converged).  A step is taken when it
+    gains at least a tenth of the quadratic model's predicted gain, or when
+    both gains are below the rounding noise of the log-likelihood; the
+    radius shrinks on poor agreement and grows on good agreement at the
+    boundary.  Converged means every gradient component is within _GTOL.
     """
-    g, H = _fd_derivatives(f, x, fx)
-    for _ in range(max_steps):
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+    radius = 1.0
+    for it in range(_MAX_ITER + 1):
+        ll, g, h = point
+        if np.max(np.abs(g)) <= _GTOL:
+            return x, point, it, True
+        if it == _MAX_ITER or radius < 1e-12 or not _finite(point):
             break
-        try:
-            np.linalg.cholesky(H)
-            delta = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(delta)):
-            break
-        step_norm = float(np.max(np.abs(delta)))
-        if step_norm > 0.5:
-            delta *= 0.5 / step_norm
-            step_norm = 0.5
-        x_new = x - delta
-        f_new = f(x_new)
-        if not math.isfinite(f_new) or f_new > fx:
-            break
-        x, fx = x_new, f_new
-        g, H = _fd_derivatives(f, x, fx)
-        if step_norm < 1e-10:
-            break
-    return x, fx, H
-
-
-# Simplex settings of every fit: objective-spread tolerance, iteration cap
-# per simplex run, and restarts (each from a shifted point) on non-convergence.
-_FTOL = 1e-9
-_MAX_ITER = 5000
-_RESTARTS = 3
-_RESTART_SHIFTS = (0.5, -0.75, 1.0)
+        s = _tr_step(-g, -h, radius)
+        x_new = x + s
+        if spec.cure:
+            x_new[0] = min(max(x_new[0], -_LOGIT_BOX), _LOGIT_BOX)
+            s = x_new - x
+        pred = float(g @ s + 0.5 * s @ h @ s)
+        new = _loglik_derivatives(spec, x_new, cache)
+        gain = new[0] - ll
+        noise = 1e-13 * max(1.0, abs(ll))
+        finite = _finite(new)
+        if finite and pred <= noise and gain >= -noise:
+            rho = 1.0  # both below rounding: the model is the better guide
+        else:
+            rho = gain / pred if finite and pred > 0.0 else -math.inf
+        step = float(np.linalg.norm(s))
+        if rho < 0.25:
+            radius = 0.25 * step
+        elif rho > 0.75 and step >= 0.99 * radius:
+            radius = min(2.0 * radius, _MAX_RADIUS)
+        if rho > 0.1:
+            x, point = x_new, new
+    return x, point, it, False
 
 
 def fit_model(sample: SurvivalSample, spec: FamilySpec) -> ModelFit:
@@ -582,39 +757,27 @@ def fit_model(sample: SurvivalSample, spec: FamilySpec) -> ModelFit:
 
     init = initial_params(spec, sample)
     check_params(spec, init)
-    neg = _make_objective(spec, cache)
-    x0 = _transform(spec, init)
-    if not math.isfinite(neg(x0)):
+
+    x = _transform(spec, init)
+    point = _loglik_derivatives(spec, x, cache)
+    if not math.isfinite(point[0]):
         raise FitError(f"initial parameters give a non-finite {spec.label} likelihood")
 
-    res = minimize_simplex(neg, x0, step=0.25, ftol=_FTOL, max_iter=_MAX_ITER)
-    best_x, best_f = res.x, res.fx
-    n_iter = res.n_iter
-    converged = res.converged
+    x, point, n_iter, converged = _trust_region(spec, cache, x, point)
     n_restarts = 0
-    while not converged and n_restarts < _RESTARTS:
-        shift = _RESTART_SHIFTS[n_restarts % len(_RESTART_SHIFTS)]
-        n_restarts += 1
-        r = minimize_simplex(
-            neg,
-            best_x + shift,
-            step=0.25 / (1 + n_restarts),
-            ftol=_FTOL,
-            max_iter=_MAX_ITER,
-        )
-        n_iter += r.n_iter
-        if r.fx <= best_f:
-            best_x, best_f = r.x, r.fx
-        converged = r.converged
+    if not converged:
+        # Fallback: one simplex run from the best point, then the trust region again.
+        n_restarts = 1
+        x = minimize_simplex(_make_objective(spec, cache), x, step=0.25).x
+        point = _loglik_derivatives(spec, x, cache)
+        x, point, more, converged = _trust_region(spec, cache, x, point)
+        n_iter += more
 
-    best_x, best_f, info = _newton_finish(neg, best_x, best_f)
-
-    params = _untransform(spec, best_x)
-    ll = -best_f
-    se, se_diag = _standard_errors(info)
+    ll, _, h = point
+    se, se_diag = _standard_errors(-h)
     return ModelFit(
         spec=spec,
-        params=params,
+        params=_untransform(spec, x),
         log_likelihood=ll,
         aic=aic_value(spec.n_params, ll),
         n_params=spec.n_params,

@@ -113,8 +113,8 @@ def _erfc_mid(y: np.ndarray) -> np.ndarray:
     return np.exp(-ysq * ysq) * np.exp(-(y - ysq) * (y + ysq)) * r
 
 
-def _erfc_large(y: np.ndarray) -> np.ndarray:
-    # y > 4; underflows to 0 beyond ~26.6
+def _erfc_large_parts(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # y > 4: erfc(y) = exp(-ysq^2) exp(-(y - ysq)(y + ysq)) r, returns (ysq, r)
     z = 1.0 / (y * y)
     num = _ERF_P[5] * z
     den = z
@@ -123,7 +123,12 @@ def _erfc_large(y: np.ndarray) -> np.ndarray:
         den = (den + _ERF_Q[i]) * z
     r = z * (num + _ERF_P[4]) / (den + _ERF_Q[4])
     r = (_SQRPI - r) / y
-    ysq = np.floor(y * 16.0) / 16.0
+    return np.floor(y * 16.0) / 16.0, r
+
+
+def _erfc_large(y: np.ndarray) -> np.ndarray:
+    # y > 4; underflows to 0 beyond ~26.6
+    ysq, r = _erfc_large_parts(y)
     with np.errstate(under="ignore"):
         out = np.exp(-ysq * ysq) * np.exp(-(y - ysq) * (y + ysq)) * r
     return np.where(y > 26.6, 0.0, out)
@@ -158,22 +163,43 @@ def normal_sf(z):
     return 0.5 * erfc(np.asarray(z, dtype=float) / _SQRT2)
 
 
+def log_normal_sf(z):
+    """log(1 - Phi(z)) on a 1-D array, finite far into the upper tail.
+
+    Beyond z = 4 sqrt(2) the exponent of erfc's large-argument form is added
+    in log space instead of being exponentiated, so nothing underflows.
+    """
+    z = np.asarray(z, dtype=float)
+    y = z / _SQRT2
+    far = y > 4.0
+    out = np.empty_like(z)
+    out[~far] = np.log(normal_sf(z[~far]))
+    yf = y[far]
+    ysq, r = _erfc_large_parts(yf)
+    out[far] = -ysq * ysq - (yf - ysq) * (yf + ysq) + np.log(0.5 * r)
+    return out
+
+
 _MAX_INC_GAMMA_ITER = 600
 
 
-def _inc_gamma(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Regularized incomplete gamma pair (P, Q) for scalar a > 0, array x >= 0.
+def _inc_gamma(a: float, x: np.ndarray):
+    """The series and continued-fraction pieces of the incomplete gamma pair.
 
-    Series expansion where x < a + 1, Lentz continued fraction otherwise;
-    both iterated to machine tolerance (capped at 600 terms).
+    For scalar a > 0 and array x >= 0 returns (x, ser, cfm, log_pref, s):
+    with log_pref = -x + a log x - log Gamma(a), P(a, x) = exp(log_pref) * s
+    where ``ser`` (0 < x < a + 1, series expansion) and Q(a, x) =
+    exp(log_pref) * s where ``cfm`` (x >= a + 1, Lentz continued fraction);
+    x = 0 is in neither.  Both are iterated to machine tolerance (capped at
+    600 terms).
     """
     if not (a > 0.0) or not math.isfinite(a):
         raise DomainError(f"incomplete gamma requires a > 0, got {a!r}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0.0):
         raise DomainError("incomplete gamma requires x >= 0")
-    p = np.zeros_like(x)
-    q = np.ones_like(x)
+    log_pref = np.zeros_like(x)
+    s = np.zeros_like(x)
     lg = log_gamma(a)
     nonzero = x > 0.0
     ser = nonzero & (x < a + 1.0)
@@ -194,10 +220,8 @@ def _inc_gamma(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 active = active[~done]
                 if active.size == 0:
                     break
-        with np.errstate(under="ignore"):
-            pref = np.exp(-xs + a * np.log(xs) - lg)
-        p[ser] = pref * total
-        q[ser] = 1.0 - p[ser]
+        log_pref[ser] = -xs + a * np.log(xs) - lg
+        s[ser] = total
     cfm = nonzero & ~ser
     if cfm.any():
         xc = x[cfm]
@@ -224,25 +248,51 @@ def _inc_gamma(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 active = active[~done]
                 if active.size == 0:
                     break
-        with np.errstate(under="ignore"):
-            pref = np.exp(-xc + a * np.log(xc) - lg)
-        q[cfm] = pref * h
-        p[cfm] = 1.0 - q[cfm]
+        log_pref[cfm] = -xc + a * np.log(xc) - lg
+        s[cfm] = h
+    return x, ser, cfm, log_pref, s
+
+
+def _reg_gamma_pair(a: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """Regularized incomplete gamma pair (P, Q) for scalar a > 0, array x >= 0."""
+    x, ser, cfm, log_pref, s = _inc_gamma(a, x)
+    p = np.zeros_like(x)
+    q = np.ones_like(x)
+    with np.errstate(under="ignore"):
+        p[ser] = np.exp(log_pref[ser]) * s[ser]
+        q[cfm] = np.exp(log_pref[cfm]) * s[cfm]
+    q[ser] = 1.0 - p[ser]
+    p[cfm] = 1.0 - q[cfm]
     return p, q
 
 
 def reg_lower_gamma(a: float, x):
     """Regularized lower incomplete gamma P(a, x), scalar or ndarray x."""
     scalar = np.ndim(x) == 0
-    p, _ = _inc_gamma(a, x)
+    p, _ = _reg_gamma_pair(a, x)
     return float(p[0]) if scalar else p
 
 
 def reg_upper_gamma(a: float, x):
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
     scalar = np.ndim(x) == 0
-    _, q = _inc_gamma(a, x)
+    _, q = _reg_gamma_pair(a, x)
     return float(q[0]) if scalar else q
+
+
+def log_reg_upper_gamma(a: float, x):
+    """log Q(a, x), finite wherever Q itself underflows.
+
+    The continued fraction's log prefactor -x + a log x - log Gamma(a) is
+    added in log space; on the series branch log Q = log1p(-P).
+    """
+    scalar = np.ndim(x) == 0
+    x, ser, cfm, log_pref, s = _inc_gamma(a, x)
+    out = np.zeros_like(x)
+    with np.errstate(under="ignore"):
+        out[ser] = np.log1p(-np.exp(log_pref[ser]) * s[ser])
+    out[cfm] = log_pref[cfm] + np.log(s[cfm])
+    return float(out[0]) if scalar else out
 
 
 _SOLVE_MAX_STEPS = 100

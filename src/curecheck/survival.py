@@ -219,6 +219,20 @@ def write_csv(
         writer.writerows([repr(t), 1 if e else 0] for t, e in sample.records)
 
 
+def _km_counts(sample: SurvivalSample):
+    """Distinct event times, the events at each and the number then at risk."""
+    event_times, event_counts = np.unique(sample.times[sample.events], return_counts=True)
+    return event_times, event_counts, sample.n - np.searchsorted(sample.times, event_times, side="left")
+
+
+def _km_tail(sample: SurvivalSample) -> float:
+    """``kaplan_meier(sample).final_survival``, bit for bit, without building the curve."""
+    if sample.n_events == 0:
+        return 1.0
+    _, d, r = _km_counts(sample)
+    return float(np.cumprod(1.0 - d / r)[-1])
+
+
 def kaplan_meier(sample: SurvivalSample) -> KaplanMeierCurve:
     """Kaplan-Meier curve of the sample.
 
@@ -230,8 +244,7 @@ def kaplan_meier(sample: SurvivalSample) -> KaplanMeierCurve:
         return KaplanMeierCurve(
             steps=(), n_total=n, censor_times=tuple(float(t) for t in times)
         )
-    event_times, event_counts = np.unique(times[sample.events], return_counts=True)
-    at_risk = n - np.searchsorted(times, event_times, side="left")
+    event_times, event_counts, at_risk = _km_counts(sample)
     steps = []
     surv = 1.0
     for t, d, r in zip(event_times, event_counts, at_risk):
@@ -290,7 +303,6 @@ def followup_summary(sample: SurvivalSample, late_window: float | None = None) -
         late_window = DEFAULT_LATE_WINDOW_FRACTION * max_fu if max_fu > 0.0 else 1.0
     if not (late_window > 0.0):
         raise ValidationError(f"late_window must be > 0, got {late_window!r}")
-    curve = kaplan_meier(sample)
     max_event = sample.max_event_time
     plateau = max_fu - max_event if max_event is not None else max_fu
     lo = max_fu - late_window
@@ -301,7 +313,7 @@ def followup_summary(sample: SurvivalSample, late_window: float | None = None) -
         median_followup=float(np.median(sample.times)),
         max_followup=max_fu,
         max_event_time=max_event,
-        km_at_max=km_survival_at(curve, max_fu),
+        km_at_max=_km_tail(sample),
         plateau_length=float(plateau),
         late_event_rate=float(in_window.sum()) / late_window,
         late_window=float(late_window),

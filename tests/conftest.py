@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from curecheck.survival import validate_sample
@@ -14,3 +15,25 @@ def long_followup_sample():
     recs = [((j + 1) / 743 * 10.0, True) for j in range(743)]
     recs += [(17.7248, False)] * 257
     return validate_sample(recs)
+
+
+def demo_arrays(n, seed):
+    """(times, events) from the README demo mechanism, drawn with numpy alone.
+
+    Weibull(0.8, 0.8) latency, 40% cured, administrative censoring at 7.3
+    plus uniform dropout on (0, 14.6); the draw layout of ``curecheck
+    simulate``, so seed s matches ``simulate ... --seed s``.
+    """
+    rng = np.random.default_rng(seed)
+    u_cure, u_latency, u_censor = rng.random(n), rng.random(n), rng.random(n)
+    censor = np.minimum(7.3, 14.6 * u_censor)
+    t_event = 0.8 * np.power(-np.log1p(-u_latency), 1.0 / 0.8)
+    events = (u_cure >= 0.4) & (t_event <= censor)
+    return np.where(events, t_event, censor), events
+
+
+@pytest.fixture(scope="session")
+def plateau_sample():
+    """The benchmark's assess_plateau data: n = 5000, data seed 7."""
+    times, events = demo_arrays(5000, 7)
+    return validate_sample(zip(times.tolist(), events.tolist()))

@@ -25,7 +25,10 @@ from curecheck.models import (
     population_survival,
     wald_intervals,
     _build_cache,
+    _loglik_derivatives,
     _make_objective,
+    _tr_step,
+    _transform,
 )
 from curecheck.survival import validate_sample
 
@@ -426,6 +429,99 @@ def test_exponential_standard_error_matches_observed_information():
     fit = fit_model(sample, FamilySpec("exponential"))
     assert fit.standard_errors[0] == pytest.approx(1.0 / math.sqrt(sample.n_events), rel=1e-6)
 
+    # The Weibull at shape 1 and scale T / d is that exponential MLE.  In
+    # (log shape, log scale), with r = t / scale and u = log r, its score is
+    # (d + sum_events u - sum_all r u, 0) and its information
+    # [[sum_all r (u^2 + u) - sum_events u, -sum_all r u], [-sum_all r u, d]].
+    d, scale = sample.n_events, float(np.sum(sample.times)) / sample.n_events
+    r = sample.times / scale
+    u = np.log(r)
+    _, g, h = _loglik_derivatives(
+        FamilySpec("weibull"), np.array([0.0, math.log(scale)]), _build_cache(sample)
+    )
+    ue, ru = float(np.sum(u[sample.events])), float(r @ u)
+    np.testing.assert_allclose(g, [d + ue - ru, 0.0], rtol=1e-12, atol=1e-9)
+    np.testing.assert_allclose(-h, [[float(r @ (u * u + u)) - ue, -ru], [-ru, d]], rtol=1e-12)
+
+
+def _fd_derivatives(f, x, fx, h=1e-4):
+    """Central-difference gradient and Hessian of f at x, given fx = f(x): the oracle."""
+    n = x.size
+    e = h * np.eye(n)
+    g = np.empty(n)
+    H = np.empty((n, n))
+    for i in range(n):
+        f_up, f_down = f(x + e[i]), f(x - e[i])
+        g[i] = (f_up - f_down) / (2.0 * h)
+        H[i, i] = (f_up - 2.0 * fx + f_down) / (h * h)
+        for j in range(i + 1, n):
+            H[i, j] = H[j, i] = (
+                f(x + e[i] + e[j]) - f(x + e[i] - e[j]) - f(x - e[i] + e[j]) + f(x - e[i] - e[j])
+            ) / (4.0 * h * h)
+    return g, H
+
+
+def _derivative_sample(tied):
+    rng = np.random.default_rng(5)
+    t = rng.weibull(0.9, 400) * 1.3
+    c = rng.uniform(0.0, 4.0, 400)
+    cured = rng.random(400) < 0.35
+    times = np.where(cured, c, np.minimum(t, c))
+    if tied:
+        times = np.ceil(times * 30.0) / 30.0  # a 30-per-unit grid: "days"
+    return validate_sample(zip(times.tolist(), (~cured & (t <= c)).tolist()))
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
+@pytest.mark.parametrize("cure", [False, True], ids=["noncure", "cure"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_analytic_derivatives_match_finite_differences(family, cure, tied):
+    # Three seeded points around the start; for cure specs two of them put
+    # logit c near the lower box edge (-30) and high (4: nearer c = 1 the
+    # oracle's own rounding, about eps / (1 - c) per event, swamps it).
+    # Absolute floors: about five times the stencil's rounding, eps |f| / h
+    # and eps |f| / h^2 at h = 1e-4.
+    sample = _derivative_sample(tied)
+    spec = FamilySpec(family, cure=cure)
+    cache = _build_cache(sample)
+    neg = _make_objective(spec, cache)
+    x0 = _transform(spec, initial_params(spec, sample))
+    rng = np.random.default_rng(FAMILIES.index(family))
+    points = [x0 + rng.uniform(-0.5, 0.5, x0.size) for _ in range(3)]
+    if cure:
+        points[1][0], points[2][0] = -30.0, 4.0
+    for x in points:
+        ll, g, h = _loglik_derivatives(spec, x, cache)
+        fx = neg(x)
+        assert ll == -fx
+        g_fd, h_fd = _fd_derivatives(neg, x, fx)
+        scale = 1.0 + abs(fx)
+        np.testing.assert_allclose(-g, g_fd, rtol=1e-5, atol=1e-11 * scale)
+        np.testing.assert_allclose(-h, h_fd, rtol=1e-5, atol=1e-7 * scale)
+
+
+def test_trust_region_step_is_the_subproblem_minimum():
+    # Random 1-4 dimensional models, definite and indefinite, a seventh of
+    # them in the hard case (gradient orthogonal to the lowest eigenvector):
+    # the step stays in the ball and no sampled point of the ball beats it.
+    rng = np.random.default_rng(3)
+    for trial in range(300):
+        n = int(rng.integers(1, 5))
+        m = rng.normal(size=(n, n))
+        b = m @ m.T + 0.1 * np.eye(n) if trial % 3 == 0 else m + m.T
+        g = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 3)
+        if trial % 7 == 0 and n > 1:
+            v0 = np.linalg.eigh(b)[1][:, 0]
+            g -= (g @ v0) * v0
+        radius = 10.0 ** rng.uniform(-3, 1)
+        s = _tr_step(g, b, radius)
+        assert np.linalg.norm(s) <= radius * (1.0 + 1e-12)
+        u = rng.normal(size=(100, n))
+        u *= (radius * rng.uniform(size=(100, 1)) ** (1.0 / n)) / np.linalg.norm(u, axis=1, keepdims=True)
+        sampled = u @ g + 0.5 * np.einsum("ki,ij,kj->k", u, b, u)
+        scale = np.abs(g).sum() * radius + np.abs(b).sum() * radius**2
+        assert g @ s + 0.5 * s @ b @ s <= sampled.min() + 1e-12 * scale
+
 
 def test_fit_never_worse_than_initializer():
     rng = np.random.default_rng(31)
@@ -642,13 +738,17 @@ def test_wald_intervals_level_validation():
 
 
 def test_wald_intervals_unavailable_without_convergence(monkeypatch):
-    monkeypatch.setattr("curecheck.models._MAX_ITER", 2)
-    monkeypatch.setattr("curecheck.models._RESTARTS", 0)
+    # No trust-region step allowed: the start fails the gradient test, the
+    # simplex fallback runs once, and the trust region still may not step.
+    monkeypatch.setattr("curecheck.models._MAX_ITER", 0)
     rng = np.random.default_rng(4)
     times = rng.exponential(size=100)
     sample = validate_sample([(float(t), True) for t in times])
     fit = fit_model(sample, FamilySpec("weibull"))
     assert not fit.converged
+    assert fit.n_restarts == 1 and fit.n_iter == 0
+    start = log_likelihood(fit.spec, initial_params(fit.spec, sample), sample)
+    assert fit.log_likelihood > start
     iv = wald_intervals(fit)
     assert iv.intervals is None
     assert "did not converge" in iv.diagnostic

@@ -518,6 +518,23 @@ def test_cli_simulate_deterministic(tmp_path, capsys):
     assert s.n == 50
 
 
+def test_cli_assess_keeps_every_fit_on_a_far_plateau(tmp_path, capsys):
+    # Censoring at 1000 puts the gamma survival term Q(k, rate t) far below the
+    # smallest float at the start values; it is evaluated in log space, so
+    # gamma non-cure is fitted like the other nine candidates.
+    data = tmp_path / "plateau.csv"
+    assert main([
+        "simulate", "--family", "exponential", "--params", "1", "--cure-fraction", "0.3",
+        "--censoring", "administrative:1000", "--seed", "3", "--n", "400", "--out", str(data),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["assess", str(data), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["model_table"]) == 10
+    assert all("log_likelihood" in row for row in doc["model_table"])
+    assert not any("fit failed" in note for note in doc["notes"])
+
+
 def test_cli_simulate_truth_record(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     truth = tmp_path / "truth.json"

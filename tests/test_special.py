@@ -18,6 +18,8 @@ from curecheck.special import (
     inv_normal_cdf,
     inv_reg_lower_gamma,
     log_gamma,
+    log_normal_sf,
+    log_reg_upper_gamma,
     normal_cdf,
     normal_sf,
     reg_lower_gamma,
@@ -74,6 +76,13 @@ def test_normal_cdf_and_sf_match_scipy():
     zs = np.linspace(-8.0, 8.0, 321)
     np.testing.assert_allclose(normal_cdf(zs), st.norm.cdf(zs), rtol=1e-10, atol=1e-15)
     np.testing.assert_allclose(normal_sf(zs), st.norm.sf(zs), rtol=1e-10, atol=1e-15)
+
+
+def test_log_normal_sf_matches_scipy_far_into_the_tail():
+    # normal_sf underflows to 0 near z = 38; its log stays finite and accurate.
+    zs = np.concatenate([np.linspace(-8.0, 8.0, 161), np.geomspace(8.0, 1e4, 60)])
+    np.testing.assert_allclose(log_normal_sf(zs), sp.log_ndtr(-zs), rtol=1e-12, atol=1e-15)
+    assert np.all(np.isfinite(log_normal_sf(np.array([40.0, 1e6]))))
 
 
 def test_inv_normal_cdf_round_trip_and_scipy():
@@ -143,6 +152,35 @@ def test_reg_gamma_complement_and_edges():
         reg_lower_gamma(0.0, 1.0)
     with pytest.raises(DomainError):
         reg_lower_gamma(1.0, -1.0)
+
+
+def _log_q_asymptotic(a, x):
+    """log Q(a, x) from the large-x series Q = x^(a-1) e^(-x) / Gamma(a) * sum_k (a-1)...(a-k) / x^k."""
+    term, total = 1.0, 1.0
+    for k in range(1, 40):
+        term *= (a - k) / x
+        total += term
+        if abs(term) < 1e-17 * abs(total):
+            break
+    return (a - 1.0) * math.log(x) - x - sp.gammaln(a) + math.log(total)
+
+
+def test_log_reg_upper_gamma_matches_log_of_q():
+    for a in (0.05, 0.7, 1.0, 3.5, 40.0):
+        xs = np.concatenate([np.geomspace(1e-10, a, 40), np.linspace(a, 700.0, 60)])
+        np.testing.assert_allclose(
+            log_reg_upper_gamma(a, xs), np.log(sp.gammaincc(a, xs)), rtol=1e-10, atol=1e-14
+        )
+        assert log_reg_upper_gamma(a, 0.0) == 0.0
+
+
+def test_log_reg_upper_gamma_is_finite_where_q_underflows():
+    # Q(a, x) rounds to 0 from x ~ 745 on; its log stays finite and accurate.
+    for a in (0.3, 1.0, 2.5, 9.0):
+        xs = np.array([800.0, 1500.0, 1e4, 1e6])
+        assert np.all(reg_upper_gamma(a, xs) == 0.0)
+        want = [_log_q_asymptotic(a, float(x)) for x in xs]
+        np.testing.assert_allclose(log_reg_upper_gamma(a, xs), want, rtol=1e-13)
 
 
 def test_inv_reg_lower_gamma_round_trip():

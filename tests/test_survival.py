@@ -9,6 +9,7 @@ from curecheck.errors import DomainError, ValidationError
 from curecheck.survival import (
     DEFAULT_LATE_WINDOW_FRACTION,
     KaplanMeierCurve,
+    _km_tail,
     followup_summary,
     kaplan_meier,
     km_survival_at,
@@ -186,6 +187,23 @@ def test_km_matches_brute_force_bitwise():
             assert step.n_at_risk == r
             assert step.n_events == d
             assert step.survival == surv  # bitwise
+
+
+def test_km_tail_equals_final_survival_bitwise(plateau_sample):
+    # The cure start's KM tail skips building the curve; it must not move a bit,
+    # on continuous data, on the same data in integer days, and on small tied
+    # samples.
+    days = np.ceil(np.array(plateau_sample.times) * 365.25)
+    day_sample = validate_sample(zip(days.tolist(), plateau_sample.events.tolist()))
+    assert np.unique(day_sample.times).size < day_sample.n / 2
+    rng = np.random.default_rng(8)
+    small = [
+        validate_sample(zip((rng.integers(0, 12, size=n) * 0.5).tolist(), (rng.random(n) < 0.6).tolist()))
+        for n in rng.integers(1, 51, size=200)
+    ]
+    all_censored = validate_sample([(1.0, False), (2.0, False)])
+    for sample in [plateau_sample, day_sample, all_censored] + small:
+        assert _km_tail(sample) == kaplan_meier(sample).final_survival
 
 
 def test_km_equals_empirical_survivor_without_censoring():
