@@ -23,10 +23,12 @@ with a trust-region Newton method from ``initial_params``: each step solves
 the quadratic model exactly within the trust radius, and the radius follows
 the ratio of actual to predicted gain.  A fit has converged when every
 gradient component is within 1e-8 in absolute value.  Scores and second
-derivatives are closed form: each family gives its event term and its
-log S0 at every distinct censoring time with their derivatives in the log
-parameters (the gamma shape alone by a central difference in log k), and
-one shared cure layer chains them through the mixture and logit c.  Their
+derivatives are exact, with no finite differences, so their rounding stays
+far below that tolerance even for millions of records: each family gives
+its event term and its log S0 at every distinct censoring time with their
+derivatives in the log parameters (the gamma shape through digamma and the
+shape derivatives of the incomplete gamma integral), and one shared cure
+layer chains them through the mixture and logit c.  Their
 Hessian at the returned point is the observed information behind the
 standard errors.  A trust region that does not converge gets one
 Nelder-Mead simplex run from its best point and then runs again.  The
@@ -45,6 +47,8 @@ import numpy as np
 from .errors import DomainError, FitError
 from .neldermead import minimize_simplex
 from .special import (
+    _digamma_trigamma,
+    _log_reg_upper_gamma_shape,
     inv_normal_cdf,
     inv_reg_lower_gamma,
     log_gamma,
@@ -54,7 +58,6 @@ from .special import (
 from .survival import SurvivalSample, _km_tail
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_SHAPE_STEP = 5e-4  # central-difference step in log(gamma shape)
 
 
 # ---------------------------------------------------------------------------
@@ -202,28 +205,25 @@ class _Gamma(_Family):
         return log_reg_upper_gamma(shape, rate * t)
 
     def derivatives(self, cache, shape, rate):
-        # Rate: closed form through x r = x g(k, x) / Q(k, x), with g the
-        # Gamma(k, 1) density at x = rate t.  Shape: central differences in
-        # log k of log Q, of x r and of log Gamma(k), so no digamma is needed.
-        h = _SHAPE_STEP
-        shapes = (shape, shape * math.exp(h), shape * math.exp(-h))
-        lg = [log_gamma(k) for k in shapes]
+        # Rate: through x r = x g(k, x) / Q(k, x), with g the Gamma(k, 1)
+        # density at x = rate t.  Shape: log Gamma(k) through digamma and
+        # trigamma, log Q through its exact derivatives in k.
+        psi, psi1 = _digamma_trigamma(shape)
         n, log_rate = cache.n_events, math.log(rate)
-        a = n * log_rate + cache.sum_log_te
+        a = n * log_rate + cache.sum_log_te - n * psi
         bt = rate * cache.sum_te
-        ev_g = np.array([shape * a - n * (lg[1] - lg[2]) / (2.0 * h), n * shape - bt])
-        ev_uu = shape * a - n * (lg[1] - 2.0 * lg[0] + lg[2]) / (h * h)
-        ev_h = np.array([[ev_uu, n * shape], [n * shape, -bt]])
+        ev_g = np.array([shape * a, n * shape - bt])
+        ev_h = np.array([[shape * a - n * shape * shape * psi1, n * shape], [n * shape, -bt]])
         x, log_x = rate * cache.tc, log_rate + cache.log_tc
-        lq = [self.log_sf(cache.tc, cache.log_tc, k, rate) for k in shapes]
-        xr = [np.exp(k * log_x - x - g - q) for k, g, q in zip(shapes, lg, lq)]
-        ls_g = np.stack([(lq[1] - lq[2]) / (2.0 * h), -xr[0]], -1)
+        lq, q1, q2 = _log_reg_upper_gamma_shape(shape, x)
+        xr = np.exp(shape * log_x - x - log_gamma(shape) - lq)
+        ls_g = np.stack([shape * q1, -xr], -1)
         ls_h = _stack_hessian(
-            (lq[1] - 2.0 * lq[0] + lq[2]) / (h * h),
-            -(xr[1] - xr[2]) / (2.0 * h),
-            xr[0] * (x - shape - xr[0]),
+            shape * q1 + shape * shape * q2,
+            -shape * xr * (log_x - psi - q1),
+            xr * (x - shape - xr),
         )
-        return self.log_pdf_sum(cache, shape, rate), ev_g, ev_h, lq[0], ls_g, ls_h
+        return self.log_pdf_sum(cache, shape, rate), ev_g, ev_h, lq, ls_g, ls_h
 
     def quantile(self, u, shape, rate):
         return inv_reg_lower_gamma(shape, u) / rate

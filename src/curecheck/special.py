@@ -8,7 +8,8 @@ one vectorized solver inverts on all levels at once.
 
 Accuracy: erfc and log_gamma are good to ~1e-14 relative; the
 incomplete gamma iterates to machine tolerance with a documented
-target of 1e-12 relative; gamma quantiles are solved to 1e-10 relative.
+target of 1e-12 relative, and so do its derivatives in the shape, which
+the gamma fits use; gamma quantiles are solved to 1e-10 relative.
 The test suite checks all of them against scipy and brute-force quadrature.
 """
 
@@ -183,7 +184,25 @@ def log_normal_sf(z):
 _MAX_INC_GAMMA_ITER = 600
 
 
-def _inc_gamma(a: float, x: np.ndarray):
+def _digamma_trigamma(a: float) -> tuple[float, float]:
+    """(psi(a), psi'(a)) for a > 0: the recurrence up to a >= 10, then the
+    asymptotic series through the x^-12 and x^-13 terms (~1e-15 relative)."""
+    psi = psi1 = 0.0
+    while a < 10.0:
+        psi -= 1.0 / a
+        psi1 += 1.0 / (a * a)
+        a += 1.0
+    f = 1.0 / (a * a)
+    psi += math.log(a) - 0.5 / a - f * (
+        1.0 / 12 - f * (1.0 / 120 - f * (1.0 / 252 - f * (1.0 / 240 - f * (1.0 / 132 - f * 691.0 / 32760))))
+    )
+    psi1 += 1.0 / a + 0.5 * f + f / a * (
+        1.0 / 6 - f * (1.0 / 30 - f * (1.0 / 42 - f * (1.0 / 30 - f * (5.0 / 66 - f * 691.0 / 2730))))
+    )
+    return psi, psi1
+
+
+def _inc_gamma(a: float, x: np.ndarray, shape_derivatives: bool = False):
     """The series and continued-fraction pieces of the incomplete gamma pair.
 
     For scalar a > 0 and array x >= 0 returns (x, ser, cfm, log_pref, s):
@@ -192,6 +211,11 @@ def _inc_gamma(a: float, x: np.ndarray):
     exp(log_pref) * s where ``cfm`` (x >= a + 1, Lentz continued fraction);
     x = 0 is in neither.  Both are iterated to machine tolerance (capped at
     600 terms).
+
+    With ``shape_derivatives`` it also returns (d1, d2), the first and second
+    derivatives in a of log s, carried through the same loops (forward-mode,
+    as in Moore's AS 187): the series terms x^n / (a (a+1) ... (a+n)) and
+    the Lentz factors are differentiated as they are formed.
     """
     if not (a > 0.0) or not math.isfinite(a):
         raise DomainError(f"incomplete gamma requires a > 0, got {a!r}")
@@ -200,6 +224,8 @@ def _inc_gamma(a: float, x: np.ndarray):
         raise DomainError("incomplete gamma requires x >= 0")
     log_pref = np.zeros_like(x)
     s = np.zeros_like(x)
+    d1 = np.zeros_like(x)
+    d2 = np.zeros_like(x)
     lg = log_gamma(a)
     nonzero = x > 0.0
     ser = nonzero & (x < a + 1.0)
@@ -207,6 +233,11 @@ def _inc_gamma(a: float, x: np.ndarray):
         xs = x[ser]
         term = np.full_like(xs, 1.0 / a)
         total = term.copy()
+        if shape_derivatives:
+            # d term_n / da = -term_n H_n and d2 = term_n (H_n^2 + G_n), with
+            # H_n, G_n the sums of 1/(a+j) and 1/(a+j)^2 over j <= n.
+            hn, gn = 1.0 / a, 1.0 / (a * a)
+            s1, s2 = -term * hn, term * (hn * hn + gn)
         # Elements converge at very different speeds (slowest near x ~ a);
         # keep iterating only the unconverged ones.
         active = np.arange(xs.size)
@@ -215,6 +246,11 @@ def _inc_gamma(a: float, x: np.ndarray):
             ak += 1.0
             term[active] *= xs[active] / ak
             total[active] += term[active]
+            if shape_derivatives:
+                hn += 1.0 / ak
+                gn += 1.0 / (ak * ak)
+                s1[active] -= term[active] * hn
+                s2[active] += term[active] * (hn * hn + gn)
             done = np.abs(term[active]) <= np.abs(total[active]) * 1e-16
             if done.any():
                 active = active[~done]
@@ -222,6 +258,9 @@ def _inc_gamma(a: float, x: np.ndarray):
                     break
         log_pref[ser] = -xs + a * np.log(xs) - lg
         s[ser] = total
+        if shape_derivatives:
+            d1[ser] = s1 / total
+            d2[ser] = s2 / total - d1[ser] ** 2
     cfm = nonzero & ~ser
     if cfm.any():
         xc = x[cfm]
@@ -230,6 +269,15 @@ def _inc_gamma(a: float, x: np.ndarray):
         c = np.full_like(xc, 1.0 / tiny)
         d = 1.0 / b
         h = d.copy()
+        if shape_derivatives:
+            # Derivatives in a of d and c (db/da = -1, d an/da = i) and of
+            # log h, the sum of log(c d) over the Lentz steps.  h stops
+            # changing once its step is 1 to machine precision, as without
+            # derivatives; the derivative sums may need more steps.
+            e1, e2 = d * d, 2.0 * d**3
+            c1, c2 = np.zeros_like(xc), np.zeros_like(xc)
+            l1, l2 = d.copy(), d * d
+            settled = np.zeros(xc.size, dtype=bool)
         active = np.arange(xc.size)
         for i in range(1, _MAX_INC_GAMMA_ITER):
             an = -i * (i - a)
@@ -240,16 +288,37 @@ def _inc_gamma(a: float, x: np.ndarray):
             ca = np.where(np.abs(ca) < tiny, tiny, ca)
             da = 1.0 / da
             delta = da * ca
+            if shape_derivatives:
+                cp = c[active]
+                r1, r2 = c1[active] / cp, c2[active] / cp
+                u1 = i * d[active] + an * e1[active] - 1.0  # derivatives of 1 / da
+                u2 = 2.0 * i * e1[active] + an * e2[active]
+                ca1 = -1.0 + (i - an * r1) / cp
+                ca2 = (-2.0 * i * r1 + an * (2.0 * r1 * r1 - r2)) / cp
+                p_d, p_c = -da * u1, ca1 / ca
+                l1[active] += p_d + p_c
+                l2[active] += p_d * p_d - da * u2 + ca2 / ca - p_c * p_c
+                e1[active], e2[active] = p_d * da, da * da * (2.0 * da * u1 * u1 - u2)
+                c1[active], c2[active] = ca1, ca2
+                h[active] *= np.where(settled[active], 1.0, delta)
+                settled[active] |= np.abs(delta - 1.0) <= 1e-16
+                # At integer a the fraction ends (an = 0) but its derivative does not.
+                done = settled[active] & (np.abs(p_d + p_c) <= 1e-16 * (1.0 + np.abs(l1[active])))
+            else:
+                h[active] *= delta
+                done = np.abs(delta - 1.0) <= 1e-16
             d[active] = da
             c[active] = ca
-            h[active] *= delta
-            done = np.abs(delta - 1.0) <= 1e-16
             if done.any():
                 active = active[~done]
                 if active.size == 0:
                     break
         log_pref[cfm] = -xc + a * np.log(xc) - lg
         s[cfm] = h
+        if shape_derivatives:
+            d1[cfm], d2[cfm] = l1, l2
+    if shape_derivatives:
+        return x, ser, cfm, log_pref, s, (d1, d2)
     return x, ser, cfm, log_pref, s
 
 
@@ -293,6 +362,30 @@ def log_reg_upper_gamma(a: float, x):
         out[ser] = np.log1p(-np.exp(log_pref[ser]) * s[ser])
     out[cfm] = log_pref[cfm] + np.log(s[cfm])
     return float(out[0]) if scalar else out
+
+
+def _log_reg_upper_gamma_shape(a: float, x: np.ndarray):
+    """log Q(a, x) on a 1-D array with its first and second derivatives in a.
+
+    Where Q is a continued fraction they are those of log_pref + log s;
+    on the series branch those of log P turn into log Q's through Q = 1 - P.
+    """
+    x, ser, cfm, log_pref, s, (d1, d2) = _inc_gamma(a, x, shape_derivatives=True)
+    psi, psi1 = _digamma_trigamma(a)
+    nonzero = ser | cfm
+    log_x = np.log(np.where(nonzero, x, 1.0))
+    g1 = np.where(nonzero, log_x - psi + d1, 0.0)
+    g2 = np.where(nonzero, d2 - psi1, 0.0)
+    out = np.zeros_like(x)
+    with np.errstate(under="ignore"):
+        p = np.exp(log_pref[ser]) * s[ser]
+    out[ser] = lq = np.log1p(-p)
+    out[cfm] = log_pref[cfm] + np.log(s[cfm])
+    p_over_q = p / np.exp(lq)
+    q1 = -p_over_q * g1[ser]
+    g2[ser] = -p_over_q * (g2[ser] + g1[ser] ** 2) - q1 * q1
+    g1[ser] = q1
+    return out, g1, g2
 
 
 _SOLVE_MAX_STEPS = 100

@@ -1,6 +1,6 @@
-import numpy as np
 import pytest
 
+from curecheck.simulate import CompositeCensoring, SimulationConfig, simulate_mixture
 from curecheck.survival import validate_sample
 
 
@@ -17,23 +17,13 @@ def long_followup_sample():
     return validate_sample(recs)
 
 
-def demo_arrays(n, seed):
-    """(times, events) from the README demo mechanism, drawn with numpy alone.
-
-    Weibull(0.8, 0.8) latency, 40% cured, administrative censoring at 7.3
-    plus uniform dropout on (0, 14.6); the draw layout of ``curecheck
-    simulate``, so seed s matches ``simulate ... --seed s``.
-    """
-    rng = np.random.default_rng(seed)
-    u_cure, u_latency, u_censor = rng.random(n), rng.random(n), rng.random(n)
-    censor = np.minimum(7.3, 14.6 * u_censor)
-    t_event = 0.8 * np.power(-np.log1p(-u_latency), 1.0 / 0.8)
-    events = (u_cure >= 0.4) & (t_event <= censor)
-    return np.where(events, t_event, censor), events
-
-
 @pytest.fixture(scope="session")
 def plateau_sample():
-    """The benchmark's assess_plateau data: n = 5000, data seed 7."""
-    times, events = demo_arrays(5000, 7)
-    return validate_sample(zip(times.tolist(), events.tolist()))
+    """The benchmark's assess_plateau data: the README demo mechanism
+    (Weibull(0.8, 0.8) latency, 40% cured, administrative censoring at 7.3
+    plus uniform dropout on (0, 14.6)) at n = 5000, data seed 7."""
+    config = SimulationConfig(
+        n=5000, cure_fraction=0.4, family="weibull", latency=(0.8, 0.8),
+        censoring=CompositeCensoring(time=7.3, dropout_maximum=14.6), seed=7,
+    )
+    return simulate_mixture(config)[0]

@@ -30,7 +30,7 @@ from curecheck.models import (
     _tr_step,
     _transform,
 )
-from curecheck.survival import validate_sample
+from curecheck.survival import _canonical_sample, validate_sample
 
 # scipy frozen-distribution builders matching each family's parameterization
 _SCIPY = {
@@ -620,6 +620,19 @@ def test_fit_gradient_vanishes_at_optimum():
         xm[i] -= h
         grad.append((f(xp) - f(xm)) / (2 * h))
     assert max(abs(g) for g in grad) < 1e-3
+
+
+def test_fits_converge_on_a_very_large_tied_sample(plateau_sample):
+    # Every record of the plateau data 200 times over: n = 1 000 000 on the
+    # same distinct times.  Rounding in the scores grows with the record
+    # count, not with the number of distinct times; it must stay below the
+    # absolute gradient tolerance, so that every fit converges by
+    # trust-region steps alone, with no simplex fallback.
+    big = _canonical_sample(np.repeat(plateau_sample.times, 200), np.repeat(plateau_sample.events, 200))
+    for family in FAMILIES:
+        for cure in (False, True):
+            fit = fit_model(big, FamilySpec(family, cure=cure))
+            assert fit.converged and fit.n_restarts == 0 and fit.n_iter <= 20, fit.spec.label
 
 
 def test_fits_are_optima_on_day_granular_short_followup():

@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 from scipy import special as sp
 from scipy import stats as st
+from scipy.integrate import quad
 
 from curecheck.errors import DomainError
 from curecheck.special import (
+    _digamma_trigamma,
+    _log_reg_upper_gamma_shape,
     chi2_sf_1df,
     erfc,
     inv_normal_cdf,
@@ -181,6 +184,44 @@ def test_log_reg_upper_gamma_is_finite_where_q_underflows():
         assert np.all(reg_upper_gamma(a, xs) == 0.0)
         want = [_log_q_asymptotic(a, float(x)) for x in xs]
         np.testing.assert_allclose(log_reg_upper_gamma(a, xs), want, rtol=1e-13)
+
+
+def test_digamma_trigamma_match_scipy():
+    for a in (1e-3, 0.05, 0.7, 1.0, 2.5, 9.99, 10.0, 37.3, 1e4):
+        psi, psi1 = _digamma_trigamma(a)
+        assert psi == pytest.approx(sp.digamma(a), rel=1e-13), a
+        assert psi1 == pytest.approx(sp.polygamma(1, a), rel=1e-13), a
+
+
+def _log_q_shape_oracle(a, x):
+    """d/da log Q(a, x) and d2/da2 by quadrature: for T ~ Gamma(a, 1) they are
+    E[log T | T > x] - psi(a) and Var[log T | T > x] - psi'(a)."""
+    peak = max(x, a - 1.0)  # scales the weight to at most 1 on (x, inf)
+
+    def moment(f):
+        def integrand(t):
+            return math.exp((a - 1.0) * math.log(t / peak) - (t - peak)) * f(t)
+
+        opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+        return quad(integrand, x, x + 1.0, **opts)[0] + quad(integrand, x + 1.0, math.inf, **opts)[0]
+
+    m0 = moment(lambda t: 1.0)
+    mean = moment(math.log) / m0
+    var = moment(lambda t: (math.log(t) - mean) ** 2) / m0
+    return mean - sp.digamma(a), var - sp.polygamma(1, a)
+
+
+def test_log_reg_upper_gamma_shape_derivatives_match_quadrature():
+    # Both branches, the far tail where Q underflows, and integer shapes,
+    # where the continued fraction ends but its derivative does not.  The
+    # value is log_reg_upper_gamma's, bit for bit.
+    for a in (0.3, 1.0, 2.5, 10.0):
+        xs = np.array([1e-3, 0.5 * a, a + 0.5, a + 1.0, 3.0 * a + 2.0, 60.0, 900.0])
+        lq, d1, d2 = _log_reg_upper_gamma_shape(a, xs)
+        assert np.array_equal(lq, log_reg_upper_gamma(a, xs))
+        want = np.array([_log_q_shape_oracle(a, float(x)) for x in xs])
+        np.testing.assert_allclose(d1, want[:, 0], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(d2, want[:, 1], rtol=1e-10, atol=1e-12)
 
 
 def test_inv_reg_lower_gamma_round_trip():
