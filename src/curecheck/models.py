@@ -30,11 +30,12 @@ derivatives in the log parameters (the gamma shape through digamma and the
 shape derivatives of the incomplete gamma integral), and one shared cure
 layer chains them through the mixture and logit c.  Their
 Hessian at the returned point is the observed information behind the
-standard errors.  A trust region that does not converge gets one
-Nelder-Mead simplex run from its best point and then runs again.  The
-likelihood is evaluated once per distinct (time, event) pair, each term
-weighted by the number of records that share it, and in log space
-throughout, so far-tail survival never underflows to log 0.
+standard errors.  A trust region that does not converge returns its best
+point with ``converged=False``; the assessment names such a fit in its
+notes and never selects it.  The likelihood is evaluated once per
+distinct (time, event) pair, each term weighted by the number of records
+that share it, and in log space throughout, so far-tail survival never
+underflows to log 0.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError
-from .neldermead import minimize_simplex
 from .special import (
     _digamma_trigamma,
     _log_reg_upper_gamma_shape,
@@ -575,7 +575,6 @@ class ModelFit:
     n_events: int
     converged: bool
     n_iter: int
-    n_restarts: int
     standard_errors: tuple[float, ...] | None = None
     se_diagnostic: str | None = None
 
@@ -625,18 +624,6 @@ def _untransform(spec: FamilySpec, x: np.ndarray) -> Params:
     return Params(latency=latency, cure_fraction=cure_fraction)
 
 
-def _make_objective(spec: FamilySpec, cache: _LikCache):
-    def neg_loglik(x: np.ndarray) -> float:
-        params = _untransform(spec, x)
-        try:
-            ll = _loglik_value(spec, params, cache)
-        except DomainError:
-            return math.inf
-        return -ll if math.isfinite(ll) else math.inf
-
-    return neg_loglik
-
-
 def initial_params(spec: FamilySpec, sample: SurvivalSample) -> Params:
     """Method-of-moments-flavored starting values; cure from the KM plateau."""
     te = sample.times[sample.events]
@@ -672,8 +659,9 @@ def _tr_step(g: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     a = v.T @ g
     if lam[0] > 0.0:
         s = -(v @ (a / lam))
-        if np.linalg.norm(s) <= radius:
-            return s
+        with np.errstate(over="ignore"):  # a step whose norm overflows lies outside
+            if np.linalg.norm(s) <= radius:
+                return s
     # |s(mu)| > radius below the root, |s(mu)| <= radius from `above` on.
     below = max(0.0, -lam[0])
     above = mu = below + float(np.linalg.norm(g)) / radius
@@ -694,7 +682,7 @@ def _tr_step(g: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
             mu = 0.5 * (below + above)
     s = -(v @ (a / (lam + mu)))
     gap = radius * radius - float(s @ s)
-    if gap < 0.0:
+    if gap <= 0.0:
         return s * (radius / math.sqrt(float(s @ s)))
     along = float(s @ v[:, 0])  # the root of |s + tau v0| = radius nearer 0
     return s + math.copysign(gap / (math.sqrt(along * along + gap) + abs(along)), along) * v[:, 0]
@@ -764,14 +752,6 @@ def fit_model(sample: SurvivalSample, spec: FamilySpec) -> ModelFit:
         raise FitError(f"initial parameters give a non-finite {spec.label} likelihood")
 
     x, point, n_iter, converged = _trust_region(spec, cache, x, point)
-    n_restarts = 0
-    if not converged:
-        # Fallback: one simplex run from the best point, then the trust region again.
-        n_restarts = 1
-        x = minimize_simplex(_make_objective(spec, cache), x, step=0.25).x
-        point = _loglik_derivatives(spec, x, cache)
-        x, point, more, converged = _trust_region(spec, cache, x, point)
-        n_iter += more
 
     ll, _, h = point
     se, se_diag = _standard_errors(-h)
@@ -785,7 +765,6 @@ def fit_model(sample: SurvivalSample, spec: FamilySpec) -> ModelFit:
         n_events=sample.n_events,
         converged=converged,
         n_iter=n_iter,
-        n_restarts=n_restarts,
         standard_errors=se,
         se_diagnostic=se_diag,
     )

@@ -163,7 +163,6 @@ def _fake_fit(spec, aic):
         n_events=60,
         converged=True,
         n_iter=10,
-        n_restarts=0,
     )
 
 
@@ -347,8 +346,8 @@ def test_assessment_reports_unconverged_rows(monkeypatch):
 
 def test_plateau_assess_stays_within_its_evaluation_budget(plateau_sample, monkeypatch):
     # Counts, not seconds, so the guard holds on any host: on the benchmark's
-    # plateau data every fit converges by trust-region steps alone, and the
-    # incomplete-gamma kernel runs at most 100 times per assessment.
+    # plateau data every fit converges within 40 trust-region iterations, and
+    # the incomplete-gamma kernel runs at most 100 times per assessment.
     from curecheck import special
 
     calls = []
@@ -362,7 +361,6 @@ def test_plateau_assess_stays_within_its_evaluation_budget(plateau_sample, monke
     a = receus_assess(plateau_sample)
     for row in a.model_table:
         assert row.converged, row.spec.label
-        assert row.fit.n_restarts == 0, row.spec.label
         assert row.fit.n_iter <= 40, row.spec.label
     assert len(calls) <= 100
 

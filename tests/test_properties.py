@@ -1,16 +1,23 @@
-"""Cross-cutting invariants: unit changes must not change decisions.
+"""Cross-cutting invariants: unit changes must not change decisions, and
+every valid sample gets a verdict or a named error.
 
 Time units are arbitrary (days vs years), so every decision-level output
 has to be invariant under rescaling of the time axis, and the likelihood
 must shift by exactly the Jacobian term -n_events * log(c).
 """
 
+import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from curecheck.assessment import AssessmentConfig, receus_assess
+from curecheck.assessment import VERDICTS, AssessmentConfig, receus_assess
+from curecheck.cli import main, write_csv
+from curecheck.errors import CurecheckError
 from curecheck.models import (
     FAMILIES,
     FamilySpec,
@@ -20,6 +27,7 @@ from curecheck.models import (
     log_likelihood,
     wald_intervals,
 )
+from curecheck.report import build_report, render_json, report_schema
 from curecheck.simulate import (
     CompositeCensoring,
     SimulationConfig,
@@ -124,6 +132,70 @@ def test_verdict_invariant_under_twenty_random_rescalings(mixed_sample):
         assert other.followup_test.n_n == base.followup_test.n_n, c
         assert other.followup_test.alpha_n == base.followup_test.alpha_n, c  # bitwise
         assert other.cure_fraction == pytest.approx(base.cure_fraction, abs=1e-4), c
+
+
+# Two small samples whose assessment once ended in a ZeroDivisionError: in A
+# a Nelder-Mead fallback (since removed) walked a lognormal fit's log sigma
+# past the exp clamp, in B a gamma-cure trust-region step landed exactly on
+# the radius in the hard case.
+_SAMPLE_A = (
+    [(0.01, 0)] * 2 + [(0.3433333333333333, 0)] * 4 + [(0.6766666666666666, 0)] * 2
+    + [(1.01, 0)] + [(1.3433333333333333, 0)] * 2 + [(2.3433333333333333, 0)] * 2
+    + [(2.6766666666666663, 1)]
+)
+_SAMPLE_B = [
+    (0.08714019512583303, 1), (0.3625416831006345, 0),
+    (3.511760441665993, 0), (654.0859663609416, 0),
+]
+
+_SMALL_TIMES = {
+    "exponential": lambda rng, n: rng.exponential(size=n),
+    "exponential in thirds": lambda rng, n: np.round(3.0 * rng.exponential(size=n)) / 3.0 + 0.01,
+    "lognormal(0, 3)": lambda rng, n: rng.lognormal(0.0, 3.0, n),
+    "uniform^4 at a scale in 1e-6..1e6": (
+        lambda rng, n: rng.uniform(size=n) ** 4 * 10.0 ** rng.uniform(-6.0, 6.0)
+    ),
+}
+
+
+@st.composite
+def _small_samples(draw):
+    """3-39 records: ties, far spreads and extreme scales; 5-100% events, at least one."""
+    n = draw(st.integers(3, 39))
+    times = draw(st.sampled_from(sorted(_SMALL_TIMES)))
+    event_fraction = draw(st.floats(0.05, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = _SMALL_TIMES[times](rng, n)
+    events = rng.random(n) < event_fraction
+    events[rng.integers(n)] = True
+    return list(zip(t.tolist(), events.tolist()))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the CLI would print them
+# On a failure hypothesis imports libcst to print the example as a patch, and
+# that import warns; as an error it would hide the failure behind an internal one.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(records=_small_samples())
+@example(records=_SAMPLE_A)
+@example(records=_SAMPLE_B)
+def test_small_samples_get_a_verdict_or_a_named_error(records):
+    try:
+        assessment = receus_assess(validate_sample(records))
+    except CurecheckError:
+        return
+    assert assessment.verdict in VERDICTS
+    doc = json.loads(render_json(build_report(assessment, label="property")))
+    jsonschema.validate(doc, report_schema())
+
+
+@pytest.mark.parametrize("records", [_SAMPLE_A, _SAMPLE_B], ids=["A", "B"])
+def test_cli_assess_reports_on_small_degenerate_samples(records, tmp_path, capsys):
+    path = tmp_path / "small.csv"
+    write_csv(validate_sample(records), str(path))
+    code = main(["assess", str(path), "--format", "json"])
+    assert code in (0, 2)
+    jsonschema.validate(json.loads(capsys.readouterr().out), report_schema())
 
 
 def test_internal_identities(mixed_sample):
