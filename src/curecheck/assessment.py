@@ -12,13 +12,18 @@ The procedure:
         tau — small values (default < 0.05) mean nearly everyone still at
         risk is cured, so a cure model is appropriate.
 
-The Maller-Zhou follow-up test and a nonparametric follow-up summary are
-attached to the result for side-by-side reporting, but the verdict field
-is driven by steps (i)-(iv) alone; disagreements are surfaced as notes.
+The fits of step (i) are made once, by ``_fit_rows``.  The same rows give
+the cure-vs-non-cure deviance test of the selected family
+(``deviance_cure_test`` runs that pipeline on one family alone).  The
+Maller-Zhou follow-up test, a nonparametric follow-up summary and the
+deviance test are attached to the result for side-by-side reporting, but
+the verdict field is driven by steps (i)-(iv) alone; disagreements are
+surfaced as notes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .diagnostics import FollowUpTest, alpha_n_test
@@ -32,6 +37,7 @@ from .models import (
     fit_model,
     latency_survival,
 )
+from .special import chi2_sf_1df
 from .survival import FollowUpSummary, SurvivalSample, followup_summary
 
 VERDICT_APPROPRIATE = "appropriate"
@@ -69,10 +75,10 @@ class AssessmentConfig:
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise DomainError(f"{name} must lie strictly in (0, 1), got {v!r}")
-        if self.tau is not None and not self.tau > 0.0:
-            raise DomainError(f"tau must be > 0, got {self.tau!r}")
-        if self.late_window is not None and not self.late_window > 0.0:
-            raise DomainError(f"late_window must be > 0, got {self.late_window!r}")
+        for name in ("tau", "late_window"):
+            v = getattr(self, name)
+            if v is not None and not (v > 0.0 and math.isfinite(v)):
+                raise DomainError(f"{name} must be finite and > 0, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -87,11 +93,28 @@ class ModelTableRow:
 
 
 @dataclass(frozen=True)
+class DevianceTest:
+    """Cure vs non-cure fit of one family: the boundary deviance test.
+
+    When either fit failed or did not converge the statistic fields are
+    absent and ``diagnostic`` says why, naming the non-cure fit first.
+    """
+
+    family: str
+    deviance: float | None = None
+    deviance_p_value: float | None = None
+    diagnostic: str | None = None
+    cure_fit: ModelFit | None = None
+    noncure_fit: ModelFit | None = None
+
+
+@dataclass(frozen=True)
 class CureAssessment:
     """Full assessment output: comparison table, verdict, and follow-up checks."""
 
     model_table: tuple[ModelTableRow, ...]
     selected: ModelFit
+    deviance_test: DevianceTest
     cure_model_selected: bool
     cure_fraction: float | None
     s0_at_tau: float | None
@@ -118,16 +141,11 @@ def verdict_from_flags(cure_model_selected: bool, cure_fraction_pass: bool, r_pa
     return VERDICT_APPROPRIATE
 
 
-def select_model_by_aic(
-    sample: SurvivalSample,
-    families: tuple[str, ...] = FAMILIES,
-) -> tuple[tuple[ModelTableRow, ...], ModelFit]:
-    """Fit cure and non-cure variants of each family; pick the lowest AIC.
+def _fit_rows(sample: SurvivalSample, families: tuple[str, ...]) -> tuple[ModelTableRow, ...]:
+    """Fit the non-cure and cure variant of each family, one row per spec.
 
-    Every candidate gets a table row even when its fit fails or does not
-    converge; only converged fits can be selected.  AIC ties (within 1e-12)
-    go to the candidate with fewer parameters, then to the earlier family in
-    ``FAMILIES`` order.
+    A fit that raises a ``CurecheckError`` becomes a row with ``error`` set;
+    any other exception is a bug and propagates.
     """
     rows: list[ModelTableRow] = []
     for family in families:
@@ -143,7 +161,22 @@ def select_model_by_aic(
             rows.append(
                 ModelTableRow(spec=spec, aic=fit.aic, converged=fit.converged, fit=fit)
             )
-    return tuple(rows), _select_from_rows(rows).fit  # type: ignore[return-value]
+    return tuple(rows)
+
+
+def select_model_by_aic(
+    sample: SurvivalSample,
+    families: tuple[str, ...] = FAMILIES,
+) -> tuple[tuple[ModelTableRow, ...], ModelFit]:
+    """Fit cure and non-cure variants of each family; pick the lowest AIC.
+
+    Every candidate gets a table row even when its fit fails or does not
+    converge; only converged fits can be selected.  AIC ties (within 1e-12)
+    go to the candidate with fewer parameters, then to the earlier family in
+    ``FAMILIES`` order.
+    """
+    rows = _fit_rows(sample, families)
+    return rows, _select_from_rows(rows).fit  # type: ignore[return-value]
 
 
 def _select_from_rows(rows: list[ModelTableRow] | tuple[ModelTableRow, ...]) -> ModelTableRow:
@@ -183,9 +216,44 @@ def receus_components(
     return s0, s, s0 / s
 
 
-def receus_ratio(fit: ModelFit, tau: float) -> tuple[float, float, float]:
-    """(S0(tau), S(tau), r_hat) evaluated at a fitted cure model's estimates."""
-    return receus_components(fit.spec, fit.params, tau)
+def deviance_from_fits(cure_fit: ModelFit, noncure_fit: ModelFit) -> tuple[float, float]:
+    """(d, p): the boundary deviance statistic of a cure fit against its non-cure fit.
+
+    d = max(0, 2 (loglik_cure - loglik_noncure)).  The non-cure model sits on
+    the boundary (cure fraction 0) of the cure model, so the null
+    distribution is the mixture 0.5 chi2_0 + 0.5 chi2_1 (Self & Liang 1987)
+    and the p-value is p = 0.5 * P(chi2_1 >= d).
+    """
+    d = max(0.0, 2.0 * (cure_fit.log_likelihood - noncure_fit.log_likelihood))
+    return d, 0.5 * chi2_sf_1df(d)
+
+
+def _deviance_test(rows: tuple[ModelTableRow, ...], family: str) -> DevianceTest:
+    """The deviance test of ``family`` read off its two table rows."""
+    by_spec = {r.spec: r for r in rows}
+    fits: dict[bool, ModelFit] = {}
+    for cure in (False, True):
+        row = by_spec[FamilySpec(family, cure=cure)]
+        if row.error is not None:
+            return DevianceTest(family, diagnostic=f"{row.spec.label} fit failed: {row.error}")
+        if not row.converged:
+            return DevianceTest(
+                family,
+                diagnostic=f"{row.spec.label} fit did not converge; deviance test unavailable",
+            )
+        fits[cure] = row.fit  # type: ignore[assignment]
+    d, p = deviance_from_fits(fits[True], fits[False])
+    return DevianceTest(family, d, p, cure_fit=fits[True], noncure_fit=fits[False])
+
+
+def deviance_cure_test(sample: SurvivalSample, family: str = "weibull") -> DevianceTest:
+    """Test for a cured fraction by comparing cure and non-cure fits of one family.
+
+    Returns the record ``receus_assess`` stores as ``deviance_test`` when run
+    with ``families=(family,)``, from the same fits; a fit that fails or does
+    not converge leaves the statistic absent and sets ``diagnostic``.
+    """
+    return _deviance_test(_fit_rows(sample, (family,)), family)
 
 
 def receus_assess(sample: SurvivalSample, config: AssessmentConfig | None = None) -> CureAssessment:
@@ -235,7 +303,7 @@ def receus_assess(sample: SurvivalSample, config: AssessmentConfig | None = None
 
     if ratio_fit is not None:
         cure_fraction = float(ratio_fit.params.cure_fraction)  # type: ignore[arg-type]
-        s0_at_tau, s_at_tau, r_hat = receus_ratio(ratio_fit, tau)
+        s0_at_tau, s_at_tau, r_hat = receus_components(ratio_fit.spec, ratio_fit.params, tau)
         cure_fraction_pass = cure_fraction > cfg.cure_fraction_threshold
         r_pass = r_hat < cfg.r_threshold
     else:
@@ -259,6 +327,7 @@ def receus_assess(sample: SurvivalSample, config: AssessmentConfig | None = None
     return CureAssessment(
         model_table=rows,
         selected=selected,
+        deviance_test=_deviance_test(rows, selected.spec.family),
         cure_model_selected=cure_model_selected,
         cure_fraction=cure_fraction,
         s0_at_tau=s0_at_tau,

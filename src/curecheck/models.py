@@ -125,10 +125,23 @@ def _stack_hessian(huu, huv, hvv):
 class _ShapeScale(_Family):
     """Families with log S0 = -G(z), z = shape (log t - log scale), and
     log f0 = log(shape / scale) + (shape - 1) log(t / scale) + k log S0, with
-    k = ``event_weight``; ``dG(z)`` gives (G', G'')."""
+    k = ``event_weight``.  Each family gives ``G(z)`` and ``dG(z)`` = (G', G'')."""
 
     param_names = ("shape", "scale")
     event_weight: float
+
+    def log_pdf_sum(self, cache, shape, scale):
+        log_scale = math.log(scale)
+        n_pos = cache.n_events - cache.n_zero_events
+        u = shape * (cache.log_te - log_scale)
+        return (
+            n_pos * (math.log(shape) - log_scale)
+            + (shape - 1.0) * (cache.sum_log_te - n_pos * log_scale)
+            - self.event_weight * float(cache.we @ self.G(u))
+        )
+
+    def log_sf(self, t, log_t, shape, scale):
+        return -self.G(shape * (log_t - math.log(scale)))
 
     def _log_sf_terms(self, log_t, shape, log_scale):
         z = shape * (log_t - log_scale)
@@ -155,13 +168,14 @@ class _Weibull(_ShapeScale):
     zero_events = "no fit"
     event_weight = 1.0
 
+    def G(self, z):
+        return np.exp(z)
+
     def dG(self, z):
         g = np.exp(z)
         return g, g
 
     def log_pdf_sum(self, cache, shape, scale):
-        log_scale = math.log(scale)
-        n_pos = cache.n_events - cache.n_zero_events
         zero_part = 0.0
         if cache.n_zero_events:
             if shape < 1.0:
@@ -171,17 +185,8 @@ class _Weibull(_ShapeScale):
                 )
             if shape > 1.0:
                 return -math.inf  # f0(0) = 0
-            zero_part = cache.n_zero_events * (math.log(shape) - log_scale)
-        u = shape * (cache.log_te - log_scale)
-        return (
-            zero_part
-            + n_pos * (math.log(shape) - log_scale)
-            + (shape - 1.0) * (cache.sum_log_te - n_pos * log_scale)
-            - float(cache.we @ np.exp(u))
-        )
-
-    def log_sf(self, t, log_t, shape, scale):
-        return -np.exp(shape * (log_t - math.log(scale)))
+            zero_part = cache.n_zero_events * (math.log(shape) - math.log(scale))
+        return zero_part + super().log_pdf_sum(cache, shape, scale)
 
     def quantile(self, u, shape, scale):
         return scale * np.power(-np.log1p(-u), 1.0 / shape)
@@ -236,22 +241,12 @@ class _LogLogistic(_ShapeScale):
     zero_events = "outside support"
     event_weight = 2.0
 
+    def G(self, z):
+        return np.logaddexp(0.0, z)
+
     def dG(self, z):
         p = 1.0 / (1.0 + np.exp(-z))
         return p, p * (1.0 - p)
-
-    def log_pdf_sum(self, cache, shape, scale):
-        log_scale = math.log(scale)
-        n_pos = cache.n_events - cache.n_zero_events
-        u = shape * (cache.log_te - log_scale)
-        return (
-            n_pos * (math.log(shape) - log_scale)
-            + (shape - 1.0) * (cache.sum_log_te - n_pos * log_scale)
-            - 2.0 * float(cache.we @ np.logaddexp(0.0, u))
-        )
-
-    def log_sf(self, t, log_t, shape, scale):
-        return -np.logaddexp(0.0, shape * (log_t - math.log(scale)))
 
     def quantile(self, u, shape, scale):
         with np.errstate(divide="ignore"):
@@ -592,8 +587,11 @@ class WaldIntervals:
     diagnostic: str | None = None
 
 
+_LOGIT_BOX = 40.0  # logit c is kept in [-40, 40], _expit's clamp
+
+
 def _expit(v: float) -> float:
-    v = min(max(v, -40.0), 40.0)
+    v = min(max(v, -_LOGIT_BOX), _LOGIT_BOX)
     return 1.0 / (1.0 + math.exp(-v))
 
 
@@ -643,7 +641,6 @@ def initial_params(spec: FamilySpec, sample: SurvivalSample) -> Params:
 _GTOL = 1e-8
 _MAX_ITER = 100
 _MAX_RADIUS = 10.0
-_LOGIT_BOX = 40.0  # logit c is kept in [-40, 40], _expit's clamp
 
 
 def _tr_step(g: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:

@@ -16,7 +16,6 @@ from importlib import resources
 
 from . import __version__
 from .assessment import CureAssessment, ModelTableRow, VERDICT_APPROPRIATE
-from .diagnostics import deviance_from_fits
 
 _CLINICAL_BANNER = (
     "Quantitative output cannot settle biological plausibility. Confirm with\n"
@@ -38,6 +37,7 @@ class ReportDocument:
         a = self.assessment
         s = a.summary
         t = a.followup_test
+        dv = a.deviance_test
         cfg = a.config
         doc = {
             "tool": "curecheck",
@@ -81,7 +81,11 @@ class ReportDocument:
                 "log_likelihood": a.selected.log_likelihood,
                 "aic": a.selected.aic,
             },
-            "deviance_test": _deviance_dict(a),
+            "deviance_test": None if dv.deviance is None else {
+                "family": dv.family,
+                "deviance": dv.deviance,
+                "p_value": dv.deviance_p_value,
+            },
             "assessment": {
                 "cure_model_selected": a.cure_model_selected,
                 "cure_fraction": a.cure_fraction,
@@ -114,23 +118,6 @@ def _row_dict(row: ModelTableRow) -> dict:
     if row.error is not None:
         out["error"] = row.error
     return out
-
-
-def _deviance_dict(a: CureAssessment) -> dict | None:
-    """Deviance of cure vs non-cure for the selected family, from the table."""
-    fam = a.selected.spec.family
-    fits = {}
-    for row in a.model_table:
-        if row.spec.family == fam and row.converged and row.fit is not None:
-            fits[row.spec.cure] = row.fit
-    if True not in fits or False not in fits:
-        return None
-    d, p = deviance_from_fits(fits[True], fits[False])
-    return {
-        "family": fam,
-        "deviance": d,
-        "p_value": p,
-    }
 
 
 def build_report(
@@ -202,11 +189,11 @@ def render_text(doc: ReportDocument) -> str:
     lines.append(f"  selected by AIC: {sel.spec.label}")
     pieces = ", ".join(f"{k} = {_g(v)}" for k, v in sel.param_dict.items())
     lines.append(f"    {pieces}")
-    dv = _deviance_dict(a)
-    if dv is not None:
+    dv = a.deviance_test
+    if dv.deviance is not None:
         lines.append(
-            f"  cure-vs-non-cure deviance ({dv['family']}): d = {_g(dv['deviance'])}, "
-            f"p = {_g(dv['p_value'])}"
+            f"  cure-vs-non-cure deviance ({dv.family}): d = {_g(dv.deviance)}, "
+            f"p = {_g(dv.deviance_p_value)}"
         )
     lines.append(
         f"  at tau = {_g(a.tau)}: S0(tau) = {_g(a.s0_at_tau)}, "

@@ -301,8 +301,8 @@ def followup_summary(sample: SurvivalSample, late_window: float | None = None) -
     max_fu = sample.max_time
     if late_window is None:
         late_window = DEFAULT_LATE_WINDOW_FRACTION * max_fu if max_fu > 0.0 else 1.0
-    if not (late_window > 0.0):
-        raise ValidationError(f"late_window must be > 0, got {late_window!r}")
+    if not (late_window > 0.0 and math.isfinite(late_window)):
+        raise ValidationError(f"late_window must be finite and > 0, got {late_window!r}")
     max_event = sample.max_event_time
     plateau = max_fu - max_event if max_event is not None else max_fu
     lo = max_fu - late_window

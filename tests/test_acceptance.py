@@ -15,11 +15,12 @@ from scipy import stats as st
 from curecheck.assessment import (
     VERDICT_APPROPRIATE,
     AssessmentConfig,
+    deviance_cure_test,
     receus_assess,
     receus_components,
     verdict_from_flags,
 )
-from curecheck.diagnostics import alpha_n_test, deviance_cure_test
+from curecheck.diagnostics import alpha_n_test
 from curecheck.models import (
     FAMILIES,
     FamilySpec,

@@ -1,6 +1,7 @@
 """Model selection by AIC, the susceptible-survivor ratio, and the final verdict."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +16,9 @@ from curecheck.assessment import (
     AssessmentConfig,
     ModelTableRow,
     _select_from_rows,
+    deviance_cure_test,
     receus_assess,
     receus_components,
-    receus_ratio,
     select_model_by_aic,
     verdict_from_flags,
 )
@@ -138,14 +139,6 @@ def test_components_require_cure_spec_and_valid_tau():
         receus_components(spec, p, -0.5)
 
 
-def test_receus_ratio_reads_fit_estimates():
-    sample = _simulated_cure_sample()
-    fit = fit_model(sample, FamilySpec("weibull", cure=True))
-    s0, s, r = receus_ratio(fit, sample.max_time)
-    direct = receus_components(fit.spec, fit.params, sample.max_time)
-    assert (s0, s, r) == direct
-
-
 # ---------------------------------------------------------------------------
 # selection
 
@@ -243,6 +236,26 @@ def test_selection_lets_programming_errors_through(monkeypatch):
     with pytest.raises(RuntimeError, match="broken fit") as info:
         select_model_by_aic(_simulated_cure_sample(n=100), ("exponential",))
     assert type(info.value) is RuntimeError  # not an AssessmentError over failed rows
+
+
+# ---------------------------------------------------------------------------
+# the deviance test: one record, from the assessment's own fits
+
+@pytest.mark.parametrize(
+    "records, family",
+    [
+        (None, "exponential"),
+        (None, "weibull"),
+        ([(1.0, True), (2.0, True), (3.0, False)], "weibull"),  # the cure fit fails
+    ],
+    ids=["exponential", "weibull", "failed-cure-fit"],
+)
+def test_deviance_cure_test_is_the_assessments_record(records, family):
+    sample = _simulated_cure_sample(n=300) if records is None else validate_sample(records)
+    direct = deviance_cure_test(sample, family)
+    via = receus_assess(sample, AssessmentConfig(families=(family,))).deviance_test
+    assert direct == via  # every field, both fits included, bit for bit
+    assert (direct.deviance is None) == (records is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +408,10 @@ def test_config_validation():
         AssessmentConfig(r_threshold=1.0)
     with pytest.raises(DomainError):
         AssessmentConfig(tau=-1.0)
+    for name in ("tau", "late_window"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"{name} must be finite and > 0"):
+                AssessmentConfig(**{name: bad})
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,12 @@
-"""Nonparametric cure evidence, the deviance test, and the sufficient-follow-up test."""
+"""The deviance test for a cured fraction and the sufficient-follow-up test."""
 
 import math
 
 import numpy as np
 import pytest
 
-from curecheck.diagnostics import (
-    alpha_n_test,
-    deviance_cure_test,
-    nonparametric_cure_evidence,
-)
+from curecheck.assessment import deviance_cure_test
+from curecheck.diagnostics import alpha_n_test
 from curecheck.errors import DomainError
 from curecheck.models import latency_quantile
 from curecheck.simulate import (
@@ -19,29 +16,7 @@ from curecheck.simulate import (
     simulate_mixture,
 )
 from curecheck.special import chi2_sf_1df
-from curecheck.survival import kaplan_meier, validate_sample
-
-
-# ---------------------------------------------------------------------------
-# nonparametric cure evidence
-
-def test_all_events_mean_no_cure_evidence():
-    ev = nonparametric_cure_evidence(validate_sample([(1.0, True), (2.0, True)]))
-    assert ev.p_hat_n == 1.0
-    assert ev.cure_fraction_hat == 0.0
-
-
-def test_all_censored_means_full_plateau():
-    ev = nonparametric_cure_evidence(validate_sample([(1.0, False), (2.0, False)]))
-    assert ev.cure_fraction_hat == 1.0
-    assert ev.p_hat_n == 0.0
-
-
-def test_cure_hat_equals_km_terminal_value(long_followup_sample):
-    ev = nonparametric_cure_evidence(long_followup_sample)
-    km = kaplan_meier(long_followup_sample).final_survival
-    assert ev.cure_fraction_hat == km  # same quantity, same bits
-    assert ev.cure_fraction_hat == pytest.approx(0.2570, abs=5e-5)
+from curecheck.survival import validate_sample
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +56,13 @@ def test_deviance_diagnostic_when_fit_cannot_run():
     assert res.deviance is None
     assert res.deviance_p_value is None
     assert "fit failed" in res.diagnostic
-    assert res.cure_fraction_hat == 0.0  # nonparametric part still reported
 
 
 def test_deviance_lets_programming_errors_through(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("broken fit")
 
-    monkeypatch.setattr("curecheck.diagnostics.fit_model", broken)
+    monkeypatch.setattr("curecheck.assessment.fit_model", broken)
     with pytest.raises(RuntimeError, match="broken fit"):
         deviance_cure_test(_truncated_exponential_sample(7), family="weibull")
 
@@ -97,7 +71,9 @@ def test_deviance_diagnostic_when_not_converged(monkeypatch):
     monkeypatch.setattr("curecheck.models._MAX_ITER", 0)
     res = deviance_cure_test(_truncated_exponential_sample(7), family="weibull")
     assert res.deviance is None
-    assert "did not converge" in res.diagnostic
+    # neither fit converges; the diagnostic names the non-cure fit first
+    assert res.diagnostic == "weibull non-cure fit did not converge; deviance test unavailable"
+    assert res.cure_fit is None and res.noncure_fit is None
 
 
 def test_deviance_null_rarely_rejects():

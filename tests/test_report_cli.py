@@ -456,6 +456,16 @@ def test_cli_unreadable_csv_is_an_error_not_a_traceback(tmp_path, body, reason):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("flag", ["--tau", "--late-window"])
+def test_cli_assess_rejects_an_infinite_horizon(cure_csv, flag):
+    proc = _run_cli("assess", cure_csv, flag, "inf", "--format", "json")
+    name = flag[2:].replace("-", "_")
+    assert proc.returncode == 1
+    assert f"curecheck: error: {name} must be finite and > 0, got inf" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_cli_reads_csv_with_byte_order_mark(tmp_path):
     p = tmp_path / "excel.csv"
     p.write_bytes(b"\xef\xbb\xbftime,event\n1.0,1\n2.0,0\n")

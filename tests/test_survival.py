@@ -302,6 +302,8 @@ def test_followup_late_window_validation():
         followup_summary(s, late_window=0.0)
     with pytest.raises(ValidationError, match="late_window"):
         followup_summary(s, late_window=-1.0)
+    with pytest.raises(ValidationError, match="late_window must be finite and > 0"):
+        followup_summary(s, late_window=math.inf)
 
 
 def test_followup_long_plateau_fixture(long_followup_sample):
