@@ -33,8 +33,8 @@ from .models import (
     FamilySpec,
     ModelFit,
     Params,
+    _fit,
     check_params,
-    fit_model,
     latency_survival,
 )
 from .special import chi2_sf_1df
@@ -144,20 +144,25 @@ def verdict_from_flags(cure_model_selected: bool, cure_fraction_pass: bool, r_pa
 def _fit_rows(sample: SurvivalSample, families: tuple[str, ...]) -> tuple[ModelTableRow, ...]:
     """Fit the non-cure and cure variant of each family, one row per spec.
 
-    A fit that raises a ``CurecheckError`` becomes a row with ``error`` set;
-    any other exception is a bug and propagates.
+    Each cure fit is given its family's non-cure fit, as ``fit_model`` makes
+    it, so a row equals ``fit_model``'s fit of its spec.  A fit that raises a
+    ``CurecheckError`` becomes a row with ``error`` set; any other exception
+    is a bug and propagates.
     """
     rows: list[ModelTableRow] = []
     for family in families:
+        noncure = None
         for cure in (False, True):
             spec = FamilySpec(family, cure=cure)
             try:
-                fit = fit_model(sample, spec)
+                fit = _fit(sample, spec, noncure)
             except CurecheckError as exc:
                 rows.append(
                     ModelTableRow(spec=spec, aic=None, converged=False, error=str(exc))
                 )
                 continue
+            if not cure:
+                noncure = fit
             rows.append(
                 ModelTableRow(spec=spec, aic=fit.aic, converged=fit.converged, fit=fit)
             )

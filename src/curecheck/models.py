@@ -19,7 +19,7 @@ probability: S(t) = c + (1-c) S0(t) and f(t) = (1-c) f0(t).
 Fitting maximizes the censored-data log-likelihood
 sum_events log f + sum_censored log S over a transformed space (logit of
 the cure fraction, boxed to [-40, 40], and log of each latency parameter)
-with a trust-region Newton method from ``initial_params``: each step solves
+with a trust-region Newton method: each step solves
 the quadratic model exactly within the trust radius, and the radius follows
 the ratio of actual to predicted gain.  A fit has converged when every
 gradient component is within 1e-8 in absolute value.  Scores and second
@@ -30,11 +30,24 @@ derivatives in the log parameters (the gamma shape through digamma and the
 shape derivatives of the incomplete gamma integral), and one shared cure
 layer chains them through the mixture and logit c.  Their
 Hessian at the returned point is the observed information behind the
-standard errors.  A trust region that does not converge returns its best
-point with ``converged=False``; the assessment names such a fit in its
-notes and never selects it.  The likelihood is evaluated once per
-distinct (time, event) pair, each term weighted by the number of records
-that share it, and in log space throughout, so far-tail survival never
+standard errors.
+
+A fit starts from ``initial_params``, except a cure fit on the boundary.
+The non-cure model is the c = 0 boundary of the cure model, so a cure fit
+first reads its family's non-cure fit: the cure score there,
+d loglik / dc = sum_censored w (1 - S0) / S0 - n_events, comes off the
+log S0 of that fit's last evaluation.  When the non-cure fit converged
+with a score <= 0, the cure fit starts at logit c = -40 with the non-cure
+latency; on data without a cure fraction it stops there in 0 iterations,
+where a start from ``initial_params`` walks 20-35 iterations down the
+c -> 0 ridge.  A cure fit that ends on the boundary has no standard
+errors: logit c has none there.
+
+A trust region that does not converge returns its best point with
+``converged=False``; the assessment names such a fit in its notes and
+never selects it.  The likelihood is evaluated once per distinct
+(time, event) pair, each term weighted by the number of records that
+share it, and in log space throughout, so far-tail survival never
 underflows to log 0.
 """
 
@@ -45,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitError
+from .errors import CurecheckError, DomainError, FitError
 from .special import (
     _digamma_trigamma,
     _log_reg_upper_gamma_shape,
@@ -420,15 +433,6 @@ def latency_survival(spec: FamilySpec, params: Params, t) -> float | np.ndarray:
     return out.reshape(tt.shape)
 
 
-def population_survival(spec: FamilySpec, params: Params, t) -> float | np.ndarray:
-    """S(t): latency survival for non-cure specs, c + (1-c) S0(t) for cure specs."""
-    s0 = latency_survival(spec, params, t)
-    if not spec.cure:
-        return s0
-    c = float(params.cure_fraction)  # type: ignore[arg-type]
-    return c + (1.0 - c) * s0
-
-
 # ---------------------------------------------------------------------------
 # log-likelihood
 # ---------------------------------------------------------------------------
@@ -503,7 +507,10 @@ def _loglik_value(spec: FamilySpec, params: Params, cache: _LikCache) -> float:
 
 
 def _loglik_derivatives(spec: FamilySpec, x: np.ndarray, cache: _LikCache):
-    """(log-likelihood, gradient, Hessian) at x in the fitting coordinates.
+    """(log-likelihood, gradient, Hessian, log S0) at x in the fitting coordinates.
+
+    log S0 is the latency's log survival at the cache's censoring times; a
+    converged non-cure fit reads its cure score off it (``_cure_score``).
 
     The family gives its terms on the log-parameter scale; the cure layer
     below is shared.  With m = c + (1 - c) S0 and L = log S0 the partial
@@ -518,7 +525,7 @@ def _loglik_derivatives(spec: FamilySpec, x: np.ndarray, cache: _LikCache):
         ll = _mixture_value(spec, c, ev, ls, cache)
         wc = cache.wc
         if not spec.cure:
-            return ll, ev_g + wc @ ls_g, ev_h + np.tensordot(wc, ls_h, 1)
+            return ll, ev_g + wc @ ls_g, ev_h + np.tensordot(wc, ls_h, 1), ls
         s0 = np.exp(ls)
         m = c + (1.0 - c) * s0
         t_l = (1.0 - c) * s0 / m
@@ -535,7 +542,7 @@ def _loglik_derivatives(spec: FamilySpec, x: np.ndarray, cache: _LikCache):
         h[1:, 1:] = (
             ev_h + (ls_g.T * (w_l * (1.0 - t_l))) @ ls_g + np.tensordot(w_l, ls_h, 1)
         )
-    return ll, g, h
+    return ll, g, h, ls
 
 
 def log_likelihood(spec: FamilySpec, params: Params, sample: SurvivalSample) -> float:
@@ -572,6 +579,7 @@ class ModelFit:
     n_iter: int
     standard_errors: tuple[float, ...] | None = None
     se_diagnostic: str | None = None
+    cure_score: float | None = None  # converged non-cure fits: d loglik / dc at c = 0
 
     @property
     def param_dict(self) -> dict[str, float]:
@@ -686,22 +694,22 @@ def _tr_step(g: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _finite(point) -> bool:
-    ll, g, h = point
+    ll, g, h, _ = point
     return math.isfinite(ll) and bool(np.all(np.isfinite(g)) and np.all(np.isfinite(h)))
 
 
 def _trust_region(spec: FamilySpec, cache: _LikCache, x: np.ndarray, point):
     """Maximize the log-likelihood from x, where point = _loglik_derivatives at x.
 
-    Returns (x, (ll, g, H), iterations, converged).  A step is taken when it
-    gains at least a tenth of the quadratic model's predicted gain, or when
-    both gains are below the rounding noise of the log-likelihood; the
-    radius shrinks on poor agreement and grows on good agreement at the
+    Returns (x, (ll, g, H, log S0), iterations, converged).  A step is taken
+    when it gains at least a tenth of the quadratic model's predicted gain,
+    or when both gains are below the rounding noise of the log-likelihood;
+    the radius shrinks on poor agreement and grows on good agreement at the
     boundary.  Converged means every gradient component is within _GTOL.
     """
     radius = 1.0
     for it in range(_MAX_ITER + 1):
-        ll, g, h = point
+        ll, g, h, _ = point
         if np.max(np.abs(g)) <= _GTOL:
             return x, point, it, True
         if it == _MAX_ITER or radius < 1e-12 or not _finite(point):
@@ -731,7 +739,29 @@ def _trust_region(spec: FamilySpec, cache: _LikCache, x: np.ndarray, point):
 
 
 def fit_model(sample: SurvivalSample, spec: FamilySpec) -> ModelFit:
-    """Maximum-likelihood fit of ``spec`` to a right-censored sample."""
+    """Maximum-likelihood fit of ``spec`` to a right-censored sample.
+
+    A cure fit first fits the family's non-cure model, whose cure score
+    chooses where the cure fit starts; when that fit fails, the cure fit
+    starts from ``initial_params``.
+    """
+    noncure = None
+    if spec.cure:
+        try:
+            noncure = _fit(sample, FamilySpec(spec.family), None)
+        except CurecheckError:
+            pass
+    return _fit(sample, spec, noncure)
+
+
+def _fit(sample: SurvivalSample, spec: FamilySpec, noncure: ModelFit | None) -> ModelFit:
+    """``fit_model`` given the family's non-cure fit for a cure spec.
+
+    ``noncure`` is None for a non-cure spec, and for a cure spec whose
+    non-cure fit failed.  A cure fit starts on the boundary, logit c = -40
+    with the non-cure latency, when the non-cure fit converged with a cure
+    score <= 0, and from ``initial_params`` otherwise.
+    """
     if sample.n_events == 0:
         raise FitError("no events: fitting undefined")
     if sample.n < spec.n_params + 1:
@@ -740,18 +770,27 @@ def fit_model(sample: SurvivalSample, spec: FamilySpec) -> ModelFit:
         )
     cache = _checked_cache(spec, sample, fitting=True)
 
-    init = initial_params(spec, sample)
-    check_params(spec, init)
-
-    x = _transform(spec, init)
+    score = noncure.cure_score if noncure is not None else None
+    if score is not None and score <= 0.0:
+        x = np.concatenate([[-_LOGIT_BOX], _transform(noncure.spec, noncure.params)])
+    else:
+        init = initial_params(spec, sample)
+        check_params(spec, init)
+        x = _transform(spec, init)
     point = _loglik_derivatives(spec, x, cache)
     if not math.isfinite(point[0]):
         raise FitError(f"initial parameters give a non-finite {spec.label} likelihood")
 
     x, point, n_iter, converged = _trust_region(spec, cache, x, point)
 
-    ll, _, h = point
-    se, se_diag = _standard_errors(-h)
+    ll, _, h, ls = point
+    if spec.cure and x[0] <= -_LOGIT_BOX:
+        se, se_diag = None, (
+            "the cure fraction sits on the boundary c = 0, where logit c has no "
+            "finite standard error"
+        )
+    else:
+        se, se_diag = _standard_errors(-h)
     return ModelFit(
         spec=spec,
         params=_untransform(spec, x),
@@ -764,7 +803,18 @@ def fit_model(sample: SurvivalSample, spec: FamilySpec) -> ModelFit:
         n_iter=n_iter,
         standard_errors=se,
         se_diagnostic=se_diag,
+        cure_score=_cure_score(cache, ls) if converged and not spec.cure else None,
     )
+
+
+def _cure_score(cache: _LikCache, ls: np.ndarray) -> float:
+    """d loglik / dc of the cure model at c = 0, given log S0 at the censoring times.
+
+    That is sum_censored w (1 - S0) / S0 - n_events; an overflowing
+    1 / S0 makes it +inf.
+    """
+    with np.errstate(over="ignore"):
+        return float(cache.wc @ np.expm1(-ls)) - cache.n_events
 
 
 def _standard_errors(H: np.ndarray):

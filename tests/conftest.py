@@ -1,6 +1,12 @@
+import numpy as np
 import pytest
 
-from curecheck.simulate import CompositeCensoring, SimulationConfig, simulate_mixture
+from curecheck.simulate import (
+    CompositeCensoring,
+    SimulationConfig,
+    restrict_followup,
+    simulate_mixture,
+)
 from curecheck.survival import validate_sample
 
 
@@ -27,3 +33,18 @@ def plateau_sample():
         censoring=CompositeCensoring(time=7.3, dropout_maximum=14.6), seed=7,
     )
     return simulate_mixture(config)[0]
+
+
+@pytest.fixture(scope="session")
+def short_days_sample():
+    """The benchmark's assess_short_days data: the same mechanism at
+    n = 10 000, data seed 7, times rounded up to whole days and follow-up cut
+    at one year.  A non-cure model is selected; the lognormal cure fit sits
+    on the boundary c = 0."""
+    config = SimulationConfig(
+        n=10000, cure_fraction=0.4, family="weibull", latency=(0.8, 0.8),
+        censoring=CompositeCensoring(time=7.3, dropout_maximum=14.6), seed=7,
+    )
+    drawn = simulate_mixture(config)[0]
+    days = np.ceil(drawn.times * 365.25) / 365.25
+    return restrict_followup(validate_sample(zip(days.tolist(), drawn.events.tolist())), 1.0)

@@ -27,6 +27,7 @@ from curecheck.models import (
     FamilySpec,
     ModelFit,
     Params,
+    _fit,
     fit_model,
     latency_quantile,
 )
@@ -232,7 +233,7 @@ def test_selection_lets_programming_errors_through(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("broken fit")
 
-    monkeypatch.setattr("curecheck.assessment.fit_model", broken)
+    monkeypatch.setattr("curecheck.assessment._fit", broken)
     with pytest.raises(RuntimeError, match="broken fit") as info:
         select_model_by_aic(_simulated_cure_sample(n=100), ("exponential",))
     assert type(info.value) is RuntimeError  # not an AssessmentError over failed rows
@@ -340,11 +341,11 @@ def test_assessment_reports_unconverged_rows(monkeypatch):
     # Each unconverged row gets one note: the weibull cure fit, whose AIC
     # beats the selected fit, in the "lower AIC" wording; the weibull
     # non-cure fit, whose AIC does not, in the plain one.
-    def fit_unconverged(sample, spec):
-        fit = fit_model(sample, spec)
+    def fit_unconverged(sample, spec, noncure):
+        fit = _fit(sample, spec, noncure)
         return replace(fit, converged=False) if spec.family == "weibull" else fit
 
-    monkeypatch.setattr("curecheck.assessment.fit_model", fit_unconverged)
+    monkeypatch.setattr("curecheck.assessment._fit", fit_unconverged)
     b = receus_assess(sample, AssessmentConfig(families=("exponential", "weibull")))
     rows = {row.spec.label: row for row in b.model_table}
     assert b.selected.spec.label == "exponential cure"
@@ -378,15 +379,47 @@ def test_plateau_assess_stays_within_its_evaluation_budget(plateau_sample, monke
     assert len(calls) <= 100
 
 
+def test_short_days_assess_stays_within_its_evaluation_budget(short_days_sample, monkeypatch):
+    # Counts, not seconds.  The lognormal non-cure fit has a negative cure
+    # score, so the lognormal cure fit starts on the boundary c = 0 and stops
+    # there at once, instead of walking ~34 iterations down the c -> 0 ridge
+    # from initial_params.
+    from curecheck import models
+
+    calls = []
+    derivatives = models._loglik_derivatives
+
+    def counted(*args):
+        calls.append(args[0])
+        return derivatives(*args)
+
+    monkeypatch.setattr(models, "_loglik_derivatives", counted)
+    a = receus_assess(short_days_sample)
+    rows = {row.spec.label: row for row in a.model_table}
+    assert a.verdict == VERDICT_NONCURE
+    assert all(row.converged for row in a.model_table)
+    assert rows["lognormal non-cure"].fit.cure_score <= 0.0
+    assert rows["lognormal cure"].fit.n_iter == 0
+    assert len(calls) <= 80
+
+
+def test_fit_model_equals_the_assessments_row(short_days_sample):
+    # One derivation: a standalone cure fit makes its own non-cure fit first,
+    # and equals the row the assessment fitted from its non-cure row.
+    rows, _ = select_model_by_aic(short_days_sample)
+    for row in rows:
+        assert fit_model(short_days_sample, row.spec) == row.fit, row.spec.label
+
+
 def test_assessment_notes_each_failed_fit(monkeypatch):
     # A fit that raises: the row stays in the table and the loss is named in
     # the notes.
-    def fit_or_fail(sample, spec):
+    def fit_or_fail(sample, spec, noncure):
         if spec.label == "gamma non-cure":
             raise FitError(f"initial parameters give a non-finite {spec.label} likelihood")
-        return fit_model(sample, spec)
+        return _fit(sample, spec, noncure)
 
-    monkeypatch.setattr("curecheck.assessment.fit_model", fit_or_fail)
+    monkeypatch.setattr("curecheck.assessment._fit", fit_or_fail)
     a = receus_assess(_simulated_cure_sample(n=300))
     failed = [row for row in a.model_table if row.error is not None]
     assert [row.spec.label for row in failed] == ["gamma non-cure"]

@@ -62,7 +62,7 @@ def test_deviance_lets_programming_errors_through(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("broken fit")
 
-    monkeypatch.setattr("curecheck.assessment.fit_model", broken)
+    monkeypatch.setattr("curecheck.assessment._fit", broken)
     with pytest.raises(RuntimeError, match="broken fit"):
         deviance_cure_test(_truncated_exponential_sample(7), family="weibull")
 

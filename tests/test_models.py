@@ -22,13 +22,14 @@ from curecheck.models import (
     latency_quantile,
     latency_survival,
     log_likelihood,
-    population_survival,
     wald_intervals,
     _build_cache,
+    _fit,
     _loglik_derivatives,
     _loglik_value,
     _tr_step,
     _transform,
+    _trust_region,
     _untransform,
 )
 from curecheck.survival import _canonical_sample, validate_sample
@@ -206,53 +207,6 @@ def test_latency_quantile_arrays_match_scalars():
 
 
 # ---------------------------------------------------------------------------
-# population (mixture) survival
-
-def test_population_survival_worked_values():
-    spec = FamilySpec("weibull", cure=True)
-    p = Params(latency=(0.8133, 0.8052), cure_fraction=0.3976)
-    s0 = latency_survival(FamilySpec("weibull"), Params(latency=(0.8133, 0.8052)), 7.28)
-    assert s0 == pytest.approx(0.00249, abs=5e-5)
-    assert population_survival(spec, p, 7.28) == pytest.approx(0.3991, abs=5e-4)
-
-
-def test_population_survival_at_zero_is_one():
-    spec = FamilySpec("exponential", cure=True)
-    p = Params(latency=(1.0,), cure_fraction=0.5)
-    assert population_survival(spec, p, 0.0) == 1.0
-
-
-def test_population_survival_approaches_cure_fraction():
-    # Far beyond the latency distribution everything left is cured.
-    cases = {
-        "exponential": (1.3,),
-        "weibull": (0.8, 0.8),
-        "gamma": (1.7, 1.1),
-        "loglogistic": (2.5, 1.0),
-        "lognormal": (0.9, 0.6),
-    }
-    for family, theta in cases.items():
-        spec = FamilySpec(family, cure=True)
-        p = Params(latency=theta, cure_fraction=0.37)
-        scale_like = 1.0 / theta[0] if family == "exponential" else theta[-1]
-        far = 1e6 * scale_like
-        assert population_survival(spec, p, far) == pytest.approx(0.37, abs=1e-9), family
-
-
-def test_population_survival_bracketed_by_cure_fraction():
-    rng = np.random.default_rng(23)
-    t = np.geomspace(1e-3, 1e3, 60)
-    for family in FAMILIES:
-        theta = _random_theta(rng, family)
-        c = float(rng.uniform(0.05, 0.9))
-        spec = FamilySpec(family, cure=True)
-        vals = population_survival(spec, Params(latency=theta, cure_fraction=c), t)
-        assert np.all(vals >= c - 1e-15)
-        assert np.all(vals <= 1.0 + 1e-15)
-        assert np.all(np.diff(vals) <= 1e-15)
-
-
-# ---------------------------------------------------------------------------
 # censored-data log-likelihood
 
 def _naive_loglik(spec, params, records):
@@ -287,7 +241,8 @@ def test_loglik_single_censored_record_equals_log_survival():
             spec = FamilySpec(family, cure=cure)
             p = Params(latency=theta, cure_fraction=0.35 if cure else None)
             got = log_likelihood(spec, p, sample)
-            want = math.log(population_survival(spec, p, 2.3))
+            s0 = latency_survival(FamilySpec(family), Params(latency=theta), 2.3)
+            want = math.log(0.35 + 0.65 * s0 if cure else s0)
             assert got == pytest.approx(want, rel=1e-12), spec.label
 
 
@@ -440,7 +395,7 @@ def test_exponential_standard_error_matches_observed_information():
     d, scale = sample.n_events, float(np.sum(sample.times)) / sample.n_events
     r = sample.times / scale
     u = np.log(r)
-    _, g, h = _loglik_derivatives(
+    _, g, h, _ = _loglik_derivatives(
         FamilySpec("weibull"), np.array([0.0, math.log(scale)]), _build_cache(sample)
     )
     ue, ru = float(np.sum(u[sample.events])), float(r @ u)
@@ -505,7 +460,7 @@ def test_analytic_derivatives_match_finite_differences(family, cure, tied):
     if cure:
         points[1][0], points[2][0] = -30.0, 4.0
     for x in points:
-        ll, g, h = _loglik_derivatives(spec, x, cache)
+        ll, g, h, _ = _loglik_derivatives(spec, x, cache)
         fx = neg(x)
         assert ll == -fx
         g_fd, h_fd = _fd_derivatives(neg, x, fx)
@@ -625,7 +580,11 @@ def test_fit_records_metadata():
     assert fit.n_events == int(events.sum())
     assert fit.n_params == 2
     assert fit.spec.label == "exponential cure"
-    assert fit.n_iter > 0
+    # Censoring at random leaves no cure fraction: the non-cure fit iterates,
+    # and the cure fit, started from it on the boundary c = 0, stops there.
+    noncure = fit_model(sample, FamilySpec("exponential"))
+    assert noncure.n_iter > 0 and noncure.cure_score <= 0.0
+    assert fit.n_iter == 0 and fit.cure_score is None
 
 
 def test_fit_gradient_vanishes_at_optimum():
@@ -715,6 +674,71 @@ def test_fits_are_optima_on_day_granular_short_followup():
                 options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000, "maxfev": 20000},
             )
             assert -res.fun <= fit.log_likelihood + 1e-6, spec.label
+
+
+# The latency each family is drawn from in the boundary-start grid below.
+_GRID_LATENCY = {
+    "exponential": (1.0,),
+    "weibull": (0.8, 0.8),
+    "gamma": (1.5, 2.0),
+    "loglogistic": (1.5, 1.0),
+    "lognormal": (1.0, 0.8),
+}
+
+
+def test_boundary_start_never_lowers_a_cure_fit():
+    # 60 seeded samples: n in [15, 400], every family as the truth, cure
+    # fractions from none to 0.4, administrative or composite censoring.
+    # Every family's cure fit, started as fit_model starts it, reaches at
+    # least the log-likelihood of a trust region started from initial_params.
+    from curecheck.simulate import (
+        AdministrativeCensoring,
+        CompositeCensoring,
+        SimulationConfig,
+        simulate_mixture,
+    )
+
+    rng = np.random.default_rng(2024)
+    on_boundary = elsewhere = 0
+    for i in range(60):
+        truth = FAMILIES[i % 5]
+        config = SimulationConfig(
+            n=int(rng.integers(15, 401)),
+            cure_fraction=(1e-9, 0.05, 0.2, 0.4)[(i // 5) % 4],
+            family=truth,
+            latency=_GRID_LATENCY[truth],
+            censoring=AdministrativeCensoring(2.0) if i % 2 else CompositeCensoring(3.0, 6.0),
+            seed=5000 + i,
+        )
+        sample, _ = simulate_mixture(config)
+        cache = _build_cache(sample)
+        for family in FAMILIES:
+            noncure = fit_model(sample, FamilySpec(family))
+            spec = FamilySpec(family, cure=True)
+            fit = _fit(sample, spec, noncure)
+            x = _transform(spec, initial_params(spec, sample))
+            _, (cold, *_), _, _ = _trust_region(spec, cache, x, _loglik_derivatives(spec, x, cache))
+            assert fit.log_likelihood >= cold - 1e-9, (i, family)
+            if noncure.cure_score <= 0.0:
+                on_boundary += 1
+                assert fit.n_iter == 0 and fit.converged, (i, family)
+            else:
+                elsewhere += 1
+    assert on_boundary >= 50 and elsewhere >= 150, (on_boundary, elsewhere)
+
+
+def test_boundary_cure_fit_has_no_wald_intervals(short_days_sample):
+    # On the short-days data the lognormal cure fit stays on the box edge
+    # logit c = -40, where the logit-c SE would be ~1e8: no SEs, and the
+    # diagnostic reaches the intervals.
+    fit = fit_model(short_days_sample, FamilySpec("lognormal", cure=True))
+    assert fit.converged and fit.n_iter == 0
+    assert fit.params.cure_fraction < 1e-17
+    assert fit.standard_errors is None
+    assert "boundary c = 0" in fit.se_diagnostic
+    iv = wald_intervals(fit)
+    assert iv.intervals is None
+    assert iv.diagnostic == fit.se_diagnostic
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,27 @@ def test_small_samples_get_a_verdict_or_a_named_error(records):
     jsonschema.validate(doc, report_schema())
 
 
+def _decisions(sample):
+    """The verdict, the selected spec and every row's converged flag, or the error type."""
+    try:
+        a = receus_assess(sample)
+    except CurecheckError as exc:
+        return type(exc)
+    return a.verdict, a.selected.spec, tuple(row.converged for row in a.model_table)
+
+
+# The scale is 10^U(-6, 6), drawn from a seed: hypothesis's own floats
+# crowd near 0.  The cure score that picks each cure fit's start is a sum of
+# survival ratios, free of the time unit, so its sign must not move either.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(records=_small_samples(), seed=st.integers(0, 2**32 - 1))
+def test_decisions_invariant_under_rescaling_by_up_to_a_million(records, seed):
+    sample = validate_sample(records)
+    scale = 10.0 ** np.random.default_rng(seed).uniform(-6.0, 6.0)
+    assert _decisions(sample.scaled(scale)) == _decisions(sample), scale
+
+
 @pytest.mark.parametrize("records", [_SAMPLE_A, _SAMPLE_B], ids=["A", "B"])
 def test_cli_assess_reports_on_small_degenerate_samples(records, tmp_path, capsys):
     path = tmp_path / "small.csv"
