@@ -69,8 +69,10 @@ class AssessmentConfig:
     def __post_init__(self):
         if not self.families:
             raise DomainError("at least one latency family is required")
-        for fam in self.families:
+        for i, fam in enumerate(self.families):
             FamilySpec(fam)  # raises DomainError on an unknown family
+            if fam in self.families[:i]:
+                raise DomainError(f"latency family {fam!r} is listed twice")
         for name in ("cure_fraction_threshold", "r_threshold", "alpha_threshold"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .assessment import AssessmentConfig, VERDICT_APPROPRIATE, receus_assess
@@ -26,12 +27,9 @@ from .models import FAMILIES, FamilySpec, fit_model, wald_intervals
 from .plot import emit_km_plot
 from .report import ReportDocument, build_report, render_json, render_text
 from .simulate import (
-    AdministrativeCensoring,
+    CENSORING_MECHANISMS,
     Censoring,
-    CompositeCensoring,
-    ExponentialCensoring,
     SimulationConfig,
-    UniformCensoring,
     restrict_followup,
     simulate_mixture,
 )
@@ -51,24 +49,23 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+# --censoring KIND:ARGS, ARGS being the record's fields in order.
+_CENSORING_SYNTAX = " | ".join(
+    f"{kind}:{','.join(f.name.upper() for f in fields(cls))}"
+    for kind, cls in CENSORING_MECHANISMS.items()
+)
+
+
 def _parse_censoring(text: str) -> Censoring:
     kind, _, rest = text.partition(":")
+    cls = CENSORING_MECHANISMS.get(kind)
     try:
-        if kind == "administrative":
-            return AdministrativeCensoring(float(rest))
-        if kind == "uniform":
-            return UniformCensoring(float(rest))
-        if kind == "exponential":
-            return ExponentialCensoring(float(rest))
-        if kind == "composite":
-            admin, _, dropout = rest.partition(",")
-            return CompositeCensoring(float(admin), float(dropout))
+        args = tuple(map(float, rest.split(",")))
     except ValueError:
-        raise ValidationError(f"bad censoring arguments in {text!r}") from None
-    raise ValidationError(
-        f"unknown censoring {text!r}; expected administrative:T, uniform:MAX, "
-        f"exponential:RATE or composite:T,MAX"
-    )
+        args = ()
+    if cls is None or len(args) != len(fields(cls)):
+        raise ValidationError(f"invalid censoring {text!r}; expected {_CENSORING_SYNTAX}")
+    return cls(*args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,20 +77,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_assess = sub.add_parser("assess", help="run the full appropriateness assessment")
+    defaults = AssessmentConfig()
     _add_io_args(p_assess)
     p_assess.add_argument(
         "--families",
-        default=",".join(FAMILIES),
-        help="comma list of latency families to compare (default: all five)",
+        default=",".join(defaults.families),
+        help="comma list of latency families to compare (default: %(default)s)",
     )
     p_assess.add_argument("--tau", type=float, default=None,
                           help="assessment horizon (default: maximum observed time)")
-    p_assess.add_argument("--cure-threshold", type=float, default=0.025, metavar="C",
-                          help="minimum meaningful cure fraction (default: 0.025)")
-    p_assess.add_argument("--r-threshold", type=float, default=0.05, metavar="R",
-                          help="maximum uncured-among-survivors ratio (default: 0.05)")
-    p_assess.add_argument("--alpha-threshold", type=float, default=0.05, metavar="A",
-                          help="follow-up test threshold (default: 0.05)")
+    p_assess.add_argument("--cure-threshold", type=float, default=defaults.cure_fraction_threshold,
+                          metavar="C", help="minimum meaningful cure fraction (default: %(default)s)")
+    p_assess.add_argument("--r-threshold", type=float, default=defaults.r_threshold, metavar="R",
+                          help="maximum uncured-among-survivors ratio (default: %(default)s)")
+    p_assess.add_argument("--alpha-threshold", type=float, default=defaults.alpha_threshold,
+                          metavar="A", help="follow-up test threshold (default: %(default)s)")
     p_assess.add_argument("--late-window", type=float, default=None,
                           help="trailing window for the late event rate (default: 20%% of max)")
     p_assess.add_argument("--restrict", type=float, default=None, metavar="T",
@@ -125,8 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--family", choices=FAMILIES, required=True)
     p_sim.add_argument("--params", required=True,
                        help="comma list of latency parameters, e.g. 0.8,0.8")
-    p_sim.add_argument("--censoring", required=True,
-                       help="administrative:T | uniform:MAX | exponential:RATE | composite:T,MAX")
+    p_sim.add_argument("--censoring", required=True, help=_CENSORING_SYNTAX)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default=None, metavar="PATH",
                        help="output CSV (default: stdout)")

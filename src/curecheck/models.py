@@ -448,8 +448,7 @@ class _LikCache:
 
     n_events: int  # all events, including any at time 0
     n_zero_events: int
-    te: np.ndarray  # distinct event times > 0
-    we: np.ndarray
+    we: np.ndarray  # records at each distinct event time > 0
     log_te: np.ndarray
     sum_te: float
     sum_log_te: float
@@ -466,7 +465,7 @@ def _build_cache(sample: SurvivalSample) -> _LikCache:
     return _LikCache(
         n_events=sample.n_events,
         n_zero_events=sample.n_events - int(we.sum()),
-        te=te, we=we, log_te=log_te, sum_te=float(we @ te), sum_log_te=float(we @ log_te),
+        we=we, log_te=log_te, sum_te=float(we @ te), sum_log_te=float(we @ log_te),
         tc=tc, wc=wc, log_tc=np.log(tc),
     )
 

@@ -2,10 +2,11 @@
 
 Each subject is cured with probability ``cure_fraction`` (no event, ever);
 otherwise an event time is drawn from the latency family by inverse-CDF
-sampling.  An independent censoring time U is drawn from the configured
-censoring mechanism and the observation is (min(T, U), T <= U), with T = +inf
-for a cured subject.  Both arrays go straight into the check and sort shared
-with ``validate_sample`` and ``read_csv``.
+sampling.  An independent censoring time U comes from the ``times(u)`` of a
+censoring record (``CENSORING_MECHANISMS`` names each for the CLI) and the
+observation is (min(T, U), T <= U), with T = +inf for a cured subject.  Both
+arrays go straight into the check and sort shared with ``validate_sample``
+and ``read_csv``.
 
 Draws come from numpy's seeded PCG64 generator as plain uniforms; every
 family transform is an explicit inverse CDF on all draws at once (the gamma
@@ -19,7 +20,7 @@ beyond the cutoff are censored there, everything else is untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,7 +35,8 @@ class AdministrativeCensoring:
 
     time: float
 
-    kind = "administrative"
+    def times(self, u: np.ndarray) -> np.ndarray:
+        return np.full(u.shape, self.time)
 
     def describe(self) -> str:
         return f"administrative(time={self.time})"
@@ -46,7 +48,8 @@ class UniformCensoring:
 
     maximum: float
 
-    kind = "uniform"
+    def times(self, u: np.ndarray) -> np.ndarray:
+        return self.maximum * u
 
     def describe(self) -> str:
         return f"uniform(0, {self.maximum})"
@@ -58,7 +61,8 @@ class ExponentialCensoring:
 
     rate: float
 
-    kind = "exponential"
+    def times(self, u: np.ndarray) -> np.ndarray:
+        return -np.log1p(-u) / self.rate
 
     def describe(self) -> str:
         return f"exponential(rate={self.rate})"
@@ -71,13 +75,21 @@ class CompositeCensoring:
     time: float
     dropout_maximum: float
 
-    kind = "composite"
+    def times(self, u: np.ndarray) -> np.ndarray:
+        return np.minimum(self.time, self.dropout_maximum * u)
 
     def describe(self) -> str:
         return f"composite(administrative={self.time}, dropout=uniform(0, {self.dropout_maximum}))"
 
 
 Censoring = AdministrativeCensoring | UniformCensoring | ExponentialCensoring | CompositeCensoring
+
+CENSORING_MECHANISMS: dict[str, type] = {
+    "administrative": AdministrativeCensoring,
+    "uniform": UniformCensoring,
+    "exponential": ExponentialCensoring,
+    "composite": CompositeCensoring,
+}
 
 
 @dataclass(frozen=True)
@@ -112,39 +124,21 @@ def _validate_config(config: SimulationConfig) -> None:
     except DomainError as exc:
         raise ValidationError(str(exc)) from exc
     cen = config.censoring
-    if isinstance(cen, AdministrativeCensoring):
-        if not cen.time > 0.0:
-            raise ValidationError(f"administrative censoring time must be > 0, got {cen.time!r}")
-        if math.isinf(cen.time) and c > 0.0:
-            raise ValidationError(
-                "administrative censoring at infinity is incompatible with a "
-                "positive cure fraction: cured subjects would never be observed"
-            )
-    elif isinstance(cen, UniformCensoring):
-        if not (math.isfinite(cen.maximum) and cen.maximum > 0.0):
-            raise ValidationError(f"uniform censoring maximum must be finite and > 0, got {cen.maximum!r}")
-    elif isinstance(cen, ExponentialCensoring):
-        if not (math.isfinite(cen.rate) and cen.rate > 0.0):
-            raise ValidationError(f"exponential censoring rate must be finite and > 0, got {cen.rate!r}")
-    elif isinstance(cen, CompositeCensoring):
-        if not (math.isfinite(cen.time) and cen.time > 0.0):
-            raise ValidationError(f"administrative censoring time must be finite and > 0, got {cen.time!r}")
-        if not (math.isfinite(cen.dropout_maximum) and cen.dropout_maximum > 0.0):
-            raise ValidationError(
-                f"dropout maximum must be finite and > 0, got {cen.dropout_maximum!r}"
-            )
-    else:
+    kind = next((k for k, cls in CENSORING_MECHANISMS.items() if isinstance(cen, cls)), None)
+    if kind is None:
         raise ValidationError(f"unknown censoring mechanism {cen!r}")
-
-
-def _censoring_times(cen: Censoring, u: np.ndarray) -> np.ndarray:
-    if isinstance(cen, AdministrativeCensoring):
-        return np.full(u.shape, cen.time)
-    if isinstance(cen, UniformCensoring):
-        return cen.maximum * u
-    if isinstance(cen, ExponentialCensoring):
-        return -np.log1p(-u) / cen.rate
-    return np.minimum(cen.time, cen.dropout_maximum * u)
+    # A study that never ends censors nobody: only the administrative time may be +inf.
+    may_be_inf = kind == "administrative"
+    for f in fields(cen):
+        v = getattr(cen, f.name)
+        if not (v > 0.0 and (math.isfinite(v) or may_be_inf)):
+            rule = "> 0" if may_be_inf else "finite and > 0"
+            raise ValidationError(f"{kind} censoring {f.name} must be {rule}, got {v!r}")
+    if may_be_inf and math.isinf(cen.time) and c > 0.0:
+        raise ValidationError(
+            "administrative censoring at infinity is incompatible with a "
+            "positive cure fraction: cured subjects would never be observed"
+        )
 
 
 def simulate_mixture(config: SimulationConfig) -> tuple[SurvivalSample, GroundTruth]:
@@ -159,7 +153,7 @@ def simulate_mixture(config: SimulationConfig) -> tuple[SurvivalSample, GroundTr
     u_censor = rng.random(n)
 
     cured = u_cure < config.cure_fraction
-    censor_times = _censoring_times(config.censoring, u_censor)
+    censor_times = config.censoring.times(u_censor)
 
     # A cured subject's event time is +inf: it is censored at its censoring time.
     t_event = np.full(n, math.inf)

@@ -1,10 +1,10 @@
 """Self-contained special functions used by the model and simulation code.
 
-Keeps the package free of heavy numeric dependencies: log-gamma
-(Lanczos), the complementary error function (Cody-style rational
-approximations), the regularized incomplete gamma function (series /
-continued fraction split) and the quantiles needed for sampling, which
-one vectorized solver inverts on all levels at once.
+Keeps the package free of heavy numeric dependencies.  It exposes log-gamma
+(Lanczos), erfc (Cody-style rational approximations) with the normal CDF and
+tails built on it, the chi-square(1) tail, P(a, x) and log Q(a, x) of the
+regularized incomplete gamma (one series / continued fraction split), and the
+gamma and normal quantiles, which one vectorized solver inverts at once.
 
 Accuracy: erfc and log_gamma are good to ~1e-14 relative; the
 incomplete gamma iterates to machine tolerance with a documented
@@ -322,45 +322,32 @@ def _inc_gamma(a: float, x: np.ndarray, shape_derivatives: bool = False):
     return x, ser, cfm, log_pref, s
 
 
-def _reg_gamma_pair(a: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """Regularized incomplete gamma pair (P, Q) for scalar a > 0, array x >= 0."""
-    x, ser, cfm, log_pref, s = _inc_gamma(a, x)
-    p = np.zeros_like(x)
-    q = np.ones_like(x)
+def _log_q(ser: np.ndarray, cfm: np.ndarray, log_pref: np.ndarray, s: np.ndarray):
+    """log Q(a, x) from ``_inc_gamma``'s pieces, and P on the series branch."""
+    out = np.zeros_like(s)
     with np.errstate(under="ignore"):
-        p[ser] = np.exp(log_pref[ser]) * s[ser]
-        q[cfm] = np.exp(log_pref[cfm]) * s[cfm]
-    q[ser] = 1.0 - p[ser]
-    p[cfm] = 1.0 - q[cfm]
-    return p, q
+        p = np.exp(log_pref[ser]) * s[ser]
+    out[ser] = np.log1p(-p)
+    out[cfm] = log_pref[cfm] + np.log(s[cfm])
+    return out, p
 
 
 def reg_lower_gamma(a: float, x):
     """Regularized lower incomplete gamma P(a, x), scalar or ndarray x."""
     scalar = np.ndim(x) == 0
-    p, _ = _reg_gamma_pair(a, x)
+    x, ser, cfm, log_pref, s = _inc_gamma(a, x)
+    p = np.zeros_like(x)
+    with np.errstate(under="ignore"):
+        p[ser] = np.exp(log_pref[ser]) * s[ser]
+        p[cfm] = 1.0 - np.exp(log_pref[cfm]) * s[cfm]
     return float(p[0]) if scalar else p
 
 
-def reg_upper_gamma(a: float, x):
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    scalar = np.ndim(x) == 0
-    _, q = _reg_gamma_pair(a, x)
-    return float(q[0]) if scalar else q
-
-
 def log_reg_upper_gamma(a: float, x):
-    """log Q(a, x), finite wherever Q itself underflows.
-
-    The continued fraction's log prefactor -x + a log x - log Gamma(a) is
-    added in log space; on the series branch log Q = log1p(-P).
-    """
+    """log Q(a, x), Q = 1 - P, finite wherever Q itself underflows."""
     scalar = np.ndim(x) == 0
-    x, ser, cfm, log_pref, s = _inc_gamma(a, x)
-    out = np.zeros_like(x)
-    with np.errstate(under="ignore"):
-        out[ser] = np.log1p(-np.exp(log_pref[ser]) * s[ser])
-    out[cfm] = log_pref[cfm] + np.log(s[cfm])
+    _, ser, cfm, log_pref, s = _inc_gamma(a, x)
+    out, _ = _log_q(ser, cfm, log_pref, s)
     return float(out[0]) if scalar else out
 
 
@@ -376,12 +363,8 @@ def _log_reg_upper_gamma_shape(a: float, x: np.ndarray):
     log_x = np.log(np.where(nonzero, x, 1.0))
     g1 = np.where(nonzero, log_x - psi + d1, 0.0)
     g2 = np.where(nonzero, d2 - psi1, 0.0)
-    out = np.zeros_like(x)
-    with np.errstate(under="ignore"):
-        p = np.exp(log_pref[ser]) * s[ser]
-    out[ser] = lq = np.log1p(-p)
-    out[cfm] = log_pref[cfm] + np.log(s[cfm])
-    p_over_q = p / np.exp(lq)
+    out, p = _log_q(ser, cfm, log_pref, s)
+    p_over_q = p / np.exp(out[ser])
     q1 = -p_over_q * g1[ser]
     g2[ser] = -p_over_q * (g2[ser] + g1[ser] ** 2) - q1 * q1
     g1[ser] = q1

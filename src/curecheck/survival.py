@@ -8,6 +8,7 @@ that canonical order encodes the usual product-limit tie convention
 ``validate_sample`` (pairs), ``read_csv`` (two CSV columns) and
 ``simulate.simulate_mixture`` (arrays) all go through ``_canonical_sample``:
 one vectorized finite, non-negative check and one stable sort.
+``_km_product`` computes the product-limit estimate for every caller.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 _BINARY = {0: False, 1: True}
 _EVENT_WORDS = {"0": False, "1": True, "false": False, "true": True}
@@ -219,18 +219,18 @@ def write_csv(
         writer.writerows([repr(t), 1 if e else 0] for t, e in sample.records)
 
 
-def _km_counts(sample: SurvivalSample):
-    """Distinct event times, the events at each and the number then at risk."""
-    event_times, event_counts = np.unique(sample.times[sample.events], return_counts=True)
-    return event_times, event_counts, sample.n - np.searchsorted(sample.times, event_times, side="left")
+def _km_product(sample: SurvivalSample):
+    """Distinct event times, the events at each, the number then at risk and
+    the product-limit survival after each, ``np.cumprod(1 - d / r)``."""
+    times, d = np.unique(sample.times[sample.events], return_counts=True)
+    r = sample.n - np.searchsorted(sample.times, times, side="left")
+    return times, d, r, np.cumprod(1.0 - d / r)
 
 
 def _km_tail(sample: SurvivalSample) -> float:
     """``kaplan_meier(sample).final_survival``, bit for bit, without building the curve."""
-    if sample.n_events == 0:
-        return 1.0
-    _, d, r = _km_counts(sample)
-    return float(np.cumprod(1.0 - d / r)[-1])
+    surv = _km_product(sample)[3]
+    return float(surv[-1]) if surv.size else 1.0
 
 
 def kaplan_meier(sample: SurvivalSample) -> KaplanMeierCurve:
@@ -238,35 +238,12 @@ def kaplan_meier(sample: SurvivalSample) -> KaplanMeierCurve:
 
     Censored observations shrink the risk set but contribute no step.
     """
-    times = sample.times
-    n = sample.n
-    if sample.n_events == 0:
-        return KaplanMeierCurve(
-            steps=(), n_total=n, censor_times=tuple(float(t) for t in times)
-        )
-    event_times, event_counts, at_risk = _km_counts(sample)
-    steps = []
-    surv = 1.0
-    for t, d, r in zip(event_times, event_counts, at_risk):
-        surv *= 1.0 - int(d) / int(r)
-        steps.append(KMStep(time=float(t), n_at_risk=int(r), n_events=int(d), survival=surv))
-    censor_times = tuple(float(t) for t in times[~sample.events])
-    return KaplanMeierCurve(steps=tuple(steps), n_total=n, censor_times=censor_times)
-
-
-def km_survival_at(curve: KaplanMeierCurve, t: float) -> float:
-    """Right-continuous evaluation of the step function at time t >= 0.
-
-    Beyond the last step the terminal value is carried forward.
-    """
-    if not (t >= 0.0):
-        raise DomainError(f"evaluation time must be >= 0, got {t!r}")
-    if not curve.steps:
-        return 1.0
-    idx = bisect_right([s.time for s in curve.steps], t)
-    if idx == 0:
-        return 1.0
-    return curve.steps[idx - 1].survival
+    times, d, r, surv = (v.tolist() for v in _km_product(sample))
+    return KaplanMeierCurve(
+        steps=tuple(map(KMStep, times, r, d, surv)),
+        n_total=sample.n,
+        censor_times=tuple(sample.times[~sample.events].tolist()),
+    )
 
 
 @dataclass(frozen=True)

@@ -435,6 +435,8 @@ def test_config_validation():
         AssessmentConfig(families=())
     with pytest.raises(DomainError, match="unknown family"):
         AssessmentConfig(families=("weibull", "pareto"))
+    with pytest.raises(DomainError, match="'weibull' is listed twice"):
+        AssessmentConfig(families=("weibull", "gamma", "weibull"))
     with pytest.raises(DomainError):
         AssessmentConfig(cure_fraction_threshold=0.0)
     with pytest.raises(DomainError):

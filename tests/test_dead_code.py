@@ -1,0 +1,71 @@
+"""A dead-code guard over the package source, with ``ast`` alone.
+
+Two rules:
+* no module-level import that its module never reads (``__init__``, whose
+  imports are the public re-exports, is exempt);
+* every top-level function or class is referenced, by name, somewhere in the
+  package besides its own definition; a re-export in ``__init__`` counts.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+import curecheck
+
+PACKAGE = Path(curecheck.__file__).resolve().parent
+
+
+def _modules():
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _names_read(node):
+    """Names a statement reads: plain names, attribute names and imported names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _bound_by_import(stmt):
+    if isinstance(stmt, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in stmt.names]
+    if isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+        return [alias.asname or alias.name for alias in stmt.names]
+    return []
+
+
+def test_no_unused_module_level_imports():
+    unused = []
+    for module, tree in _modules().items():
+        if module == "__init__":
+            continue
+        read = set()
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                read |= _names_read(stmt)
+        unused += [f"{module}.{name}" for stmt in tree.body for name in _bound_by_import(stmt)
+                   if name not in read]
+    assert unused == []
+
+
+def test_every_top_level_definition_is_referenced():
+    modules = _modules()
+    readers = defaultdict(set)  # name -> the (module, statement) pairs that read it
+    for module, tree in modules.items():
+        for i, stmt in enumerate(tree.body):
+            for name in _names_read(stmt):
+                readers[name].add((module, i))
+    unreferenced = [
+        f"{module}.{stmt.name}"
+        for module, tree in modules.items()
+        for i, stmt in enumerate(tree.body)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not readers[stmt.name] - {(module, i)}
+    ]
+    assert unreferenced == []

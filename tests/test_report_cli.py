@@ -1,8 +1,10 @@
 """CSV input/output, report rendering, plot export, and the command-line interface."""
 
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +14,12 @@ import numpy as np
 import pytest
 
 from curecheck.assessment import AssessmentConfig, receus_assess
-from curecheck.cli import build_parser, main, read_csv, write_csv
+from curecheck.cli import _parse_censoring, build_parser, main, read_csv, write_csv
 from curecheck.errors import DomainError, ValidationError
 from curecheck.plot import emit_km_plot, km_plot_csv, km_plot_svg
 from curecheck.report import build_report, render_json, render_text, report_schema
 from curecheck.simulate import (
+    CENSORING_MECHANISMS,
     CompositeCensoring,
     SimulationConfig,
     simulate_mixture,
@@ -420,6 +423,14 @@ def test_cli_assess_unknown_family_is_an_error(cure_csv, capsys):
     assert "pareto" in captured.err
 
 
+def test_cli_assess_repeated_family_is_an_error(cure_csv, capsys):
+    code = main(["assess", cure_csv, "--families", "weibull,weibull"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "curecheck: error: latency family 'weibull' is listed twice\n"
+    assert captured.out == ""
+
+
 def test_cli_assess_missing_file_is_an_error(capsys):
     code = main(["assess", "/no/such/file.csv"])
     captured = capsys.readouterr()
@@ -595,6 +606,18 @@ def test_cli_simulate_bad_censoring_spec(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "censoring" in captured.err
+
+
+def test_cli_censoring_syntax_covers_every_mechanism():
+    for kind, cls in CENSORING_MECHANISMS.items():
+        args = [1.5 + i for i in range(len(dataclasses.fields(cls)))]
+        assert _parse_censoring(f"{kind}:{','.join(map(str, args))}") == cls(*args)
+        for wrong in (args + [9.0], args[:-1]):
+            text = f"{kind}:{','.join(map(str, wrong))}"
+            with pytest.raises(ValidationError, match=re.escape(repr(text))):
+                _parse_censoring(text)
+    with pytest.raises(ValidationError, match="'weekly:1'"):
+        _parse_censoring("weekly:1")
 
 
 def test_cli_restrict_roundtrip(tmp_path, capsys):

@@ -70,12 +70,16 @@ def test_rejects_infinite_administrative_censoring_with_cure():
 
 
 def test_rejects_bad_censoring_parameters():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="uniform censoring maximum .* got 0.0"):
         simulate_mixture(_cfg(censoring=UniformCensoring(0.0)))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="exponential censoring rate .* got -1.0"):
         simulate_mixture(_cfg(censoring=ExponentialCensoring(-1.0)))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="composite censoring dropout_maximum .* got -2.0"):
         simulate_mixture(_cfg(censoring=CompositeCensoring(7.3, -2.0)))
+    with pytest.raises(ValidationError, match="composite censoring time .* got inf"):
+        simulate_mixture(_cfg(censoring=CompositeCensoring(math.inf, 2.0)))
+    with pytest.raises(ValidationError, match="administrative censoring time .* got nan"):
+        simulate_mixture(_cfg(censoring=AdministrativeCensoring(math.nan)))
     with pytest.raises(ValidationError, match="unknown censoring"):
         simulate_mixture(_cfg(censoring="weekly phone calls"))
 

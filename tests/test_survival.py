@@ -5,14 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from curecheck.errors import DomainError, ValidationError
+from curecheck.errors import ValidationError
 from curecheck.survival import (
     DEFAULT_LATE_WINDOW_FRACTION,
-    KaplanMeierCurve,
     _km_tail,
     followup_summary,
     kaplan_meier,
-    km_survival_at,
     validate_sample,
 )
 
@@ -143,7 +141,6 @@ def test_km_all_censored_has_no_steps():
     curve = kaplan_meier(validate_sample([(1.0, False), (2.0, False)]))
     assert curve.steps == ()
     assert curve.final_survival == 1.0
-    assert km_survival_at(curve, 5.0) == 1.0
 
 
 def test_km_tied_event_times_form_one_step():
@@ -241,23 +238,6 @@ def test_km_survival_is_nonincreasing():
         curve = kaplan_meier(validate_sample(records))
         values = [1.0] + [s.survival for s in curve.steps]
         assert all(a >= b for a, b in zip(values, values[1:]))
-
-
-def test_km_survival_at_lookup():
-    curve = kaplan_meier(validate_sample([(1.0, True), (2.0, True), (3.0, True)]))
-    assert km_survival_at(curve, 0.0) == 1.0
-    assert km_survival_at(curve, 0.99) == 1.0
-    assert km_survival_at(curve, 1.0) == pytest.approx(2 / 3)  # right-continuous
-    assert km_survival_at(curve, 2.5) == pytest.approx(1 / 3)
-    assert km_survival_at(curve, 99.0) == 0.0
-    with pytest.raises(DomainError):
-        km_survival_at(curve, -0.1)
-
-
-def test_km_survival_at_empty_curve():
-    curve = KaplanMeierCurve(steps=(), n_total=0)
-    assert km_survival_at(curve, 0.0) == 1.0
-    assert km_survival_at(curve, 1e6) == 1.0
 
 
 # ---------------------------------------------------------------------------
