@@ -850,8 +850,7 @@ def wald_intervals(fit: ModelFit, level: float = 0.95) -> WaldIntervals:
         return WaldIntervals(
             level=level,
             intervals=None,
-            diagnostic=fit.se_diagnostic
-            or "standard errors unavailable for this fit",
+            diagnostic=fit.se_diagnostic,
         )
     # The lower tail: 0.5 * (1 + level) rounds to 1.0 for a level just below 1.
     z = -inv_normal_cdf(0.5 * (1.0 - level))

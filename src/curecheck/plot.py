@@ -26,6 +26,7 @@ _PLOT_H = _HEIGHT - _TOP - _BOTTOM
 _LINE_COLOR = "#33658a"
 _TICK_COLOR = "#86bbd8"
 _AXIS_COLOR = "#222222"
+_TITLE = "Kaplan-Meier estimate"
 
 
 def km_plot_csv(curve: KaplanMeierCurve) -> str:
@@ -56,7 +57,7 @@ def _fmt_tick(v: float) -> str:
     return f"{v:.6g}"
 
 
-def km_plot_svg(curve: KaplanMeierCurve, label: str = "Kaplan-Meier estimate") -> str:
+def km_plot_svg(curve: KaplanMeierCurve) -> str:
     """The curve as a standalone SVG document (deterministic for equal input)."""
     last_step = curve.steps[-1].time if curve.steps else 0.0
     last_censor = max(curve.censor_times) if curve.censor_times else 0.0
@@ -78,7 +79,7 @@ def km_plot_svg(curve: KaplanMeierCurve, label: str = "Kaplan-Meier estimate") -
     out.append(f'<rect width="{_WIDTH:.0f}" height="{_HEIGHT:.0f}" fill="#ffffff"/>')
     out.append(
         f'<text x="{_LEFT + _PLOT_W / 2:.1f}" y="14" font-family="sans-serif" '
-        f'font-size="13" text-anchor="middle">{label}</text>'
+        f'font-size="13" text-anchor="middle">{_TITLE}</text>'
     )
     # axes
     out.append(

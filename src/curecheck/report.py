@@ -31,7 +31,6 @@ class ReportDocument:
     label: str
     assessment: CureAssessment
     source: dict | None = None
-    version: str = __version__
 
     def to_dict(self) -> dict:
         a = self.assessment
@@ -41,7 +40,7 @@ class ReportDocument:
         cfg = a.config
         doc = {
             "tool": "curecheck",
-            "version": self.version,
+            "version": __version__,
             "dataset": self.label,
             "config": {
                 "families": list(cfg.families),
@@ -150,7 +149,7 @@ def render_text(doc: ReportDocument) -> str:
     bar = "=" * 72
     lines: list[str] = []
     lines.append(f"cure-model appropriateness report - {doc.label}")
-    lines.append(f"curecheck {doc.version}")
+    lines.append(f"curecheck {__version__}")
     lines.append(bar)
     lines.append("")
     lines.append("Step 1 - Clinical judgment")

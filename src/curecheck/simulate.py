@@ -11,7 +11,9 @@ and ``read_csv``.
 Draws come from numpy's seeded PCG64 generator as plain uniforms; every
 family transform is an explicit inverse CDF on all draws at once (the gamma
 and log-normal ones through one vectorized solver, the gamma to 1e-10), so a
-given (config, seed) reproduces byte-identical samples across platforms.
+given (config, seed) reproduces byte-identical samples on one platform and
+numpy version; across platforms the draws follow the C library's exp, log,
+erfc and lgamma.
 
 ``restrict_followup`` emulates an earlier analysis cutoff: observations
 beyond the cutoff are censored there, everything else is untouched.

@@ -1,10 +1,13 @@
 """A dead-code guard over the package source, with ``ast`` alone.
 
-Two rules:
+Three rules:
 * no module-level import that its module never reads (``__init__``, whose
   imports are the public re-exports, is exempt);
 * every top-level function or class is referenced, by name, somewhere in the
-  package besides its own definition; a re-export in ``__init__`` counts.
+  package besides its own definition; a re-export in ``__init__`` counts;
+* every module-level name bound by an assignment is read somewhere in the
+  package besides its own statement (``__init__.__all__``, which only
+  ``import *`` reads, is exempt).
 """
 
 import ast
@@ -41,6 +44,26 @@ def _bound_by_import(stmt):
     return []
 
 
+def _bound_by_assignment(stmt):
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+
+
+def _readers(modules):
+    """name -> the (module, statement index) pairs that read it."""
+    readers = defaultdict(set)
+    for module, tree in modules.items():
+        for i, stmt in enumerate(tree.body):
+            for name in _names_read(stmt):
+                readers[name].add((module, i))
+    return readers
+
+
 def test_no_unused_module_level_imports():
     unused = []
     for module, tree in _modules().items():
@@ -57,11 +80,7 @@ def test_no_unused_module_level_imports():
 
 def test_every_top_level_definition_is_referenced():
     modules = _modules()
-    readers = defaultdict(set)  # name -> the (module, statement) pairs that read it
-    for module, tree in modules.items():
-        for i, stmt in enumerate(tree.body):
-            for name in _names_read(stmt):
-                readers[name].add((module, i))
+    readers = _readers(modules)
     unreferenced = [
         f"{module}.{stmt.name}"
         for module, tree in modules.items()
@@ -69,3 +88,16 @@ def test_every_top_level_definition_is_referenced():
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not readers[stmt.name] - {(module, i)}
     ]
     assert unreferenced == []
+
+
+def test_every_module_level_assignment_is_read():
+    modules = _modules()
+    readers = _readers(modules)
+    unread = [
+        f"{module}.{name}"
+        for module, tree in modules.items()
+        for i, stmt in enumerate(tree.body)
+        for name in _bound_by_assignment(stmt)
+        if not readers[name] - {(module, i)} and (module, name) != ("__init__", "__all__")
+    ]
+    assert unread == []

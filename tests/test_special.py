@@ -1,7 +1,8 @@
 """Numerical kernels checked against scipy and against brute-force quadrature.
 
-scipy is a test-only dependency here: the library itself ships its own
-implementations so that runtime needs nothing beyond numpy.
+scipy is a test-only dependency here: the library computes erfc and log-gamma
+with Python's ``math`` and ships its own implementations of the rest, so that
+runtime needs nothing beyond numpy and the standard library.
 """
 
 import math
@@ -50,6 +51,8 @@ def test_log_gamma_known_values():
     assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
     assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
     assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
+    assert math.isfinite(log_gamma(1e304))
+    assert log_gamma(1e306) == math.inf
 
 
 def test_log_gamma_rejects_nonpositive_and_nonfinite():
@@ -72,6 +75,12 @@ def test_erfc_matches_scipy_in_relative_terms():
 
 def test_erf_symmetry_and_complement():
     assert erfc(0.0) == 1.0
+    # NaN in gives NaN out, and leaves the other elements of an array alone.
+    for f, ref in ((erfc, sp.erfc), (normal_cdf, st.norm.cdf), (normal_sf, st.norm.sf)):
+        assert math.isnan(f(math.nan))
+        got = f(np.array([0.5, math.nan, -1.0]))
+        assert math.isnan(got[1])
+        np.testing.assert_allclose(got[[0, 2]], ref([0.5, -1.0]), rtol=1e-14)
 
 
 def test_normal_cdf_and_sf_match_scipy():
@@ -249,8 +258,9 @@ def test_chi2_sf_1df_matches_scipy():
     for d in (0.0, 1e-6, 0.5, 1.0, 2.0, 3.84, 10.0, 40.0):
         assert chi2_sf_1df(d) == pytest.approx(st.chi2.sf(d, df=1), rel=1e-10, abs=1e-300)
     assert chi2_sf_1df(0.0) == 1.0
-    with pytest.raises(DomainError):
-        chi2_sf_1df(-0.1)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(DomainError):
+            chi2_sf_1df(bad)
 
 
 # ---------------------------------------------------------------------------
