@@ -146,18 +146,19 @@ def verdict_from_flags(cure_model_selected: bool, cure_fraction_pass: bool, r_pa
 def _fit_rows(sample: SurvivalSample, families: tuple[str, ...]) -> tuple[ModelTableRow, ...]:
     """Fit the non-cure and cure variant of each family, one row per spec.
 
-    Each cure fit is given its family's non-cure fit, as ``fit_model`` makes
-    it, so a row equals ``fit_model``'s fit of its spec.  A fit that raises a
+    Each cure fit is given its family's non-cure fit and the family terms
+    that fit computed, as ``fit_model`` gives them, so a row equals
+    ``fit_model``'s fit of its spec.  A fit that raises a
     ``CurecheckError`` becomes a row with ``error`` set; any other exception
     is a bug and propagates.
     """
     rows: list[ModelTableRow] = []
     for family in families:
-        noncure = None
+        noncure, known = None, {}
         for cure in (False, True):
             spec = FamilySpec(family, cure=cure)
             try:
-                fit = _fit(sample, spec, noncure)
+                fit = _fit(sample, spec, noncure, known)
             except CurecheckError as exc:
                 rows.append(
                     ModelTableRow(spec=spec, aic=None, converged=False, error=str(exc))

@@ -43,6 +43,13 @@ where a start from ``initial_params`` walks 20-35 iterations down the
 c -> 0 ridge.  A cure fit that ends on the boundary has no standard
 errors: logit c has none there.
 
+Either way the cure fit's first point has a latency the non-cure fit has
+already evaluated: its start (``initial_params`` gives both fits the same
+latency) or its end (a boundary start).  That evaluation takes the family
+terms (``_Family.derivatives``) the non-cure fit computed there, matched
+by latency, so the gamma kernel and the other family work are not
+repeated.
+
 A trust region that does not converge returns its best point with
 ``converged=False``; the assessment names such a fit in its notes and
 never selects it.  The likelihood is evaluated once per distinct
@@ -505,11 +512,12 @@ def _loglik_value(spec: FamilySpec, params: Params, cache: _LikCache) -> float:
     return ll if not math.isnan(ll) else -math.inf
 
 
-def _loglik_derivatives(spec: FamilySpec, x: np.ndarray, cache: _LikCache):
-    """(log-likelihood, gradient, Hessian, log S0) at x in the fitting coordinates.
+def _loglik_derivatives(spec: FamilySpec, x: np.ndarray, cache: _LikCache, terms=None):
+    """(log-likelihood, gradient, Hessian, terms) at x in the fitting coordinates.
 
-    log S0 is the latency's log survival at the cache's censoring times; a
-    converged non-cure fit reads its cure score off it (``_cure_score``).
+    ``terms`` are the family's ``derivatives`` at x's latency parameters.
+    They are computed unless passed in.  A converged non-cure fit reads its
+    cure score off their log S0 (``_cure_score``).
 
     The family gives its terms on the log-parameter scale; the cure layer
     below is shared.  With m = c + (1 - c) S0 and L = log S0 the partial
@@ -519,12 +527,14 @@ def _loglik_derivatives(spec: FamilySpec, x: np.ndarray, cache: _LikCache):
     """
     params = _untransform(spec, x)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        ev, ev_g, ev_h, ls, ls_g, ls_h = _family(spec.family).derivatives(cache, *params.latency)
+        if terms is None:
+            terms = _family(spec.family).derivatives(cache, *params.latency)
+        ev, ev_g, ev_h, ls, ls_g, ls_h = terms
         c = params.cure_fraction
         ll = _mixture_value(spec, c, ev, ls, cache)
         wc = cache.wc
         if not spec.cure:
-            return ll, ev_g + wc @ ls_g, ev_h + np.tensordot(wc, ls_h, 1), ls
+            return ll, ev_g + wc @ ls_g, ev_h + np.tensordot(wc, ls_h, 1), terms
         s0 = np.exp(ls)
         m = c + (1.0 - c) * s0
         t_l = (1.0 - c) * s0 / m
@@ -541,7 +551,7 @@ def _loglik_derivatives(spec: FamilySpec, x: np.ndarray, cache: _LikCache):
         h[1:, 1:] = (
             ev_h + (ls_g.T * (w_l * (1.0 - t_l))) @ ls_g + np.tensordot(w_l, ls_h, 1)
         )
-    return ll, g, h, ls
+    return ll, g, h, terms
 
 
 def log_likelihood(spec: FamilySpec, params: Params, sample: SurvivalSample) -> float:
@@ -700,7 +710,7 @@ def _finite(point) -> bool:
 def _trust_region(spec: FamilySpec, cache: _LikCache, x: np.ndarray, point):
     """Maximize the log-likelihood from x, where point = _loglik_derivatives at x.
 
-    Returns (x, (ll, g, H, log S0), iterations, converged).  A step is taken
+    Returns (x, (ll, g, H, terms), iterations, converged).  A step is taken
     when it gains at least a tenth of the quadratic model's predicted gain,
     or when both gains are below the rounding noise of the log-likelihood;
     the radius shrinks on poor agreement and grows on good agreement at the
@@ -744,22 +754,30 @@ def fit_model(sample: SurvivalSample, spec: FamilySpec) -> ModelFit:
     chooses where the cure fit starts; when that fit fails, the cure fit
     starts from ``initial_params``.
     """
-    noncure = None
+    noncure, known = None, {}
     if spec.cure:
         try:
-            noncure = _fit(sample, FamilySpec(spec.family), None)
+            noncure = _fit(sample, FamilySpec(spec.family), None, known)
         except CurecheckError:
             pass
-    return _fit(sample, spec, noncure)
+    return _fit(sample, spec, noncure, known)
 
 
-def _fit(sample: SurvivalSample, spec: FamilySpec, noncure: ModelFit | None) -> ModelFit:
+def _fit(
+    sample: SurvivalSample, spec: FamilySpec, noncure: ModelFit | None, known: dict
+) -> ModelFit:
     """``fit_model`` given the family's non-cure fit for a cure spec.
 
     ``noncure`` is None for a non-cure spec, and for a cure spec whose
     non-cure fit failed.  A cure fit starts on the boundary, logit c = -40
     with the non-cure latency, when the non-cure fit converged with a cure
     score <= 0, and from ``initial_params`` otherwise.
+
+    ``known`` carries family terms (``_Family.derivatives``) from a
+    family's non-cure fit to its cure fit, keyed by latency parameters.
+    The non-cure fit stores those of its first and its last point.  The
+    cure fit's first evaluation takes the entry at its own latency when
+    there is one, so it is not computed twice.
     """
     if sample.n_events == 0:
         raise FitError("no events: fitting undefined")
@@ -776,13 +794,19 @@ def _fit(sample: SurvivalSample, spec: FamilySpec, noncure: ModelFit | None) -> 
         init = initial_params(spec, sample)
         check_params(spec, init)
         x = _transform(spec, init)
-    point = _loglik_derivatives(spec, x, cache)
+    latency = _untransform(spec, x).latency
+    point = _loglik_derivatives(spec, x, cache, known.get(latency))
+    if not spec.cure:
+        known[latency] = point[3]
     if not math.isfinite(point[0]):
         raise FitError(f"initial parameters give a non-finite {spec.label} likelihood")
 
     x, point, n_iter, converged = _trust_region(spec, cache, x, point)
 
-    ll, _, h, ls = point
+    params = _untransform(spec, x)
+    ll, _, h, terms = point
+    if not spec.cure:
+        known[params.latency] = terms
     if spec.cure and x[0] <= -_LOGIT_BOX:
         se, se_diag = None, (
             "the cure fraction sits on the boundary c = 0, where logit c has no "
@@ -792,7 +816,7 @@ def _fit(sample: SurvivalSample, spec: FamilySpec, noncure: ModelFit | None) -> 
         se, se_diag = _standard_errors(-h)
     return ModelFit(
         spec=spec,
-        params=_untransform(spec, x),
+        params=params,
         log_likelihood=ll,
         aic=aic_value(spec.n_params, ll),
         n_params=spec.n_params,
@@ -802,7 +826,7 @@ def _fit(sample: SurvivalSample, spec: FamilySpec, noncure: ModelFit | None) -> 
         n_iter=n_iter,
         standard_errors=se,
         se_diagnostic=se_diag,
-        cure_score=_cure_score(cache, ls) if converged and not spec.cure else None,
+        cure_score=_cure_score(cache, terms[3]) if converged and not spec.cure else None,
     )
 
 

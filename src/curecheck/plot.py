@@ -11,8 +11,9 @@ from __future__ import annotations
 import io
 import math
 import sys
-from bisect import bisect_right
 from contextlib import nullcontext
+
+import numpy as np
 
 from .errors import DomainError
 from .survival import KaplanMeierCurve
@@ -122,29 +123,30 @@ def km_plot_svg(curve: KaplanMeierCurve) -> str:
         f'font-size="12" text-anchor="middle" '
         f'transform="rotate(-90 16 {_fmt(_TOP + _PLOT_H / 2)})">survival</text>'
     )
-    # the step polyline
+    # the step polyline, with a "V" wherever the survival changes
+    times = np.array([s.time for s in curve.steps], dtype=float)
+    survival = np.array([s.survival for s in curve.steps], dtype=float)
+    level = np.concatenate([[1.0], survival])  # level[i]: the curve after i steps
     d = [f"M {_fmt(sx(0.0))} {_fmt(sy(1.0))}"]
-    prev = 1.0
-    for s in curve.steps:
-        d.append(f"H {_fmt(sx(s.time))}")
-        if s.survival != prev:
-            d.append(f"V {_fmt(sy(s.survival))}")
-            prev = s.survival
+    d += [
+        f"H {x:.2f} V {y:.2f}" if changed else f"H {x:.2f}"
+        for x, y, changed in zip(
+            sx(times).tolist(), sy(survival).tolist(), (survival != level[:-1]).tolist()
+        )
+    ]
     if not curve.steps or curve.steps[-1].time < x_max:
         d.append(f"H {_fmt(sx(x_max))}")
     out.append(
         f'<path d="{" ".join(d)}" fill="none" stroke="{_LINE_COLOR}" stroke-width="1.8"/>'
     )
     # censor marks, each at the curve's right-continuous value (1 before the first step)
-    step_times = [s.time for s in curve.steps]
-    for t in curve.censor_times:
-        i = bisect_right(step_times, t)
-        x = sx(t)
-        y = sy(curve.steps[i - 1].survival if i else 1.0)
-        out.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(y - 4)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(y + 4)}" stroke="{_TICK_COLOR}" stroke-width="1.4"/>'
-        )
+    censor = np.array(curve.censor_times, dtype=float)
+    y = sy(level[np.searchsorted(times, censor, side="right")])
+    out += [
+        f'<line x1="{x:.2f}" y1="{y - 4:.2f}" x2="{x:.2f}" '
+        f'y2="{y + 4:.2f}" stroke="{_TICK_COLOR}" stroke-width="1.4"/>'
+        for x, y in zip(sx(censor).tolist(), y.tolist())
+    ]
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

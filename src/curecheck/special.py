@@ -100,6 +100,47 @@ def _digamma_trigamma(a: float) -> tuple[float, float]:
     return psi, psi1
 
 
+class _Window:
+    """The window [lo, hi) of elements an incomplete-gamma loop still iterates.
+
+    ``_Window(*work)`` follows the loop's working arrays.  ``retire(done)``
+    takes the convergence test over the window: it copies an element's
+    working values out the first time the element converges, then narrows
+    the window to the first and last element not yet converged, and returns
+    False once none is left.  Converged elements inside the window keep
+    iterating, but nothing reads them again.
+    """
+
+    def __init__(self, *work: np.ndarray):
+        self.work = work
+        self.copied = [np.empty_like(w) for w in work]
+        self.lo, self.hi = 0, work[0].size
+        self.converged = np.zeros(work[0].size, dtype=bool)
+
+    def retire(self, done: np.ndarray) -> bool:
+        lo, hi = self.lo, self.hi
+        seen = self.converged[lo:hi]
+        fresh = done > seen
+        if not np.count_nonzero(fresh):
+            return True
+        for out, w in zip(self.copied, self.work):
+            np.copyto(out[lo:hi], w[lo:hi], where=fresh)
+        seen |= fresh
+        if seen[0] or seen[-1]:
+            (live,) = (~seen).nonzero()
+            if not live.size:
+                return False
+            self.lo, self.hi = lo + int(live[0]), lo + int(live[-1]) + 1
+        return True
+
+    def results(self) -> list[np.ndarray]:
+        """Each working array at each element's first convergence; an element
+        the iteration cap stopped keeps its last values."""
+        for out, w in zip(self.copied, self.work):
+            np.copyto(out, w, where=~self.converged)
+        return self.copied
+
+
 def _inc_gamma(a: float, x: np.ndarray, shape_derivatives: bool = False):
     """The series and continued-fraction pieces of the incomplete gamma pair.
 
@@ -114,6 +155,15 @@ def _inc_gamma(a: float, x: np.ndarray, shape_derivatives: bool = False):
     derivatives in a of log s, carried through the same loops (forward-mode,
     as in Moore's AS 187): the series terms x^n / (a (a+1) ... (a+n)) and
     the Lentz factors are differentiated as they are formed.
+
+    Elements converge at very different speeds, slowest near x ~ a.  Each
+    loop updates a ``_Window`` of its elements in place, through slices:
+    the span from the first to the last element not yet converged.  An
+    element's outputs are copied out at its first convergence, so it ends
+    on the same values as if it had stopped there.  On sorted x (censoring
+    times come from ``np.unique``) the series' unconverged elements are a
+    suffix and the continued fraction's lie in a prefix, so few converged
+    elements ride along.
     """
     if not (a > 0.0) or not math.isfinite(a):
         raise DomainError(f"incomplete gamma requires a > 0, got {a!r}")
@@ -136,29 +186,29 @@ def _inc_gamma(a: float, x: np.ndarray, shape_derivatives: bool = False):
             # H_n, G_n the sums of 1/(a+j) and 1/(a+j)^2 over j <= n.
             hn, gn = 1.0 / a, 1.0 / (a * a)
             s1, s2 = -term * hn, term * (hn * hn + gn)
-        # Elements converge at very different speeds (slowest near x ~ a);
-        # keep iterating only the unconverged ones.
-        active = np.arange(xs.size)
+            win = _Window(total, s1, s2)
+        else:
+            win = _Window(total)
         ak = a
         for _ in range(_MAX_INC_GAMMA_ITER):
+            lo, hi = win.lo, win.hi
             ak += 1.0
-            term[active] *= xs[active] / ak
-            total[active] += term[active]
+            tw, totw = term[lo:hi], total[lo:hi]
+            tw *= xs[lo:hi] / ak
+            totw += tw
             if shape_derivatives:
                 hn += 1.0 / ak
                 gn += 1.0 / (ak * ak)
-                s1[active] -= term[active] * hn
-                s2[active] += term[active] * (hn * hn + gn)
-            done = np.abs(term[active]) <= np.abs(total[active]) * 1e-16
-            if done.any():
-                active = active[~done]
-                if active.size == 0:
-                    break
+                s1[lo:hi] -= tw * hn
+                s2[lo:hi] += tw * (hn * hn + gn)
+            if not win.retire(np.abs(tw) <= np.abs(totw) * 1e-16):
+                break
+        total, *sums = win.results()
         log_pref[ser] = -xs + a * np.log(xs) - lg
         s[ser] = total
         if shape_derivatives:
-            d1[ser] = s1 / total
-            d2[ser] = s2 / total - d1[ser] ** 2
+            d1[ser] = sums[0] / total
+            d2[ser] = sums[1] / total - d1[ser] ** 2
     cfm = nonzero & ~ser
     if cfm.any():
         xc = x[cfm]
@@ -176,45 +226,51 @@ def _inc_gamma(a: float, x: np.ndarray, shape_derivatives: bool = False):
             c1, c2 = np.zeros_like(xc), np.zeros_like(xc)
             l1, l2 = d.copy(), d * d
             settled = np.zeros(xc.size, dtype=bool)
-        active = np.arange(xc.size)
+            win = _Window(h, l1, l2)
+        else:
+            win = _Window(h)
         for i in range(1, _MAX_INC_GAMMA_ITER):
+            lo, hi = win.lo, win.hi
             an = -i * (i - a)
-            b[active] += 2.0
-            da = an * d[active] + b[active]
+            bw, dw, cw = b[lo:hi], d[lo:hi], c[lo:hi]
+            bw += 2.0
+            da = an * dw + bw
             da = np.where(np.abs(da) < tiny, tiny, da)
-            ca = b[active] + an / c[active]
+            ca = bw + an / cw
             ca = np.where(np.abs(ca) < tiny, tiny, ca)
             da = 1.0 / da
             delta = da * ca
             if shape_derivatives:
-                cp = c[active]
-                r1, r2 = c1[active] / cp, c2[active] / cp
-                u1 = i * d[active] + an * e1[active] - 1.0  # derivatives of 1 / da
-                u2 = 2.0 * i * e1[active] + an * e2[active]
-                ca1 = -1.0 + (i - an * r1) / cp
-                ca2 = (-2.0 * i * r1 + an * (2.0 * r1 * r1 - r2)) / cp
+                e1w, e2w, c1w, c2w = e1[lo:hi], e2[lo:hi], c1[lo:hi], c2[lo:hi]
+                r1, r2 = c1w / cw, c2w / cw
+                u1 = i * dw + an * e1w - 1.0  # derivatives of 1 / da
+                u2 = 2.0 * i * e1w + an * e2w
+                ca1 = -1.0 + (i - an * r1) / cw
+                ca2 = (-2.0 * i * r1 + an * (2.0 * r1 * r1 - r2)) / cw
                 p_d, p_c = -da * u1, ca1 / ca
-                l1[active] += p_d + p_c
-                l2[active] += p_d * p_d - da * u2 + ca2 / ca - p_c * p_c
-                e1[active], e2[active] = p_d * da, da * da * (2.0 * da * u1 * u1 - u2)
-                c1[active], c2[active] = ca1, ca2
-                h[active] *= np.where(settled[active], 1.0, delta)
-                settled[active] |= np.abs(delta - 1.0) <= 1e-16
+                step = p_d + p_c
+                l1w = l1[lo:hi]
+                l1w += step
+                l2[lo:hi] += p_d * p_d - da * u2 + ca2 / ca - p_c * p_c
+                e1w[:], e2w[:] = p_d * da, da * da * (2.0 * da * u1 * u1 - u2)
+                c1w[:], c2w[:] = ca1, ca2
+                sw = settled[lo:hi]
+                h[lo:hi] *= np.where(sw, 1.0, delta)
+                sw |= np.abs(delta - 1.0) <= 1e-16
                 # At integer a the fraction ends (an = 0) but its derivative does not.
-                done = settled[active] & (np.abs(p_d + p_c) <= 1e-16 * (1.0 + np.abs(l1[active])))
+                done = sw & (np.abs(step) <= 1e-16 * (1.0 + np.abs(l1w)))
             else:
-                h[active] *= delta
+                h[lo:hi] *= delta
                 done = np.abs(delta - 1.0) <= 1e-16
-            d[active] = da
-            c[active] = ca
-            if done.any():
-                active = active[~done]
-                if active.size == 0:
-                    break
+            dw[:] = da
+            cw[:] = ca
+            if not win.retire(done):
+                break
+        h, *logs = win.results()
         log_pref[cfm] = -xc + a * np.log(xc) - lg
         s[cfm] = h
         if shape_derivatives:
-            d1[cfm], d2[cfm] = l1, l2
+            d1[cfm], d2[cfm] = logs
     if shape_derivatives:
         return x, ser, cfm, log_pref, s, (d1, d2)
     return x, ser, cfm, log_pref, s

@@ -341,8 +341,8 @@ def test_assessment_reports_unconverged_rows(monkeypatch):
     # Each unconverged row gets one note: the weibull cure fit, whose AIC
     # beats the selected fit, in the "lower AIC" wording; the weibull
     # non-cure fit, whose AIC does not, in the plain one.
-    def fit_unconverged(sample, spec, noncure):
-        fit = _fit(sample, spec, noncure)
+    def fit_unconverged(sample, spec, noncure, known):
+        fit = _fit(sample, spec, noncure, known)
         return replace(fit, converged=False) if spec.family == "weibull" else fit
 
     monkeypatch.setattr("curecheck.assessment._fit", fit_unconverged)
@@ -403,21 +403,58 @@ def test_short_days_assess_stays_within_its_evaluation_budget(short_days_sample,
     assert len(calls) <= 80
 
 
-def test_fit_model_equals_the_assessments_row(short_days_sample):
+def test_fit_model_equals_the_assessments_row(plateau_sample, short_days_sample):
     # One derivation: a standalone cure fit makes its own non-cure fit first,
-    # and equals the row the assessment fitted from its non-cure row.
-    rows, _ = select_model_by_aic(short_days_sample)
-    for row in rows:
-        assert fit_model(short_days_sample, row.spec) == row.fit, row.spec.label
+    # and equals the row the assessment fitted from its non-cure row.  On the
+    # plateau data every cure fit starts cold, from initial_params; on the
+    # short-days data some start on the boundary.
+    for sample in (plateau_sample, short_days_sample):
+        rows, _ = select_model_by_aic(sample)
+        for row in rows:
+            assert fit_model(sample, row.spec) == row.fit, row.spec.label
+
+
+@pytest.mark.parametrize(
+    "fixture, expected", [("plateau_sample", 66), ("short_days_sample", 71)]
+)
+def test_each_cure_fit_reuses_its_noncure_fits_terms(fixture, expected, request, monkeypatch):
+    # Counts of the family-term evaluations (_Family.derivatives) in one
+    # assessment.  Each family's cure fit takes its first evaluation from its
+    # non-cure fit, which computed the same latency at its start (a cold
+    # start) or its end (a boundary start): five fewer than the 71 and 76 of
+    # evaluating it again.
+    from curecheck import models
+
+    sample = request.getfixturevalue(fixture)
+    calls = []
+
+    def counting(derivatives):
+        def counted(self, cache, *theta):
+            calls.append(theta)
+            return derivatives(self, cache, *theta)
+
+        return counted
+
+    for family in models._TABLE.values():
+        cls = type(family)
+        monkeypatch.setattr(cls, "derivatives", counting(cls.derivatives))
+    rows = {row.spec: row for row in receus_assess(sample).model_table}
+    assert len(calls) == expected
+    # The reused terms are the ones a fresh evaluation gives: each cure row
+    # equals its fit with nothing carried over.
+    for spec, row in rows.items():
+        if spec.cure:
+            noncure = rows[FamilySpec(spec.family)].fit
+            assert _fit(sample, spec, noncure, {}) == row.fit, spec.label
 
 
 def test_assessment_notes_each_failed_fit(monkeypatch):
     # A fit that raises: the row stays in the table and the loss is named in
     # the notes.
-    def fit_or_fail(sample, spec, noncure):
+    def fit_or_fail(sample, spec, noncure, known):
         if spec.label == "gamma non-cure":
             raise FitError(f"initial parameters give a non-finite {spec.label} likelihood")
-        return _fit(sample, spec, noncure)
+        return _fit(sample, spec, noncure, known)
 
     monkeypatch.setattr("curecheck.assessment._fit", fit_or_fail)
     a = receus_assess(_simulated_cure_sample(n=300))

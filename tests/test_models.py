@@ -715,7 +715,7 @@ def test_boundary_start_never_lowers_a_cure_fit():
         for family in FAMILIES:
             noncure = fit_model(sample, FamilySpec(family))
             spec = FamilySpec(family, cure=True)
-            fit = _fit(sample, spec, noncure)
+            fit = _fit(sample, spec, noncure, {})
             x = _transform(spec, initial_params(spec, sample))
             _, (cold, *_), _, _ = _trust_region(spec, cache, x, _loglik_derivatives(spec, x, cache))
             assert fit.log_likelihood >= cold - 1e-9, (i, family)

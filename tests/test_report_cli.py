@@ -1,6 +1,7 @@
 """CSV input/output, report rendering, plot export, and the command-line interface."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -307,6 +308,34 @@ def test_plot_svg_no_events_draws_flat_line():
     curve = kaplan_meier(validate_sample([(1.0, False), (2.0, False)]))
     svg = km_plot_svg(curve)
     assert "<path" in svg  # the S = 1 line is still drawn
+
+
+@pytest.mark.parametrize(
+    "records, sha256",
+    [
+        (None, "a993deeb07f09f2284b5e66533f587c5f03433610925e0389fb8179af2136c88"),
+        (  # all censored: the flat S = 1 line and a mark per record
+            [(0.7, False), (2.5, False), (2.5, False), (4.0, False)],
+            "ff8770c57da5bfda86bf6ff761c91e17bcaa74e9dbd62fd3bf67578c28bf800e",
+        ),
+        (  # censored before the first event: marks at S = 1
+            [(0.2, False), (0.5, False), (1.0, True), (2.0, True), (3.5, False)],
+            "120cd030d095a70cda1ac69789d0d2974f13752c452fdb04edd3e66779f7aea0",
+        ),
+        (  # tied censored times, one tied with an event time
+            [(1.0, True), (2.0, False), (2.0, False), (2.0, True), (3.0, False),
+             (3.0, False), (3.0, False), (4.0, True), (4.0, True)],
+            "b9e1e1888c2566653d0c560b3eb981e23a92cbb13cbad3fee6f102be8607cc10",
+        ),
+    ],
+    ids=["plateau", "all-censored", "censored-first", "tied-censored"],
+)
+def test_plot_svg_bytes_are_pinned(records, sha256, plateau_sample):
+    # Pinned digests: any rewrite of the writer keeps these bytes.  None
+    # stands for the plateau_sample fixture.
+    sample = plateau_sample if records is None else validate_sample(records)
+    svg = km_plot_svg(kaplan_meier(sample))
+    assert hashlib.sha256(svg.encode()).hexdigest() == sha256
 
 
 def test_plot_deterministic():

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from curecheck.errors import DomainError
 from curecheck.special import (
     _digamma_trigamma,
+    _inc_gamma,
     _log_reg_upper_gamma_shape,
     chi2_sf_1df,
     erfc,
@@ -230,6 +231,34 @@ def test_log_reg_upper_gamma_shape_derivatives_match_quadrature():
         want = np.array([_log_q_shape_oracle(a, float(x)) for x in xs])
         np.testing.assert_allclose(d1, want[:, 0], rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(d2, want[:, 1], rtol=1e-10, atol=1e-12)
+
+
+def _kernel_outputs(a, x):
+    """Every array the incomplete-gamma kernel and its wrappers return at (a, x)."""
+    *plain, (d1, d2) = _inc_gamma(a, x, shape_derivatives=True)
+    return [
+        *_inc_gamma(a, x), *plain, d1, d2,
+        *_log_reg_upper_gamma_shape(a, x), log_reg_upper_gamma(a, x), reg_lower_gamma(a, x),
+    ]
+
+
+@pytest.mark.parametrize("a", [0.05, 0.7253, 1.0, 3.0, 57.3, 300.0])
+def test_incomplete_gamma_element_is_independent_of_its_batch(a):
+    # The kernel's loops iterate converged elements along with unconverged
+    # neighbours; each element must still end on the bits it gets alone, in
+    # any batch order.  x = 0, both branches, a tie, and at integer a the
+    # continued fraction ends (an = 0) while its derivatives keep iterating.
+    x = np.concatenate([
+        [0.0, 0.0],
+        a * np.array([1e-3, 0.05, 0.5, 0.9, 0.9]),
+        (a + 1.0) * np.array([0.999, 1.0, 1.01, 1.5, 3.0, 10.0, 100.0]),
+    ])
+    alone = [[o.tobytes() for o in _kernel_outputs(a, x[k : k + 1])] for k in range(x.size)]
+    rng = np.random.default_rng(3)
+    for order in (np.arange(x.size), np.arange(x.size)[::-1], rng.permutation(x.size)):
+        batch = _kernel_outputs(a, x[order])
+        for j, k in enumerate(order):
+            assert [o[j : j + 1].tobytes() for o in batch] == alone[k], (a, x[k])
 
 
 def test_inv_reg_lower_gamma_round_trip():
