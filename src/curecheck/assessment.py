@@ -12,7 +12,7 @@ The procedure:
         tau — small values (default < 0.05) mean nearly everyone still at
         risk is cured, so a cure model is appropriate.
 
-The fits of step (i) are made once, by ``_fit_rows``.  The same rows give
+The fits of step (i) are made once, by ``models._fits``.  The same rows give
 the cure-vs-non-cure deviance test of the selected family
 (``deviance_cure_test`` runs that pipeline on one family alone).  The
 Maller-Zhou follow-up test, a nonparametric follow-up summary and the
@@ -33,7 +33,7 @@ from .models import (
     FamilySpec,
     ModelFit,
     Params,
-    _fit,
+    _fits,
     check_params,
     latency_survival,
 )
@@ -55,6 +55,16 @@ VERDICTS = (
 _AIC_TIE_TOL = 1e-12
 
 
+def _check_families(families: tuple[str, ...]) -> None:
+    """Raise unless ``families`` names at least one known family, each once."""
+    if not families:
+        raise DomainError("at least one latency family is required")
+    for i, fam in enumerate(families):
+        FamilySpec(fam)  # raises DomainError on an unknown family
+        if fam in families[:i]:
+            raise DomainError(f"latency family {fam!r} is listed twice")
+
+
 @dataclass(frozen=True)
 class AssessmentConfig:
     """Settings for receus_assess; defaults follow the recommended thresholds."""
@@ -67,12 +77,7 @@ class AssessmentConfig:
     late_window: float | None = None  # None: 20% of the maximum follow-up
 
     def __post_init__(self):
-        if not self.families:
-            raise DomainError("at least one latency family is required")
-        for i, fam in enumerate(self.families):
-            FamilySpec(fam)  # raises DomainError on an unknown family
-            if fam in self.families[:i]:
-                raise DomainError(f"latency family {fam!r} is listed twice")
+        _check_families(self.families)
         for name in ("cure_fraction_threshold", "r_threshold", "alpha_threshold"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
@@ -144,32 +149,14 @@ def verdict_from_flags(cure_model_selected: bool, cure_fraction_pass: bool, r_pa
 
 
 def _fit_rows(sample: SurvivalSample, families: tuple[str, ...]) -> tuple[ModelTableRow, ...]:
-    """Fit the non-cure and cure variant of each family, one row per spec.
-
-    Each cure fit is given its family's non-cure fit and the family terms
-    that fit computed, as ``fit_model`` gives them, so a row equals
-    ``fit_model``'s fit of its spec.  A fit that raises a
-    ``CurecheckError`` becomes a row with ``error`` set; any other exception
-    is a bug and propagates.
-    """
-    rows: list[ModelTableRow] = []
-    for family in families:
-        noncure, known = None, {}
-        for cure in (False, True):
-            spec = FamilySpec(family, cure=cure)
-            try:
-                fit = _fit(sample, spec, noncure, known)
-            except CurecheckError as exc:
-                rows.append(
-                    ModelTableRow(spec=spec, aic=None, converged=False, error=str(exc))
-                )
-                continue
-            if not cure:
-                noncure = fit
-            rows.append(
-                ModelTableRow(spec=spec, aic=fit.aic, converged=fit.converged, fit=fit)
-            )
-    return tuple(rows)
+    """One row per spec of ``models._fits``; a failed fit's row carries its error."""
+    _check_families(families)
+    return tuple(
+        ModelTableRow(spec=spec, aic=None, converged=False, error=str(fit))
+        if isinstance(fit, CurecheckError)
+        else ModelTableRow(spec=spec, aic=fit.aic, converged=fit.converged, fit=fit)
+        for spec, fit in _fits(sample, families)
+    )
 
 
 def select_model_by_aic(

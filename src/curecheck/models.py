@@ -32,6 +32,8 @@ layer chains them through the mixture and logit c.  Their
 Hessian at the returned point is the observed information behind the
 standard errors.
 
+Every fit runs in one loop, ``_fits``, which builds the sample's likelihood
+cache once and fits each family without and then with a cure fraction.
 A fit starts from ``initial_params``, except a cure fit on the boundary.
 The non-cure model is the c = 0 boundary of the cure model, so a cure fit
 first reads its family's non-cure fit: the cure score there,
@@ -46,9 +48,8 @@ errors: logit c has none there.
 Either way the cure fit's first point has a latency the non-cure fit has
 already evaluated: its start (``initial_params`` gives both fits the same
 latency) or its end (a boundary start).  That evaluation takes the family
-terms (``_Family.derivatives``) the non-cure fit computed there, matched
-by latency, so the gamma kernel and the other family work are not
-repeated.
+terms (``_Family.derivatives``) the non-cure fit computed there, so the
+gamma kernel and the other family work are not repeated.
 
 A trust region that does not converge returns its best point with
 ``converged=False``; the assessment names such a fit in its notes and
@@ -97,7 +98,7 @@ class _Family:
     * ``quantile(u, *theta)``: the latency CDF inverted on a 1-D array in [0, 1).
     * ``start(te, mean_te)``: starting values from the event times.
     * ``zero_events``: events at time exactly 0 are "allowed"; rejected by
-      ``fit_model`` alone under "no fit" (defined but degenerate maximum); or
+      fitting alone under "no fit" (defined but degenerate maximum); or
       rejected everywhere under "outside support" (density undefined or
       unbounded at 0).  They are never nudged.
     * ``derivatives(cache, *theta)``: the fit engine's terms on the scale of
@@ -477,9 +478,8 @@ def _build_cache(sample: SurvivalSample) -> _LikCache:
     )
 
 
-def _checked_cache(spec: FamilySpec, sample: SurvivalSample, fitting: bool) -> _LikCache:
-    """The sample's likelihood cache, once its events at time 0 pass the family's rule."""
-    cache = _build_cache(sample)
+def _check_zero_events(spec: FamilySpec, cache: _LikCache, fitting: bool) -> None:
+    """Raise when the sample's events at time 0 break the family's rule."""
     rule = _family(spec.family).zero_events
     if cache.n_zero_events and rule == "outside support":
         raise DomainError(
@@ -490,7 +490,6 @@ def _checked_cache(spec: FamilySpec, sample: SurvivalSample, fitting: bool) -> _
             f"events at time exactly 0 make the {spec.family} likelihood degenerate; "
             "remove or shift them before fitting"
         )
-    return cache
 
 
 def _mixture_value(spec: FamilySpec, c, ev: float, ls: np.ndarray, cache: _LikCache) -> float:
@@ -561,7 +560,9 @@ def log_likelihood(spec: FamilySpec, params: Params, sample: SurvivalSample) -> 
     undefined there; censored records at 0 contribute log S(0) = 0.
     """
     check_params(spec, params)
-    return float(_loglik_value(spec, params, _checked_cache(spec, sample, fitting=False)))
+    cache = _build_cache(sample)
+    _check_zero_events(spec, cache, fitting=False)
+    return float(_loglik_value(spec, params, cache))
 
 
 def aic_value(k: int, log_lik: float) -> float:
@@ -754,80 +755,83 @@ def fit_model(sample: SurvivalSample, spec: FamilySpec) -> ModelFit:
     chooses where the cure fit starts; when that fit fails, the cure fit
     starts from ``initial_params``.
     """
-    noncure, known = None, {}
-    if spec.cure:
-        try:
-            noncure = _fit(sample, FamilySpec(spec.family), None, known)
-        except CurecheckError:
-            pass
-    return _fit(sample, spec, noncure, known)
+    fit = next(fit for fitted, fit in _fits(sample, (spec.family,)) if fitted == spec)
+    if isinstance(fit, CurecheckError):
+        raise fit
+    return fit
 
 
-def _fit(
-    sample: SurvivalSample, spec: FamilySpec, noncure: ModelFit | None, known: dict
-) -> ModelFit:
-    """``fit_model`` given the family's non-cure fit for a cure spec.
+def _fits(sample: SurvivalSample, families: tuple[str, ...]):
+    """Fit each family without and then with a cure fraction, on one likelihood cache.
 
-    ``noncure`` is None for a non-cure spec, and for a cure spec whose
-    non-cure fit failed.  A cure fit starts on the boundary, logit c = -40
-    with the non-cure latency, when the non-cure fit converged with a cure
-    score <= 0, and from ``initial_params`` otherwise.
-
-    ``known`` carries family terms (``_Family.derivatives``) from a
-    family's non-cure fit to its cure fit, keyed by latency parameters.
-    The non-cure fit stores those of its first and its last point.  The
-    cure fit's first evaluation takes the entry at its own latency when
-    there is one, so it is not computed twice.
+    Yields (spec, fit), a family's non-cure spec first; a fit that raises a
+    ``CurecheckError`` yields the exception in place of its ``ModelFit``,
+    and any other exception is a bug and propagates.  Each cure fit starts
+    from its non-cure fit, as the module docstring describes.
     """
-    if sample.n_events == 0:
-        raise FitError("no events: fitting undefined")
-    if sample.n < spec.n_params + 1:
-        raise FitError(
-            f"cannot fit {spec.label}: {spec.n_params + 1} records required, got {sample.n}"
-        )
-    cache = _checked_cache(spec, sample, fitting=True)
+    cache = _build_cache(sample)
+    for family in families:
+        noncure = start_terms = end_terms = None
+        for spec in (FamilySpec(family), FamilySpec(family, cure=True)):
+            try:
+                if sample.n_events == 0:
+                    raise FitError("no events: fitting undefined")
+                if sample.n < spec.n_params + 1:
+                    raise FitError(
+                        f"cannot fit {spec.label}: {spec.n_params + 1} records required, "
+                        f"got {sample.n}"
+                    )
+                _check_zero_events(spec, cache, fitting=True)
 
-    score = noncure.cure_score if noncure is not None else None
-    if score is not None and score <= 0.0:
-        x = np.concatenate([[-_LOGIT_BOX], _transform(noncure.spec, noncure.params)])
-    else:
-        init = initial_params(spec, sample)
-        check_params(spec, init)
-        x = _transform(spec, init)
-    latency = _untransform(spec, x).latency
-    point = _loglik_derivatives(spec, x, cache, known.get(latency))
-    if not spec.cure:
-        known[latency] = point[3]
-    if not math.isfinite(point[0]):
-        raise FitError(f"initial parameters give a non-finite {spec.label} likelihood")
+                score = noncure.cure_score if noncure is not None else None
+                if score is not None and score <= 0.0:
+                    x = np.concatenate([[-_LOGIT_BOX], _transform(noncure.spec, noncure.params)])
+                    # exp(log(v)) may round away from v on some C libraries.
+                    same = _untransform(spec, x).latency == noncure.params.latency
+                    terms = end_terms if same else None
+                else:
+                    init = initial_params(spec, sample)
+                    check_params(spec, init)
+                    x = _transform(spec, init)
+                    terms = start_terms  # initial_params gives both fits one latency
+                point = _loglik_derivatives(spec, x, cache, terms)
+                if not spec.cure:
+                    start_terms = point[3]
+                if not math.isfinite(point[0]):
+                    raise FitError(f"initial parameters give a non-finite {spec.label} likelihood")
 
-    x, point, n_iter, converged = _trust_region(spec, cache, x, point)
+                x, point, n_iter, converged = _trust_region(spec, cache, x, point)
 
-    params = _untransform(spec, x)
-    ll, _, h, terms = point
-    if not spec.cure:
-        known[params.latency] = terms
-    if spec.cure and x[0] <= -_LOGIT_BOX:
-        se, se_diag = None, (
-            "the cure fraction sits on the boundary c = 0, where logit c has no "
-            "finite standard error"
-        )
-    else:
-        se, se_diag = _standard_errors(-h)
-    return ModelFit(
-        spec=spec,
-        params=params,
-        log_likelihood=ll,
-        aic=aic_value(spec.n_params, ll),
-        n_params=spec.n_params,
-        n=sample.n,
-        n_events=sample.n_events,
-        converged=converged,
-        n_iter=n_iter,
-        standard_errors=se,
-        se_diagnostic=se_diag,
-        cure_score=_cure_score(cache, terms[3]) if converged and not spec.cure else None,
-    )
+                params = _untransform(spec, x)
+                ll, _, h, terms = point
+                if spec.cure and x[0] <= -_LOGIT_BOX:
+                    se, se_diag = None, (
+                        "the cure fraction sits on the boundary c = 0, where logit c has no "
+                        "finite standard error"
+                    )
+                else:
+                    se, se_diag = _standard_errors(-h)
+                fit = ModelFit(
+                    spec=spec,
+                    params=params,
+                    log_likelihood=ll,
+                    aic=aic_value(spec.n_params, ll),
+                    n_params=spec.n_params,
+                    n=sample.n,
+                    n_events=sample.n_events,
+                    converged=converged,
+                    n_iter=n_iter,
+                    standard_errors=se,
+                    se_diagnostic=se_diag,
+                    cure_score=(
+                        _cure_score(cache, terms[3]) if converged and not spec.cure else None
+                    ),
+                )
+                if not spec.cure:
+                    noncure, end_terms = fit, terms
+            except CurecheckError as exc:
+                fit = exc
+            yield spec, fit
 
 
 def _cure_score(cache: _LikCache, ls: np.ndarray) -> float:

@@ -22,6 +22,7 @@ beyond the cutoff are censored there, everything else is untouched.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -115,11 +116,16 @@ class GroundTruth:
     censoring: str
 
 
+def _is_number(v, kind: type) -> bool:
+    """Whether v is a ``kind`` (a ``numbers`` ABC, so numpy scalars count) but not a bool."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 def _validate_config(config: SimulationConfig) -> None:
-    if not isinstance(config.n, int) or config.n < 1:
+    if not _is_number(config.n, numbers.Integral) or config.n < 1:
         raise ValidationError(f"n must be a positive integer, got {config.n!r}")
     c = config.cure_fraction
-    if not (isinstance(c, (int, float)) and math.isfinite(c) and 0.0 <= c <= 1.0):
+    if not (_is_number(c, numbers.Real) and math.isfinite(c) and 0.0 <= c <= 1.0):
         raise ValidationError(f"cure_fraction must lie in [0, 1], got {c!r}")
     try:
         check_params(FamilySpec(config.family), Params(latency=tuple(config.latency)))
@@ -178,7 +184,7 @@ def restrict_followup(sample: SurvivalSample, cutoff: float) -> SurvivalSample:
     with time > cutoff become censored at exactly ``cutoff``.  Applying the
     same cutoff twice is a no-op.
     """
-    if not (isinstance(cutoff, (int, float)) and math.isfinite(cutoff) and cutoff > 0.0):
+    if not (_is_number(cutoff, numbers.Real) and math.isfinite(cutoff) and cutoff > 0.0):
         raise DomainError(f"cutoff must be finite and > 0, got {cutoff!r}")
     beyond = sample.times > cutoff
     # Capped times stay sorted and the capped records, now censored, follow any event there.

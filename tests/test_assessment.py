@@ -27,7 +27,7 @@ from curecheck.models import (
     FamilySpec,
     ModelFit,
     Params,
-    _fit,
+    _fits,
     fit_model,
     latency_quantile,
 )
@@ -233,7 +233,7 @@ def test_selection_lets_programming_errors_through(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("broken fit")
 
-    monkeypatch.setattr("curecheck.assessment._fit", broken)
+    monkeypatch.setattr("curecheck.models._trust_region", broken)
     with pytest.raises(RuntimeError, match="broken fit") as info:
         select_model_by_aic(_simulated_cure_sample(n=100), ("exponential",))
     assert type(info.value) is RuntimeError  # not an AssessmentError over failed rows
@@ -341,11 +341,11 @@ def test_assessment_reports_unconverged_rows(monkeypatch):
     # Each unconverged row gets one note: the weibull cure fit, whose AIC
     # beats the selected fit, in the "lower AIC" wording; the weibull
     # non-cure fit, whose AIC does not, in the plain one.
-    def fit_unconverged(sample, spec, noncure, known):
-        fit = _fit(sample, spec, noncure, known)
-        return replace(fit, converged=False) if spec.family == "weibull" else fit
+    def fits_unconverged(sample, families):
+        for spec, fit in _fits(sample, families):
+            yield spec, replace(fit, converged=False) if spec.family == "weibull" else fit
 
-    monkeypatch.setattr("curecheck.assessment._fit", fit_unconverged)
+    monkeypatch.setattr("curecheck.assessment._fits", fits_unconverged)
     b = receus_assess(sample, AssessmentConfig(families=("exponential", "weibull")))
     rows = {row.spec.label: row for row in b.model_table}
     assert b.selected.spec.label == "exponential cure"
@@ -414,6 +414,22 @@ def test_fit_model_equals_the_assessments_row(plateau_sample, short_days_sample)
             assert fit_model(sample, row.spec) == row.fit, row.spec.label
 
 
+def test_assessment_builds_one_likelihood_cache(monkeypatch):
+    # All ten fits of an assessment share one tie-compressed cache.
+    from curecheck import models
+
+    calls = []
+    build_cache = models._build_cache
+
+    def counted(sample):
+        calls.append(sample)
+        return build_cache(sample)
+
+    monkeypatch.setattr(models, "_build_cache", counted)
+    receus_assess(_simulated_cure_sample(n=300))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "fixture, expected", [("plateau_sample", 66), ("short_days_sample", 71)]
 )
@@ -442,21 +458,27 @@ def test_each_cure_fit_reuses_its_noncure_fits_terms(fixture, expected, request,
     assert len(calls) == expected
     # The reused terms are the ones a fresh evaluation gives: each cure row
     # equals its fit with nothing carried over.
+    loglik_derivatives = models._loglik_derivatives
+    monkeypatch.setattr(
+        models,
+        "_loglik_derivatives",
+        lambda spec, x, cache, terms=None: loglik_derivatives(spec, x, cache),
+    )
     for spec, row in rows.items():
         if spec.cure:
-            noncure = rows[FamilySpec(spec.family)].fit
-            assert _fit(sample, spec, noncure, {}) == row.fit, spec.label
+            assert fit_model(sample, spec) == row.fit, spec.label
 
 
 def test_assessment_notes_each_failed_fit(monkeypatch):
     # A fit that raises: the row stays in the table and the loss is named in
     # the notes.
-    def fit_or_fail(sample, spec, noncure, known):
-        if spec.label == "gamma non-cure":
-            raise FitError(f"initial parameters give a non-finite {spec.label} likelihood")
-        return _fit(sample, spec, noncure, known)
+    def fits_or_fail(sample, families):
+        for spec, fit in _fits(sample, families):
+            if spec.label == "gamma non-cure":
+                fit = FitError(f"initial parameters give a non-finite {spec.label} likelihood")
+            yield spec, fit
 
-    monkeypatch.setattr("curecheck.assessment._fit", fit_or_fail)
+    monkeypatch.setattr("curecheck.assessment._fits", fits_or_fail)
     a = receus_assess(_simulated_cure_sample(n=300))
     failed = [row for row in a.model_table if row.error is not None]
     assert [row.spec.label for row in failed] == ["gamma non-cure"]
@@ -484,6 +506,19 @@ def test_config_validation():
         for bad in (math.inf, math.nan):
             with pytest.raises(DomainError, match=f"{name} must be finite and > 0"):
                 AssessmentConfig(**{name: bad})
+
+
+def test_selection_and_deviance_test_check_their_families():
+    # The public entry points apply AssessmentConfig's families rule.
+    sample = _simulated_cure_sample(n=100)
+    with pytest.raises(DomainError, match="at least one"):
+        select_model_by_aic(sample, ())
+    with pytest.raises(DomainError, match="'weibull' is listed twice"):
+        select_model_by_aic(sample, ("weibull", "weibull"))
+    with pytest.raises(DomainError, match="unknown family"):
+        select_model_by_aic(sample, ("weibull", "pareto"))
+    with pytest.raises(DomainError, match="unknown family"):
+        deviance_cure_test(sample, family="pareto")
 
 
 # ---------------------------------------------------------------------------

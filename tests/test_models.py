@@ -24,7 +24,6 @@ from curecheck.models import (
     log_likelihood,
     wald_intervals,
     _build_cache,
-    _fit,
     _loglik_derivatives,
     _loglik_value,
     _tr_step,
@@ -686,6 +685,27 @@ _GRID_LATENCY = {
 }
 
 
+def test_fit_model_fits_only_what_its_spec_needs(monkeypatch):
+    # A non-cure spec runs one trust region; a cure spec runs its family's
+    # non-cure fit first, for the start.
+    from curecheck import models
+
+    sample = validate_sample([(t, t < 4.0) for t in (0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 6.0)])
+    specs = []
+    trust_region = models._trust_region
+
+    def counted(spec, *args):
+        specs.append(spec)
+        return trust_region(spec, *args)
+
+    monkeypatch.setattr(models, "_trust_region", counted)
+    fit_model(sample, FamilySpec("weibull"))
+    assert specs == [FamilySpec("weibull")]
+    specs.clear()
+    fit_model(sample, FamilySpec("weibull", cure=True))
+    assert specs == [FamilySpec("weibull"), FamilySpec("weibull", cure=True)]
+
+
 def test_boundary_start_never_lowers_a_cure_fit():
     # 60 seeded samples: n in [15, 400], every family as the truth, cure
     # fractions from none to 0.4, administrative or composite censoring.
@@ -715,7 +735,7 @@ def test_boundary_start_never_lowers_a_cure_fit():
         for family in FAMILIES:
             noncure = fit_model(sample, FamilySpec(family))
             spec = FamilySpec(family, cure=True)
-            fit = _fit(sample, spec, noncure, {})
+            fit = fit_model(sample, spec)
             x = _transform(spec, initial_params(spec, sample))
             _, (cold, *_), _, _ = _trust_region(spec, cache, x, _loglik_derivatives(spec, x, cache))
             assert fit.log_likelihood >= cold - 1e-9, (i, family)

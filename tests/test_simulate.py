@@ -37,19 +37,28 @@ def _cfg(**kw):
     return SimulationConfig(**base)
 
 
+def _assert_same(a, b):
+    assert np.array_equal(a.times, b.times) and np.array_equal(a.events, b.events)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
 def test_rejects_bad_n():
-    for bad in (0, -5):
+    for bad in (0, -5, True, 50.0):
         with pytest.raises(ValidationError, match="positive integer"):
             simulate_mixture(_cfg(n=bad))
+    _assert_same(simulate_mixture(_cfg(n=np.int64(50)))[0], simulate_mixture(_cfg(n=50))[0])
 
 
 def test_rejects_bad_cure_fraction():
-    for bad in (-0.1, 1.1, math.nan):
+    for bad in (-0.1, 1.1, math.nan, True, np.int64(2)):
         with pytest.raises(ValidationError, match="cure_fraction"):
             simulate_mixture(_cfg(cure_fraction=bad))
+    _assert_same(
+        simulate_mixture(_cfg(cure_fraction=np.int64(0)))[0],
+        simulate_mixture(_cfg(cure_fraction=0.0))[0],
+    )
 
 
 def test_rejects_bad_latency():
@@ -228,9 +237,11 @@ def test_restrict_event_count_monotone_in_cutoff():
 
 def test_restrict_rejects_bad_cutoffs():
     s = validate_sample([(1.0, True)])
-    for bad in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(DomainError):
+    for bad in (0.0, -1.0, math.inf, math.nan, True, np.int64(0), "3"):
+        with pytest.raises(DomainError, match="cutoff must be"):
             restrict_followup(s, bad)
+    s = validate_sample([(1.0, True), (4.0, True)])
+    _assert_same(restrict_followup(s, np.int64(3)), restrict_followup(s, 3.0))
 
 
 def test_truncation_flips_followup_verdict():
