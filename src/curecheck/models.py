@@ -27,8 +27,9 @@ derivatives are exact, with no finite differences, so their rounding stays
 far below that tolerance even for millions of records: each family gives
 its event term and its log S0 at every distinct censoring time with their
 derivatives in the log parameters (the gamma shape through digamma and the
-shape derivatives of the incomplete gamma integral), and one shared cure
-layer chains them through the mixture and logit c.  Their
+derivatives of log Q in the shape, which come with log Q from one quadrature
+over the sorted censoring times), and one shared cure layer chains them
+through the mixture and logit c.  Their
 Hessian at the returned point is the observed information behind the
 standard errors.
 
@@ -69,7 +70,7 @@ import numpy as np
 from .errors import CurecheckError, DomainError, FitError
 from .special import (
     _digamma_trigamma,
-    _log_reg_upper_gamma_shape,
+    _log_q_shape,
     inv_normal_cdf,
     inv_reg_lower_gamma,
     log_gamma,
@@ -233,7 +234,7 @@ class _Gamma(_Family):
     def derivatives(self, cache, shape, rate):
         # Rate: through x r = x g(k, x) / Q(k, x), with g the Gamma(k, 1)
         # density at x = rate t.  Shape: log Gamma(k) through digamma and
-        # trigamma, log Q through its exact derivatives in k.
+        # trigamma, log Q through its derivatives in k from the same quadrature.
         psi, psi1 = _digamma_trigamma(shape)
         n, log_rate = cache.n_events, math.log(rate)
         a = n * log_rate + cache.sum_log_te - n * psi
@@ -241,7 +242,7 @@ class _Gamma(_Family):
         ev_g = np.array([shape * a, n * shape - bt])
         ev_h = np.array([[shape * a - n * shape * shape * psi1, n * shape], [n * shape, -bt]])
         x, log_x = rate * cache.tc, log_rate + cache.log_tc
-        lq, q1, q2 = _log_reg_upper_gamma_shape(shape, x)
+        lq, q1, q2 = _log_q_shape(shape, x)
         xr = np.exp(shape * log_x - x - log_gamma(shape) - lq)
         ls_g = np.stack([shape * q1, -xr], -1)
         ls_h = _stack_hessian(

@@ -127,8 +127,11 @@ def _validate_config(config: SimulationConfig) -> None:
     c = config.cure_fraction
     if not (_is_number(c, numbers.Real) and math.isfinite(c) and 0.0 <= c <= 1.0):
         raise ValidationError(f"cure_fraction must lie in [0, 1], got {c!r}")
+    latency = tuple(config.latency)
+    if not all(_is_number(v, numbers.Real) for v in latency):
+        raise ValidationError(f"latency parameters must be real numbers, got {latency!r}")
     try:
-        check_params(FamilySpec(config.family), Params(latency=tuple(config.latency)))
+        check_params(FamilySpec(config.family), Params(latency=latency))
     except DomainError as exc:
         raise ValidationError(str(exc)) from exc
     cen = config.censoring
@@ -139,7 +142,7 @@ def _validate_config(config: SimulationConfig) -> None:
     may_be_inf = kind == "administrative"
     for f in fields(cen):
         v = getattr(cen, f.name)
-        if not (v > 0.0 and (math.isfinite(v) or may_be_inf)):
+        if not (_is_number(v, numbers.Real) and v > 0.0 and (math.isfinite(v) or may_be_inf)):
             rule = "> 0" if may_be_inf else "finite and > 0"
             raise ValidationError(f"{kind} censoring {f.name} must be {rule}, got {v!r}")
     if may_be_inf and math.isinf(cen.time) and c > 0.0:
@@ -147,6 +150,8 @@ def _validate_config(config: SimulationConfig) -> None:
             "administrative censoring at infinity is incompatible with a "
             "positive cure fraction: cured subjects would never be observed"
         )
+    if not _is_number(config.seed, numbers.Integral) or config.seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {config.seed!r}")
 
 
 def simulate_mixture(config: SimulationConfig) -> tuple[SurvivalSample, GroundTruth]:

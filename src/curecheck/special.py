@@ -3,16 +3,20 @@
 Keeps the package free of heavy numeric dependencies: numpy and the standard
 library are the whole runtime.  It exposes log-gamma and erfc, both the C
 library's through ``math``, with the normal CDF and tails built on erfc, the
-chi-square(1) tail, P(a, x) and log Q(a, x) of the regularized incomplete
-gamma (one series / continued fraction split), and the gamma and normal
-quantiles, which one vectorized solver inverts at once.
+chi-square(1) tail, the regularized incomplete gamma, and the gamma and
+normal quantiles, which one vectorized solver inverts at once.
+
+P(a, x) comes from a series / continued fraction split, which the gamma
+quantile inverts.  log Q(a, x) and its first two derivatives in the shape a,
+which the gamma fits use, come from one Gauss-Legendre quadrature of
+t^(a-1) e^(-t) on the log scale: over the gaps between the sorted x, summed
+from the right, so one pass gives every element of a batch.
 
 Accuracy: erfc and log_gamma are good to about 1 ulp, as the platform's
-``math.erfc`` and ``math.lgamma`` are; the incomplete gamma iterates to
-machine tolerance with a documented target of 1e-12 relative, and so do its
-derivatives in the shape, which the gamma fits use; gamma quantiles are
-solved to 1e-10 relative.  The test suite checks all of them against scipy
-and brute-force quadrature.
+``math.erfc`` and ``math.lgamma`` are; P iterates to machine tolerance; log Q
+and its shape derivatives are good to about 1e-14, relative or absolute where
+the value is below 1; gamma quantiles are solved to 1e-10 relative.  The test
+suite checks all of them against scipy and brute-force quadrature.
 """
 
 from __future__ import annotations
@@ -84,7 +88,11 @@ _MAX_INC_GAMMA_ITER = 600
 
 def _digamma_trigamma(a: float) -> tuple[float, float]:
     """(psi(a), psi'(a)) for a > 0: the recurrence up to a >= 10, then the
-    asymptotic series through the x^-12 and x^-13 terms (~1e-15 relative)."""
+    asymptotic series through the x^-12 and x^-13 terms (~1e-15 relative).
+    Below a ~ 1e-162, a * a underflows; there psi(a) = -1/a to double
+    precision and psi'(a) is infinite."""
+    if a * a == 0.0:
+        return -1.0 / a, math.inf
     psi = psi1 = 0.0
     while a < 10.0:
         psi -= 1.0 / a
@@ -103,19 +111,19 @@ def _digamma_trigamma(a: float) -> tuple[float, float]:
 class _Window:
     """The window [lo, hi) of elements an incomplete-gamma loop still iterates.
 
-    ``_Window(*work)`` follows the loop's working arrays.  ``retire(done)``
+    ``_Window(work)`` follows the loop's working array.  ``retire(done)``
     takes the convergence test over the window: it copies an element's
-    working values out the first time the element converges, then narrows
+    working value out the first time the element converges, then narrows
     the window to the first and last element not yet converged, and returns
     False once none is left.  Converged elements inside the window keep
     iterating, but nothing reads them again.
     """
 
-    def __init__(self, *work: np.ndarray):
+    def __init__(self, work: np.ndarray):
         self.work = work
-        self.copied = [np.empty_like(w) for w in work]
-        self.lo, self.hi = 0, work[0].size
-        self.converged = np.zeros(work[0].size, dtype=bool)
+        self.copied = np.empty_like(work)
+        self.lo, self.hi = 0, work.size
+        self.converged = np.zeros(work.size, dtype=bool)
 
     def retire(self, done: np.ndarray) -> bool:
         lo, hi = self.lo, self.hi
@@ -123,8 +131,7 @@ class _Window:
         fresh = done > seen
         if not np.count_nonzero(fresh):
             return True
-        for out, w in zip(self.copied, self.work):
-            np.copyto(out[lo:hi], w[lo:hi], where=fresh)
+        np.copyto(self.copied[lo:hi], self.work[lo:hi], where=fresh)
         seen |= fresh
         if seen[0] or seen[-1]:
             (live,) = (~seen).nonzero()
@@ -133,47 +140,40 @@ class _Window:
             self.lo, self.hi = lo + int(live[0]), lo + int(live[-1]) + 1
         return True
 
-    def results(self) -> list[np.ndarray]:
-        """Each working array at each element's first convergence; an element
-        the iteration cap stopped keeps its last values."""
-        for out, w in zip(self.copied, self.work):
-            np.copyto(out, w, where=~self.converged)
+    def result(self) -> np.ndarray:
+        """The working array at each element's first convergence; an element
+        the iteration cap stopped keeps its last value."""
+        np.copyto(self.copied, self.work, where=~self.converged)
         return self.copied
 
 
-def _inc_gamma(a: float, x: np.ndarray, shape_derivatives: bool = False):
-    """The series and continued-fraction pieces of the incomplete gamma pair.
+def _check_shape(a: float) -> None:
+    if not (a > 0.0) or not math.isfinite(a):
+        raise DomainError(f"incomplete gamma requires a > 0, got {a!r}")
 
-    For scalar a > 0 and array x >= 0 returns (x, ser, cfm, log_pref, s):
-    with log_pref = -x + a log x - log Gamma(a), P(a, x) = exp(log_pref) * s
-    where ``ser`` (0 < x < a + 1, series expansion) and Q(a, x) =
-    exp(log_pref) * s where ``cfm`` (x >= a + 1, Lentz continued fraction);
-    x = 0 is in neither.  Both are iterated to machine tolerance (capped at
-    600 terms).
 
-    With ``shape_derivatives`` it also returns (d1, d2), the first and second
-    derivatives in a of log s, carried through the same loops (forward-mode,
-    as in Moore's AS 187): the series terms x^n / (a (a+1) ... (a+n)) and
-    the Lentz factors are differentiated as they are formed.
+def reg_lower_gamma(a: float, x):
+    """Regularized lower incomplete gamma P(a, x), scalar or ndarray x >= 0.
+
+    With log_pref = -x + a log x - log Gamma(a), P(a, x) = exp(log_pref) * s
+    from the series expansion where 0 < x < a + 1, and 1 - exp(log_pref) * s
+    from the Lentz continued fraction for Q where x >= a + 1; x = 0 gives 0.
+    Both are iterated to machine tolerance (capped at 600 terms).
 
     Elements converge at very different speeds, slowest near x ~ a.  Each
     loop updates a ``_Window`` of its elements in place, through slices:
     the span from the first to the last element not yet converged.  An
-    element's outputs are copied out at its first convergence, so it ends
-    on the same values as if it had stopped there.  On sorted x (censoring
-    times come from ``np.unique``) the series' unconverged elements are a
-    suffix and the continued fraction's lie in a prefix, so few converged
-    elements ride along.
+    element's result is copied out at its first convergence, so it ends
+    on the same value as if it had stopped there.  On sorted x the series'
+    unconverged elements are a suffix and the continued fraction's lie in
+    a prefix, so few converged elements ride along.
     """
-    if not (a > 0.0) or not math.isfinite(a):
-        raise DomainError(f"incomplete gamma requires a > 0, got {a!r}")
+    _check_shape(a)
+    scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0.0):
         raise DomainError("incomplete gamma requires x >= 0")
-    log_pref = np.zeros_like(x)
-    s = np.zeros_like(x)
-    d1 = np.zeros_like(x)
-    d2 = np.zeros_like(x)
+    p = np.zeros_like(x)
     lg = log_gamma(a)
     nonzero = x > 0.0
     ser = nonzero & (x < a + 1.0)
@@ -181,14 +181,7 @@ def _inc_gamma(a: float, x: np.ndarray, shape_derivatives: bool = False):
         xs = x[ser]
         term = np.full_like(xs, 1.0 / a)
         total = term.copy()
-        if shape_derivatives:
-            # d term_n / da = -term_n H_n and d2 = term_n (H_n^2 + G_n), with
-            # H_n, G_n the sums of 1/(a+j) and 1/(a+j)^2 over j <= n.
-            hn, gn = 1.0 / a, 1.0 / (a * a)
-            s1, s2 = -term * hn, term * (hn * hn + gn)
-            win = _Window(total, s1, s2)
-        else:
-            win = _Window(total)
+        win = _Window(total)
         ak = a
         for _ in range(_MAX_INC_GAMMA_ITER):
             lo, hi = win.lo, win.hi
@@ -196,19 +189,10 @@ def _inc_gamma(a: float, x: np.ndarray, shape_derivatives: bool = False):
             tw, totw = term[lo:hi], total[lo:hi]
             tw *= xs[lo:hi] / ak
             totw += tw
-            if shape_derivatives:
-                hn += 1.0 / ak
-                gn += 1.0 / (ak * ak)
-                s1[lo:hi] -= tw * hn
-                s2[lo:hi] += tw * (hn * hn + gn)
             if not win.retire(np.abs(tw) <= np.abs(totw) * 1e-16):
                 break
-        total, *sums = win.results()
-        log_pref[ser] = -xs + a * np.log(xs) - lg
-        s[ser] = total
-        if shape_derivatives:
-            d1[ser] = sums[0] / total
-            d2[ser] = sums[1] / total - d1[ser] ** 2
+        with np.errstate(under="ignore"):
+            p[ser] = np.exp(-xs + a * np.log(xs) - lg) * win.result()
     cfm = nonzero & ~ser
     if cfm.any():
         xc = x[cfm]
@@ -217,18 +201,7 @@ def _inc_gamma(a: float, x: np.ndarray, shape_derivatives: bool = False):
         c = np.full_like(xc, 1.0 / tiny)
         d = 1.0 / b
         h = d.copy()
-        if shape_derivatives:
-            # Derivatives in a of d and c (db/da = -1, d an/da = i) and of
-            # log h, the sum of log(c d) over the Lentz steps.  h stops
-            # changing once its step is 1 to machine precision, as without
-            # derivatives; the derivative sums may need more steps.
-            e1, e2 = d * d, 2.0 * d**3
-            c1, c2 = np.zeros_like(xc), np.zeros_like(xc)
-            l1, l2 = d.copy(), d * d
-            settled = np.zeros(xc.size, dtype=bool)
-            win = _Window(h, l1, l2)
-        else:
-            win = _Window(h)
+        win = _Window(h)
         for i in range(1, _MAX_INC_GAMMA_ITER):
             lo, hi = win.lo, win.hi
             an = -i * (i - a)
@@ -240,89 +213,212 @@ def _inc_gamma(a: float, x: np.ndarray, shape_derivatives: bool = False):
             ca = np.where(np.abs(ca) < tiny, tiny, ca)
             da = 1.0 / da
             delta = da * ca
-            if shape_derivatives:
-                e1w, e2w, c1w, c2w = e1[lo:hi], e2[lo:hi], c1[lo:hi], c2[lo:hi]
-                r1, r2 = c1w / cw, c2w / cw
-                u1 = i * dw + an * e1w - 1.0  # derivatives of 1 / da
-                u2 = 2.0 * i * e1w + an * e2w
-                ca1 = -1.0 + (i - an * r1) / cw
-                ca2 = (-2.0 * i * r1 + an * (2.0 * r1 * r1 - r2)) / cw
-                p_d, p_c = -da * u1, ca1 / ca
-                step = p_d + p_c
-                l1w = l1[lo:hi]
-                l1w += step
-                l2[lo:hi] += p_d * p_d - da * u2 + ca2 / ca - p_c * p_c
-                e1w[:], e2w[:] = p_d * da, da * da * (2.0 * da * u1 * u1 - u2)
-                c1w[:], c2w[:] = ca1, ca2
-                sw = settled[lo:hi]
-                h[lo:hi] *= np.where(sw, 1.0, delta)
-                sw |= np.abs(delta - 1.0) <= 1e-16
-                # At integer a the fraction ends (an = 0) but its derivative does not.
-                done = sw & (np.abs(step) <= 1e-16 * (1.0 + np.abs(l1w)))
-            else:
-                h[lo:hi] *= delta
-                done = np.abs(delta - 1.0) <= 1e-16
+            h[lo:hi] *= delta
             dw[:] = da
             cw[:] = ca
-            if not win.retire(done):
+            if not win.retire(np.abs(delta - 1.0) <= 1e-16):
                 break
-        h, *logs = win.results()
-        log_pref[cfm] = -xc + a * np.log(xc) - lg
-        s[cfm] = h
-        if shape_derivatives:
-            d1[cfm], d2[cfm] = logs
-    if shape_derivatives:
-        return x, ser, cfm, log_pref, s, (d1, d2)
-    return x, ser, cfm, log_pref, s
-
-
-def _log_q(ser: np.ndarray, cfm: np.ndarray, log_pref: np.ndarray, s: np.ndarray):
-    """log Q(a, x) from ``_inc_gamma``'s pieces, and P on the series branch."""
-    out = np.zeros_like(s)
-    with np.errstate(under="ignore"):
-        p = np.exp(log_pref[ser]) * s[ser]
-    out[ser] = np.log1p(-p)
-    out[cfm] = log_pref[cfm] + np.log(s[cfm])
-    return out, p
-
-
-def reg_lower_gamma(a: float, x):
-    """Regularized lower incomplete gamma P(a, x), scalar or ndarray x."""
-    scalar = np.ndim(x) == 0
-    x, ser, cfm, log_pref, s = _inc_gamma(a, x)
-    p = np.zeros_like(x)
-    with np.errstate(under="ignore"):
-        p[ser] = np.exp(log_pref[ser]) * s[ser]
-        p[cfm] = 1.0 - np.exp(log_pref[cfm]) * s[cfm]
+        with np.errstate(under="ignore"):
+            p[cfm] = 1.0 - np.exp(-xc + a * np.log(xc) - lg) * win.result()
     return float(p[0]) if scalar else p
+
+
+# log Q(a, x) by quadrature.  With u = log t, Gamma(a) Q(a, x) is the integral
+# of f(u) = exp(a u - e^u) from log x to infinity.  log f is concave, with its
+# maximum a log a - a at u = log a, and the three moments of f (u - c)^k,
+# k = 0, 1, 2, over (log x, inf) give log Q and its first two derivatives
+# in a.  On sorted x the integrals over the gaps between neighbours, summed
+# from the right, give every element in one pass.
+_GL_NODES = np.array([  # the 6-point Gauss-Legendre rule on [-1, 1]
+    -0.9324695142031520278123016, -0.6612093864662645136613996, -0.2386191860831969086305017,
+    0.2386191860831969086305017, 0.6612093864662645136613996, 0.9324695142031520278123016,
+])
+_GL_WEIGHTS = np.array([
+    0.1713244923791703450402961, 0.3607615730481386075698335, 0.4679139345726910473898703,
+    0.4679139345726910473898703, 0.3607615730481386075698335, 0.1713244923791703450402961,
+])
+_GL_AT, _GL_W = 0.5 * (1.0 + _GL_NODES), 0.5 * _GL_WEIGHTS  # the same rule on [0, 1]
+_KEEP_NATS = 50.0  # each gap is integrated where log f is within this of its maximum
+_PANEL_NATS = 0.9  # panel width times the local rate of change of log f
+_PLAIN_SPAN = 600.0  # beyond this spread of gap maxima the sums run in log space
+
+
+def _peak_minus_log_gamma(a: float) -> float:
+    """a log a - a - log Gamma(a), from Stirling's series for a >= 10."""
+    if a < 10.0:
+        return a * math.log(a) - a - math.lgamma(a)
+    f = 1.0 / (a * a)
+    series = 1.0 / 12 - f * (
+        1.0 / 360 - f * (1.0 / 1260 - f * (1.0 / 1680 - f * (1.0 / 1188 - f * (691.0 / 360360 - f / 156.0))))
+    )
+    return 0.5 * math.log(a / (2.0 * math.pi)) - series / a
+
+
+def _left_reach(c: np.ndarray) -> np.ndarray:
+    """A d >= 0 with phi(-d) >= c, phi(t) = e^t - 1 - t: phi(-d) >= d - 1,
+    and phi(-d) >= d^2 / (2 e) for d <= 1."""
+    two_ec = 2.0 * math.e * c
+    return np.where(two_ec > 1.0, c + 1.0, np.sqrt(two_ec))
+
+
+def _reverse_sums(p, m1, m2, dc):
+    """P_i, T1_i, T2_i: sums over gaps j >= i of the moments of f (u - c_i)^k,
+    from each gap's moments p, m1, m2 about its own centre c_j and the steps
+    dc_j = c_{j+1} - c_j >= 0.  Every term is >= 0 except m1 left of log a."""
+    P = np.cumsum(p[::-1])[::-1]
+    next_p = np.append(P[1:], 0.0)
+    T1 = np.cumsum((m1 + dc * next_p)[::-1])[::-1]
+    T2 = np.cumsum((m2 + dc * (2.0 * np.append(T1[1:], 0.0) + dc * next_p))[::-1])[::-1]
+    return P, T1, T2
+
+
+def _log_reverse_sums(lp, lm1, lm2, ldc):
+    """``_reverse_sums`` on the logs of its (here all >= 0) arguments."""
+    acc = np.logaddexp.accumulate
+    P = acc(lp[::-1])[::-1]
+    next_p = np.append(P[1:], -np.inf)
+    T1 = acc(np.logaddexp(lm1, ldc + next_p)[::-1])[::-1]
+    via_t1 = math.log(2.0) + ldc + np.append(T1[1:], -np.inf)
+    T2 = acc(np.logaddexp(lm2, np.logaddexp(via_t1, 2.0 * ldc + next_p))[::-1])[::-1]
+    return P, T1, T2
+
+
+def _upper_gamma_quadrature(a: float, x: np.ndarray):
+    """log Q(a, x) and its first two derivatives in a on sorted, distinct,
+    finite x > 0.
+
+    Gap j runs from u_j = log x_j to u_{j+1} (to infinity for the last).
+    Each is split at u = log a, where f peaks, and clipped to where log f
+    is within ``_KEEP_NATS`` of the gap's maximum; log f is concave, so
+    that stretch is one interval, and its ends come from the tangent and
+    curvature bounds of log f, which is a log a - a - a phi(u - log a).
+    The stretch is cut into equal panels, at most ``_PANEL_NATS`` over the
+    largest of 1, |a - e^u| and 2 e^(u/2) on it, each integrated with the
+    6-point Gauss-Legendre rule in r = u - (the gap's maximum point).
+
+    The moments of gap j are taken about c_j = max(u_j, log a): right of
+    the peak all of them are >= 0; left of it the conditional mean and
+    variance of u stay small, so T2 / P - (T1 / P)^2 does not cancel.
+    Then log Q = log P - log Gamma(a), d/da log Q = c_i + T1 / P - psi(a)
+    and d2/da2 log Q = T2 / P - (T1 / P)^2 - psi'(a).
+
+    Sums left of the peak run on the peak's scale, where the gap holding
+    the peak bounds them away from 0.  Right of it each gap's maximum
+    falls as x grows; while they span less than ``_PLAIN_SPAN`` nats the
+    sums run on one scale, past that in log space.
+    """
+    m = x.size
+    la = math.log(a)
+    u = np.log(x)
+    t = u - la
+    g = np.append(np.diff(u), np.inf)
+    t_next = np.append(t[1:], np.inf)
+    tm = np.minimum(np.maximum(t, 0.0), t_next)  # u - log a where each gap's log f peaks
+    e_max = np.minimum(np.maximum(x, a), np.append(x[1:], np.inf))  # e^u there
+    peak = (t < 0.0) & (t_next > 0.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        slope = e_max - a  # -(log f)' at the maximum: >= 0 right of the peak, <= 0 left
+        ts = np.maximum(tm, 0.0)
+        # Right of the maximum log f falls by at least slope r + e_max r^2 / 2,
+        # and phi(t) >= e^t / 2 for t >= 1.7.
+        hyp = np.hypot(slope, math.sqrt(2.0 * _KEEP_NATS) * np.sqrt(e_max))
+        reach = np.minimum(
+            2.0 * _KEEP_NATS / hyp / (1.0 + slope / hyp),
+            np.maximum(1.7, np.log(2.0 * (np.expm1(ts) - ts + _KEEP_NATS / a))) - ts,
+        )
+        r_hi = np.minimum(np.where(peak, t_next, g), reach)
+        e_hi = e_max * np.exp(r_hi)
+        rate_hi = np.maximum(np.maximum(1.0, e_hi - a), 2.0 * np.sqrt(e_hi))
+        # Left of it log f falls by at least -slope d + e_max phi(-d).
+        reach = np.minimum(_KEEP_NATS / (a - e_max), _left_reach(_KEEP_NATS / e_max))
+        r_lo = np.maximum(np.where(peak, t, -g), -reach)
+        rate_lo = np.maximum(np.maximum(1.0, a - e_max * np.exp(r_lo)), 2.0 * np.sqrt(e_max))
+        has_left, has_right = t < 0.0, (t >= 0.0) | peak
+        seg_gap = np.concatenate([has_left.nonzero()[0], has_right.nonzero()[0]])
+        n_left = int(np.count_nonzero(has_left))
+        seg_lo = np.concatenate([r_lo[has_left], np.zeros(seg_gap.size - n_left)])
+        width = np.concatenate([-seg_lo[:n_left], r_hi[has_right]])
+        n = np.ceil(width * np.concatenate([rate_lo[has_left], rate_hi[has_right]]) / _PANEL_NATS)
+    if not np.all(np.isfinite(n)):
+        nan = np.full(m, np.nan)
+        return nan, nan, nan.copy()
+    n = np.maximum(n, 1.0).astype(np.intp)
+    h = width / n
+    seg = np.repeat(np.arange(n.size), n)
+    first = np.repeat(np.cumsum(n) - n, n)
+    hp, gap = h[seg], seg_gap[seg]
+    r = (seg_lo[seg] + (np.arange(seg.size) - first) * hp)[:, None] + hp[:, None] * _GL_AT
+    f = np.exp(a * r - e_max[gap, None] * np.expm1(r))
+    q = r + np.minimum(tm, 0.0)[gap, None]  # u - c_j
+    fq = f * q
+    p, m1, m2 = (np.bincount(gap, (y @ _GL_W) * hp, m) for y in (f, fq, fq * q))
+
+    # Sums from the right: first over the gaps right of the peak, then on.
+    # Each gap's maximum of log f, less a log a - a: -a phi(tm), or, where
+    # e^tm might overflow, a (1 + tm) - e_max.
+    near = np.minimum(tm, 1.0)
+    top = np.where(tm < 1.0, a * (near - np.expm1(near)), a * (1.0 + tm) - e_max)
+    dc = np.where(t >= 0.0, g, np.maximum(t_next, 0.0))
+    dc[-1] = 0.0
+    split = int(np.searchsorted(t, 0.0))
+    lq, r1, r2 = np.empty(m), np.empty(m), np.empty(m)
+    carry = [0.0, 0.0, 0.0]  # the right part's sums at the split, on the peak's scale
+    if split < m:
+        right = slice(split, m)
+        gr = top[right]
+        if gr[0] - gr[-1] < _PLAIN_SPAN:
+            scale = np.exp(gr - gr[0])
+            P, T1, T2 = _reverse_sums(p[right] * scale, m1[right] * scale, m2[right] * scale, dc[right])
+            lq[right] = np.log(P) + gr[0]
+            r1[right], r2[right] = T1 / P, T2 / P
+            carry = [float(s[0]) * math.exp(gr[0]) for s in (P, T1, T2)]
+        else:
+            with np.errstate(divide="ignore"):
+                P, T1, T2 = _log_reverse_sums(
+                    np.log(p[right]) + gr, np.log(m1[right]) + gr, np.log(m2[right]) + gr,
+                    np.log(dc[right]),
+                )
+            lq[right] = P
+            r1[right], r2[right] = np.exp(T1 - P), np.exp(T2 - P)
+            carry = [math.exp(float(s[0])) for s in (P, T1, T2)]
+    if split:
+        scale = np.exp(top[:split])
+        sums = [np.append(s[:split] * scale, c) for s, c in zip((p, m1, m2), carry)]
+        P, T1, T2 = (s[:-1] for s in _reverse_sums(*sums, np.append(dc[:split], 0.0)))
+        lq[:split] = np.log(P)
+        r1[:split], r2[:split] = T1 / P, T2 / P
+    psi, psi1 = _digamma_trigamma(a)
+    # Where Q ~ 1 the sum of two O(1) terms can round above 0; Q <= 1.
+    lq = np.minimum(lq + _peak_minus_log_gamma(a), 0.0)
+    return lq, np.maximum(u, la) + r1 - psi, r2 - r1 * r1 - psi1
+
+
+def _log_q_shape(a: float, x):
+    """log Q(a, x) with its first and second derivatives in a, arrays shaped
+    like x >= 0.  x = 0 gives 0 for all three, a non-finite x NaN.
+
+    The distinct positive x go through ``_upper_gamma_quadrature`` sorted,
+    so an element's result does not depend on the order of its batch.
+    """
+    _check_shape(a)
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        raise DomainError("incomplete gamma requires x >= 0")
+    xs, inverse = np.unique(x, return_inverse=True)
+    # Sorted: a zero first, then the finite x > 0, then inf and NaN.
+    lo, hi = int(np.searchsorted(xs, 0.0, side="right")), int(np.searchsorted(xs, np.inf))
+    out = np.zeros((3, xs.size))
+    out[:, hi:] = np.nan
+    if lo < hi:
+        out[:, lo:hi] = _upper_gamma_quadrature(a, xs[lo:hi])
+    out = out.take(inverse.reshape(x.shape), axis=1)
+    return out[0], out[1], out[2]
 
 
 def log_reg_upper_gamma(a: float, x):
     """log Q(a, x), Q = 1 - P, finite wherever Q itself underflows."""
-    scalar = np.ndim(x) == 0
-    _, ser, cfm, log_pref, s = _inc_gamma(a, x)
-    out, _ = _log_q(ser, cfm, log_pref, s)
-    return float(out[0]) if scalar else out
-
-
-def _log_reg_upper_gamma_shape(a: float, x: np.ndarray):
-    """log Q(a, x) on a 1-D array with its first and second derivatives in a.
-
-    Where Q is a continued fraction they are those of log_pref + log s;
-    on the series branch those of log P turn into log Q's through Q = 1 - P.
-    """
-    x, ser, cfm, log_pref, s, (d1, d2) = _inc_gamma(a, x, shape_derivatives=True)
-    psi, psi1 = _digamma_trigamma(a)
-    nonzero = ser | cfm
-    log_x = np.log(np.where(nonzero, x, 1.0))
-    g1 = np.where(nonzero, log_x - psi + d1, 0.0)
-    g2 = np.where(nonzero, d2 - psi1, 0.0)
-    out, p = _log_q(ser, cfm, log_pref, s)
-    p_over_q = p / np.exp(out[ser])
-    q1 = -p_over_q * g1[ser]
-    g2[ser] = -p_over_q * (g2[ser] + g1[ser] ** 2) - q1 * q1
-    g1[ser] = q1
-    return out, g1, g2
+    lq = _log_q_shape(a, x)[0]
+    return float(lq) if lq.ndim == 0 else lq
 
 
 _SOLVE_MAX_STEPS = 100

@@ -361,17 +361,17 @@ def test_assessment_reports_unconverged_rows(monkeypatch):
 def test_plateau_assess_stays_within_its_evaluation_budget(plateau_sample, monkeypatch):
     # Counts, not seconds, so the guard holds on any host: on the benchmark's
     # plateau data every fit converges within 40 trust-region iterations, and
-    # the incomplete-gamma kernel runs at most 100 times per assessment.
+    # the incomplete-gamma quadrature runs at most 100 times per assessment.
     from curecheck import special
 
     calls = []
-    inc_gamma = special._inc_gamma
+    quadrature = special._upper_gamma_quadrature
 
-    def counted(a, x, **kwargs):
+    def counted(a, x):
         calls.append(a)
-        return inc_gamma(a, x, **kwargs)
+        return quadrature(a, x)
 
-    monkeypatch.setattr(special, "_inc_gamma", counted)
+    monkeypatch.setattr(special, "_upper_gamma_quadrature", counted)
     a = receus_assess(plateau_sample)
     for row in a.model_table:
         assert row.converged, row.spec.label

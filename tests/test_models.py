@@ -23,6 +23,7 @@ from curecheck.models import (
     latency_survival,
     log_likelihood,
     wald_intervals,
+    _TABLE,
     _build_cache,
     _loglik_derivatives,
     _loglik_value,
@@ -336,6 +337,20 @@ def test_loglik_zero_time_event_rules():
 # ---------------------------------------------------------------------------
 # AIC
 
+def test_gamma_derivatives_return_at_a_vanishing_shape(long_followup_sample):
+    # Fits bound the log shape only at +-700; below a ~ 1e-162 the shape
+    # squared underflows, and the point must still come back.  Its only
+    # caller, _loglik_derivatives, ignores floating-point warnings, and a
+    # trial point whose Hessian is not finite is rejected as a step.
+    cache = _build_cache(long_followup_sample)
+    with np.errstate(invalid="ignore"):
+        ev, _, _, lq, _, _ = _TABLE["gamma"].derivatives(cache, 1e-300, 1.0)
+    assert math.isfinite(ev) and np.all(np.isfinite(lq)) and np.all(lq <= 0.0)
+    spec = FamilySpec("gamma")
+    point = _loglik_derivatives(spec, np.array([math.log(1e-300), 0.0]), cache)
+    assert point[0] == _loglik_value(spec, _untransform(spec, np.array([math.log(1e-300), 0.0])), cache)
+
+
 def test_objective_is_infinite_where_the_cure_fraction_rounds_to_one(long_followup_sample):
     # The logit of the cure fraction maps to c == 1.0 from about 36.8 on.
     spec = FamilySpec("weibull", cure=True)
@@ -496,7 +511,9 @@ def test_trust_region_step_lands_exactly_on_the_radius_in_the_hard_case():
     # puts the step exactly on the boundary: there is nothing to fill in.
     s = _tr_step(np.array([0.0, -3.0]), np.diag([-1.0, 2.0]), 1.0)
     np.testing.assert_array_equal(np.abs(s), [0.0, 1.0])
-    # The same step arises in the gamma-cure fit of these four records.
+    # The gamma-cure fit of these four records once took the same step.  It
+    # still takes a step that lands exactly on the radius, but with g off
+    # the lowest eigenvector, so not in the hard case.
     sample = validate_sample([
         (0.08714019512583303, 1), (0.3625416831006345, 0),
         (3.511760441665993, 0), (654.0859663609416, 0),

@@ -682,6 +682,15 @@ def test_cli_simulate_stdout_equals_write_csv_file(tmp_path, capsys):
     assert path.read_bytes().startswith(b"time,event\r\n")
 
 
+def test_cli_simulate_negative_seed_is_an_error(capsys):
+    code = main(["simulate", "--n", "40", "--cure-fraction", "0.3", "--family", "weibull",
+                 "--params", "0.8,0.8", "--censoring", "administrative:5", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "curecheck: error: seed must be a non-negative integer, got -1\n"
+    assert captured.out == ""
+
+
 def test_cli_exit_codes_cover_all_branches(cure_csv, capsys):
     # 0 = appropriate, 2 = not appropriate, 1 = error: all three observable.
     assert main(["assess", cure_csv, "--families", "weibull"]) == 0

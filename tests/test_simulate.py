@@ -66,6 +66,20 @@ def test_rejects_bad_latency():
         simulate_mixture(_cfg(latency=(0.0, 1.0)))
     with pytest.raises(ValidationError):
         simulate_mixture(_cfg(family="nosuch"))
+    for bad in ((True, 1.0), (0.8, np.True_), (0.8, "0.8")):
+        with pytest.raises(ValidationError, match="latency parameters must be real numbers"):
+            simulate_mixture(_cfg(latency=bad))
+    _assert_same(
+        simulate_mixture(_cfg(latency=(np.float64(0.75), np.int64(1))))[0],
+        simulate_mixture(_cfg(latency=(0.75, 1.0)))[0],
+    )
+
+
+def test_rejects_bad_seed():
+    for bad in (-1, 1.5, True, np.int64(-3), "7", None):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            simulate_mixture(_cfg(seed=bad))
+    _assert_same(simulate_mixture(_cfg(seed=np.int64(9)))[0], simulate_mixture(_cfg(seed=9))[0])
 
 
 def test_rejects_infinite_administrative_censoring_with_cure():
@@ -91,6 +105,10 @@ def test_rejects_bad_censoring_parameters():
         simulate_mixture(_cfg(censoring=AdministrativeCensoring(math.nan)))
     with pytest.raises(ValidationError, match="unknown censoring"):
         simulate_mixture(_cfg(censoring="weekly phone calls"))
+    with pytest.raises(ValidationError, match="administrative censoring time .* got True"):
+        simulate_mixture(_cfg(censoring=AdministrativeCensoring(True)))
+    with pytest.raises(ValidationError, match="composite censoring dropout_maximum .* got '9'"):
+        simulate_mixture(_cfg(censoring=CompositeCensoring(7.3, "9")))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ from scipy.integrate import quad
 
 from curecheck.errors import DomainError
 from curecheck.special import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     _digamma_trigamma,
-    _inc_gamma,
-    _log_reg_upper_gamma_shape,
+    _log_q_shape,
     chi2_sf_1df,
     erfc,
     inv_normal_cdf,
@@ -226,39 +227,131 @@ def test_log_reg_upper_gamma_shape_derivatives_match_quadrature():
     # value is log_reg_upper_gamma's, bit for bit.
     for a in (0.3, 1.0, 2.5, 10.0):
         xs = np.array([1e-3, 0.5 * a, a + 0.5, a + 1.0, 3.0 * a + 2.0, 60.0, 900.0])
-        lq, d1, d2 = _log_reg_upper_gamma_shape(a, xs)
+        lq, d1, d2 = _log_q_shape(a, xs)
         assert np.array_equal(lq, log_reg_upper_gamma(a, xs))
         want = np.array([_log_q_shape_oracle(a, float(x)) for x in xs])
         np.testing.assert_allclose(d1, want[:, 0], rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(d2, want[:, 1], rtol=1e-10, atol=1e-12)
 
 
-def _kernel_outputs(a, x):
-    """Every array the incomplete-gamma kernel and its wrappers return at (a, x)."""
-    *plain, (d1, d2) = _inc_gamma(a, x, shape_derivatives=True)
-    return [
-        *_inc_gamma(a, x), *plain, d1, d2,
-        *_log_reg_upper_gamma_shape(a, x), log_reg_upper_gamma(a, x), reg_lower_gamma(a, x),
-    ]
+def test_log_q_and_shape_derivatives_at_large_shapes():
+    # Near x = a the mass of f(u) = exp(a u - e^u) sits within 1 / sqrt(a)
+    # of log a: the panels there must shrink with it.  The oracle integrates
+    # from x on and misses a peak far above x, so at x = a / 1000, where Q is
+    # 1 to double precision, both derivatives are checked against 0 instead.
+    for a in (300.0, 500.0):
+        xs = a * np.array([1e-3, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 1.5, 3.0])
+        lq, d1, d2 = _log_q_shape(a, xs)
+        np.testing.assert_allclose(lq, np.log(sp.gammaincc(a, xs)), rtol=1e-10, atol=1e-14)
+        want = np.array([(0.0, 0.0)] + [_log_q_shape_oracle(a, float(x)) for x in xs[1:]])
+        np.testing.assert_allclose(d1, want[:, 0], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(d2, want[:, 1], rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("a", [0.05, 0.7253, 1.0, 3.0, 57.3, 300.0])
-def test_incomplete_gamma_element_is_independent_of_its_batch(a):
-    # The kernel's loops iterate converged elements along with unconverged
-    # neighbours; each element must still end on the bits it gets alone, in
-    # any batch order.  x = 0, both branches, a tie, and at integer a the
-    # continued fraction ends (an = 0) while its derivatives keep iterating.
-    x = np.concatenate([
+def test_log_q_batch_spanning_more_than_600_nats():
+    # The gap maxima of log f fall by more than 600 from x = 3 to x = 2000,
+    # so the sums right of the peak run in log space; each element must
+    # still match the oracles, and its value alone (one gap, plain sums).
+    a = 2.5
+    xs = np.array([1e-6, 0.4, 3.0, 9.0, 40.0, 150.0, 700.0, 900.0, 2000.0])
+    lq, d1, d2 = _log_q_shape(a, xs)
+    q = sp.gammaincc(a, xs)
+    finite = q > 0.0
+    np.testing.assert_allclose(lq[finite], np.log(q[finite]), rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(
+        lq[~finite], [_log_q_asymptotic(a, float(x)) for x in xs[~finite]], rtol=1e-13
+    )
+    want = np.array([_log_q_shape_oracle(a, float(x)) for x in xs])
+    np.testing.assert_allclose(d1, want[:, 0], rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(d2, want[:, 1], rtol=1e-10, atol=1e-12)
+    alone = np.array([_log_q_shape(a, xs[k : k + 1]) for k in range(xs.size)])[:, :, 0]
+    np.testing.assert_allclose(np.stack([lq, d1, d2], 1), alone, rtol=1e-13, atol=1e-13)
+
+
+def test_log_q_at_vanishing_shapes():
+    # Fits bound log shape only at +-700.  Below a ~ 1e-162, a * a underflows
+    # and psi(a) = -1 / a; log Q must still come out.
+    for a in (1e-300, 1e-170, 1e-20):
+        xs = np.array([0.5, 3.0])
+        np.testing.assert_allclose(
+            log_reg_upper_gamma(a, xs), np.log(sp.gammaincc(a, xs)), rtol=1e-10, atol=1e-14
+        )
+
+
+def test_digamma_trigamma_where_the_shape_squared_underflows():
+    psi, psi1 = _digamma_trigamma(1e-300)
+    assert psi == pytest.approx(sp.digamma(1e-300), rel=1e-15) and psi1 == math.inf
+
+
+def test_log_q_never_exceeds_zero_where_q_is_near_one():
+    # log Q there is the sum of two O(1) terms, accurate to ~1e-16 absolute.
+    for a in (2.5, 57.3, 300.0):
+        x = a * np.array([1e-3, 1e-2])
+        assert np.all(log_reg_upper_gamma(a, x) <= 0.0), a
+        assert log_reg_upper_gamma(a, float(x[0])) <= 0.0, a
+
+
+def test_gauss_legendre_constants_match_numpy():
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    np.testing.assert_allclose(_GL_NODES, nodes, rtol=0, atol=4e-16)
+    np.testing.assert_allclose(_GL_WEIGHTS, weights, rtol=0, atol=4e-16)
+
+
+def _series_outputs(a, x):
+    """P at (a, x) from the series / continued-fraction loops."""
+    return [reg_lower_gamma(a, x)]
+
+
+_BATCH_SHAPES = [0.05, 0.7253, 1.0, 3.0, 57.3, 300.0]
+
+
+def _batch(a):
+    # x = 0, both branches of the series kernel, a tie, and at integer a the
+    # continued fraction ends (an = 0).
+    return np.concatenate([
         [0.0, 0.0],
         a * np.array([1e-3, 0.05, 0.5, 0.9, 0.9]),
         (a + 1.0) * np.array([0.999, 1.0, 1.01, 1.5, 3.0, 10.0, 100.0]),
     ])
-    alone = [[o.tobytes() for o in _kernel_outputs(a, x[k : k + 1])] for k in range(x.size)]
+
+
+def _orders(size):
     rng = np.random.default_rng(3)
-    for order in (np.arange(x.size), np.arange(x.size)[::-1], rng.permutation(x.size)):
-        batch = _kernel_outputs(a, x[order])
+    return (np.arange(size), np.arange(size)[::-1], rng.permutation(size))
+
+
+@pytest.mark.parametrize("a", _BATCH_SHAPES)
+def test_incomplete_gamma_element_is_independent_of_its_batch(a):
+    # The series kernel's loops iterate converged elements along with
+    # unconverged neighbours; each element must still end on the bits it
+    # gets alone, in any batch order.
+    x = _batch(a)
+    alone = [[o.tobytes() for o in _series_outputs(a, x[k : k + 1])] for k in range(x.size)]
+    for order in _orders(x.size):
+        batch = _series_outputs(a, x[order])
         for j, k in enumerate(order):
             assert [o[j : j + 1].tobytes() for o in batch] == alone[k], (a, x[k])
+
+
+@pytest.mark.parametrize("a", _BATCH_SHAPES)
+def test_log_q_element_does_not_depend_on_its_batch_order(a):
+    # The quadrature sorts and de-duplicates its batch, so every order of
+    # one batch gives the same bits.  Neighbouring x share panels, so an
+    # element alone agrees with its batch value to rounding, not bit for bit.
+    x = _batch(a)
+    first = None
+    for order in _orders(x.size):
+        got = np.stack([*_log_q_shape(a, x[order]), log_reg_upper_gamma(a, x[order])])
+        back = np.empty_like(got)
+        back[:, order] = got
+        if first is None:
+            first = back
+        assert back.tobytes() == first.tobytes(), a
+    alone = np.stack([
+        [*(float(v[0]) for v in _log_q_shape(a, x[k : k + 1])), log_reg_upper_gamma(a, float(x[k]))]
+        for k in range(x.size)
+    ], 1)
+    np.testing.assert_allclose(first, alone, rtol=1e-13, atol=1e-13)
 
 
 def test_inv_reg_lower_gamma_round_trip():
