@@ -28,10 +28,10 @@ far below that tolerance even for millions of records: each family gives
 its event term and its log S0 at every distinct censoring time with their
 derivatives in the log parameters (the gamma shape through digamma and the
 derivatives of log Q in the shape, which come with log Q from one quadrature
-over the sorted censoring times), and one shared cure layer chains them
-through the mixture and logit c.  Their
-Hessian at the returned point is the observed information behind the
-standard errors.
+over the sorted censoring times), each Hessian as its distinct entries,
+from one pass over its arrays; one shared cure layer computes S0 once and
+chains them through the mixture and logit c.  Their Hessian at the
+returned point is the observed information behind the standard errors.
 
 Every fit runs in one loop, ``_fits``, which builds the sample's likelihood
 cache once and fits each family without and then with a cure fraction.
@@ -105,9 +105,11 @@ class _Family:
     * ``derivatives(cache, *theta)``: the fit engine's terms on the scale of
       the log parameters, ``(ev, ev_g, ev_h, ls, ls_g, ls_h)``: the event
       log-density sum ``ev`` (``log_pdf_sum``) with its gradient (p,) and
-      Hessian (p, p), and log S0 at the cache's censoring times (``log_sf``)
-      with its gradients (m, p) and Hessians (m, p, p).  Events at time 0
-      reach it only where the family allows them.
+      Hessian (p(p+1)/2,), and log S0 at the cache's censoring times
+      (``log_sf``) with its gradients (m, p) and Hessians (m, p(p+1)/2).  A
+      Hessian is its distinct entries (00, 01, 11), so a weighted sum over
+      the times is one ``w @ ls_h``.  Events at time 0 reach it only where
+      the family allows them.
     """
 
     param_names: tuple[str, ...]
@@ -127,10 +129,8 @@ class _Exponential(_Family):
     def derivatives(self, cache, rate):
         ls = self.log_sf(cache.tc, cache.log_tc, rate)
         bt = rate * cache.sum_te
-        return (
-            self.log_pdf_sum(cache, rate), np.array([cache.n_events - bt]), np.array([[-bt]]),
-            ls, ls[:, None], ls[:, None, None],
-        )
+        ev_g, ev_h = np.array([cache.n_events - bt]), np.array([-bt])
+        return self.log_pdf_sum(cache, rate), ev_g, ev_h, ls, ls[:, None], ls[:, None]
 
     def quantile(self, u, rate):
         return -np.log1p(-u) / rate
@@ -139,50 +139,51 @@ class _Exponential(_Family):
         return (1.0 / mean_te,)
 
 
-def _stack_hessian(huu, huv, hvv):
-    """(..., 2, 2) symmetric Hessians from their three distinct entries."""
-    return np.stack([np.stack([huu, huv], -1), np.stack([huv, hvv], -1)], -2)
-
-
 class _ShapeScale(_Family):
     """Families with log S0 = -G(z), z = shape (log t - log scale), and
     log f0 = log(shape / scale) + (shape - 1) log(t / scale) + k log S0, with
-    k = ``event_weight``.  Each family gives ``G(z)`` and ``dG(z)`` = (G', G'')."""
+    k = ``event_weight``.  Each family gives ``jet(z)`` = (G, G', G''), and
+    one jet per array serves both the values and their derivatives."""
 
     param_names = ("shape", "scale")
     event_weight: float
 
     def log_pdf_sum(self, cache, shape, scale):
         log_scale = math.log(scale)
+        g = self.jet(shape * (cache.log_te - log_scale))[0]
+        return self._event_value(cache, shape, log_scale, g)
+
+    def _event_value(self, cache, shape, log_scale, g):
+        """log_pdf_sum, given G at the distinct event times > 0."""
         n_pos = cache.n_events - cache.n_zero_events
-        u = shape * (cache.log_te - log_scale)
         return (
             n_pos * (math.log(shape) - log_scale)
             + (shape - 1.0) * (cache.sum_log_te - n_pos * log_scale)
-            - self.event_weight * float(cache.we @ self.G(u))
+            - self.event_weight * float(cache.we @ g)
         )
 
     def log_sf(self, t, log_t, shape, scale):
-        return -self.G(shape * (log_t - math.log(scale)))
+        return -self.jet(shape * (log_t - math.log(scale)))[0]
 
-    def _log_sf_terms(self, log_t, shape, log_scale):
+    def _jet_terms(self, log_t, shape, log_scale):
+        """G with the gradient (m, 2) and Hessian entries (m, 3) of -G."""
         z = shape * (log_t - log_scale)
-        g1, g2 = self.dG(z)
-        grad = np.stack([-g1 * z, shape * g1], -1)
-        return grad, _stack_hessian(-(g2 * z + g1) * z, shape * (g2 * z + g1), -shape * shape * g2)
+        g0, g1, g2 = self.jet(z)
+        b = g2 * z + g1
+        h = np.array([-b * z, shape * b, -shape * shape * g2]).T
+        return g0, np.array([-g1 * z, shape * g1]).T, h
 
     def derivatives(self, cache, shape, scale):
         log_scale = math.log(scale)
         n = cache.n_events - cache.n_zero_events
         a = cache.sum_log_te - n * log_scale
-        eg, eh = self._log_sf_terms(cache.log_te, shape, log_scale)
-        cg, ch = self._log_sf_terms(cache.log_tc, shape, log_scale)
-        k = self.event_weight
+        ge, eg, eh = self._jet_terms(cache.log_te, shape, log_scale)
+        gc, cg, ch = self._jet_terms(cache.log_tc, shape, log_scale)
         return (
-            self.log_pdf_sum(cache, shape, scale),
-            np.array([n + shape * a, -n * shape]) + k * (cache.we @ eg),
-            np.array([[shape * a, -n * shape], [-n * shape, 0.0]]) + k * np.tensordot(cache.we, eh, 1),
-            self.log_sf(cache.tc, cache.log_tc, shape, scale), cg, ch,
+            self._event_value(cache, shape, log_scale, ge),
+            np.array([n + shape * a, -n * shape]) + self.event_weight * (cache.we @ eg),
+            np.array([shape * a, -n * shape, 0.0]) + self.event_weight * (cache.we @ eh),
+            -gc, cg, ch,
         )
 
 
@@ -190,14 +191,11 @@ class _Weibull(_ShapeScale):
     zero_events = "no fit"
     event_weight = 1.0
 
-    def G(self, z):
-        return np.exp(z)
-
-    def dG(self, z):
+    def jet(self, z):
         g = np.exp(z)
-        return g, g
+        return g, g, g
 
-    def log_pdf_sum(self, cache, shape, scale):
+    def _event_value(self, cache, shape, log_scale, g):
         zero_part = 0.0
         if cache.n_zero_events:
             if shape < 1.0:
@@ -207,8 +205,8 @@ class _Weibull(_ShapeScale):
                 )
             if shape > 1.0:
                 return -math.inf  # f0(0) = 0
-            zero_part = cache.n_zero_events * (math.log(shape) - math.log(scale))
-        return zero_part + super().log_pdf_sum(cache, shape, scale)
+            zero_part = cache.n_zero_events * (math.log(shape) - log_scale)
+        return zero_part + super()._event_value(cache, shape, log_scale, g)
 
     def quantile(self, u, shape, scale):
         return scale * np.power(-np.log1p(-u), 1.0 / shape)
@@ -240,16 +238,13 @@ class _Gamma(_Family):
         a = n * log_rate + cache.sum_log_te - n * psi
         bt = rate * cache.sum_te
         ev_g = np.array([shape * a, n * shape - bt])
-        ev_h = np.array([[shape * a - n * shape * shape * psi1, n * shape], [n * shape, -bt]])
+        ev_h = np.array([shape * a - n * shape * shape * psi1, n * shape, -bt])
         x, log_x = rate * cache.tc, log_rate + cache.log_tc
         lq, q1, q2 = _log_q_shape(shape, x)
         xr = np.exp(shape * log_x - x - log_gamma(shape) - lq)
-        ls_g = np.stack([shape * q1, -xr], -1)
-        ls_h = _stack_hessian(
-            shape * q1 + shape * shape * q2,
-            -shape * xr * (log_x - psi - q1),
-            xr * (x - shape - xr),
-        )
+        ls_g = np.array([shape * q1, -xr]).T
+        h01 = -shape * xr * (log_x - psi - q1)
+        ls_h = np.array([shape * q1 + shape * shape * q2, h01, xr * (x - shape - xr)]).T
         return self.log_pdf_sum(cache, shape, rate), ev_g, ev_h, lq, ls_g, ls_h
 
     def quantile(self, u, shape, rate):
@@ -263,12 +258,13 @@ class _LogLogistic(_ShapeScale):
     zero_events = "outside support"
     event_weight = 2.0
 
-    def G(self, z):
-        return np.logaddexp(0.0, z)
-
-    def dG(self, z):
-        p = 1.0 / (1.0 + np.exp(-z))
-        return p, p * (1.0 - p)
+    def jet(self, z):
+        # G = log(1 + e^z), G' and G'' = G' (1 - G') from e^-|z|: 1 - G' would cancel for z >> 1.
+        e = np.exp(-np.abs(z))
+        d = 1.0 + e
+        pos = z > 0.0
+        p = np.where(pos, 1.0, e) / d
+        return np.maximum(z, 0.0) + np.log1p(e), p, p * (np.where(pos, e, 1.0) / d)
 
     def quantile(self, u, shape, scale):
         with np.errstate(divide="ignore"):
@@ -300,13 +296,14 @@ class _LogNormal(_Family):
         ze = (cache.log_te - log_scale) / sigma
         s1, s2 = float(cache.we @ ze), float(cache.we @ (ze * ze))
         ev_g = np.array([s1 / sigma, s2 - n])
-        ev_h = np.array([[-n / sigma**2, -2.0 * s1 / sigma], [-2.0 * s1 / sigma, -2.0 * s2]])
+        ev_h = np.array([-n / sigma**2, -2.0 * s1 / sigma, -2.0 * s2])
         z = (cache.log_tc - log_scale) / sigma
-        ls = self.log_sf(cache.tc, cache.log_tc, scale, sigma)
+        ls = log_normal_sf(z)  # log_sf at the censoring times
         lam = np.exp(-0.5 * z * z - 0.5 * _LOG_2PI - ls)  # hazard of z: phi / (1 - Phi)
         dlam = lam * (lam - z)
-        ls_g = np.stack([lam / sigma, lam * z], -1)
-        ls_h = _stack_hessian(-dlam / sigma**2, -(dlam * z + lam) / sigma, -z * (dlam * z + lam))
+        b = dlam * z + lam
+        ls_g = np.array([lam / sigma, lam * z]).T
+        ls_h = np.array([-dlam / sigma**2, -b / sigma, -z * b]).T
         return self.log_pdf_sum(cache, scale, sigma), ev_g, ev_h, ls, ls_g, ls_h
 
     def quantile(self, u, scale, sigma):
@@ -418,6 +415,7 @@ def check_params(spec: FamilySpec, params: Params) -> None:
 def latency_quantile(family: str, theta: tuple[float, ...], u) -> float | np.ndarray:
     """Inverse of the latency CDF: the time t with 1 - S0(t) = u, u in [0, 1)."""
     check_params(FamilySpec(family), Params(latency=tuple(theta)))
+    theta = tuple(float(v) for v in theta)  # a float32 parameter would compute in float32
     scalar = np.isscalar(u)
     uu = np.asarray(u, dtype=float)
     if np.any(~np.isfinite(uu)) or np.any(uu < 0.0) or np.any(uu >= 1.0):
@@ -435,7 +433,8 @@ def latency_survival(spec: FamilySpec, params: Params, t) -> float | np.ndarray:
         raise DomainError("evaluation time must be finite and >= 0")
     t1 = np.atleast_1d(tt)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        out = np.exp(_family(spec.family).log_sf(t1, np.log(t1), *params.latency))
+        theta = tuple(float(v) for v in params.latency)
+        out = np.exp(_family(spec.family).log_sf(t1, np.log(t1), *theta))
     out = np.clip(out, 0.0, 1.0)
     if scalar:
         return float(out[0])
@@ -493,13 +492,15 @@ def _check_zero_events(spec: FamilySpec, cache: _LikCache, fitting: bool) -> Non
         )
 
 
-def _mixture_value(spec: FamilySpec, c, ev: float, ls: np.ndarray, cache: _LikCache) -> float:
-    """The log-likelihood from the event term ev and log S0 at the censoring times."""
+def _mixture_value(spec: FamilySpec, c, ev: float, ls: np.ndarray, cache: _LikCache):
+    """(loglik, S0, m = c + (1 - c) S0) from ev and log S0; S0 and m are None without a cure."""
     if not spec.cure:
-        return ev + float(cache.wc @ ls)
-    cen = float(cache.wc @ np.log(c + (1.0 - c) * np.exp(ls)))
+        return ev + float(cache.wc @ ls), None, None
+    s0 = np.exp(ls)
+    m = c + (1.0 - c) * s0
+    cen = float(cache.wc @ np.log(m))
     # _expit rounds logits above ~36.8 to c = 1.0, where log(1 - c) = -inf.
-    return cache.n_events * (math.log1p(-c) if c < 1.0 else -math.inf) + ev + cen
+    return cache.n_events * (math.log1p(-c) if c < 1.0 else -math.inf) + ev + cen, s0, m
 
 
 def _loglik_value(spec: FamilySpec, params: Params, cache: _LikCache) -> float:
@@ -508,8 +509,11 @@ def _loglik_value(spec: FamilySpec, params: Params, cache: _LikCache) -> float:
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         ev = family.log_pdf_sum(cache, *theta)
         ls = family.log_sf(cache.tc, cache.log_tc, *theta) if cache.tc.size else cache.tc
-        ll = _mixture_value(spec, params.cure_fraction, ev, ls, cache)
+        ll = _mixture_value(spec, params.cure_fraction, ev, ls, cache)[0]
     return ll if not math.isnan(ll) else -math.inf
+
+
+_UNPACK = np.array([[0, 1], [1, 2]])  # Hessian entries (00, 01, 11) -> matrix; [:1, :1] for p = 1
 
 
 def _loglik_derivatives(spec: FamilySpec, x: np.ndarray, cache: _LikCache, terms=None):
@@ -523,34 +527,30 @@ def _loglik_derivatives(spec: FamilySpec, x: np.ndarray, cache: _LikCache, terms
     below is shared.  With m = c + (1 - c) S0 and L = log S0 the partial
     derivatives of log m are T_L = (1 - c) S0 / m, T_LL = T_L (1 - T_L),
     T_c = (1 - S0) / m, T_cc = -T_c^2 and T_cL = -S0 / m^2, chained through
-    y = logit c with dc/dy = c (1 - c).
+    y = logit c with dc/dy = c (1 - c).  T_L is not taken as 1 - c / m,
+    which cancels where S0 << 1.
     """
     params = _untransform(spec, x)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         if terms is None:
             terms = _family(spec.family).derivatives(cache, *params.latency)
         ev, ev_g, ev_h, ls, ls_g, ls_h = terms
-        c = params.cure_fraction
-        ll = _mixture_value(spec, c, ev, ls, cache)
-        wc = cache.wc
+        unpack = _UNPACK[: ev_g.size, : ev_g.size]
+        c, wc = params.cure_fraction, cache.wc
+        ll, s0, m = _mixture_value(spec, c, ev, ls, cache)
         if not spec.cure:
-            return ll, ev_g + wc @ ls_g, ev_h + np.tensordot(wc, ls_h, 1), terms
-        s0 = np.exp(ls)
-        m = c + (1.0 - c) * s0
+            return ll, ev_g + wc @ ls_g, (ev_h + wc @ ls_h)[unpack], terms
         t_l = (1.0 - c) * s0 / m
         t_c = (1.0 - s0) / m
         dc = c * (1.0 - c)
-        n_e = cache.n_events
         w_l = wc * t_l
-        g = np.concatenate([[dc * float(wc @ t_c) - n_e * c], ev_g + w_l @ ls_g])
+        wt_c = float(wc @ t_c)
+        g = np.concatenate([[dc * wt_c - cache.n_events * c], ev_g + w_l @ ls_g])
         h = np.empty((g.size, g.size))
-        h[0, 0] = (
-            -dc * dc * float(wc @ (t_c * t_c)) + dc * (1.0 - 2.0 * c) * float(wc @ t_c) - n_e * dc
-        )
+        h[0, 0] = -dc * dc * float(wc @ (t_c * t_c)) + dc * (1.0 - 2.0 * c) * wt_c - cache.n_events * dc
         h[0, 1:] = h[1:, 0] = -dc * ((wc * s0 / (m * m)) @ ls_g)
-        h[1:, 1:] = (
-            ev_h + (ls_g.T * (w_l * (1.0 - t_l))) @ ls_g + np.tensordot(w_l, ls_h, 1)
-        )
+        h_ll = (ls_g * (w_l * (1.0 - t_l))[:, None]).T @ ls_g
+        h[1:, 1:] = ev_h[unpack] + h_ll + (w_l @ ls_h)[unpack]
     return ll, g, h, terms
 
 

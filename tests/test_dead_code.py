@@ -1,13 +1,15 @@
 """A dead-code guard over the package source, with ``ast`` alone.
 
-Three rules:
+Four rules:
 * no module-level import that its module never reads (``__init__``, whose
   imports are the public re-exports, is exempt);
 * every top-level function or class is referenced, by name, somewhere in the
   package besides its own definition; a re-export in ``__init__`` counts;
 * every module-level name bound by an assignment is read somewhere in the
   package besides its own statement (``__init__.__all__``, which only
-  ``import *`` reads, is exempt).
+  ``import *`` reads, is exempt);
+* every method of a private (``_``-prefixed) class, dunders aside, is read,
+  as a name or an attribute, somewhere in the package outside its own body.
 """
 
 import ast
@@ -100,4 +102,27 @@ def test_every_module_level_assignment_is_read():
         for name in _bound_by_assignment(stmt)
         if not readers[name] - {(module, i)} and (module, name) != ("__init__", "__all__")
     ]
+    assert unread == []
+
+
+def test_every_private_class_method_is_read():
+    modules = _modules()
+    reads = defaultdict(list)  # name -> the Name and Attribute nodes that read it
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reads[node.id].append(node)
+            elif isinstance(node, ast.Attribute):
+                reads[node.attr].append(node)
+    unread = []
+    for module, tree in modules.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name.startswith("_")):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("__"):
+                    continue
+                own = {id(node) for node in ast.walk(method)}
+                if all(id(node) in own for node in reads[method.name]):
+                    unread.append(f"{module}.{cls.name}.{method.name}")
     assert unread == []

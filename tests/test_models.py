@@ -483,6 +483,30 @@ def test_analytic_derivatives_match_finite_differences(family, cure, tied):
         np.testing.assert_allclose(-h, h_fd, rtol=1e-5, atol=1e-7 * scale)
 
 
+@pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_derivatives_take_the_one_log_sf_and_log_pdf_sum(family, tied):
+    # The fit engine's log S0 and event value are those of log_sf and
+    # log_pdf_sum bit for bit, so a fitted log-likelihood is the one
+    # log_likelihood recomputes from the reported parameters.
+    sample = _derivative_sample(tied)
+    cache = _build_cache(sample)
+    fam = _TABLE[family]
+    start = initial_params(FamilySpec(family), sample).latency
+    for scale in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.3), (1.7, 1.7)):
+        theta = tuple(v * f for v, f in zip(start, scale))
+        ev, _, _, ls, _, _ = fam.derivatives(cache, *theta)
+        assert ev == fam.log_pdf_sum(cache, *theta)
+        assert np.array_equal(ls, fam.log_sf(cache.tc, cache.log_tc, *theta))
+    # The Weibull zero-event rule: a shape-1 density is finite at time 0, a
+    # shape above 1 vanishes there.
+    cache = _build_cache(validate_sample([(0.0, True), (0.0, True), (1.0, True), (2.0, False)]))
+    for shape in (1.0, 1.5):
+        ev = _TABLE["weibull"].derivatives(cache, shape, 1.3)[0]
+        assert ev == _TABLE["weibull"].log_pdf_sum(cache, shape, 1.3)
+        assert math.isfinite(ev) == (shape == 1.0)
+
+
 def test_trust_region_step_is_the_subproblem_minimum():
     # Random 1-4 dimensional models, definite and indefinite, a seventh of
     # them in the hard case (gradient orthogonal to the lowest eigenvector):

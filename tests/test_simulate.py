@@ -11,7 +11,7 @@ from scipy.integrate import trapezoid
 
 from curecheck.diagnostics import alpha_n_test
 from curecheck.errors import DomainError, ValidationError
-from curecheck.models import latency_quantile
+from curecheck.models import FAMILIES, FamilySpec, Params, latency_quantile, latency_survival
 from curecheck.simulate import (
     AdministrativeCensoring,
     CompositeCensoring,
@@ -73,6 +73,22 @@ def test_rejects_bad_latency():
         simulate_mixture(_cfg(latency=(np.float64(0.75), np.int64(1))))[0],
         simulate_mixture(_cfg(latency=(0.75, 1.0)))[0],
     )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_float32_latency_parameters_compute_in_double(family):
+    # The parameters are read as Python floats once: a float32 value gives
+    # the sample, and the survival, of its double value, bit for bit.
+    lat32 = (np.float32(0.8), np.float32(1.3))[: len(FamilySpec(family).latency_param_names)]
+    lat = tuple(float(v) for v in lat32)
+    _assert_same(
+        simulate_mixture(_cfg(family=family, latency=lat32))[0],
+        simulate_mixture(_cfg(family=family, latency=lat))[0],
+    )
+    spec = FamilySpec(family)
+    for t in (np.array([0.0, 0.05, 0.7, 3.0, 40.0]), 0.7):
+        s32 = latency_survival(spec, Params(latency=lat32), t)
+        assert np.array_equal(s32, latency_survival(spec, Params(latency=lat), t))
 
 
 def test_rejects_bad_seed():
