@@ -8,7 +8,6 @@ labels and one small vertical stroke per censored observation.
 
 from __future__ import annotations
 
-import io
 import math
 import sys
 from contextlib import nullcontext
@@ -16,139 +15,122 @@ from contextlib import nullcontext
 import numpy as np
 
 from .errors import DomainError
-from .survival import KaplanMeierCurve
+from .survival import KaplanMeierCurve, _rows
 
 _WIDTH = 640.0
 _HEIGHT = 420.0
 _LEFT, _RIGHT, _TOP, _BOTTOM = 62.0, 18.0, 20.0, 48.0
 _PLOT_W = _WIDTH - _LEFT - _RIGHT
 _PLOT_H = _HEIGHT - _TOP - _BOTTOM
+_Y0 = _TOP + _PLOT_H  # the time axis
 
 _LINE_COLOR = "#33658a"
 _TICK_COLOR = "#86bbd8"
 _AXIS_COLOR = "#222222"
 _TITLE = "Kaplan-Meier estimate"
 
+# Repeated blocks, each filled in one pass by ``_rows`` (``'%.6g' % x`` is
+# ``f'{x:.6g}'``, as ``'%.2f' % x`` is ``f'{x:.2f}'``).
+_Y_TICK = (
+    f'<line x1="{_LEFT - 4:.2f}" y1="%.2f" x2="{_LEFT:.2f}" y2="%.2f" '
+    f'stroke="{_AXIS_COLOR}" stroke-width="1"/>\n'
+    f'<text x="{_LEFT - 8:.2f}" y="%.2f" font-family="sans-serif" '
+    f'font-size="11" text-anchor="end">%.6g</text>\n'
+)
+_X_TICK = (
+    f'<line x1="%.2f" y1="{_Y0:.2f}" x2="%.2f" y2="{_Y0 + 4:.2f}" '
+    f'stroke="{_AXIS_COLOR}" stroke-width="1"/>\n'
+    f'<text x="%.2f" y="{_Y0 + 17:.2f}" font-family="sans-serif" '
+    f'font-size="11" text-anchor="middle">%.6g</text>\n'
+)
+_CENSOR_MARK = (
+    f'<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="{_TICK_COLOR}" stroke-width="1.4"/>\n'
+)
+
 
 def km_plot_csv(curve: KaplanMeierCurve) -> str:
     """Step coordinates, one row per event-time step plus the t=0 anchor."""
-    buf = io.StringIO()
-    buf.write("time,survival,n_at_risk,n_events\r\n")
-    buf.write(f"0.0,1.0,{curve.n_total},0\r\n")
-    for s in curve.steps:
-        buf.write(f"{s.time!r},{s.survival!r},{s.n_at_risk},{s.n_events}\r\n")
-    return buf.getvalue()
+    return f"time,survival,n_at_risk,n_events\r\n0.0,1.0,{curve.n_total},0\r\n" + _rows(
+        "%r,%r,%d,%d\r\n", curve.time, curve.survival, curve.n_at_risk, curve.n_events
+    )
 
 
 def _nice_step(span: float, target: int = 5) -> float:
-    """A 1/2/5-series tick step giving roughly ``target`` ticks over span."""
+    """A 1/2/5-series tick step giving roughly ``target`` ticks over span.
+
+    A span so small that the step's power of ten underflows to zero
+    (subnormal times) gets the span itself: ticks at the axis ends only.
+    """
     raw = span / target
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
+    if mag == 0.0:
+        return span
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
             return mult * mag
     return 10.0 * mag
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
-def _fmt_tick(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def km_plot_svg(curve: KaplanMeierCurve) -> str:
     """The curve as a standalone SVG document (deterministic for equal input)."""
-    last_step = curve.steps[-1].time if curve.steps else 0.0
-    last_censor = max(curve.censor_times) if curve.censor_times else 0.0
+    times, survival, censor = curve.time, curve.survival, curve.censor_times
+    last_step = float(times[-1]) if times.size else 0.0
+    last_censor = float(censor.max()) if censor.size else 0.0
     x_max = max(last_step, last_censor)
     if x_max <= 0.0:
         x_max = 1.0
 
-    def sx(t: float) -> float:
+    def sx(t):
         return _LEFT + _PLOT_W * (t / x_max)
 
-    def sy(p: float) -> float:
+    def sy(p):
         return _TOP + _PLOT_H * (1.0 - p)
 
-    out: list[str] = []
-    out.append(
+    out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" '
-        f'height="{_HEIGHT:.0f}" viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">'
-    )
-    out.append(f'<rect width="{_WIDTH:.0f}" height="{_HEIGHT:.0f}" fill="#ffffff"/>')
-    out.append(
+        f'height="{_HEIGHT:.0f}" viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">\n'
+        f'<rect width="{_WIDTH:.0f}" height="{_HEIGHT:.0f}" fill="#ffffff"/>\n'
         f'<text x="{_LEFT + _PLOT_W / 2:.1f}" y="14" font-family="sans-serif" '
-        f'font-size="13" text-anchor="middle">{_TITLE}</text>'
-    )
-    # axes
-    out.append(
-        f'<path d="M {_fmt(_LEFT)} {_fmt(_TOP)} V {_fmt(_TOP + _PLOT_H)} '
-        f'H {_fmt(_LEFT + _PLOT_W)}" fill="none" stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-    )
+        f'font-size="13" text-anchor="middle">{_TITLE}</text>\n'
+        f'<path d="M {_LEFT:.2f} {_TOP:.2f} V {_Y0:.2f} H {_LEFT + _PLOT_W:.2f}" '
+        f'fill="none" stroke="{_AXIS_COLOR}" stroke-width="1"/>\n'
+    ]
     # y ticks at 0, 0.25, ..., 1
-    for i in range(5):
-        p = i / 4.0
-        y = sy(p)
-        out.append(
-            f'<line x1="{_fmt(_LEFT - 4)}" y1="{_fmt(y)}" x2="{_fmt(_LEFT)}" '
-            f'y2="{_fmt(y)}" stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(_LEFT - 8)}" y="{_fmt(y + 3.5)}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{_fmt_tick(p)}</text>'
-        )
-    # x ticks on a 1/2/5 grid
+    p = np.arange(5) / 4.0
+    y = sy(p)
+    out.append(_rows(_Y_TICK, y, y, y + 3.5, p))
+    # x ticks on a 1/2/5 grid, each step added to the last; counted up front,
+    # since x_max * (1 + 1e-9) overflows to inf near the largest double
     xstep = _nice_step(x_max)
-    tick = 0.0
-    while tick <= x_max * (1.0 + 1e-9):
-        x = sx(min(tick, x_max))
-        y0 = _TOP + _PLOT_H
-        out.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(y0)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(y0 + 4)}" stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y0 + 17)}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{_fmt_tick(tick)}</text>'
-        )
-        tick += xstep
+    n_ticks = math.floor(x_max / xstep * (1.0 + 1e-9)) + 1
+    tick = np.concatenate(([0.0], np.full(n_ticks - 1, xstep))).cumsum()
+    x = sx(np.minimum(tick, x_max))
+    out.append(_rows(_X_TICK, x, x, x, tick))
     out.append(
-        f'<text x="{_fmt(_LEFT + _PLOT_W / 2)}" y="{_fmt(_HEIGHT - 10)}" '
-        f'font-family="sans-serif" font-size="12" text-anchor="middle">time</text>'
-    )
-    out.append(
-        f'<text x="16" y="{_fmt(_TOP + _PLOT_H / 2)}" font-family="sans-serif" '
+        f'<text x="{_LEFT + _PLOT_W / 2:.2f}" y="{_HEIGHT - 10:.2f}" '
+        f'font-family="sans-serif" font-size="12" text-anchor="middle">time</text>\n'
+        f'<text x="16" y="{_TOP + _PLOT_H / 2:.2f}" font-family="sans-serif" '
         f'font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_fmt(_TOP + _PLOT_H / 2)})">survival</text>'
+        f'transform="rotate(-90 16 {_TOP + _PLOT_H / 2:.2f})">survival</text>\n'
     )
     # the step polyline, with a "V" wherever the survival changes
-    times = np.array([s.time for s in curve.steps], dtype=float)
-    survival = np.array([s.survival for s in curve.steps], dtype=float)
     level = np.concatenate([[1.0], survival])  # level[i]: the curve after i steps
-    d = [f"M {_fmt(sx(0.0))} {_fmt(sy(1.0))}"]
-    d += [
-        f"H {x:.2f} V {y:.2f}" if changed else f"H {x:.2f}"
-        for x, y, changed in zip(
-            sx(times).tolist(), sy(survival).tolist(), (survival != level[:-1]).tolist()
-        )
-    ]
-    if not curve.steps or curve.steps[-1].time < x_max:
-        d.append(f"H {_fmt(sx(x_max))}")
-    out.append(
-        f'<path d="{" ".join(d)}" fill="none" stroke="{_LINE_COLOR}" stroke-width="1.8"/>'
-    )
+    changed = survival != level[:-1]
+    d = [f"M {sx(0.0):.2f} {sy(1.0):.2f}"]
+    if times.size:
+        template = " ".join(np.where(changed, "H %.2f V %.2f", "H %.2f").tolist())
+        # each step's x, then its y where the step changes the level
+        xy = np.column_stack((sx(times), sy(survival)))
+        cells = xy[np.column_stack((np.ones_like(changed), changed))]
+        d.append(template % tuple(cells.tolist()))
+    if not times.size or times[-1] < x_max:
+        d.append(f"H {sx(x_max):.2f}")
+    out.append(f'<path d="{" ".join(d)}" fill="none" stroke="{_LINE_COLOR}" stroke-width="1.8"/>\n')
     # censor marks, each at the curve's right-continuous value (1 before the first step)
-    censor = np.array(curve.censor_times, dtype=float)
-    y = sy(level[np.searchsorted(times, censor, side="right")])
-    out += [
-        f'<line x1="{x:.2f}" y1="{y - 4:.2f}" x2="{x:.2f}" '
-        f'y2="{y + 4:.2f}" stroke="{_TICK_COLOR}" stroke-width="1.4"/>'
-        for x, y in zip(sx(censor).tolist(), y.tolist())
-    ]
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    x, y = sx(censor), sy(level[np.searchsorted(times, censor, side="right")])
+    out.append(_rows(_CENSOR_MARK, x, y - 4, x, y + 4))
+    out.append("</svg>\n")
+    return "".join(out)
 
 
 def emit_km_plot(curve: KaplanMeierCurve, path: str | None, format: str = "svg") -> None:

@@ -17,7 +17,8 @@ import csv
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -68,7 +69,7 @@ class SurvivalSample:
 
     @property
     def records(self) -> list[tuple[float, bool]]:
-        return [(float(t), bool(e)) for t, e in zip(self.times, self.events)]
+        return list(zip(self.times.tolist(), self.events.tolist()))
 
     def scaled(self, factor: float) -> "SurvivalSample":
         """Sample with every time multiplied by a positive factor."""
@@ -131,19 +132,34 @@ class KMStep:
 
 @dataclass(frozen=True)
 class KaplanMeierCurve:
-    """Product-limit estimate: one step per distinct event time.
+    """Product-limit estimate: one entry per distinct event time.
 
-    ``censor_times`` carries the censored observation times so plots can
-    draw tick marks; it does not affect the estimate itself.
+    ``time``, ``n_at_risk``, ``n_events`` and ``survival`` are read-only
+    arrays indexed by event time, ascending.  ``censor_times`` carries the
+    censored observation times so plots can draw tick marks; it does not
+    affect the estimate itself.
     """
 
-    steps: tuple[KMStep, ...]
+    time: np.ndarray
+    n_at_risk: np.ndarray
+    n_events: np.ndarray
+    survival: np.ndarray
     n_total: int
-    censor_times: tuple[float, ...] = field(default=())
+    censor_times: np.ndarray
+
+    def __post_init__(self):
+        for values in (self.time, self.n_at_risk, self.n_events, self.survival, self.censor_times):
+            values.setflags(write=False)
+
+    @property
+    def steps(self) -> tuple[KMStep, ...]:
+        """The curve as one :class:`KMStep` per event time, built on each access."""
+        columns = (self.time, self.n_at_risk, self.n_events, self.survival)
+        return tuple(map(KMStep, *(c.tolist() for c in columns)))
 
     @property
     def final_survival(self) -> float:
-        return self.steps[-1].survival if self.steps else 1.0
+        return float(self.survival[-1]) if self.survival.size else 1.0
 
 
 def read_csv(
@@ -186,8 +202,9 @@ def read_csv(
     try:
         with np.errstate(over="ignore"):  # an overflow to inf is reported as non-finite
             times = np.fromiter(map(float, map(itemgetter(jt), rows)), float, len(rows)) / time_scale
-        words = map(str.lower, map(str.strip, map(itemgetter(je), rows)))
-        events = np.fromiter(map(_EVENT_WORDS.__getitem__, words), bool, len(rows))
+        cells = list(map(itemgetter(je), rows))
+        word = {cell: _EVENT_WORDS[cell.strip().lower()] for cell in set(cells)}
+        events = np.fromiter(map(word.__getitem__, cells), bool, len(rows))
     except (IndexError, ValueError, KeyError):
         for i, row in enumerate(rows, start=2):  # name the first cell that fails
             raw_t, raw_e = (row[j].strip() if j < len(row) else "" for j in (jt, je))
@@ -206,17 +223,28 @@ def read_csv(
     return _canonical_sample(times, events, lambda i: f"row {i + 2}, column {time_col!r} of {path}")
 
 
+def _rows(template: str, *columns: np.ndarray) -> str:
+    """``template`` once per row of ``columns``, filled in one ``%`` pass over
+    their ``tolist()`` values: ``'%r' % x`` is ``repr(x)``, and ``'%.2f' % x``
+    is ``f'{x:.2f}'``, so the bytes equal a per-row f-string's."""
+    cells = chain.from_iterable(zip(*(c.tolist() for c in columns)))
+    return (template * len(columns[0])) % tuple(cells)
+
+
 def write_csv(
     sample: SurvivalSample,
     path: str | None,
     time_col: str = "time",
     event_col: str = "event",
 ) -> None:
-    """Write a sample as CSV to ``path`` (stdout when None); every cell reads back exactly."""
+    """Write a sample as CSV to ``path`` (stdout when None); every cell reads back exactly.
+
+    The header goes through ``csv.writer``, which quotes column names that
+    need it; a time's ``repr`` never needs quoting.
+    """
     with open(path, "w", newline="") if path is not None else nullcontext(sys.stdout) as fh:
-        writer = csv.writer(fh)
-        writer.writerow([time_col, event_col])
-        writer.writerows([repr(t), 1 if e else 0] for t, e in sample.records)
+        csv.writer(fh).writerow([time_col, event_col])
+        fh.write(_rows("%r,%d\r\n", sample.times, sample.events))
 
 
 def _km_product(sample: SurvivalSample):
@@ -238,11 +266,14 @@ def kaplan_meier(sample: SurvivalSample) -> KaplanMeierCurve:
 
     Censored observations shrink the risk set but contribute no step.
     """
-    times, d, r, surv = (v.tolist() for v in _km_product(sample))
+    times, d, r, surv = _km_product(sample)
     return KaplanMeierCurve(
-        steps=tuple(map(KMStep, times, r, d, surv)),
+        time=times,
+        n_at_risk=r,
+        n_events=d,
+        survival=surv,
         n_total=sample.n,
-        censor_times=tuple(sample.times[~sample.events].tolist()),
+        censor_times=sample.times[~sample.events],
     )
 
 

@@ -310,6 +310,10 @@ def test_plot_svg_no_events_draws_flat_line():
     assert "<path" in svg  # the S = 1 line is still drawn
 
 
+_TIED_CENSORED = [(1.0, True), (2.0, False), (2.0, False), (2.0, True), (3.0, False),
+                  (3.0, False), (3.0, False), (4.0, True), (4.0, True)]
+
+
 @pytest.mark.parametrize(
     "records, sha256",
     [
@@ -323,8 +327,7 @@ def test_plot_svg_no_events_draws_flat_line():
             "120cd030d095a70cda1ac69789d0d2974f13752c452fdb04edd3e66779f7aea0",
         ),
         (  # tied censored times, one tied with an event time
-            [(1.0, True), (2.0, False), (2.0, False), (2.0, True), (3.0, False),
-             (3.0, False), (3.0, False), (4.0, True), (4.0, True)],
+            _TIED_CENSORED,
             "b9e1e1888c2566653d0c560b3eb981e23a92cbb13cbad3fee6f102be8607cc10",
         ),
     ],
@@ -336,6 +339,62 @@ def test_plot_svg_bytes_are_pinned(records, sha256, plateau_sample):
     sample = plateau_sample if records is None else validate_sample(records)
     svg = km_plot_svg(kaplan_meier(sample))
     assert hashlib.sha256(svg.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "records, km_csv_sha256, write_csv_sha256",
+    [
+        (None,
+         "962422d9c9f20a83bfee4f7590afa7df8663dcb4aec6f3bc9b8092280b315c8d",
+         "639e94ca9c03eabfd14e00717cd88e7e8eacdb95c01efc00aae22bc7d79d1ef4"),
+        (_TIED_CENSORED,
+         "187965740dc86939c84de04a7ffcc2c4688fd5bc25ec0d1d1d09562baa677f92",
+         "8b8578476e729746366b9882e3fff19c3e75221ae9d29bff3b354c0c043eb610"),
+    ],
+    ids=["plateau", "tied-censored"],
+)
+def test_csv_writer_bytes_are_pinned(records, km_csv_sha256, write_csv_sha256, plateau_sample, tmp_path):
+    # Pinned digests of the step-coordinate CSV and of the sample CSV, as
+    # for the SVG above.  None stands for the plateau_sample fixture.
+    sample = plateau_sample if records is None else validate_sample(records)
+    km_csv = km_plot_csv(kaplan_meier(sample))
+    assert hashlib.sha256(km_csv.encode()).hexdigest() == km_csv_sha256
+    path = tmp_path / "s.csv"
+    write_csv(sample, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == write_csv_sha256
+
+
+def test_write_csv_quotes_the_header_and_writes_each_time_as_its_repr(tmp_path):
+    s = validate_sample([(5e-324, True), (1e-05, False), (1e+300, True), (0.1 + 0.2, False), (3.0, True)])
+    path = tmp_path / "odd.csv"
+    write_csv(s, str(path), time_col="time,days")
+    assert path.read_bytes() == (
+        b'"time,days",event\r\n5e-324,1\r\n1e-05,0\r\n0.30000000000000004,0\r\n3.0,1\r\n1e+300,1\r\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, x_labels",
+    [
+        # x_max * (1 + 1e-9) overflows to inf: the tick loop never ended
+        ("1.0,1\n1.7976931348623157e308,0\n", ["0", "5e+307", "1e+308", "1.5e+308"]),
+        # span / 5 underflows to 0: log10 raised a math domain error
+        ("5e-324,1\n1e-323,0\n", ["0", "9.88131e-324"]),
+        # the power of ten underflows to 0: a zero tick step, and the loop never ended
+        ("5e-324,1\n2.5e-323,0\n", ["0", "2.47033e-323"]),
+    ],
+    ids=["largest-double", "subnormal", "subnormal-zero-step"],
+)
+def test_cli_km_svg_draws_the_time_axis_at_extreme_times(tmp_path, rows, x_labels):
+    # In a subprocess with a timeout, so that a tick loop that never ends
+    # fails the test instead of hanging the suite.
+    p = tmp_path / "d.csv"
+    p.write_text("time,event\n" + rows)
+    proc = _run_cli("km", str(p), "--plot", "svg")
+    assert proc.returncode == 0, proc.stderr
+    labels = re.findall(r'font-size="11" text-anchor="middle">([^<]*)</text>', proc.stdout)
+    assert labels == x_labels
+    assert proc.stdout.endswith("</svg>\n")
 
 
 def test_plot_deterministic():

@@ -134,7 +134,7 @@ def test_km_with_interior_censoring():
     assert len(curve.steps) == 2
     assert curve.steps[0].survival == pytest.approx(2 / 3)
     assert curve.steps[1].survival == 0.0
-    assert curve.censor_times == (2.0,)
+    assert curve.censor_times.tolist() == [2.0]
 
 
 def test_km_all_censored_has_no_steps():
@@ -148,6 +148,24 @@ def test_km_tied_event_times_form_one_step():
     assert len(curve.steps) == 1
     assert curve.steps[0].n_events == 2
     assert curve.steps[0].survival == pytest.approx(1 / 3)
+
+
+def test_km_curve_is_read_only_arrays_and_steps_read_them():
+    sample = validate_sample([(1.0, True), (2.0, False), (2.0, True), (2.0, True), (3.5, False), (4.0, True)])
+    curve = kaplan_meier(sample)
+    columns = (curve.time, curve.n_at_risk, curve.n_events, curve.survival)
+    for values in columns + (curve.censor_times,):
+        assert isinstance(values, np.ndarray)
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0
+    assert curve.censor_times.tolist() == [2.0, 3.5]
+    steps = curve.steps
+    assert len(steps) == curve.time.size == 3
+    for i, step in enumerate(steps):
+        assert (step.time, step.n_at_risk, step.n_events, step.survival) == tuple(c[i] for c in columns)
+        assert (type(step.time), type(step.n_at_risk), type(step.survival)) == (float, int, float)
+    assert curve.final_survival == steps[-1].survival == curve.survival[-1]
+    assert type(curve.final_survival) is float
 
 
 def _km_brute_force(records):
