@@ -24,6 +24,7 @@ surfaced as notes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .diagnostics import FollowUpTest, alpha_n_test
@@ -38,7 +39,7 @@ from .models import (
     latency_survival,
 )
 from .special import chi2_sf_1df
-from .survival import FollowUpSummary, SurvivalSample, followup_summary
+from .survival import FollowUpSummary, SurvivalSample, _is_number, followup_summary
 
 VERDICT_APPROPRIATE = "appropriate"
 VERDICT_NONCURE = "not_appropriate_noncure_selected"
@@ -84,7 +85,7 @@ class AssessmentConfig:
                 raise DomainError(f"{name} must lie strictly in (0, 1), got {v!r}")
         for name in ("tau", "late_window"):
             v = getattr(self, name)
-            if v is not None and not (v > 0.0 and math.isfinite(v)):
+            if v is not None and not (_is_number(v, numbers.Real) and 0.0 < v < math.inf):
                 raise DomainError(f"{name} must be finite and > 0, got {v!r}")
 
 

@@ -16,6 +16,7 @@ appropriate, 1 on any execution error (message on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -68,7 +69,9 @@ def _parse_censoring(text: str) -> Censoring:
     return cls(*args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="curecheck",
         description="Decide whether a right-censored dataset supports a mixture cure model.",

@@ -1,8 +1,8 @@
 """Parametric latency families, censored-data likelihoods, ML fitting.
 
 Each latency family is one private record, an instance of a ``_Family``
-subclass, in the ordered table ``_TABLE``: parameter names, event log-density
-sum, the one log S0 formula, quantile, starting values and zero-time-event
+subclass, in the ordered table ``_TABLE``: parameter names, the one log S0
+formula, the fit engine's terms, quantile, starting values and zero-time-event
 rule.  ``FAMILIES`` is the table's order, also the AIC tie-break order.
 
 Latency parameterizations (all parameters strictly positive):
@@ -92,10 +92,9 @@ class _Family:
 
     Each method takes the latency parameters last, in ``param_names`` order.
 
-    * ``log_pdf_sum(cache, *theta)``: sum of log f0 over the events of a
-      ``_LikCache``, events at time 0 included; -inf where f0 vanishes.
     * ``log_sf(t, log_t, *theta)``: log S0 at times t >= 0 given log_t = log(t),
-      the one log S0 formula (likelihood censoring term, ``latency_survival``).
+      the one log S0 formula (``latency_survival``; ``derivatives`` computes
+      the same values at the censoring times).
     * ``quantile(u, *theta)``: the latency CDF inverted on a 1-D array in [0, 1).
     * ``start(te, mean_te)``: starting values from the event times.
     * ``zero_events``: events at time exactly 0 are "allowed"; rejected by
@@ -103,13 +102,14 @@ class _Family:
       rejected everywhere under "outside support" (density undefined or
       unbounded at 0).  They are never nudged.
     * ``derivatives(cache, *theta)``: the fit engine's terms on the scale of
-      the log parameters, ``(ev, ev_g, ev_h, ls, ls_g, ls_h)``: the event
-      log-density sum ``ev`` (``log_pdf_sum``) with its gradient (p,) and
+      the log parameters, ``(ev, ev_g, ev_h, ls, ls_g, ls_h)``: the sum
+      ``ev`` of log f0 over the events of a ``_LikCache``, events at time 0
+      included and -inf where f0 vanishes, with its gradient (p,) and
       Hessian (p(p+1)/2,), and log S0 at the cache's censoring times
       (``log_sf``) with its gradients (m, p) and Hessians (m, p(p+1)/2).  A
       Hessian is its distinct entries (00, 01, 11), so a weighted sum over
-      the times is one ``w @ ls_h``.  Events at time 0 reach it only where
-      the family allows them.
+      the times is one ``w @ ls_h``.  This is the only event log-density
+      formula; events at time 0 reach it only where the family allows them.
     """
 
     param_names: tuple[str, ...]
@@ -120,17 +120,15 @@ class _Exponential(_Family):
     param_names = ("rate",)
     zero_events = "allowed"
 
-    def log_pdf_sum(self, cache, rate):
-        return cache.n_events * math.log(rate) - rate * cache.sum_te
-
     def log_sf(self, t, log_t, rate):
         return -rate * t
 
     def derivatives(self, cache, rate):
         ls = self.log_sf(cache.tc, cache.log_tc, rate)
         bt = rate * cache.sum_te
+        ev = cache.n_events * math.log(rate) - bt
         ev_g, ev_h = np.array([cache.n_events - bt]), np.array([-bt])
-        return self.log_pdf_sum(cache, rate), ev_g, ev_h, ls, ls[:, None], ls[:, None]
+        return ev, ev_g, ev_h, ls, ls[:, None], ls[:, None]
 
     def quantile(self, u, rate):
         return -np.log1p(-u) / rate
@@ -148,13 +146,8 @@ class _ShapeScale(_Family):
     param_names = ("shape", "scale")
     event_weight: float
 
-    def log_pdf_sum(self, cache, shape, scale):
-        log_scale = math.log(scale)
-        g = self.jet(shape * (cache.log_te - log_scale))[0]
-        return self._event_value(cache, shape, log_scale, g)
-
     def _event_value(self, cache, shape, log_scale, g):
-        """log_pdf_sum, given G at the distinct event times > 0."""
+        """The event log-density sum, given G at the distinct event times > 0."""
         n_pos = cache.n_events - cache.n_zero_events
         return (
             n_pos * (math.log(shape) - log_scale)
@@ -219,13 +212,6 @@ class _Gamma(_Family):
     param_names = ("shape", "rate")
     zero_events = "outside support"
 
-    def log_pdf_sum(self, cache, shape, rate):
-        return (
-            cache.n_events * (shape * math.log(rate) - log_gamma(shape))
-            + (shape - 1.0) * cache.sum_log_te
-            - rate * cache.sum_te
-        )
-
     def log_sf(self, t, log_t, shape, rate):
         return log_reg_upper_gamma(shape, rate * t)
 
@@ -237,6 +223,7 @@ class _Gamma(_Family):
         n, log_rate = cache.n_events, math.log(rate)
         a = n * log_rate + cache.sum_log_te - n * psi
         bt = rate * cache.sum_te
+        ev = n * (shape * log_rate - log_gamma(shape)) + (shape - 1.0) * cache.sum_log_te - bt
         ev_g = np.array([shape * a, n * shape - bt])
         ev_h = np.array([shape * a - n * shape * shape * psi1, n * shape, -bt])
         x, log_x = rate * cache.tc, log_rate + cache.log_tc
@@ -245,7 +232,7 @@ class _Gamma(_Family):
         ls_g = np.array([shape * q1, -xr]).T
         h01 = -shape * xr * (log_x - psi - q1)
         ls_h = np.array([shape * q1 + shape * shape * q2, h01, xr * (x - shape - xr)]).T
-        return self.log_pdf_sum(cache, shape, rate), ev_g, ev_h, lq, ls_g, ls_h
+        return ev, ev_g, ev_h, lq, ls_g, ls_h
 
     def quantile(self, u, shape, rate):
         return inv_reg_lower_gamma(shape, u) / rate
@@ -278,15 +265,6 @@ class _LogNormal(_Family):
     param_names = ("scale", "sigma")
     zero_events = "outside support"
 
-    def log_pdf_sum(self, cache, scale, sigma):
-        n_pos = cache.n_events - cache.n_zero_events
-        z = (cache.log_te - math.log(scale)) / sigma
-        return (
-            -cache.sum_log_te
-            - n_pos * (math.log(sigma) + 0.5 * _LOG_2PI)
-            - 0.5 * float(cache.we @ (z * z))
-        )
-
     def log_sf(self, t, log_t, scale, sigma):
         return log_normal_sf((log_t - math.log(scale)) / sigma)
 
@@ -295,16 +273,18 @@ class _LogNormal(_Family):
         n = cache.n_events - cache.n_zero_events
         ze = (cache.log_te - log_scale) / sigma
         s1, s2 = float(cache.we @ ze), float(cache.we @ (ze * ze))
+        ev = -cache.sum_log_te - n * (math.log(sigma) + 0.5 * _LOG_2PI) - 0.5 * s2
+        sigma2 = np.float64(sigma) * sigma  # 0 or inf where sigma**2 would raise
         ev_g = np.array([s1 / sigma, s2 - n])
-        ev_h = np.array([-n / sigma**2, -2.0 * s1 / sigma, -2.0 * s2])
+        ev_h = np.array([-n / sigma2, -2.0 * s1 / sigma, -2.0 * s2])
         z = (cache.log_tc - log_scale) / sigma
         ls = log_normal_sf(z)  # log_sf at the censoring times
         lam = np.exp(-0.5 * z * z - 0.5 * _LOG_2PI - ls)  # hazard of z: phi / (1 - Phi)
         dlam = lam * (lam - z)
         b = dlam * z + lam
         ls_g = np.array([lam / sigma, lam * z]).T
-        ls_h = np.array([-dlam / sigma**2, -b / sigma, -z * b]).T
-        return self.log_pdf_sum(cache, scale, sigma), ev_g, ev_h, ls, ls_g, ls_h
+        ls_h = np.array([-dlam / sigma2, -b / sigma, -z * b]).T
+        return ev, ev_g, ev_h, ls, ls_g, ls_h
 
     def quantile(self, u, scale, sigma):
         z = inv_normal_cdf(np.where(u > 0.0, u, 0.5))
@@ -492,35 +472,17 @@ def _check_zero_events(spec: FamilySpec, cache: _LikCache, fitting: bool) -> Non
         )
 
 
-def _mixture_value(spec: FamilySpec, c, ev: float, ls: np.ndarray, cache: _LikCache):
-    """(loglik, S0, m = c + (1 - c) S0) from ev and log S0; S0 and m are None without a cure."""
-    if not spec.cure:
-        return ev + float(cache.wc @ ls), None, None
-    s0 = np.exp(ls)
-    m = c + (1.0 - c) * s0
-    cen = float(cache.wc @ np.log(m))
-    # _expit rounds logits above ~36.8 to c = 1.0, where log(1 - c) = -inf.
-    return cache.n_events * (math.log1p(-c) if c < 1.0 else -math.inf) + ev + cen, s0, m
-
-
-def _loglik_value(spec: FamilySpec, params: Params, cache: _LikCache) -> float:
-    theta = tuple(float(v) for v in params.latency)
-    family = _family(spec.family)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        ev = family.log_pdf_sum(cache, *theta)
-        ls = family.log_sf(cache.tc, cache.log_tc, *theta) if cache.tc.size else cache.tc
-        ll = _mixture_value(spec, params.cure_fraction, ev, ls, cache)[0]
-    return ll if not math.isnan(ll) else -math.inf
-
-
 _UNPACK = np.array([[0, 1], [1, 2]])  # Hessian entries (00, 01, 11) -> matrix; [:1, :1] for p = 1
 
 
-def _loglik_derivatives(spec: FamilySpec, x: np.ndarray, cache: _LikCache, terms=None):
-    """(log-likelihood, gradient, Hessian, terms) at x in the fitting coordinates.
+def _loglik_derivatives(spec: FamilySpec, params: Params, cache: _LikCache, terms=None):
+    """(log-likelihood, gradient, Hessian, terms) at ``params``.
 
-    ``terms`` are the family's ``derivatives`` at x's latency parameters.
-    They are computed unless passed in.  A converged non-cure fit reads its
+    The one assembly of the log-likelihood, for the fits and for
+    ``log_likelihood``.  The gradient and Hessian are in the fitting
+    coordinates (logit c, log of each latency parameter).  ``terms`` are
+    the family's ``derivatives`` at the latency parameters.  They are
+    computed unless passed in.  A converged non-cure fit reads its
     cure score off their log S0 (``_cure_score``).
 
     The family gives its terms on the log-parameter scale; the cure layer
@@ -530,16 +492,19 @@ def _loglik_derivatives(spec: FamilySpec, x: np.ndarray, cache: _LikCache, terms
     y = logit c with dc/dy = c (1 - c).  T_L is not taken as 1 - c / m,
     which cancels where S0 << 1.
     """
-    params = _untransform(spec, x)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         if terms is None:
             terms = _family(spec.family).derivatives(cache, *params.latency)
         ev, ev_g, ev_h, ls, ls_g, ls_h = terms
         unpack = _UNPACK[: ev_g.size, : ev_g.size]
         c, wc = params.cure_fraction, cache.wc
-        ll, s0, m = _mixture_value(spec, c, ev, ls, cache)
         if not spec.cure:
-            return ll, ev_g + wc @ ls_g, (ev_h + wc @ ls_h)[unpack], terms
+            return ev + float(wc @ ls), ev_g + wc @ ls_g, (ev_h + wc @ ls_h)[unpack], terms
+        s0 = np.exp(ls)
+        m = c + (1.0 - c) * s0
+        cen = float(wc @ np.log(m))
+        # _expit rounds logits above ~36.8 to c = 1.0, where log(1 - c) = -inf.
+        ll = cache.n_events * (math.log1p(-c) if c < 1.0 else -math.inf) + ev + cen
         t_l = (1.0 - c) * s0 / m
         t_c = (1.0 - s0) / m
         dc = c * (1.0 - c)
@@ -563,7 +528,9 @@ def log_likelihood(spec: FamilySpec, params: Params, sample: SurvivalSample) -> 
     check_params(spec, params)
     cache = _build_cache(sample)
     _check_zero_events(spec, cache, fitting=False)
-    return float(_loglik_value(spec, params, cache))
+    theta = tuple(float(v) for v in params.latency)
+    ll = float(_loglik_derivatives(spec, Params(theta, params.cure_fraction), cache)[0])
+    return ll if not math.isnan(ll) else -math.inf
 
 
 def aic_value(k: int, log_lik: float) -> float:
@@ -731,7 +698,7 @@ def _trust_region(spec: FamilySpec, cache: _LikCache, x: np.ndarray, point):
             x_new[0] = min(max(x_new[0], -_LOGIT_BOX), _LOGIT_BOX)
             s = x_new - x
         pred = float(g @ s + 0.5 * s @ h @ s)
-        new = _loglik_derivatives(spec, x_new, cache)
+        new = _loglik_derivatives(spec, _untransform(spec, x_new), cache)
         gain = new[0] - ll
         noise = 1e-13 * max(1.0, abs(ll))
         finite = _finite(new)
@@ -795,7 +762,7 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
                     check_params(spec, init)
                     x = _transform(spec, init)
                     terms = start_terms  # initial_params gives both fits one latency
-                point = _loglik_derivatives(spec, x, cache, terms)
+                point = _loglik_derivatives(spec, _untransform(spec, x), cache, terms)
                 if not spec.cure:
                     start_terms = point[3]
                 if not math.isfinite(point[0]):

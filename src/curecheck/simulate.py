@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .models import FamilySpec, Params, check_params, latency_quantile
-from .survival import SurvivalSample, _canonical_sample
+from .survival import SurvivalSample, _canonical_sample, _is_number
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,6 @@ class GroundTruth:
     n_uncured: int
     n_events: int
     censoring: str
-
-
-def _is_number(v, kind: type) -> bool:
-    """Whether v is a ``kind`` (a ``numbers`` ABC, so numpy scalars count) but not a bool."""
-    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 def _validate_config(config: SimulationConfig) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -29,12 +30,17 @@ _BINARY = {0: False, 1: True}
 _EVENT_WORDS = {"0": False, "1": True, "false": False, "true": True}
 
 
-@dataclass(frozen=True)
+def _is_number(v, kind: type) -> bool:
+    """Whether v is a ``kind`` (a ``numbers`` ABC, so numpy scalars count) but not a bool."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+@dataclass(frozen=True, eq=False)
 class SurvivalSample:
     """Validated right-censored sample in canonical order.
 
     Construct through :func:`validate_sample` or :func:`read_csv`; the
-    arrays are read-only.
+    arrays are read-only.  Equality and hashing are by identity.
     """
 
     times: np.ndarray
@@ -130,14 +136,14 @@ class KMStep:
     survival: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KaplanMeierCurve:
     """Product-limit estimate: one entry per distinct event time.
 
     ``time``, ``n_at_risk``, ``n_events`` and ``survival`` are read-only
     arrays indexed by event time, ascending.  ``censor_times`` carries the
     censored observation times so plots can draw tick marks; it does not
-    affect the estimate itself.
+    affect the estimate itself.  Equality and hashing are by identity.
     """
 
     time: np.ndarray
@@ -309,7 +315,7 @@ def followup_summary(sample: SurvivalSample, late_window: float | None = None) -
     max_fu = sample.max_time
     if late_window is None:
         late_window = DEFAULT_LATE_WINDOW_FRACTION * max_fu if max_fu > 0.0 else 1.0
-    if not (late_window > 0.0 and math.isfinite(late_window)):
+    if not (_is_number(late_window, numbers.Real) and 0.0 < late_window < math.inf):
         raise ValidationError(f"late_window must be finite and > 0, got {late_window!r}")
     max_event = sample.max_event_time
     plateau = max_fu - max_event if max_event is not None else max_fu

@@ -30,6 +30,7 @@ from curecheck.models import (
     _fits,
     fit_model,
     latency_quantile,
+    log_likelihood,
 )
 from curecheck.simulate import (
     AdministrativeCensoring,
@@ -407,11 +408,14 @@ def test_fit_model_equals_the_assessments_row(plateau_sample, short_days_sample)
     # One derivation: a standalone cure fit makes its own non-cure fit first,
     # and equals the row the assessment fitted from its non-cure row.  On the
     # plateau data every cure fit starts cold, from initial_params; on the
-    # short-days data some start on the boundary.
+    # short-days data some start on the boundary.  The log-likelihood has
+    # one assembly too: log_likelihood at a row's estimates is its value.
     for sample in (plateau_sample, short_days_sample):
         rows, _ = select_model_by_aic(sample)
         for row in rows:
             assert fit_model(sample, row.spec) == row.fit, row.spec.label
+            ll = log_likelihood(row.spec, row.fit.params, sample)
+            assert ll == row.fit.log_likelihood, row.spec.label
 
 
 def test_assessment_builds_one_likelihood_cache(monkeypatch):
@@ -462,7 +466,7 @@ def test_each_cure_fit_reuses_its_noncure_fits_terms(fixture, expected, request,
     monkeypatch.setattr(
         models,
         "_loglik_derivatives",
-        lambda spec, x, cache, terms=None: loglik_derivatives(spec, x, cache),
+        lambda spec, params, cache, terms=None: loglik_derivatives(spec, params, cache),
     )
     for spec, row in rows.items():
         if spec.cure:
@@ -503,7 +507,8 @@ def test_config_validation():
     with pytest.raises(DomainError):
         AssessmentConfig(tau=-1.0)
     for name in ("tau", "late_window"):
-        for bad in (math.inf, math.nan):
+        # True > 0, but the JSON report would then fail its own schema.
+        for bad in (math.inf, math.nan, True, np.True_):
             with pytest.raises(DomainError, match=f"{name} must be finite and > 0"):
                 AssessmentConfig(**{name: bad})
 

@@ -4,6 +4,7 @@ scipy.stats provides the independent oracle for survival functions and
 per-record log-densities; the library itself never imports scipy.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,6 @@ from curecheck.models import (
     _TABLE,
     _build_cache,
     _loglik_derivatives,
-    _loglik_value,
     _tr_step,
     _transform,
     _trust_region,
@@ -334,6 +334,33 @@ def test_loglik_zero_time_event_rules():
     )
 
 
+_EXTREME = (1e-300, 1e-170, 1.0, 1e170, 1e300)
+
+
+@pytest.mark.parametrize("cure", [False, True], ids=["noncure", "cure"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_log_likelihood_at_extreme_parameters(family, cure):
+    # A float at every valid point, -inf where the likelihood vanishes or is
+    # not a number; the only error is the zero-event rule's DomainError.
+    spec = FamilySpec(family, cure=cure)
+    tied = validate_sample([(0.5, True), (0.5, True), (1.0, False), (3.0, True), (7.0, False)])
+    zero = validate_sample([(0.0, True), (1.0, True), (2.0, False)])
+    grid = itertools.product(_EXTREME, repeat=len(spec.latency_param_names))
+    cures = (1e-300, 0.3, 1.0 - 1e-16) if cure else (None,)
+    for sample, latency, c in itertools.product((tied, zero), grid, cures):
+        try:
+            ll = log_likelihood(spec, Params(latency, c), sample)
+        except DomainError as exc:
+            assert sample is zero and family != "exponential", (latency, c)
+            assert "outside the support" in str(exc) or "unbounded at time 0" in str(exc)
+            continue
+        assert type(ll) is float and not math.isnan(ll) and ll != math.inf, (latency, c, ll)
+    if family == "lognormal":
+        # sigma squared underflows to 0 and overflows to inf here
+        assert log_likelihood(spec, Params((1.0, 1e-170), cures[-1]), tied) == -math.inf
+        assert math.isfinite(log_likelihood(spec, Params((1.0, 1e170), cures[-1]), tied))
+
+
 # ---------------------------------------------------------------------------
 # AIC
 
@@ -347,8 +374,9 @@ def test_gamma_derivatives_return_at_a_vanishing_shape(long_followup_sample):
         ev, _, _, lq, _, _ = _TABLE["gamma"].derivatives(cache, 1e-300, 1.0)
     assert math.isfinite(ev) and np.all(np.isfinite(lq)) and np.all(lq <= 0.0)
     spec = FamilySpec("gamma")
-    point = _loglik_derivatives(spec, np.array([math.log(1e-300), 0.0]), cache)
-    assert point[0] == _loglik_value(spec, _untransform(spec, np.array([math.log(1e-300), 0.0])), cache)
+    params = _untransform(spec, np.array([math.log(1e-300), 0.0]))
+    point = _loglik_derivatives(spec, params, cache)
+    assert point[0] == log_likelihood(spec, params, long_followup_sample)
 
 
 def test_objective_is_infinite_where_the_cure_fraction_rounds_to_one(long_followup_sample):
@@ -356,10 +384,12 @@ def test_objective_is_infinite_where_the_cure_fraction_rounds_to_one(long_follow
     spec = FamilySpec("weibull", cure=True)
     cache = _build_cache(long_followup_sample)
     for logit_c, finite in ((36.0, True), (37.0, False), (40.0, False)):
-        x = np.array([logit_c, 0.0, 0.0])
-        value = _loglik_value(spec, _untransform(spec, x), cache)
-        assert _loglik_derivatives(spec, x, cache)[0] == value
-        assert math.isfinite(value) if finite else value == -math.inf
+        params = _untransform(spec, np.array([logit_c, 0.0, 0.0]))
+        value = _loglik_derivatives(spec, params, cache)[0]
+        if finite:
+            assert log_likelihood(spec, params, long_followup_sample) == value
+        else:  # log_likelihood refuses c = 1
+            assert params.cure_fraction == 1.0 and value == -math.inf
 
 
 def test_aic_values():
@@ -409,8 +439,9 @@ def test_exponential_standard_error_matches_observed_information():
     d, scale = sample.n_events, float(np.sum(sample.times)) / sample.n_events
     r = sample.times / scale
     u = np.log(r)
+    spec = FamilySpec("weibull")
     _, g, h, _ = _loglik_derivatives(
-        FamilySpec("weibull"), np.array([0.0, math.log(scale)]), _build_cache(sample)
+        spec, _untransform(spec, np.array([0.0, math.log(scale)])), _build_cache(sample)
     )
     ue, ru = float(np.sum(u[sample.events])), float(r @ u)
     np.testing.assert_allclose(g, [d + ue - ru, 0.0], rtol=1e-12, atol=1e-9)
@@ -421,7 +452,7 @@ def _neg_loglik(spec, cache):
     """The negated log-likelihood in the fitting coordinates, +inf where it is not finite."""
 
     def neg(x):
-        ll = _loglik_value(spec, _untransform(spec, x), cache)
+        ll = _loglik_derivatives(spec, _untransform(spec, x), cache)[0]
         return -ll if math.isfinite(ll) else math.inf
 
     return neg
@@ -474,7 +505,7 @@ def test_analytic_derivatives_match_finite_differences(family, cure, tied):
     if cure:
         points[1][0], points[2][0] = -30.0, 4.0
     for x in points:
-        ll, g, h, _ = _loglik_derivatives(spec, x, cache)
+        ll, g, h, _ = _loglik_derivatives(spec, _untransform(spec, x), cache)
         fx = neg(x)
         assert ll == -fx
         g_fd, h_fd = _fd_derivatives(neg, x, fx)
@@ -486,25 +517,16 @@ def test_analytic_derivatives_match_finite_differences(family, cure, tied):
 @pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_derivatives_take_the_one_log_sf_and_log_pdf_sum(family, tied):
-    # The fit engine's log S0 and event value are those of log_sf and
-    # log_pdf_sum bit for bit, so a fitted log-likelihood is the one
-    # log_likelihood recomputes from the reported parameters.
+    # The fit engine's log S0 is log_sf's bit for bit: each family has one
+    # log S0 formula.
     sample = _derivative_sample(tied)
     cache = _build_cache(sample)
     fam = _TABLE[family]
     start = initial_params(FamilySpec(family), sample).latency
     for scale in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.3), (1.7, 1.7)):
         theta = tuple(v * f for v, f in zip(start, scale))
-        ev, _, _, ls, _, _ = fam.derivatives(cache, *theta)
-        assert ev == fam.log_pdf_sum(cache, *theta)
+        ls = fam.derivatives(cache, *theta)[3]
         assert np.array_equal(ls, fam.log_sf(cache.tc, cache.log_tc, *theta))
-    # The Weibull zero-event rule: a shape-1 density is finite at time 0, a
-    # shape above 1 vanishes there.
-    cache = _build_cache(validate_sample([(0.0, True), (0.0, True), (1.0, True), (2.0, False)]))
-    for shape in (1.0, 1.5):
-        ev = _TABLE["weibull"].derivatives(cache, shape, 1.3)[0]
-        assert ev == _TABLE["weibull"].log_pdf_sum(cache, shape, 1.3)
-        assert math.isfinite(ev) == (shape == 1.0)
 
 
 def test_trust_region_step_is_the_subproblem_minimum():
@@ -778,7 +800,8 @@ def test_boundary_start_never_lowers_a_cure_fit():
             spec = FamilySpec(family, cure=True)
             fit = fit_model(sample, spec)
             x = _transform(spec, initial_params(spec, sample))
-            _, (cold, *_), _, _ = _trust_region(spec, cache, x, _loglik_derivatives(spec, x, cache))
+            point = _loglik_derivatives(spec, _untransform(spec, x), cache)
+            _, (cold, *_), _, _ = _trust_region(spec, cache, x, point)
             assert fit.log_likelihood >= cold - 1e-9, (i, family)
             if noncure.cure_score <= 0.0:
                 on_boundary += 1

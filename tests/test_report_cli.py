@@ -741,6 +741,19 @@ def test_cli_simulate_stdout_equals_write_csv_file(tmp_path, capsys):
     assert path.read_bytes().startswith(b"time,event\r\n")
 
 
+def test_cli_builds_its_parser_once(capsys):
+    argv = ["simulate", "--n", "40", "--cure-fraction", "0.3", "--family", "weibull",
+            "--params", "0.8,0.8", "--censoring", "administrative:5", "--seed", "3"]
+    build_parser.cache_clear()
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert build_parser.cache_info().misses == 1
+    assert build_parser() is build_parser()
+    assert outputs[0] == outputs[1] and outputs[0].startswith("time,event")
+
+
 def test_cli_simulate_negative_seed_is_an_error(capsys):
     code = main(["simulate", "--n", "40", "--cure-fraction", "0.3", "--family", "weibull",
                  "--params", "0.8,0.8", "--censoring", "administrative:5", "--seed", "-1"])

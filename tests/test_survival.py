@@ -168,6 +168,16 @@ def test_km_curve_is_read_only_arrays_and_steps_read_them():
     assert type(curve.final_survival) is float
 
 
+def test_sample_and_curve_compare_and_hash_by_identity():
+    records = [(1.0, True), (2.0, False), (2.0, True), (3.5, False), (4.0, True)]
+    sample, again = validate_sample(records), validate_sample(records)
+    assert sample == sample and sample != again
+    assert len({sample, sample, again}) == 2
+    curve = kaplan_meier(sample)
+    assert curve == curve and curve != kaplan_meier(sample)
+    assert hash(curve) == hash(curve)
+
+
 def _km_brute_force(records):
     """Independent per-time-point product, pure Python.
 
@@ -302,6 +312,9 @@ def test_followup_late_window_validation():
         followup_summary(s, late_window=-1.0)
     with pytest.raises(ValidationError, match="late_window must be finite and > 0"):
         followup_summary(s, late_window=math.inf)
+    for flag in (True, np.True_):
+        with pytest.raises(ValidationError, match="late_window must be finite and > 0, got"):
+            followup_summary(s, late_window=flag)
 
 
 def test_followup_long_plateau_fixture(long_followup_sample):
