@@ -81,7 +81,7 @@ class AssessmentConfig:
         _check_families(self.families)
         for name in ("cure_fraction_threshold", "r_threshold", "alpha_threshold"):
             v = getattr(self, name)
-            if not (0.0 < v < 1.0):
+            if not (_is_number(v, numbers.Real) and 0.0 < v < 1.0):
                 raise DomainError(f"{name} must lie strictly in (0, 1), got {v!r}")
         for name in ("tau", "late_window"):
             v = getattr(self, name)
@@ -204,7 +204,7 @@ def receus_components(
     if not spec.cure:
         raise DomainError("the susceptible-survivor ratio requires a cure spec")
     check_params(spec, params)
-    if not tau >= 0.0:
+    if not (_is_number(tau, numbers.Real) and tau >= 0.0):
         raise DomainError(f"tau must be >= 0, got {tau!r}")
     s0 = float(latency_survival(spec, params, tau))
     c = float(params.cure_fraction)  # type: ignore[arg-type]

@@ -17,12 +17,13 @@ test markedly more sensitive to truncated follow-up); pass
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .survival import SurvivalSample
+from .survival import SurvivalSample, _is_number
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,10 @@ def alpha_n_test(
     ``count_max_event`` selects the interval-endpoint convention (see module
     docstring); the default excludes the largest event from the count.
     """
-    if not (0.0 < threshold < 1.0):
+    if not (_is_number(threshold, numbers.Real) and 0.0 < threshold < 1.0):
         raise DomainError(f"threshold must lie strictly in (0, 1), got {threshold!r}")
+    if not isinstance(count_max_event, bool):
+        raise DomainError(f"count_max_event must be True or False, got {count_max_event!r}")
     if sample.n_events == 0:
         raise DomainError(
             "the sufficient-follow-up test is undefined for a sample with no events"

@@ -63,6 +63,7 @@ underflows to log 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,7 @@ from .special import (
     log_normal_sf,
     log_reg_upper_gamma,
 )
-from .survival import SurvivalSample, _km_tail
+from .survival import SurvivalSample, _is_number, _km_tail
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -834,7 +835,7 @@ def wald_intervals(fit: ModelFit, level: float = 0.95) -> WaldIntervals:
     stay positive because the endpoints are back-transformed through the
     logit / log maps used during fitting.
     """
-    if not (0.0 < level < 1.0):
+    if not (_is_number(level, numbers.Real) and 0.0 < level < 1.0):
         raise DomainError(f"confidence level must lie strictly in (0, 1), got {level!r}")
     if not fit.converged:
         return WaldIntervals(

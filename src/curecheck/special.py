@@ -7,10 +7,12 @@ chi-square(1) tail, the regularized incomplete gamma, and the gamma and
 normal quantiles, which one vectorized solver inverts at once.
 
 P(a, x) comes from a series / continued fraction split, which the gamma
-quantile inverts.  log Q(a, x) and its first two derivatives in the shape a,
-which the gamma fits use, come from one Gauss-Legendre quadrature of
-t^(a-1) e^(-t) on the log scale: over the gaps between the sorted x, summed
-from the right, so one pass gives every element of a batch.
+quantile inverts; its loops and the solver iterate only the elements not
+yet converged, so an element's value does not depend on its batch.
+log Q(a, x) and its first two derivatives in the shape a, which the gamma
+fits use, come from one Gauss-Legendre quadrature of t^(a-1) e^(-t) on the
+log scale: over the gaps between the sorted x, summed from the right, so
+one pass gives every element of a batch.
 
 Accuracy: erfc and log_gamma are good to about 1 ulp, as the platform's
 ``math.erfc`` and ``math.lgamma`` are; P iterates to machine tolerance; log Q
@@ -108,45 +110,6 @@ def _digamma_trigamma(a: float) -> tuple[float, float]:
     return psi, psi1
 
 
-class _Window:
-    """The window [lo, hi) of elements an incomplete-gamma loop still iterates.
-
-    ``_Window(work)`` follows the loop's working array.  ``retire(done)``
-    takes the convergence test over the window: it copies an element's
-    working value out the first time the element converges, then narrows
-    the window to the first and last element not yet converged, and returns
-    False once none is left.  Converged elements inside the window keep
-    iterating, but nothing reads them again.
-    """
-
-    def __init__(self, work: np.ndarray):
-        self.work = work
-        self.copied = np.empty_like(work)
-        self.lo, self.hi = 0, work.size
-        self.converged = np.zeros(work.size, dtype=bool)
-
-    def retire(self, done: np.ndarray) -> bool:
-        lo, hi = self.lo, self.hi
-        seen = self.converged[lo:hi]
-        fresh = done > seen
-        if not np.count_nonzero(fresh):
-            return True
-        np.copyto(self.copied[lo:hi], self.work[lo:hi], where=fresh)
-        seen |= fresh
-        if seen[0] or seen[-1]:
-            (live,) = (~seen).nonzero()
-            if not live.size:
-                return False
-            self.lo, self.hi = lo + int(live[0]), lo + int(live[-1]) + 1
-        return True
-
-    def result(self) -> np.ndarray:
-        """The working array at each element's first convergence; an element
-        the iteration cap stopped keeps its last value."""
-        np.copyto(self.copied, self.work, where=~self.converged)
-        return self.copied
-
-
 def _check_shape(a: float) -> None:
     if not (a > 0.0) or not math.isfinite(a):
         raise DomainError(f"incomplete gamma requires a > 0, got {a!r}")
@@ -161,12 +124,8 @@ def reg_lower_gamma(a: float, x):
     Both are iterated to machine tolerance (capped at 600 terms).
 
     Elements converge at very different speeds, slowest near x ~ a.  Each
-    loop updates a ``_Window`` of its elements in place, through slices:
-    the span from the first to the last element not yet converged.  An
-    element's result is copied out at its first convergence, so it ends
-    on the same value as if it had stopped there.  On sorted x the series'
-    unconverged elements are a suffix and the continued fraction's lie in
-    a prefix, so few converged elements ride along.
+    loop iterates an index array of those not yet converged, so an element
+    stops at its first convergence and does not depend on its batch.
     """
     _check_shape(a)
     scalar = np.ndim(x) == 0
@@ -181,18 +140,16 @@ def reg_lower_gamma(a: float, x):
         xs = x[ser]
         term = np.full_like(xs, 1.0 / a)
         total = term.copy()
-        win = _Window(total)
-        ak = a
+        active, ak = np.arange(xs.size), a
         for _ in range(_MAX_INC_GAMMA_ITER):
-            lo, hi = win.lo, win.hi
             ak += 1.0
-            tw, totw = term[lo:hi], total[lo:hi]
-            tw *= xs[lo:hi] / ak
-            totw += tw
-            if not win.retire(np.abs(tw) <= np.abs(totw) * 1e-16):
+            term[active] = ta = term[active] * (xs[active] / ak)
+            total[active] = sa = total[active] + ta
+            active = active[~(np.abs(ta) <= np.abs(sa) * 1e-16)]
+            if not active.size:
                 break
         with np.errstate(under="ignore"):
-            p[ser] = np.exp(-xs + a * np.log(xs) - lg) * win.result()
+            p[ser] = np.exp(-xs + a * np.log(xs) - lg) * total
     cfm = nonzero & ~ser
     if cfm.any():
         xc = x[cfm]
@@ -201,25 +158,22 @@ def reg_lower_gamma(a: float, x):
         c = np.full_like(xc, 1.0 / tiny)
         d = 1.0 / b
         h = d.copy()
-        win = _Window(h)
+        active = np.arange(xc.size)
         for i in range(1, _MAX_INC_GAMMA_ITER):
-            lo, hi = win.lo, win.hi
             an = -i * (i - a)
-            bw, dw, cw = b[lo:hi], d[lo:hi], c[lo:hi]
-            bw += 2.0
-            da = an * dw + bw
+            b[active] = ba = b[active] + 2.0
+            da = an * d[active] + ba
             da = np.where(np.abs(da) < tiny, tiny, da)
-            ca = bw + an / cw
-            ca = np.where(np.abs(ca) < tiny, tiny, ca)
-            da = 1.0 / da
+            ca = ba + an / c[active]
+            c[active] = ca = np.where(np.abs(ca) < tiny, tiny, ca)
+            d[active] = da = 1.0 / da
             delta = da * ca
-            h[lo:hi] *= delta
-            dw[:] = da
-            cw[:] = ca
-            if not win.retire(np.abs(delta - 1.0) <= 1e-16):
+            h[active] *= delta
+            active = active[~(np.abs(delta - 1.0) <= 1e-16)]
+            if not active.size:
                 break
         with np.errstate(under="ignore"):
-            p[cfm] = 1.0 - np.exp(-xc + a * np.log(xc) - lg) * win.result()
+            p[cfm] = 1.0 - np.exp(-xc + a * np.log(xc) - lg) * h
     return float(p[0]) if scalar else p
 
 
@@ -395,7 +349,8 @@ def _upper_gamma_quadrature(a: float, x: np.ndarray):
 
 def _log_q_shape(a: float, x):
     """log Q(a, x) with its first and second derivatives in a, arrays shaped
-    like x >= 0.  x = 0 gives 0 for all three, a non-finite x NaN.
+    like x >= 0.  x = 0 gives 0 for all three; x = inf gives log Q = -inf
+    with NaN derivatives, and x = NaN gives NaN for all three.
 
     The distinct positive x go through ``_upper_gamma_quadrature`` sorted,
     so an element's result does not depend on the order of its batch.
@@ -409,6 +364,7 @@ def _log_q_shape(a: float, x):
     lo, hi = int(np.searchsorted(xs, 0.0, side="right")), int(np.searchsorted(xs, np.inf))
     out = np.zeros((3, xs.size))
     out[:, hi:] = np.nan
+    out[0, hi:][xs[hi:] == np.inf] = -np.inf
     if lo < hi:
         out[:, lo:hi] = _upper_gamma_quadrature(a, xs[lo:hi])
     out = out.take(inverse.reshape(x.shape), axis=1)

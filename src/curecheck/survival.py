@@ -79,7 +79,7 @@ class SurvivalSample:
 
     def scaled(self, factor: float) -> "SurvivalSample":
         """Sample with every time multiplied by a positive factor."""
-        if not (factor > 0.0) or not math.isfinite(factor):
+        if not (_is_number(factor, numbers.Real) and 0.0 < factor < math.inf):
             raise ValidationError(f"scale factor must be positive and finite, got {factor!r}")
         return SurvivalSample(times=self.times * factor, events=self.events.copy())
 
@@ -182,7 +182,7 @@ def read_csv(
     and column.  Extra columns are ignored.  The file is read as UTF-8
     whatever the locale; a leading byte-order mark is skipped.
     """
-    if not (0.0 < time_scale < math.inf):
+    if not (_is_number(time_scale, numbers.Real) and 0.0 < time_scale < math.inf):
         raise ValidationError(f"time_scale must be finite and > 0, got {time_scale!r}")
     try:
         fh = open(path, newline="", encoding="utf-8-sig")

@@ -106,6 +106,9 @@ def test_components_identities():
         assert s0 == pytest.approx(s0_direct, rel=1e-12)
         assert s == pytest.approx(0.27 + 0.73 * s0, rel=1e-12)
         assert r == pytest.approx(s0 / s, rel=1e-12)
+    # Where rate * tau overflows, log Q(a, inf) = -inf and S0 is 0.
+    p = Params(latency=(1.6, 1e10), cure_fraction=0.27)
+    assert receus_components(spec, p, 1e300) == (0.0, 0.27, 0.0)
 
 
 def test_components_at_time_zero():
@@ -137,8 +140,9 @@ def test_components_require_cure_spec_and_valid_tau():
         receus_components(FamilySpec("weibull"), Params(latency=(1.0, 1.0)), 1.0)
     spec = FamilySpec("weibull", cure=True)
     p = Params(latency=(1.0, 1.0), cure_fraction=0.4)
-    with pytest.raises(DomainError):
-        receus_components(spec, p, -0.5)
+    for bad in (-0.5, True, "1.0", None):
+        with pytest.raises(DomainError, match="tau must be >= 0"):
+            receus_components(spec, p, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +508,10 @@ def test_config_validation():
         AssessmentConfig(cure_fraction_threshold=0.0)
     with pytest.raises(DomainError):
         AssessmentConfig(r_threshold=1.0)
+    for name in ("cure_fraction_threshold", "r_threshold", "alpha_threshold"):
+        for bad in ("0.1", None, np.True_):
+            with pytest.raises(DomainError, match=f"{name} must lie strictly in"):
+                AssessmentConfig(**{name: bad})
     with pytest.raises(DomainError):
         AssessmentConfig(tau=-1.0)
     for name in ("tau", "late_window"):

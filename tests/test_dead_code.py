@@ -1,6 +1,6 @@
 """A dead-code guard over the package source, with ``ast`` alone.
 
-Four rules:
+Five rules:
 * no module-level import that its module never reads (``__init__``, whose
   imports are the public re-exports, is exempt);
 * every top-level function or class is referenced, by name, somewhere in the
@@ -9,10 +9,14 @@ Four rules:
   package besides its own statement (``__init__.__all__``, which only
   ``import *`` reads, is exempt);
 * every method of a private (``_``-prefixed) class, dunders aside, is read,
-  as a name or an attribute, somewhere in the package outside its own body.
+  as a name or an attribute, somewhere in the package outside its own body;
+* every ``_``-prefixed name that a docstring or comment quotes in double
+  backticks (``_name``, or ``_Class.member`` with each part) is defined in
+  the package.
 """
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -126,3 +130,23 @@ def test_every_private_class_method_is_read():
                 if all(id(node) in own for node in reads[method.name]):
                     unread.append(f"{module}.{cls.name}.{method.name}")
     assert unread == []
+
+
+def test_every_quoted_private_name_is_defined():
+    modules = _modules()
+    defined = set()  # functions, classes and methods, module-level and class-level assignments
+    for tree in modules.values():
+        for node in [tree, *ast.walk(tree)]:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, (ast.Module, ast.ClassDef)):
+                defined.update(name for stmt in node.body for name in _bound_by_assignment(stmt))
+    quoted = {
+        (path.stem, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in re.findall(r"``(_\w+(?:\.\w+)*)``", path.read_text())
+    }
+    assert quoted, "the pattern finds no quoted private name"
+    undefined = [f"{module}: {name}" for module, name in sorted(quoted)
+                 if not all(part in defined for part in name.split("."))]
+    assert undefined == []

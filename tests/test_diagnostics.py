@@ -160,9 +160,12 @@ def test_alpha_n_requires_events_and_valid_threshold():
     with pytest.raises(DomainError, match="no events"):
         alpha_n_test(validate_sample([(1.0, False)]))
     sample = validate_sample([(1.0, True), (2.0, False)])
-    for bad in (0.0, 1.0, -0.5):
-        with pytest.raises(DomainError):
+    for bad in (0.0, 1.0, -0.5, "x", None):
+        with pytest.raises(DomainError, match="threshold must lie strictly in"):
             alpha_n_test(sample, threshold=bad)
+    for bad in ("no", 1, None):
+        with pytest.raises(DomainError, match="count_max_event must be True or False"):
+            alpha_n_test(sample, count_max_event=bad)
 
 
 def test_alpha_n_scale_invariance():

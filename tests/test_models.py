@@ -158,6 +158,16 @@ def test_latency_survival_decreasing_to_zero():
         vals = latency_survival(FamilySpec(family), Params(latency=theta), t)
         assert np.all(np.diff(vals) <= 0)
         assert vals[-1] < 1e-6
+    # 0, not NaN, where rate t, (t / scale)^shape or the standardized log time
+    # overflows; for gamma that is log Q(a, inf) = -inf.
+    for family, theta in (
+        ("exponential", (1e10,)),
+        ("weibull", (2.0, 1e-10)),
+        ("gamma", (2.0, 1e10)),
+        ("lognormal", (1e-10, 1e-300)),
+        ("loglogistic", (1e300, 1.0)),
+    ):
+        assert latency_survival(FamilySpec(family), Params(latency=theta), 1e300) == 0.0, family
 
 
 def test_latency_survival_rejects_bad_times():
@@ -881,9 +891,9 @@ def test_wald_intervals_at_the_largest_level_below_one():
 
 def test_wald_intervals_level_validation():
     fit = _cure_fit()
-    for bad in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(DomainError):
-            wald_intervals(fit, level=bad)
+    for bad in (0.0, 1.0, -0.2, 1.5, "x", None):
+        with pytest.raises(DomainError, match="confidence level"):
+            wald_intervals(fit, bad)
 
 
 def test_wald_intervals_unavailable_without_convergence(monkeypatch):

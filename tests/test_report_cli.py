@@ -146,7 +146,7 @@ def test_read_csv_bad_times_name_row_column_and_path(tmp_path):
 def test_read_csv_rejects_non_finite_time_scale(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("time,event\n1.0,1\n")
-    for bad in (math.inf, math.nan, -1.0):
+    for bad in (math.inf, math.nan, -1.0, "2", True):
         with pytest.raises(ValidationError, match="time_scale must be finite and > 0"):
             read_csv(str(p), time_scale=bad)
 

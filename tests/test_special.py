@@ -291,6 +291,16 @@ def test_log_q_never_exceeds_zero_where_q_is_near_one():
         assert log_reg_upper_gamma(a, float(x[0])) <= 0.0, a
 
 
+def test_log_q_at_infinite_and_nan_x():
+    # Q(a, inf) = 0, so log Q is -inf; the shape derivatives stay NaN there,
+    # so a fit evaluation where rate * t overflows is still rejected.
+    lq, d1, d2 = _log_q_shape(2.5, np.array([0.0, math.inf, math.nan, math.inf]))
+    assert lq[0] == d1[0] == d2[0] == 0.0
+    assert lq[1] == lq[3] == -math.inf and math.isnan(lq[2])
+    assert np.isnan(d1[1:]).all() and np.isnan(d2[1:]).all()
+    assert log_reg_upper_gamma(2.5, math.inf) == -math.inf
+
+
 def test_gauss_legendre_constants_match_numpy():
     nodes, weights = np.polynomial.legendre.leggauss(6)
     np.testing.assert_allclose(_GL_NODES, nodes, rtol=0, atol=4e-16)
@@ -322,9 +332,9 @@ def _orders(size):
 
 @pytest.mark.parametrize("a", _BATCH_SHAPES)
 def test_incomplete_gamma_element_is_independent_of_its_batch(a):
-    # The series kernel's loops iterate converged elements along with
-    # unconverged neighbours; each element must still end on the bits it
-    # gets alone, in any batch order.
+    # The series kernel's loops stop each element at its own first
+    # convergence; each element must end on the bits it gets alone, in any
+    # batch order.
     x = _batch(a)
     alone = [[o.tobytes() for o in _series_outputs(a, x[k : k + 1])] for k in range(x.size)]
     for order in _orders(x.size):
@@ -389,16 +399,23 @@ def test_chi2_sf_1df_matches_scipy():
 # quantiles on arrays
 
 def test_inverses_take_arrays_and_keep_their_shape():
+    # Each element is solved alone: its bits do not depend on its batch, so a
+    # simulated draw does not depend on the other draws.
     u = np.array([[1e-12, 0.05, 0.4], [0.5, 0.9, 1 - 1e-6]])
+    order = np.array([4, 0, 5, 2, 1, 3])
     for a in (0.3, 2.5, 40.0):
         x = inv_reg_lower_gamma(a, u)
         assert x.shape == u.shape
         np.testing.assert_allclose(x, st.gamma.ppf(u, a), rtol=1e-7)
-        scalars = [inv_reg_lower_gamma(a, float(v)) for v in u.ravel()]
-        np.testing.assert_allclose(x.ravel(), scalars, rtol=1e-12)
+        scalars = np.array([inv_reg_lower_gamma(a, float(v)) for v in u.ravel()])
+        assert x.ravel().tobytes() == scalars.tobytes(), a
+        assert inv_reg_lower_gamma(a, u.ravel()[order]).tobytes() == scalars[order].tobytes(), a
     z = inv_normal_cdf(u)
     assert z.shape == u.shape
     np.testing.assert_allclose(z, st.norm.ppf(u), rtol=1e-8, atol=1e-10)
+    scalars = np.array([inv_normal_cdf(float(v)) for v in u.ravel()])
+    assert z.ravel().tobytes() == scalars.tobytes()
+    assert inv_normal_cdf(u.ravel()[order]).tobytes() == scalars[order].tobytes()
     assert isinstance(inv_normal_cdf(0.3), float)
     assert isinstance(inv_reg_lower_gamma(2.0, 0.3), float)
 

@@ -113,8 +113,8 @@ def test_scaled_multiplies_times_only():
     s = validate_sample([(1.0, True), (2.0, False)])
     s2 = s.scaled(365.25)
     assert s2.records == [(365.25, True), (730.5, False)]
-    for bad in (0.0, -1.0, math.inf):
-        with pytest.raises(ValidationError):
+    for bad in (0.0, -1.0, math.inf, "2", True):
+        with pytest.raises(ValidationError, match="scale factor"):
             s.scaled(bad)
 
 
