@@ -212,20 +212,14 @@ def receus_components(
     return s0, s, s0 / s
 
 
-def deviance_from_fits(cure_fit: ModelFit, noncure_fit: ModelFit) -> tuple[float, float]:
-    """(d, p): the boundary deviance statistic of a cure fit against its non-cure fit.
+def _deviance_test(rows: tuple[ModelTableRow, ...], family: str) -> DevianceTest:
+    """The deviance test of ``family`` read off its two table rows.
 
     d = max(0, 2 (loglik_cure - loglik_noncure)).  The non-cure model sits on
     the boundary (cure fraction 0) of the cure model, so the null
     distribution is the mixture 0.5 chi2_0 + 0.5 chi2_1 (Self & Liang 1987)
     and the p-value is p = 0.5 * P(chi2_1 >= d).
     """
-    d = max(0.0, 2.0 * (cure_fit.log_likelihood - noncure_fit.log_likelihood))
-    return d, 0.5 * chi2_sf_1df(d)
-
-
-def _deviance_test(rows: tuple[ModelTableRow, ...], family: str) -> DevianceTest:
-    """The deviance test of ``family`` read off its two table rows."""
     by_spec = {r.spec: r for r in rows}
     fits: dict[bool, ModelFit] = {}
     for cure in (False, True):
@@ -238,7 +232,8 @@ def _deviance_test(rows: tuple[ModelTableRow, ...], family: str) -> DevianceTest
                 diagnostic=f"{row.spec.label} fit did not converge; deviance test unavailable",
             )
         fits[cure] = row.fit  # type: ignore[assignment]
-    d, p = deviance_from_fits(fits[True], fits[False])
+    d = max(0.0, 2.0 * (fits[True].log_likelihood - fits[False].log_likelihood))
+    p = 0.5 * chi2_sf_1df(d)
     return DevianceTest(family, d, p, cure_fit=fits[True], noncure_fit=fits[False])
 
 

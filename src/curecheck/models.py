@@ -34,8 +34,10 @@ chains them through the mixture and logit c.  Their Hessian at the
 returned point is the observed information behind the standard errors.
 
 Every fit runs in one loop, ``_fits``, which builds the sample's likelihood
-cache once and fits each family without and then with a cure fraction.
-A fit starts from ``initial_params``, except a cure fit on the boundary.
+cache and reads what the start values need (``_start_basis``: the event
+times, their mean and the Kaplan-Meier tail) once, then fits each family
+without and then with a cure fraction.  A fit starts from
+``initial_params``, except a cure fit on the boundary.
 The non-cure model is the c = 0 boundary of the cure model, so a cure fit
 first reads its family's non-cure fit: the cure score there,
 d loglik / dc = sum_censored w (1 - S0) / S0 - n_events, comes off the
@@ -230,9 +232,10 @@ class _Gamma(_Family):
         x, log_x = rate * cache.tc, log_rate + cache.log_tc
         lq, q1, q2 = _log_q_shape(shape, x)
         xr = np.exp(shape * log_x - x - log_gamma(shape) - lq)
-        ls_g = np.array([shape * q1, -xr]).T
+        sq1 = shape * q1
+        ls_g = np.array([sq1, -xr]).T
         h01 = -shape * xr * (log_x - psi - q1)
-        ls_h = np.array([shape * q1 + shape * shape * q2, h01, xr * (x - shape - xr)]).T
+        ls_h = np.array([sq1 + shape * shape * q2, h01, xr * (x - shape - xr)]).T
         return ev, ev_g, ev_h, lq, ls_g, ls_h
 
     def quantile(self, u, shape, rate):
@@ -432,7 +435,10 @@ class _LikCache:
     """Precomputed pieces of a sample shared across likelihood evaluations.
 
     Tied records are merged: ``we`` and ``wc`` count the records at each
-    distinct time, and every sum over records is weighted by them.
+    distinct time, and every sum over records is weighted by them.  The
+    censoring times ``tc`` are strictly increasing, finite and > 0, so
+    ``rate * tc`` reaches the gamma kernel without a sort unless rounding
+    merges, underflows or overflows some of them (``_log_q_shape`` checks).
     """
 
     n_events: int  # all events, including any at time 0
@@ -609,17 +615,24 @@ def _untransform(spec: FamilySpec, x: np.ndarray) -> Params:
     return Params(latency=latency, cure_fraction=cure_fraction)
 
 
-def initial_params(spec: FamilySpec, sample: SurvivalSample) -> Params:
-    """Method-of-moments-flavored starting values; cure from the KM plateau."""
+def _start_basis(sample: SurvivalSample):
+    """What every start value reads off the sample: the event times, their
+    mean (1 where it is not > 0) and the KM tail clipped to [0.01, 0.99]."""
     te = sample.times[sample.events]
     mean_te = float(te.mean()) if te.size else 1.0
     if mean_te <= 0.0:
         mean_te = 1.0
-    latency = _family(spec.family).start(te, mean_te)
-    cure_fraction = None
-    if spec.cure:
-        cure_fraction = min(max(_km_tail(sample), 0.01), 0.99)
-    return Params(latency=latency, cure_fraction=cure_fraction)
+    return te, mean_te, min(max(_km_tail(sample), 0.01), 0.99)
+
+
+def initial_params(spec: FamilySpec, sample: SurvivalSample, basis=None) -> Params:
+    """Method-of-moments-flavored starting values; cure from the KM plateau.
+
+    ``basis`` is ``_start_basis(sample)``; a caller that starts several fits
+    on one sample passes it in, so the sample is read once.
+    """
+    te, mean_te, cure_fraction = _start_basis(sample) if basis is None else basis
+    return Params(_family(spec.family).start(te, mean_te), cure_fraction if spec.cure else None)
 
 
 # Trust-region settings of every fit.  The gradient tolerance is absolute: on
@@ -674,7 +687,7 @@ def _tr_step(g: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
 
 def _finite(point) -> bool:
     ll, g, h, _ = point
-    return math.isfinite(ll) and bool(np.all(np.isfinite(g)) and np.all(np.isfinite(h)))
+    return math.isfinite(ll) and bool(np.isfinite(g).all() and np.isfinite(h).all())
 
 
 def _trust_region(spec: FamilySpec, cache: _LikCache, x: np.ndarray, point):
@@ -687,11 +700,12 @@ def _trust_region(spec: FamilySpec, cache: _LikCache, x: np.ndarray, point):
     boundary.  Converged means every gradient component is within _GTOL.
     """
     radius = 1.0
+    finite_start = _finite(point)  # a step is taken only to a finite point
     for it in range(_MAX_ITER + 1):
         ll, g, h, _ = point
         if np.max(np.abs(g)) <= _GTOL:
             return x, point, it, True
-        if it == _MAX_ITER or radius < 1e-12 or not _finite(point):
+        if it == _MAX_ITER or radius < 1e-12 or not finite_start:
             break
         s = _tr_step(-g, -h, radius)
         x_new = x + s
@@ -739,6 +753,7 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
     from its non-cure fit, as the module docstring describes.
     """
     cache = _build_cache(sample)
+    basis = _start_basis(sample)
     for family in families:
         noncure = start_terms = end_terms = None
         for spec in (FamilySpec(family), FamilySpec(family, cure=True)):
@@ -759,7 +774,7 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
                     same = _untransform(spec, x).latency == noncure.params.latency
                     terms = end_terms if same else None
                 else:
-                    init = initial_params(spec, sample)
+                    init = initial_params(spec, sample, basis)
                     check_params(spec, init)
                     x = _transform(spec, init)
                     terms = start_terms  # initial_params gives both fits one latency

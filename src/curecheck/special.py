@@ -12,7 +12,9 @@ yet converged, so an element's value does not depend on its batch.
 log Q(a, x) and its first two derivatives in the shape a, which the gamma
 fits use, come from one Gauss-Legendre quadrature of t^(a-1) e^(-t) on the
 log scale: over the gaps between the sorted x, summed from the right, so
-one pass gives every element of a batch.
+one pass gives every element of a batch.  The fits' x are already sorted
+and distinct and go to the quadrature as they are; any other batch is
+sorted and de-duplicated first, with the same bits.
 
 Accuracy: erfc and log_gamma are good to about 1 ulp, as the platform's
 ``math.erfc`` and ``math.lgamma`` are; P iterates to machine tolerance; log Q
@@ -120,8 +122,9 @@ def reg_lower_gamma(a: float, x):
 
     With log_pref = -x + a log x - log Gamma(a), P(a, x) = exp(log_pref) * s
     from the series expansion where 0 < x < a + 1, and 1 - exp(log_pref) * s
-    from the Lentz continued fraction for Q where x >= a + 1; x = 0 gives 0.
-    Both are iterated to machine tolerance (capped at 600 terms).
+    from the Lentz continued fraction for Q where x >= a + 1; x = 0 gives 0,
+    x = inf gives 1 and x = NaN gives NaN.  Both are iterated to machine
+    tolerance (capped at 600 terms).
 
     Elements converge at very different speeds, slowest near x ~ a.  Each
     loop iterates an index array of those not yet converged, so an element
@@ -133,8 +136,10 @@ def reg_lower_gamma(a: float, x):
     if np.any(x < 0.0):
         raise DomainError("incomplete gamma requires x >= 0")
     p = np.zeros_like(x)
+    p[np.isnan(x)] = np.nan
+    p[x == np.inf] = 1.0
     lg = log_gamma(a)
-    nonzero = x > 0.0
+    nonzero = (x > 0.0) & (x < np.inf)
     ser = nonzero & (x < a + 1.0)
     if ser.any():
         xs = x[ser]
@@ -215,26 +220,38 @@ def _left_reach(c: np.ndarray) -> np.ndarray:
     return np.where(two_ec > 1.0, c + 1.0, np.sqrt(two_ec))
 
 
-def _reverse_sums(p, m1, m2, dc):
-    """P_i, T1_i, T2_i: sums over gaps j >= i of the moments of f (u - c_i)^k,
-    from each gap's moments p, m1, m2 about its own centre c_j and the steps
-    dc_j = c_{j+1} - c_j >= 0.  Every term is >= 0 except m1 left of log a."""
-    P = np.cumsum(p[::-1])[::-1]
-    next_p = np.append(P[1:], 0.0)
-    T1 = np.cumsum((m1 + dc * next_p)[::-1])[::-1]
-    T2 = np.cumsum((m2 + dc * (2.0 * np.append(T1[1:], 0.0) + dc * next_p))[::-1])[::-1]
-    return P, T1, T2
+def _reverse_sums(M, dc):
+    """P_i, T1_i, T2_i as rows: sums over gaps j >= i of the moments of
+    f (u - c_i)^k, from the rows p, m1, m2 of M, each gap's moments about
+    its own centre c_j, and the steps dc_j = c_{j+1} - c_j >= 0 between
+    them.  Right of the peak, where it runs, every term is >= 0.  M is
+    overwritten."""
+    acc = np.empty_like(M)  # each row accumulated from the right end
+    out = acc[:, ::-1]
+    p, m1, m2 = M
+    P, T1, T2 = out
+    np.cumsum(p[::-1], out=acc[0])
+    next_p = P[1:]
+    m1[:-1] += dc * next_p
+    np.cumsum(m1[::-1], out=acc[1])
+    m2[:-1] += dc * (2.0 * T1[1:] + dc * next_p)
+    np.cumsum(m2[::-1], out=acc[2])
+    return out
 
 
-def _log_reverse_sums(lp, lm1, lm2, ldc):
+def _log_reverse_sums(lM, ldc):
     """``_reverse_sums`` on the logs of its (here all >= 0) arguments."""
     acc = np.logaddexp.accumulate
+    lp, lm1, lm2 = lM
     P = acc(lp[::-1])[::-1]
-    next_p = np.append(P[1:], -np.inf)
-    T1 = acc(np.logaddexp(lm1, ldc + next_p)[::-1])[::-1]
-    via_t1 = math.log(2.0) + ldc + np.append(T1[1:], -np.inf)
-    T2 = acc(np.logaddexp(lm2, np.logaddexp(via_t1, 2.0 * ldc + next_p))[::-1])[::-1]
-    return P, T1, T2
+    lm1[:-1] = np.logaddexp(lm1[:-1], ldc + P[1:])
+    T1 = acc(lm1[::-1])[::-1]
+    lm2[:-1] = np.logaddexp(lm2[:-1], np.logaddexp(math.log(2.0) + ldc + T1[1:], 2.0 * ldc + P[1:]))
+    T2 = acc(lm2[::-1])[::-1]
+    return np.array([P, T1, T2])
+
+
+_INF = np.array([np.inf])
 
 
 def _upper_gamma_quadrature(a: float, x: np.ndarray):
@@ -249,6 +266,8 @@ def _upper_gamma_quadrature(a: float, x: np.ndarray):
     The stretch is cut into equal panels, at most ``_PANEL_NATS`` over the
     largest of 1, |a - e^u| and 2 e^(u/2) on it, each integrated with the
     6-point Gauss-Legendre rule in r = u - (the gap's maximum point).
+    The gaps left of log a are the first ``split``; the one holding the
+    peak, if any, is the last of them and has a part on either side.
 
     The moments of gap j are taken about c_j = max(u_j, log a): right of
     the peak all of them are >= 0; left of it the conditional mean and
@@ -265,85 +284,97 @@ def _upper_gamma_quadrature(a: float, x: np.ndarray):
     la = math.log(a)
     u = np.log(x)
     t = u - la
-    g = np.append(np.diff(u), np.inf)
-    t_next = np.append(t[1:], np.inf)
+    split = int(t.searchsorted(0.0))
+    g = np.concatenate((u[1:] - u[:-1], _INF))
+    t_next = np.concatenate((t[1:], _INF))
     tm = np.minimum(np.maximum(t, 0.0), t_next)  # u - log a where each gap's log f peaks
-    e_max = np.minimum(np.maximum(x, a), np.append(x[1:], np.inf))  # e^u there
-    peak = (t < 0.0) & (t_next > 0.0)
+    e_max = np.minimum(np.maximum(x, a), np.concatenate((x[1:], _INF)))  # e^u there
+    # The first gap with a part right of log a: the one holding the peak, if any.
+    k0 = split - 1 if split and t_next[split - 1] > 0.0 else split
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        slope = e_max - a  # -(log f)' at the maximum: >= 0 right of the peak, <= 0 left
-        ts = np.maximum(tm, 0.0)
+        em = e_max[k0:]
+        slope = em - a  # -(log f)' at the maximum: >= 0 right of the peak, <= 0 left
+        ts = np.maximum(tm[k0:], 0.0)
         # Right of the maximum log f falls by at least slope r + e_max r^2 / 2,
         # and phi(t) >= e^t / 2 for t >= 1.7.
-        hyp = np.hypot(slope, math.sqrt(2.0 * _KEEP_NATS) * np.sqrt(e_max))
+        hyp = np.hypot(slope, math.sqrt(2.0 * _KEEP_NATS) * np.sqrt(em))
         reach = np.minimum(
             2.0 * _KEEP_NATS / hyp / (1.0 + slope / hyp),
             np.maximum(1.7, np.log(2.0 * (np.expm1(ts) - ts + _KEEP_NATS / a))) - ts,
         )
-        r_hi = np.minimum(np.where(peak, t_next, g), reach)
-        e_hi = e_max * np.exp(r_hi)
+        r_hi = np.minimum(g[k0:], reach)
+        if k0 < split:  # the peak's gap ends at the next x
+            r_hi[0] = np.minimum(t_next[k0], reach[0])
+        e_hi = em * np.exp(r_hi)
         rate_hi = np.maximum(np.maximum(1.0, e_hi - a), 2.0 * np.sqrt(e_hi))
         # Left of it log f falls by at least -slope d + e_max phi(-d).
-        reach = np.minimum(_KEEP_NATS / (a - e_max), _left_reach(_KEEP_NATS / e_max))
-        r_lo = np.maximum(np.where(peak, t, -g), -reach)
-        rate_lo = np.maximum(np.maximum(1.0, a - e_max * np.exp(r_lo)), 2.0 * np.sqrt(e_max))
-        has_left, has_right = t < 0.0, (t >= 0.0) | peak
-        seg_gap = np.concatenate([has_left.nonzero()[0], has_right.nonzero()[0]])
-        n_left = int(np.count_nonzero(has_left))
-        seg_lo = np.concatenate([r_lo[has_left], np.zeros(seg_gap.size - n_left)])
-        width = np.concatenate([-seg_lo[:n_left], r_hi[has_right]])
-        n = np.ceil(width * np.concatenate([rate_lo[has_left], rate_hi[has_right]]) / _PANEL_NATS)
-    if not np.all(np.isfinite(n)):
+        em = e_max[:split]
+        reach = np.minimum(_KEEP_NATS / (a - em), _left_reach(_KEEP_NATS / em))
+        r_lo = np.maximum(-g[:split], -reach)
+        if k0 < split:  # the peak's gap starts at its own x
+            r_lo[-1] = np.maximum(t[k0], -reach[-1])
+        rate_lo = np.maximum(np.maximum(1.0, a - em * np.exp(r_lo)), 2.0 * np.sqrt(em))
+        seg_lo = np.concatenate((r_lo, np.zeros(m - k0)))
+        width = np.concatenate((-r_lo, r_hi))
+        n = np.ceil(width * np.concatenate((rate_lo, rate_hi)) / _PANEL_NATS)
+    if not np.isfinite(n).all():
         nan = np.full(m, np.nan)
         return nan, nan, nan.copy()
     n = np.maximum(n, 1.0).astype(np.intp)
     h = width / n
+    seg_gap = np.concatenate((np.arange(split), np.arange(k0, m)))
     seg = np.repeat(np.arange(n.size), n)
-    first = np.repeat(np.cumsum(n) - n, n)
     hp, gap = h[seg], seg_gap[seg]
-    r = (seg_lo[seg] + (np.arange(seg.size) - first) * hp)[:, None] + hp[:, None] * _GL_AT
-    f = np.exp(a * r - e_max[gap, None] * np.expm1(r))
-    q = r + np.minimum(tm, 0.0)[gap, None]  # u - c_j
-    fq = f * q
-    p, m1, m2 = (np.bincount(gap, (y @ _GL_W) * hp, m) for y in (f, fq, fq * q))
+    start = np.cumsum(n) - n
+    # Node k of panel i sits at r[k, i], so every per-node operation runs
+    # along rows as long as the panel count.
+    r = (seg_lo[seg] + (np.arange(seg.size) - start[seg]) * hp) + _GL_AT[:, None] * hp
+    y = np.empty((3,) + r.shape)  # f, f q, f q^2 at every node, q = u - c_j
+    f, fq, fqq = y
+    np.exp(a * r - e_max[gap] * np.expm1(r), out=f)
+    q = r + np.minimum(tm, 0.0)[gap]
+    np.multiply(f, q, out=fq)
+    np.multiply(fq, q, out=fqq)
+    rows = (gap + np.array([[0], [m], [2 * m]])).ravel()
+    M = np.bincount(rows, ((_GL_W @ y) * hp).ravel(), 3 * m).reshape(3, m)  # p, m1, m2 per gap
 
     # Sums from the right: first over the gaps right of the peak, then on.
-    # Each gap's maximum of log f, less a log a - a: -a phi(tm), or, where
-    # e^tm might overflow, a (1 + tm) - e_max.
-    near = np.minimum(tm, 1.0)
-    top = np.where(tm < 1.0, a * (near - np.expm1(near)), a * (1.0 + tm) - e_max)
-    dc = np.where(t >= 0.0, g, np.maximum(t_next, 0.0))
-    dc[-1] = 0.0
-    split = int(np.searchsorted(t, 0.0))
-    lq, r1, r2 = np.empty(m), np.empty(m), np.empty(m)
-    carry = [0.0, 0.0, 0.0]  # the right part's sums at the split, on the peak's scale
+    # Each gap's maximum of log f, less a log a - a, is -a phi(tm); right of
+    # the peak, where e^tm might overflow, a (1 + tm) - e_max from tm = 1 on.
+    out = np.empty((3, m))  # log P, T1 / P and T2 / P
     if split < m:
-        right = slice(split, m)
-        gr = top[right]
+        tr = tm[split:]
+        near = np.minimum(tr, 1.0)
+        gr = np.where(tr < 1.0, a * (near - np.expm1(near)), a * (1.0 + tr) - e_max[split:])
         if gr[0] - gr[-1] < _PLAIN_SPAN:
-            scale = np.exp(gr - gr[0])
-            P, T1, T2 = _reverse_sums(p[right] * scale, m1[right] * scale, m2[right] * scale, dc[right])
-            lq[right] = np.log(P) + gr[0]
-            r1[right], r2[right] = T1 / P, T2 / P
-            carry = [float(s[0]) * math.exp(gr[0]) for s in (P, T1, T2)]
+            S = _reverse_sums(M[:, split:] * np.exp(gr - gr[0]), g[split:-1])
+            out[0, split:] = np.log(S[0]) + gr[0]
+            out[1:, split:] = S[1:] / S[0]
+            cp, c1, c2 = S[:, 0] * math.exp(gr[0])  # the sums at the split, on the peak's scale
         else:
             with np.errstate(divide="ignore"):
-                P, T1, T2 = _log_reverse_sums(
-                    np.log(p[right]) + gr, np.log(m1[right]) + gr, np.log(m2[right]) + gr,
-                    np.log(dc[right]),
-                )
-            lq[right] = P
-            r1[right], r2[right] = np.exp(T1 - P), np.exp(T2 - P)
-            carry = [math.exp(float(s[0])) for s in (P, T1, T2)]
+                S = _log_reverse_sums(np.log(M[:, split:]) + gr, np.log(g[split:-1]))
+            out[0, split:] = S[0]
+            out[1:, split:] = np.exp(S[1:] - S[0])
+            cp, c1, c2 = (math.exp(v) for v in S[:, 0])
     if split:
-        scale = np.exp(top[:split])
-        sums = [np.append(s[:split] * scale, c) for s, c in zip((p, m1, m2), carry)]
-        P, T1, T2 = (s[:-1] for s in _reverse_sums(*sums, np.append(dc[:split], 0.0)))
-        lq[:split] = np.log(P)
-        r1[:split], r2[:split] = T1 / P, T2 / P
+        # Left of the peak every gap's centre is log a: the sums are plain
+        # sums from the right, started from the right part's sums moved from
+        # its centre u_split by dc = t_split.
+        tl = tm[:split]
+        L = M[:, :split] * np.exp(a * (tl - np.expm1(tl)))
+        if split < m:
+            dc = t[split]
+            L[1, -1] += dc * cp
+            L[2, -1] += dc * (2.0 * c1 + dc * cp)
+            L[:, -1] += (cp, c1, c2)
+        S = np.cumsum(L[:, ::-1], axis=1)[:, ::-1]
+        out[0, :split] = np.log(S[0])
+        out[1:, :split] = S[1:] / S[0]
     psi, psi1 = _digamma_trigamma(a)
     # Where Q ~ 1 the sum of two O(1) terms can round above 0; Q <= 1.
-    lq = np.minimum(lq + _peak_minus_log_gamma(a), 0.0)
+    lq = np.minimum(out[0] + _peak_minus_log_gamma(a), 0.0)
+    r1, r2 = out[1], out[2]
     return lq, np.maximum(u, la) + r1 - psi, r2 - r1 * r1 - psi1
 
 
@@ -352,11 +383,17 @@ def _log_q_shape(a: float, x):
     like x >= 0.  x = 0 gives 0 for all three; x = inf gives log Q = -inf
     with NaN derivatives, and x = NaN gives NaN for all three.
 
-    The distinct positive x go through ``_upper_gamma_quadrature`` sorted,
-    so an element's result does not depend on the order of its batch.
+    A 1-D batch that is already strictly increasing, finite and > 0, as
+    the gamma fits' ``rate * tc`` is, goes straight to
+    ``_upper_gamma_quadrature``.  Any other batch is sorted and
+    de-duplicated first and its distinct positive x go through the kernel,
+    so an element's result does not depend on the order of its batch, and
+    both ways give the same bits.
     """
     _check_shape(a)
     x = np.asarray(x, dtype=float)
+    if x.ndim == 1 and x.size and x[0] > 0.0 and x[-1] < np.inf and (x[1:] > x[:-1]).all():
+        return _upper_gamma_quadrature(a, x)
     if np.any(x < 0.0):
         raise DomainError("incomplete gamma requires x >= 0")
     xs, inverse = np.unique(x, return_inverse=True)

@@ -308,6 +308,10 @@ def test_loglik_matches_naive_scipy_summation_on_tied_data():
                 )
                 assert shared.size > 0
                 assert np.unique(sample.times).size < n / 2
+                # The gamma kernel takes the censoring times as they are:
+                # distinct, increasing and > 0, the zeros left out.
+                tc = _build_cache(sample).tc
+                assert tc[0] > 0.0 and np.all(tc[1:] > tc[:-1])
                 got = log_likelihood(spec, params, sample)
                 want = _naive_loglik(spec, params, sample.records)
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), spec.label
@@ -577,6 +581,23 @@ def test_trust_region_step_lands_exactly_on_the_radius_in_the_hard_case():
     spec = FamilySpec("gamma", cure=True)
     fit = fit_model(sample, spec)
     assert fit.log_likelihood >= log_likelihood(spec, initial_params(spec, sample), sample)
+
+
+def test_trust_region_takes_no_step_from_a_start_without_finite_derivatives(long_followup_sample):
+    # The log-likelihood is finite at both starts, but below a gamma shape of
+    # ~1e-162 the Hessian is not (the shape squared underflows), and the
+    # second start also has a NaN score.  Only finite points are ever stepped
+    # to, so a start like these is returned at once, not converged.
+    spec = FamilySpec("gamma")
+    cache = _build_cache(long_followup_sample)
+    x = np.array([math.log(1e-300), 0.0])
+    with np.errstate(invalid="ignore"):
+        ll, g, h, terms = _loglik_derivatives(spec, _untransform(spec, x), cache)
+    assert math.isfinite(ll) and np.all(np.isfinite(g)) and not np.all(np.isfinite(h))
+    for point in ((ll, g, h, terms), (ll, np.array([math.nan, g[1]]), h, terms)):
+        x_end, end, n_iter, converged = _trust_region(spec, cache, x.copy(), point)
+        assert n_iter == 0 and not converged
+        assert end is point and np.array_equal(x_end, x)
 
 
 def test_fit_never_worse_than_initializer():

@@ -161,6 +161,13 @@ def test_reg_gamma_complement_and_edges():
         np.testing.assert_allclose(p + q, 1.0, rtol=0, atol=1e-12)
         assert reg_lower_gamma(a, 0.0) == 0.0
         assert log_reg_upper_gamma(a, 0.0) == 0.0
+        # P(a, inf) = 1 and NaN stays NaN, alone or in a batch whose finite
+        # elements keep their own values.
+        assert reg_lower_gamma(a, math.inf) == 1.0
+        assert math.isnan(reg_lower_gamma(a, math.nan))
+        edges = reg_lower_gamma(a, np.array([math.inf, math.nan, 0.0, 2.0, 9.0]))
+        assert edges[0] == 1.0 and math.isnan(edges[1]) and edges[2] == 0.0
+        assert edges[3:].tobytes() == reg_lower_gamma(a, np.array([2.0, 9.0])).tobytes()
     with pytest.raises(DomainError):
         reg_lower_gamma(0.0, 1.0)
     with pytest.raises(DomainError):
@@ -299,6 +306,27 @@ def test_log_q_at_infinite_and_nan_x():
     assert lq[1] == lq[3] == -math.inf and math.isnan(lq[2])
     assert np.isnan(d1[1:]).all() and np.isnan(d2[1:]).all()
     assert log_reg_upper_gamma(2.5, math.inf) == -math.inf
+    # A strictly increasing, finite, positive batch skips the sort and
+    # de-duplication; any other batch takes them.  Both give the same bits:
+    # a permutation of the batch, and batches with an adjacent duplicate, a
+    # 0 or inf at an end, or a NaN inside, agree with it element by element.
+    rng = np.random.default_rng(5)
+    for a in (0.4, 2.5, 57.3):
+        x = np.unique(rng.exponential(a, 60))
+        direct = np.array(_log_q_shape(a, x))
+        order = rng.permutation(x.size)
+        back = np.empty_like(direct)
+        back[:, order] = _log_q_shape(a, x[order])
+        assert back.tobytes() == direct.tobytes(), a
+        assert log_reg_upper_gamma(a, x).tobytes() == direct[0].tobytes(), a
+        edges = (
+            (np.insert(x, 7, x[7]), np.insert(direct, 7, direct[:, 7], axis=1)),
+            (np.insert(x, 0, 0.0), np.insert(direct, 0, 0.0, axis=1)),
+            (np.append(x, math.inf), np.append(direct, [[-math.inf], [math.nan], [math.nan]], axis=1)),
+            (np.insert(x, 30, math.nan), np.insert(direct, 30, math.nan, axis=1)),
+        )
+        for xs, want in edges:
+            assert np.array(_log_q_shape(a, xs)).tobytes() == want.tobytes(), a
 
 
 def test_gauss_legendre_constants_match_numpy():
