@@ -138,7 +138,7 @@ class CureAssessment:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def verdict_from_flags(cure_model_selected: bool, cure_fraction_pass: bool, r_pass: bool) -> str:
+def _verdict_from_flags(cure_model_selected: bool, cure_fraction_pass: bool, r_pass: bool) -> str:
     """The verdict as a pure function of the three step outcomes."""
     if not cure_model_selected:
         return VERDICT_NONCURE
@@ -160,21 +160,6 @@ def _fit_rows(sample: SurvivalSample, families: tuple[str, ...]) -> tuple[ModelT
     )
 
 
-def select_model_by_aic(
-    sample: SurvivalSample,
-    families: tuple[str, ...] = FAMILIES,
-) -> tuple[tuple[ModelTableRow, ...], ModelFit]:
-    """Fit cure and non-cure variants of each family; pick the lowest AIC.
-
-    Every candidate gets a table row even when its fit fails or does not
-    converge; only converged fits can be selected.  AIC ties (within 1e-12)
-    go to the candidate with fewer parameters, then to the earlier family in
-    ``FAMILIES`` order.
-    """
-    rows = _fit_rows(sample, families)
-    return rows, _select_from_rows(rows).fit  # type: ignore[return-value]
-
-
 def _select_from_rows(rows: list[ModelTableRow] | tuple[ModelTableRow, ...]) -> ModelTableRow:
     """Pick the winning row: lowest AIC among converged fits.
 
@@ -193,9 +178,7 @@ def _select_from_rows(rows: list[ModelTableRow] | tuple[ModelTableRow, ...]) -> 
     return tied[0]
 
 
-def receus_components(
-    spec: FamilySpec, params: Params, tau: float
-) -> tuple[float, float, float]:
+def _receus_components(spec: FamilySpec, params: Params, tau: float) -> tuple[float, float, float]:
     """(S0(tau), S(tau), r_hat) for a cure spec at horizon tau >= 0.
 
     r_hat = S0(tau) / [c + (1 - c) S0(tau)] estimates the proportion of
@@ -254,7 +237,8 @@ def receus_assess(sample: SurvivalSample, config: AssessmentConfig | None = None
         raise AssessmentError("no events: fitting undefined")
     summary = followup_summary(sample, late_window=cfg.late_window)
     followup = alpha_n_test(sample, threshold=cfg.alpha_threshold)
-    rows, selected = select_model_by_aic(sample, cfg.families)
+    rows = _fit_rows(sample, cfg.families)
+    selected: ModelFit = _select_from_rows(rows).fit  # type: ignore[assignment]
     tau = cfg.tau if cfg.tau is not None else sample.max_time
     notes = [
         f"{r.spec.label} fit failed and is missing from the AIC comparison: {r.error}"
@@ -294,14 +278,14 @@ def receus_assess(sample: SurvivalSample, config: AssessmentConfig | None = None
 
     if ratio_fit is not None:
         cure_fraction = float(ratio_fit.params.cure_fraction)  # type: ignore[arg-type]
-        s0_at_tau, s_at_tau, r_hat = receus_components(ratio_fit.spec, ratio_fit.params, tau)
+        s0_at_tau, s_at_tau, r_hat = _receus_components(ratio_fit.spec, ratio_fit.params, tau)
         cure_fraction_pass = cure_fraction > cfg.cure_fraction_threshold
         r_pass = r_hat < cfg.r_threshold
     else:
         cure_fraction = s0_at_tau = s_at_tau = r_hat = None
         cure_fraction_pass = r_pass = False
 
-    verdict = verdict_from_flags(cure_model_selected, cure_fraction_pass, r_pass)
+    verdict = _verdict_from_flags(cure_model_selected, cure_fraction_pass, r_pass)
     if verdict == VERDICT_SMALL_CURE:
         notes.append(
             "the fitted cure fraction is at or below the threshold: either a cure "

@@ -15,6 +15,9 @@ Latency parameterizations (all parameters strictly positive):
 
 A cure spec adds cure_fraction c in (0,1), the long-run survivor
 probability: S(t) = c + (1-c) S0(t) and f(t) = (1-c) f0(t).
+``latency_survival(spec, params, t)`` and ``latency_quantile(spec, params, u)``
+evaluate S0 and its inverse; both check ``params`` against ``spec`` and read
+only its latency, so a cure spec's fraction is validated but not used.
 
 Fitting maximizes the censored-data log-likelihood
 sum_events log f + sum_censored log S over a transformed space (logit of
@@ -37,19 +40,19 @@ Every fit runs in one loop, ``_fits``, which builds the sample's likelihood
 cache and reads what the start values need (``_start_basis``: the event
 times, their mean and the Kaplan-Meier tail) once, then fits each family
 without and then with a cure fraction.  A fit starts from
-``initial_params``, except a cure fit on the boundary.
+``_initial_params``, except a cure fit on the boundary.
 The non-cure model is the c = 0 boundary of the cure model, so a cure fit
 first reads its family's non-cure fit: the cure score there,
 d loglik / dc = sum_censored w (1 - S0) / S0 - n_events, comes off the
 log S0 of that fit's last evaluation.  When the non-cure fit converged
 with a score <= 0, the cure fit starts at logit c = -40 with the non-cure
 latency; on data without a cure fraction it stops there in 0 iterations,
-where a start from ``initial_params`` walks 20-35 iterations down the
+where a start from ``_initial_params`` walks 20-35 iterations down the
 c -> 0 ridge.  A cure fit that ends on the boundary has no standard
 errors: logit c has none there.
 
 Either way the cure fit's first point has a latency the non-cure fit has
-already evaluated: its start (``initial_params`` gives both fits the same
+already evaluated: its start (``_initial_params`` gives both fits the same
 latency) or its end (a boundary start).  That evaluation takes the family
 terms (``_Family.derivatives``) the non-cure fit computed there, so the
 gamma kernel and the other family work are not repeated.
@@ -396,15 +399,15 @@ def check_params(spec: FamilySpec, params: Params) -> None:
 # ---------------------------------------------------------------------------
 
 
-def latency_quantile(family: str, theta: tuple[float, ...], u) -> float | np.ndarray:
-    """Inverse of the latency CDF: the time t with 1 - S0(t) = u, u in [0, 1)."""
-    check_params(FamilySpec(family), Params(latency=tuple(theta)))
-    theta = tuple(float(v) for v in theta)  # a float32 parameter would compute in float32
+def latency_quantile(spec: FamilySpec, params: Params, u) -> float | np.ndarray:
+    """Inverse of the latency CDF of ``spec``: the time t with 1 - S0(t) = u, u in [0, 1)."""
+    check_params(spec, params)
+    theta = tuple(float(v) for v in params.latency)  # a float32 parameter would compute in float32
     scalar = np.isscalar(u)
     uu = np.asarray(u, dtype=float)
     if np.any(~np.isfinite(uu)) or np.any(uu < 0.0) or np.any(uu >= 1.0):
         raise DomainError("quantile level must lie in [0, 1)")
-    out = _family(family).quantile(uu.ravel(), *theta).reshape(uu.shape)
+    out = _family(spec.family).quantile(uu.ravel(), *theta).reshape(uu.shape)
     return float(out) if scalar else out
 
 
@@ -540,7 +543,7 @@ def log_likelihood(spec: FamilySpec, params: Params, sample: SurvivalSample) -> 
     return ll if not math.isnan(ll) else -math.inf
 
 
-def aic_value(k: int, log_lik: float) -> float:
+def _aic_value(k: int, log_lik: float) -> float:
     return 2.0 * k - 2.0 * log_lik
 
 
@@ -625,13 +628,12 @@ def _start_basis(sample: SurvivalSample):
     return te, mean_te, min(max(_km_tail(sample), 0.01), 0.99)
 
 
-def initial_params(spec: FamilySpec, sample: SurvivalSample, basis=None) -> Params:
+def _initial_params(spec: FamilySpec, basis) -> Params:
     """Method-of-moments-flavored starting values; cure from the KM plateau.
 
-    ``basis`` is ``_start_basis(sample)``; a caller that starts several fits
-    on one sample passes it in, so the sample is read once.
+    ``basis`` is ``_start_basis(sample)``, read once per sample for all its fits.
     """
-    te, mean_te, cure_fraction = _start_basis(sample) if basis is None else basis
+    te, mean_te, cure_fraction = basis
     return Params(_family(spec.family).start(te, mean_te), cure_fraction if spec.cure else None)
 
 
@@ -736,7 +738,7 @@ def fit_model(sample: SurvivalSample, spec: FamilySpec) -> ModelFit:
 
     A cure fit first fits the family's non-cure model, whose cure score
     chooses where the cure fit starts; when that fit fails, the cure fit
-    starts from ``initial_params``.
+    starts from ``_initial_params``.
     """
     fit = next(fit for fitted, fit in _fits(sample, (spec.family,)) if fitted == spec)
     if isinstance(fit, CurecheckError):
@@ -774,10 +776,10 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
                     same = _untransform(spec, x).latency == noncure.params.latency
                     terms = end_terms if same else None
                 else:
-                    init = initial_params(spec, sample, basis)
+                    init = _initial_params(spec, basis)
                     check_params(spec, init)
                     x = _transform(spec, init)
-                    terms = start_terms  # initial_params gives both fits one latency
+                    terms = start_terms  # _initial_params gives both fits one latency
                 point = _loglik_derivatives(spec, _untransform(spec, x), cache, terms)
                 if not spec.cure:
                     start_terms = point[3]
@@ -799,7 +801,7 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
                     spec=spec,
                     params=params,
                     log_likelihood=ll,
-                    aic=aic_value(spec.n_params, ll),
+                    aic=_aic_value(spec.n_params, ll),
                     n_params=spec.n_params,
                     n=sample.n,
                     n_events=sample.n_events,

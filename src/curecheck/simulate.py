@@ -165,7 +165,8 @@ def simulate_mixture(config: SimulationConfig) -> tuple[SurvivalSample, GroundTr
 
     # A cured subject's event time is +inf: it is censored at its censoring time.
     t_event = np.full(n, math.inf)
-    t_event[~cured] = latency_quantile(config.family, tuple(config.latency), u_latency[~cured])
+    spec, params = FamilySpec(config.family), Params(tuple(config.latency))
+    t_event[~cured] = latency_quantile(spec, params, u_latency[~cured])
     sample = _canonical_sample(np.minimum(t_event, censor_times), t_event <= censor_times)
     truth = GroundTruth(
         config=config,

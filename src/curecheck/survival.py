@@ -9,6 +9,9 @@ that canonical order encodes the usual product-limit tie convention
 ``simulate.simulate_mixture`` (arrays) all go through ``_canonical_sample``:
 one vectorized finite, non-negative check and one stable sort.
 ``_km_product`` computes the product-limit estimate for every caller.
+A sample and a Kaplan-Meier curve are read-only numpy arrays with a few
+counts; callers read the arrays (the curve's last survival value is
+``curve.survival[-1]``, or 1.0 when no event was observed).
 """
 
 from __future__ import annotations
@@ -59,10 +62,6 @@ class SurvivalSample:
         return int(self.events.sum())
 
     @property
-    def n_censored(self) -> int:
-        return self.n - self.n_events
-
-    @property
     def max_time(self) -> float:
         return float(self.times[-1])
 
@@ -72,16 +71,6 @@ class SurvivalSample:
         if self.n_events == 0:
             return None
         return float(self.times[self.events].max())
-
-    @property
-    def records(self) -> list[tuple[float, bool]]:
-        return list(zip(self.times.tolist(), self.events.tolist()))
-
-    def scaled(self, factor: float) -> "SurvivalSample":
-        """Sample with every time multiplied by a positive factor."""
-        if not (_is_number(factor, numbers.Real) and 0.0 < factor < math.inf):
-            raise ValidationError(f"scale factor must be positive and finite, got {factor!r}")
-        return SurvivalSample(times=self.times * factor, events=self.events.copy())
 
 
 def _canonical_sample(times, events, where="row {}".format) -> SurvivalSample:
@@ -128,14 +117,6 @@ def validate_sample(raw) -> SurvivalSample:
     return _canonical_sample(times, events)
 
 
-@dataclass(frozen=True)
-class KMStep:
-    time: float
-    n_at_risk: int
-    n_events: int
-    survival: float
-
-
 @dataclass(frozen=True, eq=False)
 class KaplanMeierCurve:
     """Product-limit estimate: one entry per distinct event time.
@@ -156,16 +137,6 @@ class KaplanMeierCurve:
     def __post_init__(self):
         for values in (self.time, self.n_at_risk, self.n_events, self.survival, self.censor_times):
             values.setflags(write=False)
-
-    @property
-    def steps(self) -> tuple[KMStep, ...]:
-        """The curve as one :class:`KMStep` per event time, built on each access."""
-        columns = (self.time, self.n_at_risk, self.n_events, self.survival)
-        return tuple(map(KMStep, *(c.tolist() for c in columns)))
-
-    @property
-    def final_survival(self) -> float:
-        return float(self.survival[-1]) if self.survival.size else 1.0
 
 
 def read_csv(
@@ -262,7 +233,8 @@ def _km_product(sample: SurvivalSample):
 
 
 def _km_tail(sample: SurvivalSample) -> float:
-    """``kaplan_meier(sample).final_survival``, bit for bit, without building the curve."""
+    """The last value of ``kaplan_meier(sample).survival`` (1.0 for a curve with no
+    step), bit for bit, without building the curve."""
     surv = _km_product(sample)[3]
     return float(surv[-1]) if surv.size else 1.0
 

@@ -10,6 +10,22 @@ from curecheck.simulate import (
 from curecheck.survival import validate_sample
 
 
+def records(sample):
+    """The sample's (time, event) pairs as Python values, in canonical order."""
+    return list(zip(sample.times.tolist(), sample.events.tolist()))
+
+
+def rescaled(sample, factor):
+    """The sample with every time multiplied by ``factor``, through ``validate_sample``."""
+    return validate_sample(zip((sample.times * factor).tolist(), sample.events.tolist()))
+
+
+def km_rows(curve):
+    """(time, n_at_risk, n_events, survival) per event time, as Python values."""
+    columns = (curve.time, curve.n_at_risk, curve.n_events, curve.survival)
+    return list(zip(*(c.tolist() for c in columns)))
+
+
 @pytest.fixture(scope="session")
 def long_followup_sample():
     """1000 subjects with a long censored plateau.

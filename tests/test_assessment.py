@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import records
 
 from curecheck.assessment import (
     VERDICT_APPROPRIATE,
@@ -15,12 +16,12 @@ from curecheck.assessment import (
     VERDICTS,
     AssessmentConfig,
     ModelTableRow,
+    _fit_rows,
+    _receus_components,
     _select_from_rows,
+    _verdict_from_flags,
     deviance_cure_test,
     receus_assess,
-    receus_components,
-    select_model_by_aic,
-    verdict_from_flags,
 )
 from curecheck.errors import AssessmentError, DomainError, FitError
 from curecheck.models import (
@@ -61,7 +62,7 @@ def _simulated_cure_sample(seed=20000, n=1000):
 
 def test_verdict_from_flags_exhaustive():
     for selected, cf_ok, r_ok in itertools.product((True, False), repeat=3):
-        v = verdict_from_flags(selected, cf_ok, r_ok)
+        v = _verdict_from_flags(selected, cf_ok, r_ok)
         if not selected:
             assert v == VERDICT_NONCURE
         elif not cf_ok:
@@ -76,8 +77,8 @@ def test_verdict_from_flags_exhaustive():
 def test_small_cure_fraction_outranks_ratio():
     # A 1% fitted cure fraction fails the default threshold no matter how
     # small the susceptible-survivor ratio is.
-    assert verdict_from_flags(True, False, True) == VERDICT_SMALL_CURE
-    assert verdict_from_flags(True, False, False) == VERDICT_SMALL_CURE
+    assert _verdict_from_flags(True, False, True) == VERDICT_SMALL_CURE
+    assert _verdict_from_flags(True, False, False) == VERDICT_SMALL_CURE
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +87,7 @@ def test_small_cure_fraction_outranks_ratio():
 def test_components_worked_values():
     spec = FamilySpec("weibull", cure=True)
     p = Params(latency=(0.8133, 0.8052), cure_fraction=0.3976)
-    s0, s, r = receus_components(spec, p, 7.28)
+    s0, s, r = _receus_components(spec, p, 7.28)
     assert s0 == pytest.approx(0.00249, abs=5e-5)
     assert s == pytest.approx(0.3991, abs=5e-4)
     assert r == pytest.approx(0.00625, abs=1e-4)
@@ -101,27 +102,27 @@ def test_components_identities():
     from curecheck.models import latency_survival
 
     for tau in (0.3, 1.0, 4.5, 20.0):
-        s0, s, r = receus_components(spec, p, tau)
+        s0, s, r = _receus_components(spec, p, tau)
         s0_direct = float(latency_survival(FamilySpec("gamma"), Params(latency=(1.6, 1.1)), tau))
         assert s0 == pytest.approx(s0_direct, rel=1e-12)
         assert s == pytest.approx(0.27 + 0.73 * s0, rel=1e-12)
         assert r == pytest.approx(s0 / s, rel=1e-12)
     # Where rate * tau overflows, log Q(a, inf) = -inf and S0 is 0.
     p = Params(latency=(1.6, 1e10), cure_fraction=0.27)
-    assert receus_components(spec, p, 1e300) == (0.0, 0.27, 0.0)
+    assert _receus_components(spec, p, 1e300) == (0.0, 0.27, 0.0)
 
 
 def test_components_at_time_zero():
     spec = FamilySpec("exponential", cure=True)
     p = Params(latency=(1.0,), cure_fraction=0.4)
-    assert receus_components(spec, p, 0.0) == (1.0, 1.0, 1.0)
+    assert _receus_components(spec, p, 0.0) == (1.0, 1.0, 1.0)
 
 
 def test_ratio_approaches_latency_survival_as_cure_vanishes_from_above():
     # With nearly everyone cured, S(tau) ~ 1 and r ~ S0(tau).
     spec = FamilySpec("weibull", cure=True)
     p = Params(latency=(0.8, 0.8), cure_fraction=1.0 - 1e-6)
-    s0, s, r = receus_components(spec, p, 3.0)
+    s0, s, r = _receus_components(spec, p, 3.0)
     assert r == pytest.approx(s0, rel=1e-4)
 
 
@@ -129,7 +130,7 @@ def test_ratio_nonincreasing_in_tau():
     spec = FamilySpec("lognormal", cure=True)
     p = Params(latency=(1.0, 0.7), cure_fraction=0.35)
     taus = np.linspace(0.0, 25.0, 60)
-    rs = [receus_components(spec, p, float(t))[2] for t in taus]
+    rs = [_receus_components(spec, p, float(t))[2] for t in taus]
     assert all(a >= b - 1e-15 for a, b in zip(rs, rs[1:]))
     assert rs[0] == 1.0
     assert rs[-1] < 0.01
@@ -137,12 +138,12 @@ def test_ratio_nonincreasing_in_tau():
 
 def test_components_require_cure_spec_and_valid_tau():
     with pytest.raises(DomainError, match="cure spec"):
-        receus_components(FamilySpec("weibull"), Params(latency=(1.0, 1.0)), 1.0)
+        _receus_components(FamilySpec("weibull"), Params(latency=(1.0, 1.0)), 1.0)
     spec = FamilySpec("weibull", cure=True)
     p = Params(latency=(1.0, 1.0), cure_fraction=0.4)
     for bad in (-0.5, True, "1.0", None):
         with pytest.raises(DomainError, match="tau must be >= 0"):
-            receus_components(spec, p, bad)
+            _receus_components(spec, p, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +212,7 @@ def test_shown_cure_fit_follows_the_selection_rule(monkeypatch):
         _row("exponential", True, 100.0 + 1e-13),
     )
     assert rows[1].aic < rows[2].aic
-    monkeypatch.setattr(
-        "curecheck.assessment.select_model_by_aic", lambda sample, families: (rows, rows[0].fit)
-    )
+    monkeypatch.setattr("curecheck.assessment._fit_rows", lambda sample, families: rows)
     a = receus_assess(_simulated_cure_sample(n=300))
     assert _select_from_rows(rows[1:]).spec.label == "exponential cure"
     assert any("best cure fit (exponential cure)" in note for note in a.notes)
@@ -222,7 +221,8 @@ def test_shown_cure_fit_follows_the_selection_rule(monkeypatch):
 def test_model_table_has_two_rows_per_family():
     sample = _simulated_cure_sample(n=300)
     families = ("exponential", "weibull")
-    rows, selected = select_model_by_aic(sample, families)
+    a = receus_assess(sample, AssessmentConfig(families=families))
+    rows, selected = a.model_table, a.selected
     assert [r.spec.label for r in rows] == [
         "exponential non-cure",
         "exponential cure",
@@ -240,7 +240,7 @@ def test_selection_lets_programming_errors_through(monkeypatch):
 
     monkeypatch.setattr("curecheck.models._trust_region", broken)
     with pytest.raises(RuntimeError, match="broken fit") as info:
-        select_model_by_aic(_simulated_cure_sample(n=100), ("exponential",))
+        receus_assess(_simulated_cure_sample(n=100), AssessmentConfig(families=("exponential",)))
     assert type(info.value) is RuntimeError  # not an AssessmentError over failed rows
 
 
@@ -282,7 +282,7 @@ def test_assessment_honours_explicit_tau():
     sample = _simulated_cure_sample()
     a = receus_assess(sample, AssessmentConfig(families=("weibull",), tau=2.0))
     assert a.tau == 2.0
-    s0, s, r = receus_components(a.selected.spec, a.selected.params, 2.0)
+    s0, s, r = _receus_components(a.selected.spec, a.selected.params, 2.0)
     assert a.r_hat == pytest.approx(r, rel=1e-12)
 
 
@@ -315,8 +315,7 @@ def test_assessment_flags_followup_disagreement():
     # insufficient (alpha = 1) while the model-based verdict stays
     # appropriate, and the disagreement is surfaced as a note.
     sample = _simulated_cure_sample()
-    records = sample.records + [(sample.max_time + 0.1, True)]
-    bumped = validate_sample(records)
+    bumped = validate_sample(records(sample) + [(sample.max_time + 0.1, True)])
     a = receus_assess(bumped, AssessmentConfig(families=("weibull",)))
     assert a.verdict == VERDICT_APPROPRIATE
     assert not a.followup_test.sufficient_followup
@@ -415,7 +414,7 @@ def test_fit_model_equals_the_assessments_row(plateau_sample, short_days_sample)
     # short-days data some start on the boundary.  The log-likelihood has
     # one assembly too: log_likelihood at a row's estimates is its value.
     for sample in (plateau_sample, short_days_sample):
-        rows, _ = select_model_by_aic(sample)
+        rows = receus_assess(sample).model_table
         for row in rows:
             assert fit_model(sample, row.spec) == row.fit, row.spec.label
             ll = log_likelihood(row.spec, row.fit.params, sample)
@@ -522,14 +521,15 @@ def test_config_validation():
 
 
 def test_selection_and_deviance_test_check_their_families():
-    # The public entry points apply AssessmentConfig's families rule.
+    # The fit rows behind receus_assess and deviance_cure_test apply
+    # AssessmentConfig's families rule.
     sample = _simulated_cure_sample(n=100)
     with pytest.raises(DomainError, match="at least one"):
-        select_model_by_aic(sample, ())
+        _fit_rows(sample, ())
     with pytest.raises(DomainError, match="'weibull' is listed twice"):
-        select_model_by_aic(sample, ("weibull", "weibull"))
+        _fit_rows(sample, ("weibull", "weibull"))
     with pytest.raises(DomainError, match="unknown family"):
-        select_model_by_aic(sample, ("weibull", "pareto"))
+        _fit_rows(sample, ("weibull", "pareto"))
     with pytest.raises(DomainError, match="unknown family"):
         deviance_cure_test(sample, family="pareto")
 
@@ -561,7 +561,7 @@ def test_null_data_select_a_noncure_model():
 def test_truncated_followup_is_flagged():
     # Cure data whose observation window covers only a tenth of the
     # latency distribution's range must not be judged appropriate.
-    t999 = latency_quantile("weibull", (0.8, 0.8), 0.999)
+    t999 = latency_quantile(FamilySpec("weibull"), Params((0.8, 0.8)), 0.999)
     flagged = 0
     for i in range(100):
         cfg = SimulationConfig(

@@ -8,8 +8,9 @@ Five rules:
 * every module-level name bound by an assignment is read somewhere in the
   package besides its own statement (``__init__.__all__``, which only
   ``import *`` reads, is exempt);
-* every method of a private (``_``-prefixed) class, dunders aside, is read,
-  as a name or an attribute, somewhere in the package outside its own body;
+* every method or property of every class, dunders aside, is read, as a
+  name or an attribute, somewhere in the package outside its own body, so a
+  public member that only tests read fails here;
 * every ``_``-prefixed name that a docstring or comment quotes in double
   backticks (``_name``, or ``_Class.member`` with each part) is defined in
   the package.
@@ -109,7 +110,7 @@ def test_every_module_level_assignment_is_read():
     assert unread == []
 
 
-def test_every_private_class_method_is_read():
+def test_every_class_method_is_read():
     modules = _modules()
     reads = defaultdict(list)  # name -> the Name and Attribute nodes that read it
     for tree in modules.values():
@@ -121,7 +122,7 @@ def test_every_private_class_method_is_read():
     unread = []
     for module, tree in modules.items():
         for cls in tree.body:
-            if not (isinstance(cls, ast.ClassDef) and cls.name.startswith("_")):
+            if not isinstance(cls, ast.ClassDef):
                 continue
             for method in cls.body:
                 if not isinstance(method, ast.FunctionDef) or method.name.startswith("__"):

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import rescaled
 
 from curecheck.assessment import deviance_cure_test
 from curecheck.diagnostics import alpha_n_test
 from curecheck.errors import DomainError
-from curecheck.models import latency_quantile
+from curecheck.models import FamilySpec, Params, latency_quantile
 from curecheck.simulate import (
     AdministrativeCensoring,
     SimulationConfig,
@@ -96,7 +97,7 @@ def test_deviance_null_rarely_rejects():
 
 
 def test_deviance_detects_a_real_cured_fraction():
-    t999 = latency_quantile("weibull", (0.8, 0.8), 0.999)
+    t999 = latency_quantile(FamilySpec("weibull"), Params((0.8, 0.8)), 0.999)
     hits = 0
     for i in range(200):
         cfg = SimulationConfig(
@@ -175,7 +176,7 @@ def test_alpha_n_scale_invariance():
     sample = validate_sample(list(zip(times.tolist(), events.tolist())))
     base = alpha_n_test(sample)
     for c in (0.001, 3.0, 365.25):
-        scaled = alpha_n_test(sample.scaled(c))
+        scaled = alpha_n_test(rescaled(sample, c))
         assert scaled.n_n == base.n_n
         assert scaled.alpha_n == base.alpha_n  # bitwise: counts are integers
 
@@ -210,7 +211,7 @@ def test_alpha_n_long_plateau_fixture(long_followup_sample):
 def test_alpha_n_majority_verdicts_under_long_followup():
     # Administrative cutoff far beyond the 99.9th latency percentile:
     # follow-up should be judged sufficient in a clear majority of runs.
-    t999 = latency_quantile("weibull", (0.8, 0.8), 0.999)
+    t999 = latency_quantile(FamilySpec("weibull"), Params((0.8, 0.8)), 0.999)
     sufficient = 0
     for i in range(100):
         cfg = SimulationConfig(

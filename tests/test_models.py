@@ -16,17 +16,18 @@ from curecheck.models import (
     FAMILIES,
     FamilySpec,
     Params,
-    aic_value,
     check_params,
     fit_model,
-    initial_params,
     latency_quantile,
     latency_survival,
     log_likelihood,
     wald_intervals,
     _TABLE,
+    _aic_value,
     _build_cache,
+    _initial_params,
     _loglik_derivatives,
+    _start_basis,
     _tr_step,
     _transform,
     _trust_region,
@@ -183,48 +184,64 @@ def test_latency_survival_rejects_bad_times():
 # latency quantiles
 
 def test_latency_quantile_round_trip():
+    # latency_quantile takes latency_survival's (spec, params) pair; a cure
+    # spec's latency is used and its cure fraction only validated.
     rng = np.random.default_rng(17)
     for family in FAMILIES:
         theta = _random_theta(rng, family)
+        spec, params = FamilySpec(family), Params(latency=theta)
         for u in (0.001, 0.1, 0.5, 0.9, 0.999):
-            q = latency_quantile(family, theta, u)
-            s0 = latency_survival(FamilySpec(family), Params(latency=theta), q)
+            q = latency_quantile(spec, params, u)
+            s0 = latency_survival(spec, params, q)
             assert s0 == pytest.approx(1.0 - u, rel=1e-7, abs=1e-9), (family, u)
+            cure = latency_quantile(FamilySpec(family, cure=True), Params(theta, 0.3), u)
+            assert cure == q, (family, u)
 
 
 def test_latency_quantile_edges():
-    assert latency_quantile("weibull", (0.8, 0.8), 0.0) == 0.0
+    spec, params = FamilySpec("weibull"), Params((0.8, 0.8))
+    assert latency_quantile(spec, params, 0.0) == 0.0
     with pytest.raises(DomainError):
-        latency_quantile("weibull", (0.8, 0.8), 1.0)
+        latency_quantile(spec, params, 1.0)
     with pytest.raises(DomainError):
-        latency_quantile("weibull", (0.8, 0.8), -0.1)
+        latency_quantile(spec, params, -0.1)
 
 
 def test_latency_quantile_validates_parameters():
-    for family, theta in (("weibull", (1.0,)), ("weibull", (-1.0, 1.0)), ("lognormal", (1.0, -0.5))):
+    for spec, params in (
+        (FamilySpec("weibull"), Params((1.0,))),
+        (FamilySpec("weibull"), Params((-1.0, 1.0))),
+        (FamilySpec("lognormal"), Params((1.0, -0.5))),
+        (FamilySpec("weibull"), Params((1.0, 1.0), 0.3)),
+        (FamilySpec("weibull", cure=True), Params((1.0, 1.0))),
+    ):
         with pytest.raises(DomainError):
-            latency_quantile(family, theta, 0.5)
+            latency_quantile(spec, params, 0.5)
+    for c in (0.0, 1.0, 1.5, math.nan):
+        with pytest.raises(DomainError, match="cure_fraction must lie strictly in"):
+            latency_quantile(FamilySpec("gamma", cure=True), Params((0.7, 0.8), c), 0.5)
 
 
 def test_latency_quantile_arrays_match_scalars():
     u = np.array([[0.0, 1e-9, 0.3], [0.5, 0.9, 1 - 1e-9]])
     for family, theta in (("gamma", (0.7, 0.8)), ("lognormal", (0.7, 1.2))):
-        q = latency_quantile(family, theta, u)
+        spec, params = FamilySpec(family), Params(theta)
+        q = latency_quantile(spec, params, u)
         assert q.shape == u.shape
         assert q[0, 0] == 0.0
-        scalars = [latency_quantile(family, theta, float(v)) for v in u.ravel()]
+        scalars = [latency_quantile(spec, params, float(v)) for v in u.ravel()]
         np.testing.assert_allclose(q.ravel(), scalars, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # censored-data log-likelihood
 
-def _naive_loglik(spec, params, records):
+def _naive_loglik(spec, params, sample):
     """Per-record reference: scipy log-densities summed in plain Python."""
     dist = _SCIPY[spec.family](params.latency)
     c = params.cure_fraction if spec.cure else 0.0
     total = 0.0
-    for t, e in records:
+    for t, e in zip(sample.times.tolist(), sample.events.tolist()):
         if e:
             total += math.log(1.0 - c) + dist.logpdf(t) if spec.cure else dist.logpdf(t)
         else:
@@ -273,7 +290,7 @@ def test_loglik_matches_naive_scipy_summation():
         records = list(zip(times.tolist(), events.tolist()))
         sample = validate_sample(records)
         got = log_likelihood(spec, params, sample)
-        want = _naive_loglik(spec, params, sample.records)
+        want = _naive_loglik(spec, params, sample)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), spec.label
 
 
@@ -313,7 +330,7 @@ def test_loglik_matches_naive_scipy_summation_on_tied_data():
                 tc = _build_cache(sample).tc
                 assert tc[0] > 0.0 and np.all(tc[1:] > tc[:-1])
                 got = log_likelihood(spec, params, sample)
-                want = _naive_loglik(spec, params, sample.records)
+                want = _naive_loglik(spec, params, sample)
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), spec.label
 
 
@@ -407,9 +424,9 @@ def test_objective_is_infinite_where_the_cure_fraction_rounds_to_one(long_follow
 
 
 def test_aic_values():
-    assert aic_value(3, -265.9932) == pytest.approx(537.9864, abs=1e-3)
-    assert aic_value(0, 0.0) == 0.0
-    assert aic_value(2, -100.0) == 204.0
+    assert _aic_value(3, -265.9932) == pytest.approx(537.9864, abs=1e-3)
+    assert _aic_value(0, 0.0) == 0.0
+    assert _aic_value(2, -100.0) == 204.0
 
 
 def test_aic_recomputation_is_bit_exact():
@@ -417,7 +434,7 @@ def test_aic_recomputation_is_bit_exact():
     y = rng.exponential(size=60)
     sample = validate_sample([(float(t), True) for t in y])
     fit = fit_model(sample, FamilySpec("exponential"))
-    assert aic_value(fit.n_params, fit.log_likelihood) == fit.aic  # bitwise
+    assert _aic_value(fit.n_params, fit.log_likelihood) == fit.aic  # bitwise
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +530,7 @@ def test_analytic_derivatives_match_finite_differences(family, cure, tied):
     spec = FamilySpec(family, cure=cure)
     cache = _build_cache(sample)
     neg = _neg_loglik(spec, cache)
-    x0 = _transform(spec, initial_params(spec, sample))
+    x0 = _transform(spec, _initial_params(spec, _start_basis(sample)))
     rng = np.random.default_rng(FAMILIES.index(family))
     points = [x0 + rng.uniform(-0.5, 0.5, x0.size) for _ in range(3)]
     if cure:
@@ -536,7 +553,7 @@ def test_derivatives_take_the_one_log_sf_and_log_pdf_sum(family, tied):
     sample = _derivative_sample(tied)
     cache = _build_cache(sample)
     fam = _TABLE[family]
-    start = initial_params(FamilySpec(family), sample).latency
+    start = _initial_params(FamilySpec(family), _start_basis(sample)).latency
     for scale in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.3), (1.7, 1.7)):
         theta = tuple(v * f for v, f in zip(start, scale))
         ls = fam.derivatives(cache, *theta)[3]
@@ -580,7 +597,7 @@ def test_trust_region_step_lands_exactly_on_the_radius_in_the_hard_case():
     ])
     spec = FamilySpec("gamma", cure=True)
     fit = fit_model(sample, spec)
-    assert fit.log_likelihood >= log_likelihood(spec, initial_params(spec, sample), sample)
+    assert fit.log_likelihood >= log_likelihood(spec, _initial_params(spec, _start_basis(sample)), sample)
 
 
 def test_trust_region_takes_no_step_from_a_start_without_finite_derivatives(long_followup_sample):
@@ -609,7 +626,7 @@ def test_fit_never_worse_than_initializer():
         for cure in (False, True):
             spec = FamilySpec(family, cure=cure)
             fit = fit_model(sample, spec)
-            ll0 = log_likelihood(spec, initial_params(spec, sample), sample)
+            ll0 = log_likelihood(spec, _initial_params(spec, _start_basis(sample)), sample)
             assert fit.log_likelihood >= ll0 - 1e-9, spec.label
 
 
@@ -804,7 +821,7 @@ def test_boundary_start_never_lowers_a_cure_fit():
     # 60 seeded samples: n in [15, 400], every family as the truth, cure
     # fractions from none to 0.4, administrative or composite censoring.
     # Every family's cure fit, started as fit_model starts it, reaches at
-    # least the log-likelihood of a trust region started from initial_params.
+    # least the log-likelihood of a trust region started from _initial_params.
     from curecheck.simulate import (
         AdministrativeCensoring,
         CompositeCensoring,
@@ -830,7 +847,7 @@ def test_boundary_start_never_lowers_a_cure_fit():
             noncure = fit_model(sample, FamilySpec(family))
             spec = FamilySpec(family, cure=True)
             fit = fit_model(sample, spec)
-            x = _transform(spec, initial_params(spec, sample))
+            x = _transform(spec, _initial_params(spec, _start_basis(sample)))
             point = _loglik_derivatives(spec, _untransform(spec, x), cache)
             _, (cold, *_), _, _ = _trust_region(spec, cache, x, point)
             assert fit.log_likelihood >= cold - 1e-9, (i, family)
@@ -926,7 +943,7 @@ def test_wald_intervals_unavailable_without_convergence(monkeypatch):
     sample = validate_sample([(float(t), True) for t in times])
     fit = fit_model(sample, FamilySpec("weibull"))
     assert not fit.converged and fit.n_iter == 0
-    start = log_likelihood(fit.spec, initial_params(fit.spec, sample), sample)
+    start = log_likelihood(fit.spec, _initial_params(fit.spec, _start_basis(sample)), sample)
     assert fit.log_likelihood == start
     iv = wald_intervals(fit)
     assert iv.intervals is None

@@ -12,6 +12,7 @@ import math
 import jsonschema
 import numpy as np
 import pytest
+from conftest import rescaled
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from curecheck.models import (
     FAMILIES,
     FamilySpec,
     Params,
-    aic_value,
+    _aic_value,
     fit_model,
     log_likelihood,
     wald_intervals,
@@ -67,7 +68,7 @@ def mixed_sample():
 
 def test_fitted_parameters_are_scale_equivariant(mixed_sample):
     c = 365.25
-    scaled = mixed_sample.scaled(c)
+    scaled = rescaled(mixed_sample, c)
     log_c = math.log(c)
     for family in FAMILIES:
         for cure in (False, True):
@@ -88,7 +89,7 @@ def test_fitted_parameters_are_scale_equivariant(mixed_sample):
 
 def test_loglik_shifts_by_jacobian_under_rescaling(mixed_sample):
     c = 365.25
-    scaled = mixed_sample.scaled(c)
+    scaled = rescaled(mixed_sample, c)
     shift = -mixed_sample.n_events * math.log(c)
     for family in ("exponential", "weibull", "loglogistic"):
         spec = FamilySpec(family, cure=True)
@@ -101,7 +102,7 @@ def test_loglik_shifts_by_jacobian_under_rescaling(mixed_sample):
 
 def test_aic_differences_invariant_under_rescaling(mixed_sample):
     c = 365.25
-    scaled = mixed_sample.scaled(c)
+    scaled = rescaled(mixed_sample, c)
     base_aic = {}
     scaled_aic = {}
     for family in FAMILIES:
@@ -126,7 +127,7 @@ def test_verdict_invariant_under_twenty_random_rescalings(mixed_sample):
             families=("weibull",),
             tau=None if base.config.tau is None else base.config.tau * c,
         )
-        other = receus_assess(mixed_sample.scaled(c), scaled_cfg)
+        other = receus_assess(rescaled(mixed_sample, c), scaled_cfg)
         assert other.verdict == base.verdict, c
         assert other.cure_model_selected == base.cure_model_selected, c
         assert other.followup_test.n_n == base.followup_test.n_n, c
@@ -217,7 +218,7 @@ def _decisions(sample):
 def test_decisions_invariant_under_rescaling_by_up_to_a_million(records, seed):
     sample = validate_sample(records)
     scale = 10.0 ** np.random.default_rng(seed).uniform(-6.0, 6.0)
-    assert _decisions(sample.scaled(scale)) == _decisions(sample), scale
+    assert _decisions(rescaled(sample, scale)) == _decisions(sample), scale
 
 
 @pytest.mark.parametrize("records", [_SAMPLE_A, _SAMPLE_B], ids=["A", "B"])
@@ -234,13 +235,13 @@ def test_internal_identities(mixed_sample):
     # AIC is exactly 2k - 2 loglik, recomputable bit for bit
     for row in a.model_table:
         if row.fit is not None:
-            assert aic_value(row.fit.n_params, row.fit.log_likelihood) == row.fit.aic
+            assert _aic_value(row.fit.n_params, row.fit.log_likelihood) == row.fit.aic
     # mixture identity at the horizon
     c = a.cure_fraction
     assert a.s_at_tau == pytest.approx(c + (1 - c) * a.s0_at_tau, rel=1e-12)
     assert a.r_hat == pytest.approx(a.s0_at_tau / a.s_at_tau, rel=1e-12)
     # the nonparametric cure estimate is the KM terminal value
-    km = kaplan_meier(mixed_sample).final_survival
+    km = kaplan_meier(mixed_sample).survival[-1]
     assert a.summary.km_at_max == km
 
 
@@ -315,7 +316,8 @@ def test_decisions_unchanged_by_followup_extension_with_pure_censoring():
     sample, _ = simulate_mixture(cfg)
     tau = sample.max_time
     base = receus_assess(sample, AssessmentConfig(families=("weibull",), tau=tau))
-    extended = validate_sample(sample.records + [(30.0, False)] * 5)
+    rows = list(zip(sample.times.tolist(), sample.events.tolist()))
+    extended = validate_sample(rows + [(30.0, False)] * 5)
     longer = receus_assess(extended, AssessmentConfig(families=("weibull",), tau=tau))
     assert base.verdict == "appropriate"
     assert longer.verdict == "appropriate"

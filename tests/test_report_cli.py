@@ -13,6 +13,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from conftest import records
 
 from curecheck.assessment import AssessmentConfig, receus_assess
 from curecheck.cli import _parse_censoring, build_parser, main, read_csv, write_csv
@@ -66,14 +67,14 @@ def test_read_csv_basic(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("time,event\n1.5,1\n2.0,0\n")
     s = read_csv(str(p))
-    assert s.records == [(1.5, True), (2.0, False)]
+    assert records(s) == [(1.5, True), (2.0, False)]
 
 
 def test_read_csv_custom_columns_and_day_scaling(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("t,e\n2659,0\n")
     s = read_csv(str(p), time_col="t", event_col="e", time_scale=365.25)
-    assert s.records == [(2659 / 365.25, False)]
+    assert records(s) == [(2659 / 365.25, False)]
     assert s.times[0] == pytest.approx(7.28, abs=5e-3)
 
 
@@ -81,7 +82,7 @@ def test_read_csv_accepts_true_false_words(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("time,event\n1.0,true\n2.0,FALSE\n3.0,True\n")
     s = read_csv(str(p))
-    assert [e for _, e in s.records] == [True, False, True]
+    assert s.events.tolist() == [True, False, True]
 
 
 def test_read_csv_missing_file():
@@ -164,7 +165,7 @@ def test_read_csv_skips_blank_lines_without_counting_them(tmp_path):
     with pytest.raises(ValidationError, match="unparseable time 'soon' at row 4,"):
         read_csv(str(p))
     p.write_text("time,event\n\n1.0,1\n\n2.0,0\n\n")
-    assert read_csv(str(p)).records == [(1.0, True), (2.0, False)]
+    assert records(read_csv(str(p))) == [(1.0, True), (2.0, False)]
 
 
 def test_read_csv_short_row_reads_as_an_empty_cell(tmp_path):
@@ -191,13 +192,13 @@ def test_read_csv_ignores_extra_columns_and_reads_quoted_headers(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text('id,"time",note,"event, observed",more\n7,2.0,x,0,9,10\n8,1.0,"a,b",1,\n')
     s = read_csv(str(p), event_col="event, observed")
-    assert s.records == [(1.0, True), (2.0, False)]
+    assert records(s) == [(1.0, True), (2.0, False)]
 
 
 def test_read_csv_event_words_are_stripped_and_case_blind(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("time,event\n1.0, TRUE \n2.0,False\n3.0, 0\n4.0,1 \n")
-    assert [e for _, e in read_csv(str(p)).records] == [True, False, False, True]
+    assert read_csv(str(p)).events.tolist() == [True, False, False, True]
 
 
 def test_csv_round_trip_is_exact_with_ties_and_zeros(tmp_path):
@@ -716,7 +717,7 @@ def test_cli_restrict_roundtrip(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     s = read_csv(str(dst))
-    assert s.records == [(0.5, True), (1.0, False), (1.0, False)]
+    assert records(s) == [(0.5, True), (1.0, False), (1.0, False)]
 
 
 def test_cli_restrict_quotes_column_names_so_output_reads_back(tmp_path, capsys):
@@ -727,7 +728,7 @@ def test_cli_restrict_quotes_column_names_so_output_reads_back(tmp_path, capsys)
     capsys.readouterr()
     assert code == 0
     assert dst.read_text().splitlines()[0] == '"t,x",event'
-    assert read_csv(str(dst), time_col="t,x").records == [(0.5, True), (1.0, False), (1.0, False)]
+    assert records(read_csv(str(dst), time_col="t,x")) == [(0.5, True), (1.0, False), (1.0, False)]
 
 
 def test_cli_simulate_stdout_equals_write_csv_file(tmp_path, capsys):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import records
 from scipy import stats as st
 from scipy.integrate import trapezoid
 
@@ -226,13 +227,13 @@ def test_different_seeds_differ():
 def test_restrict_truncates_and_censors():
     s = validate_sample([(5.0, True)])
     r = restrict_followup(s, 1.0)
-    assert r.records == [(1.0, False)]
+    assert records(r) == [(1.0, False)]
 
 
 def test_restrict_keeps_early_records_untouched():
     s = validate_sample([(0.5, True), (2.0, False), (5.0, True), (6.0, False)])
     r = restrict_followup(s, 3.0)
-    assert r.records == [(0.5, True), (2.0, False), (3.0, False), (3.0, False)]
+    assert records(r) == [(0.5, True), (2.0, False), (3.0, False), (3.0, False)]
 
 
 def test_restrict_no_op_when_cutoff_beyond_max():
@@ -246,7 +247,7 @@ def test_restrict_boundary_event_survives_at_cutoff():
     # An event observed exactly at the cutoff is still an observed event.
     s = validate_sample([(3.0, True), (4.0, False)])
     r = restrict_followup(s, 3.0)
-    assert r.records == [(3.0, True), (3.0, False)]
+    assert records(r) == [(3.0, True), (3.0, False)]
 
 
 def test_restrict_is_idempotent():
@@ -256,7 +257,7 @@ def test_restrict_is_idempotent():
     s = validate_sample(list(zip(times.tolist(), events.tolist())))
     once = restrict_followup(s, 2.0)
     twice = restrict_followup(once, 2.0)
-    assert once.records == twice.records
+    assert records(once) == records(twice)
 
 
 def test_restrict_event_count_monotone_in_cutoff():
@@ -282,8 +283,8 @@ def test_truncation_flips_followup_verdict():
     # With follow-up far past the latency tail the alpha_n test reads
     # sufficient; cutting observation at the latency 40th percentile
     # flips it to insufficient in at least 80 of 100 replicates.
-    t999 = latency_quantile("weibull", (0.8, 0.8), 0.999)
-    t40 = latency_quantile("weibull", (0.8, 0.8), 0.4)
+    t999 = latency_quantile(FamilySpec("weibull"), Params((0.8, 0.8)), 0.999)
+    t40 = latency_quantile(FamilySpec("weibull"), Params((0.8, 0.8)), 0.4)
     flipped = 0
     for i in range(100):
         cfg = _cfg(

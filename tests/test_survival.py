@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import km_rows, records
 
 from curecheck.errors import ValidationError
 from curecheck.survival import (
@@ -20,17 +21,17 @@ from curecheck.survival import (
 
 def test_validate_sorts_by_time():
     s = validate_sample([(2.0, False), (1.0, True)])
-    assert s.records == [(1.0, True), (2.0, False)]
+    assert records(s) == [(1.0, True), (2.0, False)]
 
 
 def test_validate_breaks_time_ties_events_first():
     s = validate_sample([(2.0, False), (2.0, True)])
-    assert s.records == [(2.0, True), (2.0, False)]
+    assert records(s) == [(2.0, True), (2.0, False)]
 
 
 def test_validate_tie_break_is_stable_for_larger_samples():
     s = validate_sample([(3.0, False), (2.0, False), (2.0, True), (1.0, True), (2.0, True)])
-    assert s.records == [(1.0, True), (2.0, True), (2.0, True), (2.0, False), (3.0, False)]
+    assert records(s) == [(1.0, True), (2.0, True), (2.0, True), (2.0, False), (3.0, False)]
 
 
 def test_negative_time_names_the_row():
@@ -71,7 +72,7 @@ def test_events_must_equal_zero_or_one():
 
 def test_validate_takes_a_one_shot_iterator_of_pairs():
     s = validate_sample(zip([2.0, 1.0, 1.0], [False, False, True]))
-    assert s.records == [(1.0, True), (1.0, False), (2.0, False)]
+    assert records(s) == [(1.0, True), (1.0, False), (2.0, False)]
 
 
 def test_first_failing_record_is_named_in_input_order():
@@ -99,7 +100,7 @@ def test_sample_counts_and_extremes():
     s = validate_sample([(1.0, True), (4.0, False), (2.5, True), (3.0, False)])
     assert s.n == 4
     assert s.n_events == 2
-    assert s.n_censored == 2
+    assert s.n - s.n_events == 2  # censored
     assert s.max_time == 4.0
     assert s.max_event_time == 2.5
 
@@ -109,48 +110,39 @@ def test_max_event_time_none_without_events():
     assert s.max_event_time is None
 
 
-def test_scaled_multiplies_times_only():
-    s = validate_sample([(1.0, True), (2.0, False)])
-    s2 = s.scaled(365.25)
-    assert s2.records == [(365.25, True), (730.5, False)]
-    for bad in (0.0, -1.0, math.inf, "2", True):
-        with pytest.raises(ValidationError, match="scale factor"):
-            s.scaled(bad)
-
-
 # ---------------------------------------------------------------------------
 # Kaplan-Meier point values
 
 def test_km_three_events():
     curve = kaplan_meier(validate_sample([(1.0, True), (2.0, True), (3.0, True)]))
-    assert [s.survival for s in curve.steps] == pytest.approx([2 / 3, 1 / 3, 0.0])
-    assert [s.n_at_risk for s in curve.steps] == [3, 2, 1]
+    assert curve.survival.tolist() == pytest.approx([2 / 3, 1 / 3, 0.0])
+    assert curve.n_at_risk.tolist() == [3, 2, 1]
 
 
 def test_km_with_interior_censoring():
     # Censoring at 2 shrinks the risk set: S(1) = 2/3, then the last
     # subject fails at 3 with the whole remaining risk set, so S(3) = 0.
     curve = kaplan_meier(validate_sample([(1.0, True), (2.0, False), (3.0, True)]))
-    assert len(curve.steps) == 2
-    assert curve.steps[0].survival == pytest.approx(2 / 3)
-    assert curve.steps[1].survival == 0.0
+    assert curve.time.size == 2
+    assert curve.survival[0] == pytest.approx(2 / 3)
+    assert curve.survival[1] == 0.0
     assert curve.censor_times.tolist() == [2.0]
 
 
 def test_km_all_censored_has_no_steps():
-    curve = kaplan_meier(validate_sample([(1.0, False), (2.0, False)]))
-    assert curve.steps == ()
-    assert curve.final_survival == 1.0
+    sample = validate_sample([(1.0, False), (2.0, False)])
+    assert km_rows(kaplan_meier(sample)) == []
+    assert _km_tail(sample) == 1.0
 
 
 def test_km_tied_event_times_form_one_step():
     curve = kaplan_meier(validate_sample([(2.0, True), (2.0, True), (3.0, False)]))
-    assert len(curve.steps) == 1
-    assert curve.steps[0].n_events == 2
-    assert curve.steps[0].survival == pytest.approx(1 / 3)
+    assert curve.time.size == 1
+    assert curve.n_events[0] == 2
+    assert curve.survival[0] == pytest.approx(1 / 3)
 
 
-def test_km_curve_is_read_only_arrays_and_steps_read_them():
+def test_km_curve_is_read_only_arrays():
     sample = validate_sample([(1.0, True), (2.0, False), (2.0, True), (2.0, True), (3.5, False), (4.0, True)])
     curve = kaplan_meier(sample)
     columns = (curve.time, curve.n_at_risk, curve.n_events, curve.survival)
@@ -159,13 +151,10 @@ def test_km_curve_is_read_only_arrays_and_steps_read_them():
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 0
     assert curve.censor_times.tolist() == [2.0, 3.5]
-    steps = curve.steps
-    assert len(steps) == curve.time.size == 3
-    for i, step in enumerate(steps):
-        assert (step.time, step.n_at_risk, step.n_events, step.survival) == tuple(c[i] for c in columns)
-        assert (type(step.time), type(step.n_at_risk), type(step.survival)) == (float, int, float)
-    assert curve.final_survival == steps[-1].survival == curve.survival[-1]
-    assert type(curve.final_survival) is float
+    assert curve.time.size == 3
+    assert [c.dtype.kind for c in columns] == ["f", "i", "i", "f"]
+    assert _km_tail(sample) == curve.survival[-1]
+    assert type(_km_tail(sample)) is float
 
 
 def test_sample_and_curve_compare_and_hash_by_identity():
@@ -206,12 +195,12 @@ def test_km_matches_brute_force_bitwise():
         records = list(zip(times.tolist(), events.tolist()))
         curve = kaplan_meier(validate_sample(records))
         want = _km_brute_force(records)
-        assert len(curve.steps) == len(want)
-        for step, (u, r, d, surv) in zip(curve.steps, want):
-            assert step.time == u
-            assert step.n_at_risk == r
-            assert step.n_events == d
-            assert step.survival == surv  # bitwise
+        assert len(km_rows(curve)) == len(want)
+        for (t, n_at_risk, n_events, survival), (u, r, d, surv) in zip(km_rows(curve), want):
+            assert t == u
+            assert n_at_risk == r
+            assert n_events == d
+            assert survival == surv  # bitwise
 
 
 def test_km_tail_equals_final_survival_bitwise(plateau_sample):
@@ -228,7 +217,8 @@ def test_km_tail_equals_final_survival_bitwise(plateau_sample):
     ]
     all_censored = validate_sample([(1.0, False), (2.0, False)])
     for sample in [plateau_sample, day_sample, all_censored] + small:
-        assert _km_tail(sample) == kaplan_meier(sample).final_survival
+        survival = kaplan_meier(sample).survival
+        assert _km_tail(sample) == (survival[-1] if survival.size else 1.0)
 
 
 def test_km_equals_empirical_survivor_without_censoring():
@@ -238,9 +228,9 @@ def test_km_equals_empirical_survivor_without_censoring():
         times = np.round(rng.exponential(size=n), 2)
         sample = validate_sample([(t, True) for t in times])
         curve = kaplan_meier(sample)
-        for step in curve.steps:
-            empirical = np.mean(times > step.time)
-            assert step.survival == pytest.approx(empirical, abs=1e-12)
+        for t, survival in zip(curve.time, curve.survival):
+            empirical = np.mean(times > t)
+            assert survival == pytest.approx(empirical, abs=1e-12)
 
 
 def test_km_invariant_under_increasing_time_transform():
@@ -251,11 +241,11 @@ def test_km_invariant_under_increasing_time_transform():
     squared = kaplan_meier(
         validate_sample([(t * t, e) for t, e in zip(times.tolist(), events.tolist())])
     )
-    assert len(base.steps) == len(squared.steps)
-    for a, b in zip(base.steps, squared.steps):
-        assert b.time == a.time * a.time
-        assert b.survival == a.survival  # values identical, locations transformed
-        assert b.n_at_risk == a.n_at_risk
+    assert len(km_rows(base)) == len(km_rows(squared))
+    for a, b in zip(km_rows(base), km_rows(squared)):
+        assert b[0] == a[0] * a[0]
+        assert b[3] == a[3]  # values identical, locations transformed
+        assert b[1] == a[1]
 
 
 def test_km_survival_is_nonincreasing():
@@ -264,7 +254,7 @@ def test_km_survival_is_nonincreasing():
         n = int(rng.integers(2, 60))
         records = list(zip((rng.exponential(size=n)).tolist(), (rng.random(n) < 0.5).tolist()))
         curve = kaplan_meier(validate_sample(records))
-        values = [1.0] + [s.survival for s in curve.steps]
+        values = [1.0] + curve.survival.tolist()
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
