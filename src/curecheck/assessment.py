@@ -35,7 +35,6 @@ from .models import (
     ModelFit,
     Params,
     _fits,
-    check_params,
     latency_survival,
 )
 from .special import chi2_sf_1df
@@ -56,16 +55,6 @@ VERDICTS = (
 _AIC_TIE_TOL = 1e-12
 
 
-def _check_families(families: tuple[str, ...]) -> None:
-    """Raise unless ``families`` names at least one known family, each once."""
-    if not families:
-        raise DomainError("at least one latency family is required")
-    for i, fam in enumerate(families):
-        FamilySpec(fam)  # raises DomainError on an unknown family
-        if fam in families[:i]:
-            raise DomainError(f"latency family {fam!r} is listed twice")
-
-
 @dataclass(frozen=True)
 class AssessmentConfig:
     """Settings for receus_assess; defaults follow the recommended thresholds."""
@@ -78,7 +67,12 @@ class AssessmentConfig:
     late_window: float | None = None  # None: 20% of the maximum follow-up
 
     def __post_init__(self):
-        _check_families(self.families)
+        if not self.families:
+            raise DomainError("at least one latency family is required")
+        for i, fam in enumerate(self.families):
+            FamilySpec(fam)  # raises DomainError on an unknown family
+            if fam in self.families[:i]:
+                raise DomainError(f"latency family {fam!r} is listed twice")
         for name in ("cure_fraction_threshold", "r_threshold", "alpha_threshold"):
             v = getattr(self, name)
             if not (_is_number(v, numbers.Real) and 0.0 < v < 1.0):
@@ -112,8 +106,6 @@ class DevianceTest:
     deviance: float | None = None
     deviance_p_value: float | None = None
     diagnostic: str | None = None
-    cure_fit: ModelFit | None = None
-    noncure_fit: ModelFit | None = None
 
 
 @dataclass(frozen=True)
@@ -151,7 +143,6 @@ def _verdict_from_flags(cure_model_selected: bool, cure_fraction_pass: bool, r_p
 
 def _fit_rows(sample: SurvivalSample, families: tuple[str, ...]) -> tuple[ModelTableRow, ...]:
     """One row per spec of ``models._fits``; a failed fit's row carries its error."""
-    _check_families(families)
     return tuple(
         ModelTableRow(spec=spec, aic=None, converged=False, error=str(fit))
         if isinstance(fit, CurecheckError)
@@ -182,13 +173,11 @@ def _receus_components(spec: FamilySpec, params: Params, tau: float) -> tuple[fl
     """(S0(tau), S(tau), r_hat) for a cure spec at horizon tau >= 0.
 
     r_hat = S0(tau) / [c + (1 - c) S0(tau)] estimates the proportion of
-    still-susceptible subjects among those surviving past tau.
+    still-susceptible subjects among those surviving past tau.  The one
+    caller, ``receus_assess``, passes a cure fit's spec and estimates, and
+    a tau that ``AssessmentConfig`` checked finite and > 0 or the sample's
+    ``max_time``, which ``SurvivalSample`` keeps finite and >= 0.
     """
-    if not spec.cure:
-        raise DomainError("the susceptible-survivor ratio requires a cure spec")
-    check_params(spec, params)
-    if not (_is_number(tau, numbers.Real) and tau >= 0.0):
-        raise DomainError(f"tau must be >= 0, got {tau!r}")
     s0 = float(latency_survival(spec, params, tau))
     c = float(params.cure_fraction)  # type: ignore[arg-type]
     s = c + (1.0 - c) * s0
@@ -204,7 +193,7 @@ def _deviance_test(rows: tuple[ModelTableRow, ...], family: str) -> DevianceTest
     and the p-value is p = 0.5 * P(chi2_1 >= d).
     """
     by_spec = {r.spec: r for r in rows}
-    fits: dict[bool, ModelFit] = {}
+    ll: dict[bool, float] = {}
     for cure in (False, True):
         row = by_spec[FamilySpec(family, cure=cure)]
         if row.error is not None:
@@ -214,10 +203,9 @@ def _deviance_test(rows: tuple[ModelTableRow, ...], family: str) -> DevianceTest
                 family,
                 diagnostic=f"{row.spec.label} fit did not converge; deviance test unavailable",
             )
-        fits[cure] = row.fit  # type: ignore[assignment]
-    d = max(0.0, 2.0 * (fits[True].log_likelihood - fits[False].log_likelihood))
-    p = 0.5 * chi2_sf_1df(d)
-    return DevianceTest(family, d, p, cure_fit=fits[True], noncure_fit=fits[False])
+        ll[cure] = row.fit.log_likelihood  # type: ignore[union-attr]
+    d = max(0.0, 2.0 * (ll[True] - ll[False]))
+    return DevianceTest(family, d, 0.5 * chi2_sf_1df(d))
 
 
 def deviance_cure_test(sample: SurvivalSample, family: str = "weibull") -> DevianceTest:

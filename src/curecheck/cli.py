@@ -19,7 +19,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from . import __version__
 from .assessment import AssessmentConfig, VERDICT_APPROPRIATE, receus_assess
@@ -235,17 +235,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     sample, truth = simulate_mixture(config)
     write_csv(sample, args.out)
     if args.truth_out is not None:
-        payload = {
-            "n": config.n,
-            "cure_fraction": config.cure_fraction,
-            "family": config.family,
-            "latency": list(config.latency),
-            "censoring": truth.censoring,
-            "seed": config.seed,
-            "n_cured": truth.n_cured,
-            "n_uncured": truth.n_uncured,
-            "n_events": truth.n_events,
-        }
+        # The truth's censoring text replaces the config's record in place; the counts follow.
+        payload = {**asdict(config), **asdict(truth)}
         with open(args.truth_out, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")

@@ -320,7 +320,7 @@ FAMILIES = tuple(_TABLE)
 def _family(name: str) -> _Family:
     try:
         return _TABLE[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise DomainError(
             f"unknown family {name!r}; expected one of {', '.join(FAMILIES)}"
         ) from None
@@ -560,7 +560,6 @@ class ModelFit:
     params: Params
     log_likelihood: float
     aic: float
-    n_params: int
     n: int
     n_events: int
     converged: bool
@@ -802,7 +801,6 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
                     params=params,
                     log_likelihood=ll,
                     aic=_aic_value(spec.n_params, ll),
-                    n_params=spec.n_params,
                     n=sample.n,
                     n_events=sample.n_events,
                     converged=converged,

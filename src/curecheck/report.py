@@ -11,7 +11,7 @@ model-based assessment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 from . import __version__
@@ -34,7 +34,6 @@ class ReportDocument:
 
     def to_dict(self) -> dict:
         a = self.assessment
-        s = a.summary
         t = a.followup_test
         dv = a.deviance_test
         cfg = a.config
@@ -50,28 +49,9 @@ class ReportDocument:
                 "tau": cfg.tau,
                 "late_window": cfg.late_window,
             },
-            "followup_summary": {
-                "n": s.n,
-                "n_events": s.n_events,
-                "median_followup": s.median_followup,
-                "max_followup": s.max_followup,
-                "max_event_time": s.max_event_time,
-                "km_at_max": s.km_at_max,
-                "plateau_length": s.plateau_length,
-                "late_event_rate": s.late_event_rate,
-                "late_window": s.late_window,
-            },
-            "followup_test": {
-                "n": t.n,
-                "y_max": t.y_max,
-                "y_max_event": t.y_max_event,
-                "interval": [t.interval[0], t.interval[1]],
-                "n_n": t.n_n,
-                "alpha_n": t.alpha_n,
-                "threshold": t.threshold,
-                "sufficient_followup": t.sufficient_followup,
-                "count_max_event": t.count_max_event,
-            },
+            "followup_summary": asdict(a.summary),
+            # The interval as the list that json.loads gives back.
+            "followup_test": {**asdict(t), "interval": list(t.interval)},
             "model_table": [_row_dict(r) for r in a.model_table],
             "selected": {
                 "family": a.selected.spec.family,

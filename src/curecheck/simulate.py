@@ -107,9 +107,9 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """The generative settings behind a simulated sample, for harness use."""
+    """What a simulation drew: how many subjects were cured and not, how many
+    events were observed, and the censoring mechanism described as text."""
 
-    config: SimulationConfig
     n_cured: int
     n_uncured: int
     n_events: int
@@ -169,7 +169,6 @@ def simulate_mixture(config: SimulationConfig) -> tuple[SurvivalSample, GroundTr
     t_event[~cured] = latency_quantile(spec, params, u_latency[~cured])
     sample = _canonical_sample(np.minimum(t_event, censor_times), t_event <= censor_times)
     truth = GroundTruth(
-        config=config,
         n_cured=int(np.count_nonzero(cured)),
         n_uncured=int(np.count_nonzero(~cured)),
         n_events=sample.n_events,

@@ -50,6 +50,19 @@ class SurvivalSample:
     events: np.ndarray
 
     def __post_init__(self):
+        t, e = self.times, self.events
+        # Canonical: t[i] < t[i+1], or a tie with the event first; NaN fails both.
+        if not (
+            isinstance(t, np.ndarray) and isinstance(e, np.ndarray)
+            and t.ndim == e.ndim == 1 and 0 < t.size == e.size and e.dtype == bool
+            and t[0] >= 0.0 and t[-1] < math.inf
+            and np.all((t[:-1] < t[1:]) | ((t[:-1] == t[1:]) & (e[:-1] >= e[1:])))
+        ):
+            raise ValidationError(
+                "a SurvivalSample needs 1-D time and bool event arrays of one nonzero "
+                "length, finite times >= 0, in canonical order; build it with "
+                "validate_sample or read_csv"
+            )
         self.times.setflags(write=False)
         self.events.setflags(write=False)
 

@@ -303,7 +303,7 @@ def test_criterion_8_property_suite():
     id_ok = abs(base.s_at_tau - (cval + (1 - cval) * base.s0_at_tau)) <= 1e-12
     id_ok &= abs(base.r_hat - base.s0_at_tau / base.s_at_tau) <= 1e-12
     fit = fit_model(sample, FamilySpec("weibull", cure=True))
-    id_ok &= _aic_value(fit.n_params, fit.log_likelihood) == fit.aic
+    id_ok &= _aic_value(fit.spec.n_params, fit.log_likelihood) == fit.aic
 
     # (d) gradient at the optimum below 1e-3 on the transformed scale
     cf = fit.params.cure_fraction

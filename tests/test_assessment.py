@@ -16,7 +16,6 @@ from curecheck.assessment import (
     VERDICTS,
     AssessmentConfig,
     ModelTableRow,
-    _fit_rows,
     _receus_components,
     _select_from_rows,
     _verdict_from_flags,
@@ -136,16 +135,6 @@ def test_ratio_nonincreasing_in_tau():
     assert rs[-1] < 0.01
 
 
-def test_components_require_cure_spec_and_valid_tau():
-    with pytest.raises(DomainError, match="cure spec"):
-        _receus_components(FamilySpec("weibull"), Params(latency=(1.0, 1.0)), 1.0)
-    spec = FamilySpec("weibull", cure=True)
-    p = Params(latency=(1.0, 1.0), cure_fraction=0.4)
-    for bad in (-0.5, True, "1.0", None):
-        with pytest.raises(DomainError, match="tau must be >= 0"):
-            _receus_components(spec, p, bad)
-
-
 # ---------------------------------------------------------------------------
 # selection
 
@@ -158,7 +147,6 @@ def _fake_fit(spec, aic):
         ),
         log_likelihood=spec.n_params - aic / 2.0,
         aic=aic,
-        n_params=spec.n_params,
         n=100,
         n_events=60,
         converged=True,
@@ -260,7 +248,7 @@ def test_deviance_cure_test_is_the_assessments_record(records, family):
     sample = _simulated_cure_sample(n=300) if records is None else validate_sample(records)
     direct = deviance_cure_test(sample, family)
     via = receus_assess(sample, AssessmentConfig(families=(family,))).deviance_test
-    assert direct == via  # every field, both fits included, bit for bit
+    assert direct == via  # every field, bit for bit
     assert (direct.deviance is None) == (records is not None)
 
 
@@ -387,7 +375,7 @@ def test_short_days_assess_stays_within_its_evaluation_budget(short_days_sample,
     # Counts, not seconds.  The lognormal non-cure fit has a negative cure
     # score, so the lognormal cure fit starts on the boundary c = 0 and stops
     # there at once, instead of walking ~34 iterations down the c -> 0 ridge
-    # from initial_params.
+    # from _initial_params.
     from curecheck import models
 
     calls = []
@@ -410,7 +398,7 @@ def test_short_days_assess_stays_within_its_evaluation_budget(short_days_sample,
 def test_fit_model_equals_the_assessments_row(plateau_sample, short_days_sample):
     # One derivation: a standalone cure fit makes its own non-cure fit first,
     # and equals the row the assessment fitted from its non-cure row.  On the
-    # plateau data every cure fit starts cold, from initial_params; on the
+    # plateau data every cure fit starts cold, from _initial_params; on the
     # short-days data some start on the boundary.  The log-likelihood has
     # one assembly too: log_likelihood at a row's estimates is its value.
     for sample in (plateau_sample, short_days_sample):
@@ -499,8 +487,9 @@ def test_assessment_notes_each_failed_fit(monkeypatch):
 def test_config_validation():
     with pytest.raises(DomainError, match="at least one"):
         AssessmentConfig(families=())
-    with pytest.raises(DomainError, match="unknown family"):
-        AssessmentConfig(families=("weibull", "pareto"))
+    for families in (("weibull", "pareto"), [["weibull"]]):
+        with pytest.raises(DomainError, match="unknown family"):
+            AssessmentConfig(families=families)
     with pytest.raises(DomainError, match="'weibull' is listed twice"):
         AssessmentConfig(families=("weibull", "gamma", "weibull"))
     with pytest.raises(DomainError):
@@ -521,15 +510,9 @@ def test_config_validation():
 
 
 def test_selection_and_deviance_test_check_their_families():
-    # The fit rows behind receus_assess and deviance_cure_test apply
-    # AssessmentConfig's families rule.
+    # AssessmentConfig checks receus_assess's families (test_config_validation);
+    # deviance_cure_test's one family goes through FamilySpec.
     sample = _simulated_cure_sample(n=100)
-    with pytest.raises(DomainError, match="at least one"):
-        _fit_rows(sample, ())
-    with pytest.raises(DomainError, match="'weibull' is listed twice"):
-        _fit_rows(sample, ("weibull", "weibull"))
-    with pytest.raises(DomainError, match="unknown family"):
-        _fit_rows(sample, ("weibull", "pareto"))
     with pytest.raises(DomainError, match="unknown family"):
         deviance_cure_test(sample, family="pareto")
 

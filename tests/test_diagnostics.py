@@ -9,7 +9,7 @@ from conftest import rescaled
 from curecheck.assessment import deviance_cure_test
 from curecheck.diagnostics import alpha_n_test
 from curecheck.errors import DomainError
-from curecheck.models import FamilySpec, Params, latency_quantile
+from curecheck.models import FamilySpec, Params, fit_model, latency_quantile
 from curecheck.simulate import (
     AdministrativeCensoring,
     SimulationConfig,
@@ -41,14 +41,18 @@ def test_deviance_zero_gives_half_p_value():
 
 def test_deviance_nonnegative_and_p_value_formula():
     for seed in (0, 1, 2, 3):
-        res = deviance_cure_test(_truncated_exponential_sample(seed), family="exponential")
+        sample = _truncated_exponential_sample(seed)
+        res = deviance_cure_test(sample, family="exponential")
         assert res.deviance is not None and res.deviance >= 0.0
         # dual route: the reported p must equal the boundary-mixture formula
         assert res.deviance_p_value == pytest.approx(
             0.5 * chi2_sf_1df(res.deviance), abs=1e-15
         )
-        assert res.cure_fit is not None and res.noncure_fit is not None
-        assert res.cure_fit.spec.cure and not res.noncure_fit.spec.cure
+        # and d must come from the family's two fits, each fitted alone
+        cure, noncure = (
+            fit_model(sample, FamilySpec("exponential", cure=c)) for c in (True, False)
+        )
+        assert res.deviance == max(0.0, 2.0 * (cure.log_likelihood - noncure.log_likelihood))
 
 
 def test_deviance_diagnostic_when_fit_cannot_run():
@@ -74,7 +78,6 @@ def test_deviance_diagnostic_when_not_converged(monkeypatch):
     assert res.deviance is None
     # neither fit converges; the diagnostic names the non-cure fit first
     assert res.diagnostic == "weibull non-cure fit did not converge; deviance test unavailable"
-    assert res.cure_fit is None and res.noncure_fit is None
 
 
 def test_deviance_null_rarely_rejects():

@@ -67,8 +67,9 @@ def test_family_roster_and_param_counts():
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(DomainError, match="unknown family"):
-        FamilySpec("cauchy")
+    for name in ("cauchy", ["weibull"]):
+        with pytest.raises(DomainError, match="unknown family"):
+            FamilySpec(name)
 
 
 def test_check_params_positive_latency():
@@ -434,7 +435,7 @@ def test_aic_recomputation_is_bit_exact():
     y = rng.exponential(size=60)
     sample = validate_sample([(float(t), True) for t in y])
     fit = fit_model(sample, FamilySpec("exponential"))
-    assert _aic_value(fit.n_params, fit.log_likelihood) == fit.aic  # bitwise
+    assert _aic_value(fit.spec.n_params, fit.log_likelihood) == fit.aic  # bitwise
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +689,7 @@ def test_fit_records_metadata():
     fit = fit_model(sample, FamilySpec("exponential", cure=True))
     assert fit.n == 50
     assert fit.n_events == int(events.sum())
-    assert fit.n_params == 2
+    assert fit.spec.n_params == 2
     assert fit.spec.label == "exponential cure"
     # Censoring at random leaves no cure fraction: the non-cure fit iterates,
     # and the cure fit, started from it on the boundary c = 0, stops there.

@@ -280,6 +280,29 @@ def test_report_source_block_is_optional(small_assessment):
     jsonschema.validate(with_src, report_schema())
 
 
+def test_report_json_keys_follow_the_schema_property_order(small_assessment):
+    # Blocks built with asdict take their key order from the record's fields;
+    # every object must list its keys in its schema node's property order.
+    doc = build_report(small_assessment, label="a", source={"path": "x.csv"}).to_dict()
+    assert doc["deviance_test"] is not None
+    seen = []
+
+    def walk(value, node):
+        if isinstance(value, dict) and "properties" in node:
+            order = list(node["properties"])
+            assert list(value) == [k for k in order if k in value], order
+            seen.append(tuple(value))
+            for key, item in value.items():
+                walk(item, node["properties"][key])
+        elif isinstance(value, list) and "items" in node:
+            for item in value:
+                walk(item, node["items"])
+
+    walk(doc, report_schema())
+    # the top level, its six object blocks and the four model rows
+    assert len(seen) == 11
+
+
 # ---------------------------------------------------------------------------
 # plot export
 

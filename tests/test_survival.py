@@ -9,6 +9,7 @@ from conftest import km_rows, records
 from curecheck.errors import ValidationError
 from curecheck.survival import (
     DEFAULT_LATE_WINDOW_FRACTION,
+    SurvivalSample,
     _km_tail,
     followup_summary,
     kaplan_meier,
@@ -94,6 +95,26 @@ def test_sample_arrays_are_read_only():
         s.times[0] = 5.0
     with pytest.raises(ValueError):
         s.events[0] = False
+
+
+@pytest.mark.parametrize(
+    "times, events",
+    [
+        (np.array([2.0, 1.0, 3.0]), np.array([True, True, False])),  # out of order
+        ([1.0, 2.0], [True, False]),  # lists, not arrays
+        (np.array([1.0, math.nan]), np.array([True, False])),  # NaN time
+        (np.array([1.0, 1.0]), np.array([False, True])),  # tie, censoring first
+        (np.array([-1.0, 1.0]), np.array([True, True])),
+        (np.array([1.0, math.inf]), np.array([True, False])),
+        (np.array([1.0, 2.0]), np.array([1, 0])),  # events not bool
+        (np.array([1.0, 2.0]), np.array([True])),
+        (np.array([[1.0, 2.0]]), np.array([[True, False]])),
+        (np.array([]), np.array([], dtype=bool)),
+    ],
+)
+def test_sample_constructor_checks_the_canonical_invariant(times, events):
+    with pytest.raises(ValidationError, match="validate_sample or read_csv"):
+        SurvivalSample(times=times, events=events)
 
 
 def test_sample_counts_and_extremes():
