@@ -12,8 +12,9 @@ The procedure:
         tau — small values (default < 0.05) mean nearly everyone still at
         risk is cured, so a cure model is appropriate.
 
-The fits of step (i) are made once, by ``models._fits``.  The same rows give
-the cure-vs-non-cure deviance test of the selected family
+The fits of step (i) are made once, by ``models._fits``, and one rule,
+``_best_fit``, picks the selected fit and the cure fit of steps (iii)-(iv).
+The same rows give the cure-vs-non-cure deviance test of the selected family
 (``deviance_cure_test`` runs that pipeline on one family alone).  The
 Maller-Zhou follow-up test, a nonparametric follow-up summary and the
 deviance test are attached to the result for side-by-side reporting, but
@@ -85,11 +86,9 @@ class AssessmentConfig:
 
 @dataclass(frozen=True)
 class ModelTableRow:
-    """One fitted (family, cure) spec in the comparison table."""
+    """One (family, cure) spec in the comparison table: its fit, or the error that stopped it."""
 
     spec: FamilySpec
-    aic: float | None
-    converged: bool
     fit: ModelFit | None = None
     error: str | None = None
 
@@ -144,29 +143,27 @@ def _verdict_from_flags(cure_model_selected: bool, cure_fraction_pass: bool, r_p
 def _fit_rows(sample: SurvivalSample, families: tuple[str, ...]) -> tuple[ModelTableRow, ...]:
     """One row per spec of ``models._fits``; a failed fit's row carries its error."""
     return tuple(
-        ModelTableRow(spec=spec, aic=None, converged=False, error=str(fit))
+        ModelTableRow(spec, error=str(fit))
         if isinstance(fit, CurecheckError)
-        else ModelTableRow(spec=spec, aic=fit.aic, converged=fit.converged, fit=fit)
+        else ModelTableRow(spec, fit)
         for spec, fit in _fits(sample, families)
     )
 
 
-def _select_from_rows(rows: list[ModelTableRow] | tuple[ModelTableRow, ...]) -> ModelTableRow:
-    """Pick the winning row: lowest AIC among converged fits.
+def _best_fit(rows: tuple[ModelTableRow, ...] | list[ModelTableRow]) -> ModelFit | None:
+    """The converged fit with the lowest AIC, or None when no fit converged.
 
-    Ties within 1e-12 go to the candidate with fewer parameters, then to
-    the earlier family in ``FAMILIES`` order.
+    Ties within 1e-12 go to the fit with fewer parameters, then to the
+    earlier family in ``FAMILIES`` order.
     """
-    candidates = [r for r in rows if r.converged and r.fit is not None]
-    if not candidates:
-        detail = "; ".join(
-            f"{r.spec.label}: {r.error or 'did not converge'}" for r in rows
-        )
-        raise AssessmentError(f"no model converged ({detail})")
-    best_aic = min(r.aic for r in candidates)  # type: ignore[type-var]
-    tied = [r for r in candidates if r.aic <= best_aic + _AIC_TIE_TOL]  # type: ignore[operator]
-    tied.sort(key=lambda r: (r.spec.n_params, FAMILIES.index(r.spec.family)))
-    return tied[0]
+    fits = [r.fit for r in rows if r.fit is not None and r.fit.converged]
+    if not fits:
+        return None
+    best_aic = min(f.aic for f in fits)
+    return min(
+        (f for f in fits if f.aic <= best_aic + _AIC_TIE_TOL),
+        key=lambda f: (f.spec.n_params, FAMILIES.index(f.spec.family)),
+    )
 
 
 def _receus_components(spec: FamilySpec, params: Params, tau: float) -> tuple[float, float, float]:
@@ -196,14 +193,14 @@ def _deviance_test(rows: tuple[ModelTableRow, ...], family: str) -> DevianceTest
     ll: dict[bool, float] = {}
     for cure in (False, True):
         row = by_spec[FamilySpec(family, cure=cure)]
-        if row.error is not None:
+        if row.fit is None:
             return DevianceTest(family, diagnostic=f"{row.spec.label} fit failed: {row.error}")
-        if not row.converged:
+        if not row.fit.converged:
             return DevianceTest(
                 family,
                 diagnostic=f"{row.spec.label} fit did not converge; deviance test unavailable",
             )
-        ll[cure] = row.fit.log_likelihood  # type: ignore[union-attr]
+        ll[cure] = row.fit.log_likelihood
     d = max(0.0, 2.0 * (ll[True] - ll[False]))
     return DevianceTest(family, d, 0.5 * chi2_sf_1df(d))
 
@@ -226,7 +223,10 @@ def receus_assess(sample: SurvivalSample, config: AssessmentConfig | None = None
     summary = followup_summary(sample, late_window=cfg.late_window)
     followup = alpha_n_test(sample, threshold=cfg.alpha_threshold)
     rows = _fit_rows(sample, cfg.families)
-    selected: ModelFit = _select_from_rows(rows).fit  # type: ignore[assignment]
+    selected = _best_fit(rows)
+    if selected is None:
+        detail = "; ".join(f"{r.spec.label}: {r.error or 'did not converge'}" for r in rows)
+        raise AssessmentError(f"no model converged ({detail})")
     tau = cfg.tau if cfg.tau is not None else sample.max_time
     notes = [
         f"{r.spec.label} fit failed and is missing from the AIC comparison: {r.error}"
@@ -235,34 +235,30 @@ def receus_assess(sample: SurvivalSample, config: AssessmentConfig | None = None
     ]
 
     for r in rows:
-        if r.converged or r.aic is None:
+        if r.fit is None or r.fit.converged:
             continue
-        if r.aic < selected.aic - _AIC_TIE_TOL:
+        if r.fit.aic < selected.aic - _AIC_TIE_TOL:
             notes.append(
-                f"{r.spec.label} had a lower AIC ({r.aic:.4f}) but did not converge; "
+                f"{r.spec.label} had a lower AIC ({r.fit.aic:.4f}) but did not converge; "
                 f"the best converged fit was used instead"
             )
         else:
             notes.append(
-                f"{r.spec.label} did not converge (AIC {r.aic:.4f}) and cannot be selected"
+                f"{r.spec.label} did not converge (AIC {r.fit.aic:.4f}) and cannot be selected"
             )
 
+    # This is the selected fit when that is a cure fit: a cure fit wins a tie with a
+    # lower-AIC non-cure fit only as exponential cure, the least key of any cure spec.
+    ratio_fit = _best_fit([r for r in rows if r.spec.cure])
     cure_model_selected = selected.spec.cure
-    if cure_model_selected:
-        ratio_fit: ModelFit | None = selected
-    else:
-        cure_rows = [
-            r for r in rows if r.spec.cure and r.converged and r.fit is not None
-        ]
-        ratio_fit = _select_from_rows(cure_rows).fit if cure_rows else None
-        if ratio_fit is not None:
-            notes.append(
-                f"cure-specific quantities below come from the best cure fit "
-                f"({ratio_fit.spec.label}), shown for transparency; "
-                f"a non-cure model was selected"
-            )
-        else:
-            notes.append("no cure fit converged; cure-specific quantities unavailable")
+    if ratio_fit is None:
+        notes.append("no cure fit converged; cure-specific quantities unavailable")
+    elif not cure_model_selected:
+        notes.append(
+            f"cure-specific quantities below come from the best cure fit "
+            f"({ratio_fit.spec.label}), shown for transparency; "
+            f"a non-cure model was selected"
+        )
 
     if ratio_fit is not None:
         cure_fraction = float(ratio_fit.params.cure_fraction)  # type: ignore[arg-type]

@@ -189,11 +189,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             "params": fit.param_dict,
             "log_likelihood": fit.log_likelihood,
             "aic": fit.aic,
-            "n": fit.n,
-            "n_events": fit.n_events,
+            "n": sample.n,
+            "n_events": sample.n_events,
             "converged": fit.converged,
             "intervals": {
-                "level": intervals.level,
+                "level": args.level,
                 "values": intervals.intervals,
                 "diagnostic": intervals.diagnostic,
             },
@@ -205,7 +205,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     for name, value in fit.param_dict.items():
         if intervals.intervals is not None:
             lo, hi = intervals.intervals[name]
-            print(f"  {name} = {value:.6g}  [{lo:.6g}, {hi:.6g}] at {intervals.level:.0%}")
+            print(f"  {name} = {value:.6g}  [{lo:.6g}, {hi:.6g}] at {args.level:.0%}")
         else:
             print(f"  {name} = {value:.6g}")
     if intervals.diagnostic:

@@ -45,8 +45,9 @@ The non-cure model is the c = 0 boundary of the cure model, so a cure fit
 first reads its family's non-cure fit: the cure score there,
 d loglik / dc = sum_censored w (1 - S0) / S0 - n_events, comes off the
 log S0 of that fit's last evaluation.  When the non-cure fit converged
-with a score <= 0, the cure fit starts at logit c = -40 with the non-cure
-latency; on data without a cure fraction it stops there in 0 iterations,
+with a score <= 0, the cure fit starts at logit c = -40 and the point the
+non-cure fit returned, so its latency is the non-cure estimate bit for
+bit; on data without a cure fraction it stops there in 0 iterations,
 where a start from ``_initial_params`` walks 20-35 iterations down the
 c -> 0 ridge.  A cure fit that ends on the boundary has no standard
 errors: logit c has none there.
@@ -362,14 +363,6 @@ class Params:
     latency: tuple[float, ...]
     cure_fraction: float | None = None
 
-    def as_dict(self, spec: FamilySpec) -> dict[str, float]:
-        out: dict[str, float] = {}
-        if spec.cure:
-            out["cure_fraction"] = float(self.cure_fraction)  # type: ignore[arg-type]
-        for name, value in zip(spec.latency_param_names, self.latency):
-            out[name] = float(value)
-        return out
-
 
 def check_params(spec: FamilySpec, params: Params) -> None:
     """Validate a Params against its spec; raises DomainError on violation."""
@@ -560,8 +553,6 @@ class ModelFit:
     params: Params
     log_likelihood: float
     aic: float
-    n: int
-    n_events: int
     converged: bool
     n_iter: int
     standard_errors: tuple[float, ...] | None = None
@@ -570,14 +561,14 @@ class ModelFit:
 
     @property
     def param_dict(self) -> dict[str, float]:
-        return self.params.as_dict(self.spec)
+        cure = (self.params.cure_fraction,) if self.spec.cure else ()
+        return dict(zip(self.spec.param_names, map(float, cure + self.params.latency)))
 
 
 @dataclass(frozen=True)
 class WaldIntervals:
     """Per-parameter confidence intervals, or a diagnostic when unavailable."""
 
-    level: float
     intervals: dict[str, tuple[float, float]] | None
     diagnostic: str | None = None
 
@@ -595,6 +586,7 @@ def _logit(p: float) -> float:
 
 
 _LOG_CLAMP = 700.0
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def _transform(spec: FamilySpec, params: Params) -> np.ndarray:
@@ -655,35 +647,36 @@ def _tr_step(g: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     """
     lam, v = np.linalg.eigh(b)
     a = v.T @ g
-    if lam[0] > 0.0:
-        s = -(v @ (a / lam))
-        with np.errstate(over="ignore"):  # a step whose norm overflows lies outside
+    # A step whose norm overflows or is NaN fails every `<=` test against the radius.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if lam[0] > 0.0:
+            s = -(v @ (a / lam))
             if np.linalg.norm(s) <= radius:
                 return s
-    # |s(mu)| > radius below the root, |s(mu)| <= radius from `above` on.
-    below = max(0.0, -lam[0])
-    above = mu = below + float(np.linalg.norm(g)) / radius
-    for _ in range(60):
-        d = lam + mu
-        norm = math.sqrt(float(np.sum((a / d) ** 2)))
-        if abs(norm - radius) <= 1e-6 * radius:
-            break
-        if norm > radius:
-            below = mu
-        else:
-            above = mu
-        if above - below <= 1e-12 * above:  # no root: the hard case
-            mu = above
-            break
-        mu += norm * norm * (norm - radius) / (radius * float(np.sum(a * a / d**3)))
-        if not below < mu < above:
-            mu = 0.5 * (below + above)
-    s = -(v @ (a / (lam + mu)))
-    gap = radius * radius - float(s @ s)
-    if gap <= 0.0:
-        return s * (radius / math.sqrt(float(s @ s)))
-    along = float(s @ v[:, 0])  # the root of |s + tau v0| = radius nearer 0
-    return s + math.copysign(gap / (math.sqrt(along * along + gap) + abs(along)), along) * v[:, 0]
+        # |s(mu)| > radius below the root, |s(mu)| <= radius from `above` on.
+        below = max(0.0, -lam[0])
+        above = mu = below + float(np.linalg.norm(g)) / radius
+        for _ in range(60):
+            d = lam + mu
+            norm = math.sqrt(float(np.sum((a / d) ** 2)))
+            if abs(norm - radius) <= 1e-6 * radius:
+                break
+            if norm > radius:
+                below = mu
+            else:
+                above = mu
+            if above - below <= 1e-12 * above:  # no root: the hard case
+                mu = above
+                break
+            mu += norm * norm * (norm - radius) / (radius * float(np.sum(a * a / d**3)))
+            if not below < mu < above:
+                mu = 0.5 * (below + above)
+        s = -(v @ (a / (lam + mu)))
+        gap = radius * radius - float(s @ s)
+        if gap <= 0.0:
+            return s * (radius / math.sqrt(float(s @ s)))
+        along = float(s @ v[:, 0])  # the root of |s + tau v0| = radius nearer 0
+        return s + math.copysign(gap / (math.sqrt(along * along + gap) + abs(along)), along) * v[:, 0]
 
 
 def _finite(point) -> bool:
@@ -756,7 +749,7 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
     cache = _build_cache(sample)
     basis = _start_basis(sample)
     for family in families:
-        noncure = start_terms = end_terms = None
+        noncure = noncure_x = start_terms = end_terms = None
         for spec in (FamilySpec(family), FamilySpec(family, cure=True)):
             try:
                 if sample.n_events == 0:
@@ -770,10 +763,8 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
 
                 score = noncure.cure_score if noncure is not None else None
                 if score is not None and score <= 0.0:
-                    x = np.concatenate([[-_LOGIT_BOX], _transform(noncure.spec, noncure.params)])
-                    # exp(log(v)) may round away from v on some C libraries.
-                    same = _untransform(spec, x).latency == noncure.params.latency
-                    terms = end_terms if same else None
+                    x = np.concatenate([[-_LOGIT_BOX], noncure_x])
+                    terms = end_terms
                 else:
                     init = _initial_params(spec, basis)
                     check_params(spec, init)
@@ -801,8 +792,6 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
                     params=params,
                     log_likelihood=ll,
                     aic=_aic_value(spec.n_params, ll),
-                    n=sample.n,
-                    n_events=sample.n_events,
                     converged=converged,
                     n_iter=n_iter,
                     standard_errors=se,
@@ -812,7 +801,7 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
                     ),
                 )
                 if not spec.cure:
-                    noncure, end_terms = fit, terms
+                    noncure, noncure_x, end_terms = fit, x, terms
             except CurecheckError as exc:
                 fit = exc
             yield spec, fit
@@ -853,17 +842,9 @@ def wald_intervals(fit: ModelFit, level: float = 0.95) -> WaldIntervals:
     if not (_is_number(level, numbers.Real) and 0.0 < level < 1.0):
         raise DomainError(f"confidence level must lie strictly in (0, 1), got {level!r}")
     if not fit.converged:
-        return WaldIntervals(
-            level=level,
-            intervals=None,
-            diagnostic="fit did not converge; intervals unavailable",
-        )
+        return WaldIntervals(None, "fit did not converge; intervals unavailable")
     if fit.standard_errors is None:
-        return WaldIntervals(
-            level=level,
-            intervals=None,
-            diagnostic=fit.se_diagnostic,
-        )
+        return WaldIntervals(None, fit.se_diagnostic)
     # The lower tail: 0.5 * (1 + level) rounds to 1.0 for a level just below 1.
     z = -inv_normal_cdf(0.5 * (1.0 - level))
     x = _transform(fit.spec, fit.params)
@@ -873,6 +854,10 @@ def wald_intervals(fit: ModelFit, level: float = 0.95) -> WaldIntervals:
         hi_t = float(x[i]) + z * fit.standard_errors[i]
         if name == "cure_fraction":
             out[name] = (_expit(lo_t), _expit(hi_t))
+        elif hi_t > _LOG_FLOAT_MAX:
+            return WaldIntervals(
+                None, f"the upper end of the {name} interval overflows; intervals unavailable"
+            )
         else:
             out[name] = (math.exp(lo_t), math.exp(hi_t))
-    return WaldIntervals(level=level, intervals=out, diagnostic=None)
+    return WaldIntervals(out)

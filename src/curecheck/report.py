@@ -84,16 +84,17 @@ class ReportDocument:
 
 
 def _row_dict(row: ModelTableRow) -> dict:
+    fit = row.fit
     out: dict = {
         "family": row.spec.family,
         "cure": row.spec.cure,
         "n_params": row.spec.n_params,
-        "aic": row.aic,
-        "converged": row.converged,
+        "aic": None if fit is None else fit.aic,
+        "converged": fit is not None and fit.converged,
     }
-    if row.fit is not None:
-        out["log_likelihood"] = row.fit.log_likelihood
-        out["params"] = row.fit.param_dict
+    if fit is not None:
+        out["log_likelihood"] = fit.log_likelihood
+        out["params"] = fit.param_dict
     if row.error is not None:
         out["error"] = row.error
     return out
@@ -158,11 +159,11 @@ def render_text(doc: ReportDocument) -> str:
     lines.append("Step 3 - Model-based assessment")
     lines.append(f"  {'model':<24}{'k':>3}{'AIC':>14}{'loglik':>14}  converged")
     for row in a.model_table:
-        label = row.spec.label
-        ll = row.fit.log_likelihood if row.fit is not None else None
+        fit = row.fit
+        aic, ll = (None, None) if fit is None else (fit.aic, fit.log_likelihood)
         lines.append(
-            f"  {label:<24}{row.spec.n_params:>3}{_g(row.aic):>14}{_g(ll):>14}  "
-            f"{'yes' if row.converged else 'no'}"
+            f"  {row.spec.label:<24}{row.spec.n_params:>3}{_g(aic):>14}{_g(ll):>14}  "
+            f"{'yes' if fit is not None and fit.converged else 'no'}"
         )
     sel = a.selected
     lines.append(f"  selected by AIC: {sel.spec.label}")

@@ -16,8 +16,8 @@ from curecheck.assessment import (
     VERDICTS,
     AssessmentConfig,
     ModelTableRow,
+    _best_fit,
     _receus_components,
-    _select_from_rows,
     _verdict_from_flags,
     deviance_cure_test,
     receus_assess,
@@ -138,7 +138,7 @@ def test_ratio_nonincreasing_in_tau():
 # ---------------------------------------------------------------------------
 # selection
 
-def _fake_fit(spec, aic):
+def _fake_fit(spec, aic, converged=True):
     return ModelFit(
         spec=spec,
         params=Params(
@@ -147,47 +147,45 @@ def _fake_fit(spec, aic):
         ),
         log_likelihood=spec.n_params - aic / 2.0,
         aic=aic,
-        n=100,
-        n_events=60,
-        converged=True,
+        converged=converged,
         n_iter=10,
     )
 
 
 def _row(family, cure, aic, converged=True):
     spec = FamilySpec(family, cure=cure)
-    if not converged:
-        return ModelTableRow(spec=spec, aic=aic, converged=False, error="did not converge")
-    return ModelTableRow(spec=spec, aic=aic, converged=True, fit=_fake_fit(spec, aic))
+    return ModelTableRow(spec, fit=_fake_fit(spec, aic, converged))
 
 
 def test_selection_prefers_lowest_aic():
     rows = [_row("exponential", False, 110.0), _row("weibull", True, 100.0)]
-    assert _select_from_rows(rows).spec.label == "weibull cure"
+    assert _best_fit(rows).spec.label == "weibull cure"
 
 
 def test_selection_tie_goes_to_fewer_parameters():
     rows = [_row("weibull", True, 100.0), _row("weibull", False, 100.0)]
-    assert _select_from_rows(rows).spec.label == "weibull non-cure"
+    assert _best_fit(rows).spec.label == "weibull non-cure"
     # ties within 1e-12 count as ties
     rows = [_row("weibull", True, 100.0), _row("weibull", False, 100.0 + 5e-13)]
-    assert _select_from_rows(rows).spec.label == "weibull non-cure"
+    assert _best_fit(rows).spec.label == "weibull non-cure"
 
 
 def test_selection_tie_then_family_order():
     rows = [_row("gamma", False, 100.0), _row("weibull", False, 100.0)]
-    assert _select_from_rows(rows).spec.family == "weibull"
+    assert _best_fit(rows).spec.family == "weibull"
 
 
 def test_selection_skips_unconverged_rows():
     rows = [_row("exponential", False, 50.0, converged=False), _row("weibull", False, 80.0)]
-    assert _select_from_rows(rows).spec.family == "weibull"
+    assert _best_fit(rows).spec.family == "weibull"
 
 
-def test_selection_fails_when_nothing_converges():
-    rows = [_row("exponential", False, 50.0, converged=False)]
+def test_selection_fails_when_nothing_converges(monkeypatch):
+    rows = (_row("exponential", False, 50.0, converged=False),)
+    assert _best_fit(rows) is None
+    monkeypatch.setattr("curecheck.assessment._fit_rows", lambda sample, families: rows)
     with pytest.raises(AssessmentError, match="no model converged"):
-        _select_from_rows(rows)
+        receus_assess(_simulated_cure_sample(n=300))
 
 
 def test_shown_cure_fit_follows_the_selection_rule(monkeypatch):
@@ -199,11 +197,29 @@ def test_shown_cure_fit_follows_the_selection_rule(monkeypatch):
         _row("weibull", True, 100.0),
         _row("exponential", True, 100.0 + 1e-13),
     )
-    assert rows[1].aic < rows[2].aic
+    assert rows[1].fit.aic < rows[2].fit.aic
     monkeypatch.setattr("curecheck.assessment._fit_rows", lambda sample, families: rows)
     a = receus_assess(_simulated_cure_sample(n=300))
-    assert _select_from_rows(rows[1:]).spec.label == "exponential cure"
+    assert _best_fit(rows[1:]).spec.label == "exponential cure"
     assert any("best cure fit (exponential cure)" in note for note in a.notes)
+
+
+def test_a_selected_cure_fit_is_the_ratio_fit(monkeypatch):
+    # Exponential cure wins the full tie with weibull non-cure on fewer
+    # parameters; weibull cure ties it among the cure rows alone, where the
+    # same key keeps exponential cure.  The ratio fit is the selected fit.
+    rows = (
+        _row("exponential", False, 200.0),
+        _row("exponential", True, 100.0 + 5e-13),
+        _row("weibull", False, 100.0),
+        _row("weibull", True, 100.0 + 1.2e-12),
+    )
+    monkeypatch.setattr("curecheck.assessment._fit_rows", lambda sample, families: rows)
+    a = receus_assess(_simulated_cure_sample(n=300))
+    assert a.selected is rows[1].fit
+    assert _best_fit([r for r in rows if r.spec.cure]) is rows[1].fit
+    assert a.cure_fraction == rows[1].fit.params.cure_fraction
+    assert not any("best cure fit" in note for note in a.notes)
 
 
 def test_model_table_has_two_rows_per_family():
@@ -217,7 +233,7 @@ def test_model_table_has_two_rows_per_family():
         "weibull non-cure",
         "weibull cure",
     ]
-    best = min(r.aic for r in rows if r.converged)
+    best = min(r.fit.aic for r in rows if r.fit is not None and r.fit.converged)
     assert selected.aic == best
 
 
@@ -326,8 +342,8 @@ def test_assessment_reports_unconverged_rows(monkeypatch):
     sample = _simulated_cure_sample(n=300)
     a = receus_assess(sample, AssessmentConfig(families=("weibull",)))
     for row in a.model_table:
-        assert row.converged
-        assert row.aic is not None
+        assert row.fit.converged
+        assert row.fit.aic is not None
     assert not any("converge" in note for note in a.notes)
 
     # Each unconverged row gets one note: the weibull cure fit, whose AIC
@@ -341,11 +357,11 @@ def test_assessment_reports_unconverged_rows(monkeypatch):
     b = receus_assess(sample, AssessmentConfig(families=("exponential", "weibull")))
     rows = {row.spec.label: row for row in b.model_table}
     assert b.selected.spec.label == "exponential cure"
-    assert rows["weibull cure"].aic < b.selected.aic < rows["weibull non-cure"].aic
+    assert rows["weibull cure"].fit.aic < b.selected.aic < rows["weibull non-cure"].fit.aic
     assert [note for note in b.notes if "converge" in note] == [
-        f"weibull non-cure did not converge (AIC {rows['weibull non-cure'].aic:.4f}) "
+        f"weibull non-cure did not converge (AIC {rows['weibull non-cure'].fit.aic:.4f}) "
         "and cannot be selected",
-        f"weibull cure had a lower AIC ({rows['weibull cure'].aic:.4f}) but did not "
+        f"weibull cure had a lower AIC ({rows['weibull cure'].fit.aic:.4f}) but did not "
         "converge; the best converged fit was used instead",
     ]
 
@@ -366,7 +382,7 @@ def test_plateau_assess_stays_within_its_evaluation_budget(plateau_sample, monke
     monkeypatch.setattr(special, "_upper_gamma_quadrature", counted)
     a = receus_assess(plateau_sample)
     for row in a.model_table:
-        assert row.converged, row.spec.label
+        assert row.fit.converged, row.spec.label
         assert row.fit.n_iter <= 40, row.spec.label
     assert len(calls) <= 100
 
@@ -389,7 +405,7 @@ def test_short_days_assess_stays_within_its_evaluation_budget(short_days_sample,
     a = receus_assess(short_days_sample)
     rows = {row.spec.label: row for row in a.model_table}
     assert a.verdict == VERDICT_NONCURE
-    assert all(row.converged for row in a.model_table)
+    assert all(row.fit.converged for row in a.model_table)
     assert rows["lognormal non-cure"].fit.cure_score <= 0.0
     assert rows["lognormal cure"].fit.n_iter == 0
     assert len(calls) <= 80

@@ -190,6 +190,10 @@ def _small_samples(draw):
 @example(records=_SAMPLE_B)
 @example(records=[(0.0, 1), (0.0, 0), (0.5, 1), (1.0, 1), (2.0, 0)])
 @example(records=[(0.0, 0), (1.0, 0), (2.0, 0)])
+# One event at the largest time: trust-region steps that overflow.
+@example(records=[(0.17, 0), (1.25, 0), (2.0399999999999996, 1), (1.51, 0)])
+@example(records=[(2.76, 1), (0.19, 0), (0.21000000000000002, 0), (1.11, 0), (1.22, 0),
+                  (1.37, 0), (0.44, 0), (0.79, 0), (0.25, 0), (0.76, 0)])
 def test_small_samples_get_a_verdict_or_a_named_error(records):
     try:
         assessment = receus_assess(validate_sample(records))
@@ -206,7 +210,9 @@ def _decisions(sample):
         a = receus_assess(sample)
     except CurecheckError as exc:
         return type(exc)
-    return a.verdict, a.selected.spec, tuple(row.converged for row in a.model_table)
+    return a.verdict, a.selected.spec, tuple(
+        row.fit is not None and row.fit.converged for row in a.model_table
+    )
 
 
 # The scale is 10^U(-6, 6), drawn from a seed: hypothesis's own floats

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -475,6 +476,22 @@ def test_cli_fit_at_the_largest_level_below_one(cure_csv, capsys):
     assert 0.0 < lo < parsed["params"]["cure_fraction"] < hi <= 1.0
 
 
+def test_cli_fit_names_an_interval_that_overflows(tmp_path, capsys):
+    # At the 95% level the scale interval's upper end is a float; at 99.9%
+    # it passes the largest one, and the intervals give way to a note.
+    path = tmp_path / "extreme.csv"
+    path.write_text("time,event\n1.2e+302,0\n2.8e+302,0\n1.6e+302,0\n1e+301,1\n")
+    argv = ["fit", str(path), "--family", "weibull"]
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["intervals"]["values"]["scale"][1] < math.inf
+    note = "the upper end of the scale interval overflows; intervals unavailable"
+    assert main(argv + ["--level", "0.999", "--format", "json"]) == 0
+    intervals = json.loads(capsys.readouterr().out)["intervals"]
+    assert intervals == {"level": 0.999, "values": None, "diagnostic": note}
+    assert main(argv + ["--level", "0.999"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"  note: {note}"
+
+
 def test_cli_assess_text_appropriate(cure_csv, capsys):
     code = main(["assess", cure_csv, "--families", "weibull"])
     out = capsys.readouterr().out
@@ -490,6 +507,28 @@ def test_cli_assess_json_validates(cure_csv, capsys):
     jsonschema.validate(parsed, report_schema())
     assert parsed["assessment"]["verdict"] == "appropriate"
     assert parsed["source"]["path"] == cure_csv
+
+
+def test_readme_demo_prints_the_lines_the_readme_quotes(tmp_path, monkeypatch, capsys):
+    # The README's command-line demo, run as written: the assessment prints
+    # every quoted line in order ("..." stands for lines left out), and the
+    # restricted run exits 2 as its comment says.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```\w*\n(.*?)```", text, re.DOTALL)
+    i = next(k for k, body in enumerate(blocks) if "curecheck simulate" in body)
+    simulate, assess = (shlex.split(c)[1:] for c in blocks[i].replace("\\\n", " ").splitlines())
+    quoted = [line for line in blocks[i + 1].splitlines() if line.strip() not in ("", "...")]
+    restrict = next(line for line in text.splitlines() if "--restrict 0.35" in line)
+    monkeypatch.chdir(tmp_path)
+    assert main(simulate) == 0
+    capsys.readouterr()
+    assert main(assess) == 0
+    printed = iter(capsys.readouterr().out.splitlines())
+    assert len(quoted) == 14
+    assert [line for line in quoted if line not in printed] == []  # in order
+    command, comment = restrict.split("#")
+    assert comment.strip() == "exit code 2"
+    assert main(shlex.split(command)[1:]) == 2
 
 
 def test_cli_assess_restrict_flips_verdict(cure_csv, capsys):
@@ -608,6 +647,8 @@ def test_cli_fit_json(cure_csv, capsys):
     assert parsed["family"] == "weibull"
     assert parsed["cure"] is True
     assert parsed["converged"] is True
+    sample = read_csv(cure_csv)
+    assert (parsed["n"], parsed["n_events"]) == (sample.n, sample.n_events)
     assert parsed["params"]["cure_fraction"] == pytest.approx(0.4, abs=0.08)
     assert parsed["intervals"]["level"] == 0.95
     lo, hi = parsed["intervals"]["values"]["cure_fraction"]
