@@ -205,12 +205,19 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     for name, value in fit.param_dict.items():
         if intervals.intervals is not None:
             lo, hi = intervals.intervals[name]
-            print(f"  {name} = {value:.6g}  [{lo:.6g}, {hi:.6g}] at {args.level:.0%}")
+            print(f"  {name} = {value:.6g}  [{lo:.6g}, {hi:.6g}] at {_percent(args.level)}")
         else:
             print(f"  {name} = {value:.6g}")
     if intervals.diagnostic:
         print(f"  note: {intervals.diagnostic}")
     return 0
+
+
+def _percent(level: float) -> str:
+    """A level as a percentage with its own digits: 0.975 gives "97.5%"."""
+    from decimal import Decimal  # read by the fit command's text output alone
+
+    return f"{Decimal(repr(level)).scaleb(2).normalize():f}%"
 
 
 def _cmd_km(args: argparse.Namespace) -> int:

@@ -23,7 +23,9 @@ Fitting maximizes the censored-data log-likelihood
 sum_events log f + sum_censored log S over a transformed space (logit of
 the cure fraction, boxed to [-40, 40], and log of each latency parameter)
 with a trust-region Newton method: each step solves
-the quadratic model exactly within the trust radius, and the radius follows
+the quadratic model exactly within the trust radius (the Newton step from
+a Cholesky factor when it is positive definite and the step fits, an
+eigendecomposition otherwise), and the radius follows
 the ratio of actual to predicted gain.  A fit has converged when every
 gradient component is within 1e-8 in absolute value.  Scores and second
 derivatives are exact, with no finite differences, so their rounding stays
@@ -38,9 +40,13 @@ returned point is the observed information behind the standard errors.
 
 Every fit runs in one loop, ``_fits``, which builds the sample's likelihood
 cache and reads what the start values need (``_start_basis``: the event
-times, their mean and the Kaplan-Meier tail) once, then fits each family
-without and then with a cure fraction.  A fit starts from
-``_initial_params``, except a cure fit on the boundary.
+times, their mean, the exposure per event and the Kaplan-Meier tail) once,
+then fits each family without and then with a cure fraction.  A fit starts
+from ``_initial_params``, except a cure fit on the boundary.  A non-cure
+fit starts on the exposure scale sum(times) / n_events, the inverse of the
+closed-form exponential MLE and the shape-1 member of the Weibull and gamma
+families, so the exponential fit stops at its start; a cold cure fit
+starts on the event-time mean, which tracks the uncured latency.
 The non-cure model is the c = 0 boundary of the cure model, so a cure fit
 first reads its family's non-cure fit: the cure score there,
 d loglik / dc = sum_censored w (1 - S0) / S0 - n_events, comes off the
@@ -52,11 +58,10 @@ where a start from ``_initial_params`` walks 20-35 iterations down the
 c -> 0 ridge.  A cure fit that ends on the boundary has no standard
 errors: logit c has none there.
 
-Either way the cure fit's first point has a latency the non-cure fit has
-already evaluated: its start (``_initial_params`` gives both fits the same
-latency) or its end (a boundary start).  That evaluation takes the family
-terms (``_Family.derivatives``) the non-cure fit computed there, so the
-gamma kernel and the other family work are not repeated.
+A boundary start's first point has the latency the non-cure fit ended
+on, so that evaluation takes the family terms (``_Family.derivatives``)
+the non-cure fit computed there, and the gamma kernel and the other family
+work are not repeated.
 
 A trust region that does not converge returns its best point with
 ``converged=False``; the assessment names such a fit in its notes and
@@ -103,7 +108,8 @@ class _Family:
       the one log S0 formula (``latency_survival``; ``derivatives`` computes
       the same values at the censoring times).
     * ``quantile(u, *theta)``: the latency CDF inverted on a 1-D array in [0, 1).
-    * ``start(te, mean_te)``: starting values from the event times.
+    * ``start(te, scale)``: starting values from the event times and a time
+      scale (``_initial_params`` says which).
     * ``zero_events``: events at time exactly 0 are "allowed"; rejected by
       fitting alone under "no fit" (defined but degenerate maximum); or
       rejected everywhere under "outside support" (density undefined or
@@ -140,8 +146,8 @@ class _Exponential(_Family):
     def quantile(self, u, rate):
         return -np.log1p(-u) / rate
 
-    def start(self, te, mean_te):
-        return (1.0 / mean_te,)
+    def start(self, te, scale):
+        return (1.0 / scale,)
 
 
 class _ShapeScale(_Family):
@@ -211,8 +217,8 @@ class _Weibull(_ShapeScale):
     def quantile(self, u, shape, scale):
         return scale * np.power(-np.log1p(-u), 1.0 / shape)
 
-    def start(self, te, mean_te):
-        return (1.0, mean_te)
+    def start(self, te, scale):
+        return (1.0, scale)
 
 
 class _Gamma(_Family):
@@ -245,8 +251,8 @@ class _Gamma(_Family):
     def quantile(self, u, shape, rate):
         return inv_reg_lower_gamma(shape, u) / rate
 
-    def start(self, te, mean_te):
-        return (1.0, 1.0 / mean_te)
+    def start(self, te, scale):
+        return (1.0, 1.0 / scale)
 
 
 class _LogLogistic(_ShapeScale):
@@ -265,8 +271,8 @@ class _LogLogistic(_ShapeScale):
         with np.errstate(divide="ignore"):
             return scale * np.power(u / (1.0 - u), 1.0 / shape)
 
-    def start(self, te, mean_te):
-        return (1.0, mean_te)
+    def start(self, te, scale):
+        return (1.0, scale)
 
 
 class _LogNormal(_Family):
@@ -298,7 +304,7 @@ class _LogNormal(_Family):
         z = inv_normal_cdf(np.where(u > 0.0, u, 0.5))
         return np.where(u > 0.0, scale * np.exp(sigma * z), 0.0)
 
-    def start(self, te, mean_te):
+    def start(self, te, scale):
         pos = te[te > 0.0]
         if not pos.size:
             return (1.0, 1.0)
@@ -611,21 +617,29 @@ def _untransform(spec: FamilySpec, x: np.ndarray) -> Params:
 
 def _start_basis(sample: SurvivalSample):
     """What every start value reads off the sample: the event times, their
-    mean (1 where it is not > 0) and the KM tail clipped to [0.01, 0.99]."""
+    mean, the exposure per event sum(times) / n_events (each 1 where it is
+    not finite and > 0) and the KM tail clipped to [0.01, 0.99].
+
+    The exposure is the inverse of the censored-data exponential MLE, the
+    shape-1 member of the Weibull and gamma families.
+    """
     te = sample.times[sample.events]
     mean_te = float(te.mean()) if te.size else 1.0
-    if mean_te <= 0.0:
-        mean_te = 1.0
-    return te, mean_te, min(max(_km_tail(sample), 0.01), 0.99)
+    exposure = float(sample.times.sum()) / sample.n_events if sample.n_events else 1.0
+    mean_te, exposure = (v if 0.0 < v < math.inf else 1.0 for v in (mean_te, exposure))
+    return te, mean_te, exposure, min(max(_km_tail(sample), 0.01), 0.99)
 
 
 def _initial_params(spec: FamilySpec, basis) -> Params:
-    """Method-of-moments-flavored starting values; cure from the KM plateau.
+    """Starting values: non-cure latency on the exposure scale, cure latency on
+    the event-time mean (it tracks the uncured latency), cure from the KM plateau.
 
     ``basis`` is ``_start_basis(sample)``, read once per sample for all its fits.
     """
-    te, mean_te, cure_fraction = basis
-    return Params(_family(spec.family).start(te, mean_te), cure_fraction if spec.cure else None)
+    te, mean_te, exposure, cure_fraction = basis
+    if spec.cure:
+        return Params(_family(spec.family).start(te, mean_te), cure_fraction)
+    return Params(_family(spec.family).start(te, exposure))
 
 
 # Trust-region settings of every fit.  The gradient tolerance is absolute: on
@@ -636,15 +650,55 @@ _MAX_ITER = 100
 _MAX_RADIUS = 10.0
 
 
+def _newton_step(g: np.ndarray, b: np.ndarray, radius: float):
+    """The Newton step -b^-1 g from a Cholesky factor of b, or None when b is
+    not positive definite or the step is longer than the radius.
+
+    On Python floats: the fits have at most 3 parameters, where numpy's
+    per-call overhead outweighs the arithmetic.
+    """
+    p = g.size
+    b = b.tolist()
+    s = [-v for v in g.tolist()]
+    low = []  # rows of the factor L, b = L L^T
+    for i in range(p):
+        row = b[i][: i + 1]
+        for j in range(i + 1):
+            lj = low[j] if j < i else row
+            for k in range(j):
+                row[j] -= row[k] * lj[k]
+            if j < i:
+                row[j] /= lj[j]
+            elif row[i] > 0.0:  # a NaN pivot fails too
+                row[i] = math.sqrt(row[i])
+            else:
+                return None
+        for k in range(i):  # forward: L y = -g
+            s[i] -= row[k] * s[k]
+        s[i] /= row[i]
+        low.append(row)
+    for i in reversed(range(p)):  # back: L^T s = y
+        for k in range(i + 1, p):
+            s[i] -= low[k][i] * s[k]
+        s[i] /= low[i][i]
+    return np.array(s) if math.hypot(*s) <= radius else None
+
+
 def _tr_step(g: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     """Minimizer of g.s + s.b.s / 2 over |s| <= radius (Moré & Sorensen 1983).
 
+    The Newton step comes first, from a Cholesky factor (``_newton_step``);
+    the eigendecomposition below runs only when b is not positive definite
+    or that step leaves the radius.
     On the boundary (b + mu I) s = -g with mu > max(0, -lambda_min): Newton's
     method on 1/radius - 1/|s(mu)|, bisecting whenever a step leaves the
     bracket.  When g has no component along the lowest eigenvector (the
     "hard case") no such mu exists, and that eigenvector fills the step up
     to the boundary.
     """
+    s = _newton_step(g, b, radius)
+    if s is not None:
+        return s
     lam, v = np.linalg.eigh(b)
     a = v.T @ g
     # A step whose norm overflows or is NaN fails every `<=` test against the radius.
@@ -697,7 +751,7 @@ def _trust_region(spec: FamilySpec, cache: _LikCache, x: np.ndarray, point):
     finite_start = _finite(point)  # a step is taken only to a finite point
     for it in range(_MAX_ITER + 1):
         ll, g, h, _ = point
-        if np.max(np.abs(g)) <= _GTOL:
+        if all(abs(v) <= _GTOL for v in g.tolist()):  # a NaN component fails
             return x, point, it, True
         if it == _MAX_ITER or radius < 1e-12 or not finite_start:
             break
@@ -715,7 +769,7 @@ def _trust_region(spec: FamilySpec, cache: _LikCache, x: np.ndarray, point):
             rho = 1.0  # both below rounding: the model is the better guide
         else:
             rho = gain / pred if finite and pred > 0.0 else -math.inf
-        step = float(np.linalg.norm(s))
+        step = math.hypot(*s.tolist())
         if rho < 0.25:
             radius = 0.25 * step
         elif rho > 0.75 and step >= 0.99 * radius:
@@ -749,7 +803,7 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
     cache = _build_cache(sample)
     basis = _start_basis(sample)
     for family in families:
-        noncure = noncure_x = start_terms = end_terms = None
+        noncure = noncure_x = end_terms = None
         for spec in (FamilySpec(family), FamilySpec(family, cure=True)):
             try:
                 if sample.n_events == 0:
@@ -769,10 +823,8 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
                     init = _initial_params(spec, basis)
                     check_params(spec, init)
                     x = _transform(spec, init)
-                    terms = start_terms  # _initial_params gives both fits one latency
+                    terms = None
                 point = _loglik_derivatives(spec, _untransform(spec, x), cache, terms)
-                if not spec.cure:
-                    start_terms = point[3]
                 if not math.isfinite(point[0]):
                     raise FitError(f"initial parameters give a non-finite {spec.label} likelihood")
 

@@ -411,6 +411,16 @@ def test_short_days_assess_stays_within_its_evaluation_budget(short_days_sample,
     assert len(calls) <= 80
 
 
+@pytest.mark.parametrize(
+    "fixture, expected", [("plateau_sample", 49), ("short_days_sample", 53)],
+    ids=["plateau", "short_days"],
+)
+def test_assess_takes_a_pinned_number_of_trust_region_steps(fixture, expected, request):
+    # An exact count over the ten fits, so a change that adds steps shows.
+    rows = receus_assess(request.getfixturevalue(fixture)).model_table
+    assert sum(row.fit.n_iter for row in rows) == expected
+
+
 def test_fit_model_equals_the_assessments_row(plateau_sample, short_days_sample):
     # One derivation: a standalone cure fit makes its own non-cure fit first,
     # and equals the row the assessment fitted from its non-cure row.  On the
@@ -442,14 +452,18 @@ def test_assessment_builds_one_likelihood_cache(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "fixture, expected", [("plateau_sample", 66), ("short_days_sample", 71)]
+    "fixture, expected",
+    [("plateau_sample", 59), ("short_days_sample", 62)],
+    ids=["plateau", "short_days"],
 )
-def test_each_cure_fit_reuses_its_noncure_fits_terms(fixture, expected, request, monkeypatch):
+def test_a_boundary_cure_fit_reuses_its_noncure_fits_terms(fixture, expected, request, monkeypatch):
     # Counts of the family-term evaluations (_Family.derivatives) in one
-    # assessment.  Each family's cure fit takes its first evaluation from its
-    # non-cure fit, which computed the same latency at its start (a cold
-    # start) or its end (a boundary start): five fewer than the 71 and 76 of
-    # evaluating it again.
+    # assessment: one per fit start and one per trust-region step, less one
+    # per cure fit that starts on the boundary c = 0.  That fit takes its
+    # first evaluation from its non-cure fit, which computed the same
+    # latency at its end.  On the plateau data every cure fit starts cold
+    # (10 starts + 49 steps); on the short-days data the lognormal cure fit
+    # starts on the boundary (10 + 53 - 1).
     from curecheck import models
 
     sample = request.getfixturevalue(fixture)

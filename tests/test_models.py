@@ -603,6 +603,49 @@ def test_trust_region_step_lands_exactly_on_the_radius_in_the_hard_case():
     assert fit.log_likelihood >= log_likelihood(spec, _initial_params(spec, _start_basis(sample)), sample)
 
 
+def test_trust_region_step_tries_the_cholesky_newton_step_first(monkeypatch):
+    # Seeded random symmetric 1x1 to 3x3 models.  A positive-definite b whose
+    # Newton step lies inside the radius gets that step from the Cholesky
+    # factor, with no eigendecomposition, and it equals the eigendecomposition's
+    # step to 1e-12.  Indefinite, singular, outside-radius and hard-case
+    # models take the eigendecomposition path.
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda b: calls.append(b) or eigh(b))
+    rng = np.random.default_rng(5)
+    kinds = ("inside", "outside", "indefinite", "singular", "hard")
+    for trial in range(300):
+        kind = kinds[trial % 5]
+        p = 1 + trial // 5 % 3
+        if kind == "hard":
+            p = max(p, 2)
+        q = np.linalg.qr(rng.normal(size=(p, p)))[0]
+        lam = np.sort(rng.uniform(0.1, 10.0, p))
+        g = rng.normal(size=p) * 10.0 ** rng.uniform(-3, 3)
+        if kind in ("indefinite", "hard"):
+            lam[0] = -rng.uniform(0.1, 10.0)
+        if kind == "hard":
+            g -= (g @ q[:, 0]) * q[:, 0]  # no component along the lowest eigenvector
+        if kind == "singular":
+            b = np.diag(np.where(np.arange(p) == rng.integers(p), 0.0, lam))
+        else:
+            b = (q * lam) @ q.T
+            b = 0.5 * (b + b.T)
+        if kind in ("inside", "outside"):
+            w, v = eigh(b)
+            newton = -(v @ ((v.T @ g) / w))
+            norm = float(np.linalg.norm(newton))
+            radius = norm * (rng.uniform(1.01, 10.0) if kind == "inside" else rng.uniform(0.1, 0.99))
+        else:
+            radius = 10.0 ** rng.uniform(-3, 1)
+        calls.clear()
+        s = _tr_step(g, b, radius)
+        assert len(calls) == (0 if kind == "inside" else 1), (trial, kind)
+        if kind == "inside":
+            np.testing.assert_allclose(s, newton, rtol=1e-12, atol=1e-12 * norm)
+        assert np.linalg.norm(s) <= radius * (1.0 + 1e-12), (trial, kind)
+
+
 def test_trust_region_takes_no_step_from_a_start_without_finite_derivatives(long_followup_sample):
     # The log-likelihood is finite at both starts, but below a gamma shape of
     # ~1e-162 the Hessian is not (the shape squared underflows), and the
@@ -631,6 +674,43 @@ def test_fit_never_worse_than_initializer():
             fit = fit_model(sample, spec)
             ll0 = log_likelihood(spec, _initial_params(spec, _start_basis(sample)), sample)
             assert fit.log_likelihood >= ll0 - 1e-9, spec.label
+
+
+def test_noncure_starts_sit_on_the_exposure_scale():
+    # Non-cure fits start at the censored-data exponential MLE's time scale,
+    # sum(times) / n_events, the shape-1 member of the Weibull and gamma
+    # families; cure fits keep the event-time mean.
+    rng = np.random.default_rng(8)
+    t, c = rng.weibull(0.8, size=120), rng.uniform(0.0, 3.0, size=120)
+    sample = validate_sample(zip(np.minimum(t, c).tolist(), (t <= c).tolist()))
+    basis = _start_basis(sample)
+    exposure = float(sample.times.sum()) / sample.n_events
+    mean_te = float(sample.times[sample.events].mean())
+    assert exposure > 1.5 * mean_te  # the two scales differ
+    start = {family: _initial_params(FamilySpec(family), basis).latency for family in FAMILIES}
+    assert start["exponential"] == (1.0 / exposure,)
+    assert start["weibull"] == start["loglogistic"] == (1.0, exposure)
+    assert start["gamma"] == (1.0, 1.0 / exposure)
+    assert _initial_params(FamilySpec("weibull", cure=True), basis).latency == (1.0, mean_te)
+    assert _initial_params(FamilySpec("gamma", cure=True), basis).latency == (1.0, 1.0 / mean_te)
+
+
+@pytest.mark.parametrize("data", ["simulated", "zero_time_event", "plateau_sample", "short_days_sample"])
+def test_exponential_noncure_fit_returns_at_its_closed_form_start(data, request):
+    # The censored-data exponential MLE is n_events / sum(times), events at
+    # time 0 included; the fit starts there and takes no step.
+    if data == "simulated":
+        rng = np.random.default_rng(13)
+        t, c = rng.exponential(2.0, size=300), rng.uniform(0.0, 4.0, size=300)
+        sample = validate_sample(zip(np.minimum(t, c).tolist(), (t <= c).tolist()))
+    elif data == "zero_time_event":
+        sample = validate_sample([(0.0, True), (1.0, True), (2.0, True), (3.0, False)])
+    else:
+        sample = request.getfixturevalue(data)
+    fit = fit_model(sample, FamilySpec("exponential"))
+    assert fit.converged and fit.n_iter == 0
+    mle = sample.n_events / math.fsum(sample.times.tolist())
+    assert fit.params.latency[0] == pytest.approx(mle, rel=1e-15, abs=0.0)
 
 
 def test_fit_is_local_maximum_under_perturbation():
@@ -691,10 +771,11 @@ def test_fit_records_metadata():
     fit = fit_model(sample, FamilySpec("exponential", cure=True))
     assert fit.spec.n_params == 2
     assert fit.spec.label == "exponential cure"
-    # Censoring at random leaves no cure fraction: the non-cure fit iterates,
-    # and the cure fit, started from it on the boundary c = 0, stops there.
+    # Censoring at random leaves no cure fraction.  The non-cure fit starts
+    # at its closed-form MLE and stops there, and the cure fit, started from
+    # it on the boundary c = 0, stops there too.
     noncure = fit_model(sample, FamilySpec("exponential"))
-    assert noncure.n_iter > 0 and noncure.cure_score <= 0.0
+    assert noncure.n_iter == 0 and noncure.converged and noncure.cure_score <= 0.0
     assert fit.n_iter == 0 and fit.cure_score is None
 
 

@@ -476,6 +476,20 @@ def test_cli_fit_at_the_largest_level_below_one(cure_csv, capsys):
     assert 0.0 < lo < parsed["params"]["cure_fraction"] < hi <= 1.0
 
 
+@pytest.mark.parametrize(
+    "level, label",
+    [("0.95", "95%"), ("0.975", "97.5%"), ("0.999", "99.9%"),
+     ("0.9999999999999999", "99.99999999999999%")],
+)
+def test_cli_fit_text_labels_intervals_with_the_levels_own_digits(cure_csv, capsys, level, label):
+    # A rounded label would call both 0.999 and 0.9999999999999999 "100%".
+    assert main(["fit", cure_csv, "--family", "weibull", "--cure", "--level", level]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert len(lines) == 3
+    for line in lines:
+        assert line.endswith(f"] at {label}"), line
+
+
 def test_cli_fit_names_an_interval_that_overflows(tmp_path, capsys):
     # At the 95% level the scale interval's upper end is a float; at 99.9%
     # it passes the largest one, and the intervals give way to a note.
