@@ -19,14 +19,14 @@ probability: S(t) = c + (1-c) S0(t) and f(t) = (1-c) f0(t).
 evaluate S0 and its inverse; both check ``params`` against ``spec`` and read
 only its latency, so a cure spec's fraction is validated but not used.
 
-Fitting maximizes the censored-data log-likelihood
-sum_events log f + sum_censored log S over a transformed space (logit of
-the cure fraction, boxed to [-40, 40], and log of each latency parameter)
-with a trust-region Newton method: each step solves
-the quadratic model exactly within the trust radius (the Newton step from
-a Cholesky factor when it is positive definite and the step fits, an
-eigendecomposition otherwise), and the radius follows
-the ratio of actual to predicted gain.  A fit has converged when every
+Fitting maximizes the censored-data log-likelihood sum_events log f +
+sum_censored log S over logit c and the log of each latency parameter.
+The optimizer, ``_trust_region``, knows no model: it maximizes a function
+in a box by a trust-region Newton method.  Each step solves the quadratic
+model exactly within the trust radius (the Newton step from a Cholesky
+factor when it is positive definite and the step fits, the boundary step
+from an eigendecomposition otherwise), and the radius follows the ratio
+of actual to predicted gain.  A fit has converged when every
 gradient component is within 1e-8 in absolute value.  Scores and second
 derivatives are exact, with no finite differences, so their rounding stays
 far below that tolerance even for millions of records: each family gives
@@ -38,10 +38,12 @@ from one pass over its arrays; one shared cure layer computes S0 once and
 chains them through the mixture and logit c.  Their Hessian at the
 returned point is the observed information behind the standard errors.
 
-Every fit runs in one loop, ``_fits``, which builds the sample's likelihood
-cache and reads what the start values need (``_start_basis``: the event
-times, their mean, the exposure per event and the Kaplan-Meier tail) once,
-then fits each family without and then with a cure fraction.  A fit starts
+Every fit runs in one loop, ``_fits``, the one place that knows the model:
+it builds the sample's likelihood cache and reads what the start values
+need (``_start_basis``: the event times, their mean, the exposure per event
+and the Kaplan-Meier tail) once, then fits each family without and then
+with a cure fraction, each from its objective and box (``_objective``:
+logit c in [-40, 40], the rest unbounded) and its start.  A fit starts
 from ``_initial_params``, except a cure fit on the boundary.  A non-cure
 fit starts on the exposure scale sum(times) / n_events, the inverse of the
 closed-form exponential MLE and the shape-1 member of the Weibull and gamma
@@ -53,15 +55,11 @@ d loglik / dc = sum_censored w (1 - S0) / S0 - n_events, comes off the
 log S0 of that fit's last evaluation.  When the non-cure fit converged
 with a score <= 0, the cure fit starts at logit c = -40 and the point the
 non-cure fit returned, so its latency is the non-cure estimate bit for
-bit; on data without a cure fraction it stops there in 0 iterations,
-where a start from ``_initial_params`` walks 20-35 iterations down the
-c -> 0 ridge.  A cure fit that ends on the boundary has no standard
-errors: logit c has none there.
-
-A boundary start's first point has the latency the non-cure fit ended
-on, so that evaluation takes the family terms (``_Family.derivatives``)
-the non-cure fit computed there, and the gamma kernel and the other family
-work are not repeated.
+bit and its first evaluation reuses the family terms
+(``_Family.derivatives``) the non-cure fit computed there.  On data
+without a cure fraction it stops there in 0 iterations, where a start from
+``_initial_params`` walks 20-35 iterations down the c -> 0 ridge.  A cure
+fit that ends on the boundary has no standard errors: logit c has none there.
 
 A trust region that does not converge returns its best point with
 ``converged=False``; the assessment names such a fit in its notes and
@@ -542,10 +540,6 @@ def log_likelihood(spec: FamilySpec, params: Params, sample: SurvivalSample) -> 
     return ll if not math.isnan(ll) else -math.inf
 
 
-def _aic_value(k: int, log_lik: float) -> float:
-    return 2.0 * k - 2.0 * log_lik
-
-
 # ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------
@@ -558,12 +552,15 @@ class ModelFit:
     spec: FamilySpec
     params: Params
     log_likelihood: float
-    aic: float
     converged: bool
     n_iter: int
     standard_errors: tuple[float, ...] | None = None
     se_diagnostic: str | None = None
     cure_score: float | None = None  # converged non-cure fits: d loglik / dc at c = 0
+
+    @property
+    def aic(self) -> float:
+        return 2.0 * self.spec.n_params - 2.0 * self.log_likelihood
 
     @property
     def param_dict(self) -> dict[str, float]:
@@ -596,23 +593,13 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def _transform(spec: FamilySpec, params: Params) -> np.ndarray:
-    x = []
-    if spec.cure:
-        x.append(_logit(float(params.cure_fraction)))  # type: ignore[arg-type]
-    x.extend(math.log(float(v)) for v in params.latency)
-    return np.array(x, dtype=float)
+    cure = [_logit(float(params.cure_fraction))] if spec.cure else []  # type: ignore[arg-type]
+    return np.array(cure + [math.log(float(v)) for v in params.latency])
 
 
 def _untransform(spec: FamilySpec, x: np.ndarray) -> Params:
-    i = 0
-    cure_fraction = None
-    if spec.cure:
-        cure_fraction = _expit(float(x[0]))
-        i = 1
-    latency = tuple(
-        math.exp(min(max(float(v), -_LOG_CLAMP), _LOG_CLAMP)) for v in x[i:]
-    )
-    return Params(latency=latency, cure_fraction=cure_fraction)
+    latency = (math.exp(min(max(float(v), -_LOG_CLAMP), _LOG_CLAMP)) for v in x[int(spec.cure):])
+    return Params(tuple(latency), _expit(float(x[0])) if spec.cure else None)
 
 
 def _start_basis(sample: SurvivalSample):
@@ -687,10 +674,10 @@ def _newton_step(g: np.ndarray, b: np.ndarray, radius: float):
 def _tr_step(g: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     """Minimizer of g.s + s.b.s / 2 over |s| <= radius (Moré & Sorensen 1983).
 
-    The Newton step comes first, from a Cholesky factor (``_newton_step``);
-    the eigendecomposition below runs only when b is not positive definite
-    or that step leaves the radius.
-    On the boundary (b + mu I) s = -g with mu > max(0, -lambda_min): Newton's
+    The interior step is the Newton step from a Cholesky factor
+    (``_newton_step``); when b is not positive definite or that step leaves
+    the radius, the eigendecomposition below finds the step on the boundary,
+    (b + mu I) s = -g with mu > max(0, -lambda_min): Newton's
     method on 1/radius - 1/|s(mu)|, bisecting whenever a step leaves the
     bracket.  When g has no component along the lowest eigenvector (the
     "hard case") no such mu exists, and that eigenvector fills the step up
@@ -703,10 +690,6 @@ def _tr_step(g: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     a = v.T @ g
     # A step whose norm overflows or is NaN fails every `<=` test against the radius.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if lam[0] > 0.0:
-            s = -(v @ (a / lam))
-            if np.linalg.norm(s) <= radius:
-                return s
         # |s(mu)| > radius below the root, |s(mu)| <= radius from `above` on.
         below = max(0.0, -lam[0])
         above = mu = below + float(np.linalg.norm(g)) / radius
@@ -738,14 +721,17 @@ def _finite(point) -> bool:
     return math.isfinite(ll) and bool(np.isfinite(g).all() and np.isfinite(h).all())
 
 
-def _trust_region(spec: FamilySpec, cache: _LikCache, x: np.ndarray, point):
-    """Maximize the log-likelihood from x, where point = _loglik_derivatives at x.
+def _trust_region(evaluate, x: np.ndarray, point, lo: np.ndarray | None, hi: np.ndarray | None):
+    """Maximize ``evaluate`` from x over the box [lo, hi], or everywhere when both are None.
 
-    Returns (x, (ll, g, H, terms), iterations, converged).  A step is taken
-    when it gains at least a tenth of the quadratic model's predicted gain,
-    or when both gains are below the rounding noise of the log-likelihood;
-    the radius shrinks on poor agreement and grows on good agreement at the
-    boundary.  Converged means every gradient component is within _GTOL.
+    ``evaluate(x)`` returns (value, gradient, Hessian, extra), the extra
+    carried along unread, and point = evaluate(x).  Returns (x, point,
+    iterations, converged).  A trial point is x plus the step, clipped into
+    the box (the step is then what the clip leaves of it); it is taken when
+    finite and it gains at least a tenth of the quadratic model's predicted
+    gain, or both gains are below the value's rounding noise.  The radius
+    shrinks on poor agreement and grows on good agreement at the boundary.
+    Converged: every gradient component within _GTOL.
     """
     radius = 1.0
     finite_start = _finite(point)  # a step is taken only to a finite point
@@ -757,11 +743,11 @@ def _trust_region(spec: FamilySpec, cache: _LikCache, x: np.ndarray, point):
             break
         s = _tr_step(-g, -h, radius)
         x_new = x + s
-        if spec.cure:
-            x_new[0] = min(max(x_new[0], -_LOGIT_BOX), _LOGIT_BOX)
+        if lo is not None:  # unboxed, s keeps the bits _tr_step gave it
+            x_new = np.clip(x_new, lo, hi)
             s = x_new - x
         pred = float(g @ s + 0.5 * s @ h @ s)
-        new = _loglik_derivatives(spec, _untransform(spec, x_new), cache)
+        new = evaluate(x_new)
         gain = new[0] - ll
         noise = 1e-13 * max(1.0, abs(ll))
         finite = _finite(new)
@@ -777,6 +763,18 @@ def _trust_region(spec: FamilySpec, cache: _LikCache, x: np.ndarray, point):
         if rho > 0.1:
             x, point = x_new, new
     return x, point, it, False
+
+
+def _objective(spec: FamilySpec, cache: _LikCache):
+    """``_trust_region``'s (evaluate, lo, hi) for ``spec``: ``_loglik_derivatives`` at the
+    fitting coordinates, ``terms`` passed on; a box of +-``_LOGIT_BOX`` on logit c, if any."""
+    def evaluate(x, terms=None):
+        return _loglik_derivatives(spec, _untransform(spec, x), cache, terms)
+
+    if not spec.cure:
+        return evaluate, None, None
+    hi = np.array([_LOGIT_BOX] + [math.inf] * len(spec.latency_param_names))
+    return evaluate, -hi, hi
 
 
 def fit_model(sample: SurvivalSample, spec: FamilySpec) -> ModelFit:
@@ -803,7 +801,7 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
     cache = _build_cache(sample)
     basis = _start_basis(sample)
     for family in families:
-        noncure = noncure_x = end_terms = None
+        score = noncure_x = end_terms = None
         for spec in (FamilySpec(family), FamilySpec(family, cure=True)):
             try:
                 if sample.n_events == 0:
@@ -815,7 +813,6 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
                     )
                 _check_zero_events(spec, cache, fitting=True)
 
-                score = noncure.cure_score if noncure is not None else None
                 if score is not None and score <= 0.0:
                     x = np.concatenate([[-_LOGIT_BOX], noncure_x])
                     terms = end_terms
@@ -824,11 +821,12 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
                     check_params(spec, init)
                     x = _transform(spec, init)
                     terms = None
-                point = _loglik_derivatives(spec, _untransform(spec, x), cache, terms)
+                evaluate, lo, hi = _objective(spec, cache)
+                point = evaluate(x, terms)
                 if not math.isfinite(point[0]):
                     raise FitError(f"initial parameters give a non-finite {spec.label} likelihood")
 
-                x, point, n_iter, converged = _trust_region(spec, cache, x, point)
+                x, point, n_iter, converged = _trust_region(evaluate, x, point, lo, hi)
 
                 params = _untransform(spec, x)
                 ll, _, h, terms = point
@@ -843,7 +841,6 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
                     spec=spec,
                     params=params,
                     log_likelihood=ll,
-                    aic=_aic_value(spec.n_params, ll),
                     converged=converged,
                     n_iter=n_iter,
                     standard_errors=se,
@@ -853,7 +850,7 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
                     ),
                 )
                 if not spec.cure:
-                    noncure, noncure_x, end_terms = fit, x, terms
+                    score, noncure_x, end_terms = fit.cure_score, x, terms
             except CurecheckError as exc:
                 fit = exc
             yield spec, fit

@@ -25,8 +25,8 @@ from curecheck.diagnostics import alpha_n_test
 from curecheck.models import (
     FAMILIES,
     FamilySpec,
+    ModelFit,
     Params,
-    _aic_value,
     fit_model,
     latency_quantile,
     log_likelihood,
@@ -78,7 +78,8 @@ def test_criterion_1_worked_example_quantities():
 
 def test_criterion_2_aic_identity():
     """AIC arithmetic matches the published value for k=3, loglik=-265.9932."""
-    got = _aic_value(3, -265.9932)
+    spec = FamilySpec("weibull", cure=True)  # k = 3
+    got = ModelFit(spec, Params((1.0, 1.0), 0.5), -265.9932, converged=True, n_iter=0).aic
     ok = abs(got - 537.9864) <= 1e-3
     _line(2, ok, f"aic(3, -265.9932) = {got:.4f}")
     assert ok, got
@@ -303,7 +304,7 @@ def test_criterion_8_property_suite():
     id_ok = abs(base.s_at_tau - (cval + (1 - cval) * base.s0_at_tau)) <= 1e-12
     id_ok &= abs(base.r_hat - base.s0_at_tau / base.s_at_tau) <= 1e-12
     fit = fit_model(sample, FamilySpec("weibull", cure=True))
-    id_ok &= _aic_value(fit.spec.n_params, fit.log_likelihood) == fit.aic
+    id_ok &= 2.0 * fit.spec.n_params - 2.0 * fit.log_likelihood == fit.aic
 
     # (d) gradient at the optimum below 1e-3 on the transformed scale
     cf = fit.params.cure_fraction

@@ -146,7 +146,6 @@ def _fake_fit(spec, aic, converged=True):
             cure_fraction=0.4 if spec.cure else None,
         ),
         log_likelihood=spec.n_params - aic / 2.0,
-        aic=aic,
         converged=converged,
         n_iter=10,
     )

@@ -23,11 +23,12 @@ from curecheck.models import (
     latency_survival,
     log_likelihood,
     wald_intervals,
+    _MAX_ITER,
     _TABLE,
-    _aic_value,
     _build_cache,
     _initial_params,
     _loglik_derivatives,
+    _objective,
     _start_basis,
     _tr_step,
     _transform,
@@ -101,7 +102,7 @@ def test_check_params_cure_fraction_rules():
 def test_params_as_dict_orders_cure_first():
     spec = FamilySpec("weibull", cure=True)
     params = Params(latency=(0.8, 1.2), cure_fraction=0.4)
-    d = ModelFit(spec, params, log_likelihood=-10.0, aic=26.0, converged=True, n_iter=5).param_dict
+    d = ModelFit(spec, params, log_likelihood=-10.0, converged=True, n_iter=5).param_dict
     assert list(d) == ["cure_fraction", "shape", "scale"]
     assert d["scale"] == 1.2
 
@@ -427,9 +428,14 @@ def test_objective_is_infinite_where_the_cure_fraction_rounds_to_one(long_follow
 
 
 def test_aic_values():
-    assert _aic_value(3, -265.9932) == pytest.approx(537.9864, abs=1e-3)
-    assert _aic_value(0, 0.0) == 0.0
-    assert _aic_value(2, -100.0) == 204.0
+    def aic(family, cure, ll):
+        spec = FamilySpec(family, cure=cure)
+        params = Params((1.0,) * len(spec.latency_param_names), 0.5 if cure else None)
+        return ModelFit(spec, params, log_likelihood=ll, converged=True, n_iter=0).aic
+
+    assert aic("weibull", True, -265.9932) == pytest.approx(537.9864, abs=1e-3)
+    assert aic("exponential", False, 0.0) == 2.0
+    assert aic("weibull", False, -100.0) == 204.0
 
 
 def test_aic_recomputation_is_bit_exact():
@@ -437,7 +443,7 @@ def test_aic_recomputation_is_bit_exact():
     y = rng.exponential(size=60)
     sample = validate_sample([(float(t), True) for t in y])
     fit = fit_model(sample, FamilySpec("exponential"))
-    assert _aic_value(fit.spec.n_params, fit.log_likelihood) == fit.aic  # bitwise
+    assert 2.0 * fit.spec.n_params - 2.0 * fit.log_likelihood == fit.aic  # bitwise
 
 
 # ---------------------------------------------------------------------------
@@ -651,16 +657,56 @@ def test_trust_region_takes_no_step_from_a_start_without_finite_derivatives(long
     # ~1e-162 the Hessian is not (the shape squared underflows), and the
     # second start also has a NaN score.  Only finite points are ever stepped
     # to, so a start like these is returned at once, not converged.
-    spec = FamilySpec("gamma")
-    cache = _build_cache(long_followup_sample)
+    evaluate, lo, hi = _objective(FamilySpec("gamma"), _build_cache(long_followup_sample))
     x = np.array([math.log(1e-300), 0.0])
     with np.errstate(invalid="ignore"):
-        ll, g, h, terms = _loglik_derivatives(spec, _untransform(spec, x), cache)
+        ll, g, h, terms = evaluate(x)
     assert math.isfinite(ll) and np.all(np.isfinite(g)) and not np.all(np.isfinite(h))
     for point in ((ll, g, h, terms), (ll, np.array([math.nan, g[1]]), h, terms)):
-        x_end, end, n_iter, converged = _trust_region(spec, cache, x.copy(), point)
+        x_end, end, n_iter, converged = _trust_region(evaluate, x.copy(), point, lo, hi)
         assert n_iter == 0 and not converged
         assert end is point and np.array_equal(x_end, x)
+
+
+def _concave_quadratic(visited):
+    """f(x) = -(x - m).A.(x - m) / 2 with its maximum at m = (3, -2), as an
+    objective for ``_trust_region``; every point evaluated goes to ``visited``."""
+    a, m = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([3.0, -2.0])
+
+    def evaluate(x):
+        visited.append(x.copy())
+        d = x - m
+        return -0.5 * float(d @ a @ d), -(a @ d), -a, "extra"
+
+    return evaluate
+
+
+def test_trust_region_maximizes_a_concave_quadratic():
+    # From 0 the Newton step to m is longer than the radius, so the first
+    # steps lie on the boundary; once the radius has grown it takes m.
+    visited = []
+    evaluate = _concave_quadratic(visited)
+    x0 = np.zeros(2)
+    x, point, n_iter, converged = _trust_region(evaluate, x0, evaluate(x0), None, None)
+    assert converged and n_iter == 3 and len(visited) == 4
+    np.testing.assert_allclose(x, [3.0, -2.0], rtol=0.0, atol=1e-12)
+    assert point[0] == pytest.approx(0.0, abs=1e-24) and point[3] == "extra"
+    assert np.array_equal(visited[-1], x)
+
+
+def test_trust_region_stays_in_a_box_that_cuts_off_the_maximum():
+    # The box caps x0 at 1 < 3: every trial point is clipped into it, the
+    # fit ends on that bound with the gradient still pointing out, and so
+    # never converges.  It still ends above its start.
+    visited = []
+    evaluate = _concave_quadratic(visited)
+    lo, hi = np.array([-1.0, -math.inf]), np.array([1.0, math.inf])
+    x0 = np.zeros(2)
+    start = evaluate(x0)
+    x, point, n_iter, converged = _trust_region(evaluate, x0, start, lo, hi)
+    assert not converged and n_iter == _MAX_ITER
+    assert all(np.all(lo <= v) and np.all(v <= hi) for v in visited)
+    assert x[0] == hi[0] and point[1][0] > 0.0 and point[0] > start[0]
 
 
 def test_fit_never_worse_than_initializer():
@@ -884,13 +930,19 @@ def test_fit_model_fits_only_what_its_spec_needs(monkeypatch):
     from curecheck import models
 
     sample = validate_sample([(t, t < 4.0) for t in (0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 6.0)])
-    specs = []
-    trust_region = models._trust_region
+    objective, trust_region = models._objective, models._trust_region
+    spec_of, specs = {}, []
 
-    def counted(spec, *args):
-        specs.append(spec)
-        return trust_region(spec, *args)
+    def built(spec, cache):
+        evaluate, lo, hi = objective(spec, cache)
+        spec_of[evaluate] = spec
+        return evaluate, lo, hi
 
+    def counted(evaluate, *args):
+        specs.append(spec_of[evaluate])
+        return trust_region(evaluate, *args)
+
+    monkeypatch.setattr(models, "_objective", built)
     monkeypatch.setattr(models, "_trust_region", counted)
     fit_model(sample, FamilySpec("weibull"))
     assert specs == [FamilySpec("weibull")]
@@ -929,9 +981,9 @@ def test_boundary_start_never_lowers_a_cure_fit():
             noncure = fit_model(sample, FamilySpec(family))
             spec = FamilySpec(family, cure=True)
             fit = fit_model(sample, spec)
+            evaluate, lo, hi = _objective(spec, cache)
             x = _transform(spec, _initial_params(spec, _start_basis(sample)))
-            point = _loglik_derivatives(spec, _untransform(spec, x), cache)
-            _, (cold, *_), _, _ = _trust_region(spec, cache, x, point)
+            _, (cold, *_), _, _ = _trust_region(evaluate, x, evaluate(x), lo, hi)
             assert fit.log_likelihood >= cold - 1e-9, (i, family)
             if noncure.cure_score <= 0.0:
                 on_boundary += 1
