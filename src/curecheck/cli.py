@@ -181,7 +181,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     sample = read_csv(args.data, args.time_col, args.event_col, args.time_scale)
     spec = FamilySpec(args.family, cure=args.cure)
     fit = fit_model(sample, spec)
-    intervals = wald_intervals(fit, args.level)
+    intervals = wald_intervals(fit, sample, args.level)
     if args.format == "json":
         payload = {
             "family": spec.family,

@@ -22,7 +22,7 @@ only its latency, so a cure spec's fraction is validated but not used.
 Fitting maximizes the censored-data log-likelihood sum_events log f +
 sum_censored log S over logit c and the log of each latency parameter.
 The optimizer, ``_trust_region``, knows no model: it maximizes a function
-in a box by a trust-region Newton method.  Each step solves the quadratic
+by a trust-region Newton method.  Each step solves the quadratic
 model exactly within the trust radius (the Newton step from a Cholesky
 factor when it is positive definite and the step fits, the boundary step
 from an eigendecomposition otherwise), and the radius follows the ratio
@@ -36,19 +36,23 @@ derivatives of log Q in the shape, which come with log Q from one quadrature
 over the sorted censoring times), each Hessian as its distinct entries,
 from one pass over its arrays; one shared cure layer computes S0 once and
 chains them through the mixture and logit c.  Their Hessian at the
-returned point is the observed information behind the standard errors.
+returned point is the observed information, which ``wald_intervals``
+evaluates there when intervals are asked for.  The coordinates are not
+boxed: ``_untransform`` clamps logit c to [-40, 40] (beyond -40 the
+objective is flat at c = expit(-40)) and each log latency parameter to
+the log of the largest float, so every point maps to parameters.
 
 Every fit runs in one loop, ``_fits``, the one place that knows the model:
 it builds the sample's likelihood cache and reads what the start values
 need (``_start_basis``: the event times, their mean, the exposure per event
 and the Kaplan-Meier tail) once, then fits each family without and then
-with a cure fraction, each from its objective and box (``_objective``:
-logit c in [-40, 40], the rest unbounded) and its start.  A fit starts
-from ``_initial_params``, except a cure fit on the boundary.  A non-cure
-fit starts on the exposure scale sum(times) / n_events, the inverse of the
-closed-form exponential MLE and the shape-1 member of the Weibull and gamma
-families, so the exponential fit stops at its start; a cold cure fit
-starts on the event-time mean, which tracks the uncured latency.
+with a cure fraction, each from its objective (``_objective``) and its
+start.  A fit starts from ``_initial_params``, except a cure fit on the
+boundary.  A non-cure fit starts on the exposure scale sum(times) /
+n_events, the inverse of the closed-form exponential MLE and the shape-1
+member of the Weibull and gamma families, so the exponential fit stops at
+its start; a cold cure fit starts on the event-time mean, which tracks the
+uncured latency.
 The non-cure model is the c = 0 boundary of the cure model, so a cure fit
 first reads its family's non-cure fit: the cure score there,
 d loglik / dc = sum_censored w (1 - S0) / S0 - n_events, comes off the
@@ -59,7 +63,8 @@ bit and its first evaluation reuses the family terms
 (``_Family.derivatives``) the non-cure fit computed there.  On data
 without a cure fraction it stops there in 0 iterations, where a start from
 ``_initial_params`` walks 20-35 iterations down the c -> 0 ridge.  A cure
-fit that ends on the boundary has no standard errors: logit c has none there.
+fit that ends on the boundary has no Wald intervals: logit c has no
+standard error there.
 
 A trust region that does not converge returns its best point with
 ``converged=False``; the assessment names such a fit in its notes and
@@ -303,10 +308,7 @@ class _LogNormal(_Family):
         return np.where(u > 0.0, scale * np.exp(sigma * z), 0.0)
 
     def start(self, te, scale):
-        pos = te[te > 0.0]
-        if not pos.size:
-            return (1.0, 1.0)
-        logs = np.log(pos)
+        logs = np.log(te)  # fits reject lognormal events at time 0
         return (math.exp(float(logs.mean())), max(float(logs.std()), 0.05))
 
 
@@ -418,8 +420,7 @@ def latency_survival(spec: FamilySpec, params: Params, t) -> float | np.ndarray:
     t1 = np.atleast_1d(tt)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         theta = tuple(float(v) for v in params.latency)
-        out = np.exp(_family(spec.family).log_sf(t1, np.log(t1), *theta))
-    out = np.clip(out, 0.0, 1.0)
+        out = np.exp(np.minimum(_family(spec.family).log_sf(t1, np.log(t1), *theta), 0.0))
     if scalar:
         return float(out[0])
     return out.reshape(tt.shape)
@@ -554,8 +555,6 @@ class ModelFit:
     log_likelihood: float
     converged: bool
     n_iter: int
-    standard_errors: tuple[float, ...] | None = None
-    se_diagnostic: str | None = None
     cure_score: float | None = None  # converged non-cure fits: d loglik / dc at c = 0
 
     @property
@@ -576,7 +575,7 @@ class WaldIntervals:
     diagnostic: str | None = None
 
 
-_LOGIT_BOX = 40.0  # logit c is kept in [-40, 40], _expit's clamp
+_LOGIT_BOX = 40.0  # _expit clamps logit c to [-40, 40]
 
 
 def _expit(v: float) -> float:
@@ -588,7 +587,6 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-_LOG_CLAMP = 700.0
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
@@ -598,7 +596,9 @@ def _transform(spec: FamilySpec, params: Params) -> np.ndarray:
 
 
 def _untransform(spec: FamilySpec, x: np.ndarray) -> Params:
-    latency = (math.exp(min(max(float(v), -_LOG_CLAMP), _LOG_CLAMP)) for v in x[int(spec.cure):])
+    latency = (
+        math.exp(min(max(float(v), -_LOG_FLOAT_MAX), _LOG_FLOAT_MAX)) for v in x[int(spec.cure):]
+    )
     return Params(tuple(latency), _expit(float(x[0])) if spec.cure else None)
 
 
@@ -721,13 +721,12 @@ def _finite(point) -> bool:
     return math.isfinite(ll) and bool(np.isfinite(g).all() and np.isfinite(h).all())
 
 
-def _trust_region(evaluate, x: np.ndarray, point, lo: np.ndarray | None, hi: np.ndarray | None):
-    """Maximize ``evaluate`` from x over the box [lo, hi], or everywhere when both are None.
+def _trust_region(evaluate, x: np.ndarray, point):
+    """Maximize ``evaluate`` from x.
 
     ``evaluate(x)`` returns (value, gradient, Hessian, extra), the extra
     carried along unread, and point = evaluate(x).  Returns (x, point,
-    iterations, converged).  A trial point is x plus the step, clipped into
-    the box (the step is then what the clip leaves of it); it is taken when
+    iterations, converged).  A trial point x plus the step is taken when
     finite and it gains at least a tenth of the quadratic model's predicted
     gain, or both gains are below the value's rounding noise.  The radius
     shrinks on poor agreement and grows on good agreement at the boundary.
@@ -743,9 +742,6 @@ def _trust_region(evaluate, x: np.ndarray, point, lo: np.ndarray | None, hi: np.
             break
         s = _tr_step(-g, -h, radius)
         x_new = x + s
-        if lo is not None:  # unboxed, s keeps the bits _tr_step gave it
-            x_new = np.clip(x_new, lo, hi)
-            s = x_new - x
         pred = float(g @ s + 0.5 * s @ h @ s)
         new = evaluate(x_new)
         gain = new[0] - ll
@@ -766,15 +762,12 @@ def _trust_region(evaluate, x: np.ndarray, point, lo: np.ndarray | None, hi: np.
 
 
 def _objective(spec: FamilySpec, cache: _LikCache):
-    """``_trust_region``'s (evaluate, lo, hi) for ``spec``: ``_loglik_derivatives`` at the
-    fitting coordinates, ``terms`` passed on; a box of +-``_LOGIT_BOX`` on logit c, if any."""
+    """``_trust_region``'s objective for ``spec``: ``_loglik_derivatives`` at the
+    fitting coordinates, ``terms`` passed on."""
     def evaluate(x, terms=None):
         return _loglik_derivatives(spec, _untransform(spec, x), cache, terms)
 
-    if not spec.cure:
-        return evaluate, None, None
-    hi = np.array([_LOGIT_BOX] + [math.inf] * len(spec.latency_param_names))
-    return evaluate, -hi, hi
+    return evaluate
 
 
 def fit_model(sample: SurvivalSample, spec: FamilySpec) -> ModelFit:
@@ -821,30 +814,20 @@ def _fits(sample: SurvivalSample, families: tuple[str, ...]):
                     check_params(spec, init)
                     x = _transform(spec, init)
                     terms = None
-                evaluate, lo, hi = _objective(spec, cache)
+                evaluate = _objective(spec, cache)
                 point = evaluate(x, terms)
                 if not math.isfinite(point[0]):
                     raise FitError(f"initial parameters give a non-finite {spec.label} likelihood")
 
-                x, point, n_iter, converged = _trust_region(evaluate, x, point, lo, hi)
+                x, point, n_iter, converged = _trust_region(evaluate, x, point)
 
-                params = _untransform(spec, x)
-                ll, _, h, terms = point
-                if spec.cure and x[0] <= -_LOGIT_BOX:
-                    se, se_diag = None, (
-                        "the cure fraction sits on the boundary c = 0, where logit c has no "
-                        "finite standard error"
-                    )
-                else:
-                    se, se_diag = _standard_errors(-h)
+                ll, _, _, terms = point
                 fit = ModelFit(
                     spec=spec,
-                    params=params,
+                    params=_untransform(spec, x),
                     log_likelihood=ll,
                     converged=converged,
                     n_iter=n_iter,
-                    standard_errors=se,
-                    se_diagnostic=se_diag,
                     cure_score=(
                         _cure_score(cache, terms[3]) if converged and not spec.cure else None
                     ),
@@ -881,10 +864,13 @@ def _standard_errors(H: np.ndarray):
     return tuple(float(v) for v in np.sqrt(diag)), None
 
 
-def wald_intervals(fit: ModelFit, level: float = 0.95) -> WaldIntervals:
+def wald_intervals(fit: ModelFit, sample: SurvivalSample, level: float = 0.95) -> WaldIntervals:
     """Wald confidence intervals, built on the transformed scale and mapped back.
 
-    The cure fraction interval always lands in (0, 1) and latency intervals
+    ``sample`` is the sample ``fit`` was made on.  The observed information
+    is the negated Hessian of its log-likelihood at the estimates, in the
+    fitting coordinates: the fit's own last evaluation, bit for bit.  The
+    cure fraction interval always lands in (0, 1) and latency intervals
     stay positive because the endpoints are back-transformed through the
     logit / log maps used during fitting.
     """
@@ -892,15 +878,22 @@ def wald_intervals(fit: ModelFit, level: float = 0.95) -> WaldIntervals:
         raise DomainError(f"confidence level must lie strictly in (0, 1), got {level!r}")
     if not fit.converged:
         return WaldIntervals(None, "fit did not converge; intervals unavailable")
-    if fit.standard_errors is None:
-        return WaldIntervals(None, fit.se_diagnostic)
+    if fit.spec.cure and fit.params.cure_fraction <= _expit(-_LOGIT_BOX):
+        return WaldIntervals(None, (
+            "the cure fraction sits on the boundary c = 0, where logit c has no "
+            "finite standard error"
+        ))
+    h = _loglik_derivatives(fit.spec, fit.params, _build_cache(sample))[2]
+    standard_errors, diagnostic = _standard_errors(-h)
+    if standard_errors is None:
+        return WaldIntervals(None, diagnostic)
     # The lower tail: 0.5 * (1 + level) rounds to 1.0 for a level just below 1.
     z = -inv_normal_cdf(0.5 * (1.0 - level))
     x = _transform(fit.spec, fit.params)
     out: dict[str, tuple[float, float]] = {}
     for i, name in enumerate(fit.spec.param_names):
-        lo_t = float(x[i]) - z * fit.standard_errors[i]
-        hi_t = float(x[i]) + z * fit.standard_errors[i]
+        lo_t = float(x[i]) - z * standard_errors[i]
+        hi_t = float(x[i]) + z * standard_errors[i]
         if name == "cure_fraction":
             out[name] = (_expit(lo_t), _expit(hi_t))
         elif hi_t > _LOG_FLOAT_MAX:

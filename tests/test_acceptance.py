@@ -341,7 +341,7 @@ def test_criterion_8_property_suite():
         )
         s, _ = simulate_mixture(cfg)
         f = fit_model(s, FamilySpec("exponential"))
-        lo, hi = wald_intervals(f, level=0.95).intervals["rate"]
+        lo, hi = wald_intervals(f, s, level=0.95).intervals["rate"]
         if lo <= 1.0 <= hi:
             covered += 1
     coverage = covered / 500

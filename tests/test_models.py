@@ -23,7 +23,6 @@ from curecheck.models import (
     latency_survival,
     log_likelihood,
     wald_intervals,
-    _MAX_ITER,
     _TABLE,
     _build_cache,
     _initial_params,
@@ -400,7 +399,7 @@ def test_log_likelihood_at_extreme_parameters(family, cure):
 # AIC
 
 def test_gamma_derivatives_return_at_a_vanishing_shape(long_followup_sample):
-    # Fits bound the log shape only at +-700; below a ~ 1e-162 the shape
+    # Fits clamp the log shape only at +-709.8; below a ~ 1e-162 the shape
     # squared underflows, and the point must still come back.  Its only
     # caller, _loglik_derivatives, ignores floating-point warnings, and a
     # trial point whose Hessian is not finite is rejected as a step.
@@ -470,7 +469,9 @@ def test_exponential_standard_error_matches_observed_information():
     sample = validate_sample(list(zip(np.minimum(y, c).tolist(), (y <= c).tolist())))
     assert 0 < sample.n_events < sample.n
     fit = fit_model(sample, FamilySpec("exponential"))
-    assert fit.standard_errors[0] == pytest.approx(1.0 / math.sqrt(sample.n_events), rel=1e-6)
+    lo, hi = wald_intervals(fit, sample, level=0.95).intervals["rate"]
+    se = math.log(hi / lo) / (2.0 * st.norm.ppf(0.975))
+    assert se == pytest.approx(1.0 / math.sqrt(sample.n_events), rel=1e-6)
 
     # The Weibull at shape 1 and scale T / d is that exponential MLE.  In
     # (log shape, log scale), with r = t / scale and u = log r, its score is
@@ -531,7 +532,7 @@ def _derivative_sample(tied):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_analytic_derivatives_match_finite_differences(family, cure, tied):
     # Three seeded points around the start; for cure specs two of them put
-    # logit c near the lower box edge (-30) and high (4: nearer c = 1 the
+    # logit c low (-30, near the clamp at -40) and high (4: nearer c = 1 the
     # oracle's own rounding, about eps / (1 - c) per event, swamps it).
     # Absolute floors: about five times the stencil's rounding, eps |f| / h
     # and eps |f| / h^2 at h = 1e-4.
@@ -657,13 +658,13 @@ def test_trust_region_takes_no_step_from_a_start_without_finite_derivatives(long
     # ~1e-162 the Hessian is not (the shape squared underflows), and the
     # second start also has a NaN score.  Only finite points are ever stepped
     # to, so a start like these is returned at once, not converged.
-    evaluate, lo, hi = _objective(FamilySpec("gamma"), _build_cache(long_followup_sample))
+    evaluate = _objective(FamilySpec("gamma"), _build_cache(long_followup_sample))
     x = np.array([math.log(1e-300), 0.0])
     with np.errstate(invalid="ignore"):
         ll, g, h, terms = evaluate(x)
     assert math.isfinite(ll) and np.all(np.isfinite(g)) and not np.all(np.isfinite(h))
     for point in ((ll, g, h, terms), (ll, np.array([math.nan, g[1]]), h, terms)):
-        x_end, end, n_iter, converged = _trust_region(evaluate, x.copy(), point, lo, hi)
+        x_end, end, n_iter, converged = _trust_region(evaluate, x.copy(), point)
         assert n_iter == 0 and not converged
         assert end is point and np.array_equal(x_end, x)
 
@@ -687,26 +688,11 @@ def test_trust_region_maximizes_a_concave_quadratic():
     visited = []
     evaluate = _concave_quadratic(visited)
     x0 = np.zeros(2)
-    x, point, n_iter, converged = _trust_region(evaluate, x0, evaluate(x0), None, None)
+    x, point, n_iter, converged = _trust_region(evaluate, x0, evaluate(x0))
     assert converged and n_iter == 3 and len(visited) == 4
     np.testing.assert_allclose(x, [3.0, -2.0], rtol=0.0, atol=1e-12)
     assert point[0] == pytest.approx(0.0, abs=1e-24) and point[3] == "extra"
     assert np.array_equal(visited[-1], x)
-
-
-def test_trust_region_stays_in_a_box_that_cuts_off_the_maximum():
-    # The box caps x0 at 1 < 3: every trial point is clipped into it, the
-    # fit ends on that bound with the gradient still pointing out, and so
-    # never converges.  It still ends above its start.
-    visited = []
-    evaluate = _concave_quadratic(visited)
-    lo, hi = np.array([-1.0, -math.inf]), np.array([1.0, math.inf])
-    x0 = np.zeros(2)
-    start = evaluate(x0)
-    x, point, n_iter, converged = _trust_region(evaluate, x0, start, lo, hi)
-    assert not converged and n_iter == _MAX_ITER
-    assert all(np.all(lo <= v) and np.all(v <= hi) for v in visited)
-    assert x[0] == hi[0] and point[1][0] > 0.0 and point[0] > start[0]
 
 
 def test_fit_never_worse_than_initializer():
@@ -934,9 +920,9 @@ def test_fit_model_fits_only_what_its_spec_needs(monkeypatch):
     spec_of, specs = {}, []
 
     def built(spec, cache):
-        evaluate, lo, hi = objective(spec, cache)
+        evaluate = objective(spec, cache)
         spec_of[evaluate] = spec
-        return evaluate, lo, hi
+        return evaluate
 
     def counted(evaluate, *args):
         specs.append(spec_of[evaluate])
@@ -981,9 +967,9 @@ def test_boundary_start_never_lowers_a_cure_fit():
             noncure = fit_model(sample, FamilySpec(family))
             spec = FamilySpec(family, cure=True)
             fit = fit_model(sample, spec)
-            evaluate, lo, hi = _objective(spec, cache)
+            evaluate = _objective(spec, cache)
             x = _transform(spec, _initial_params(spec, _start_basis(sample)))
-            _, (cold, *_), _, _ = _trust_region(evaluate, x, evaluate(x), lo, hi)
+            _, (cold, *_), _, _ = _trust_region(evaluate, x, evaluate(x))
             assert fit.log_likelihood >= cold - 1e-9, (i, family)
             if noncure.cure_score <= 0.0:
                 on_boundary += 1
@@ -994,17 +980,18 @@ def test_boundary_start_never_lowers_a_cure_fit():
 
 
 def test_boundary_cure_fit_has_no_wald_intervals(short_days_sample):
-    # On the short-days data the lognormal cure fit stays on the box edge
-    # logit c = -40, where the logit-c SE would be ~1e8: no SEs, and the
-    # diagnostic reaches the intervals.
+    # On the short-days data the lognormal cure fit stays at logit c = -40,
+    # the end of _expit's clamp, where the logit-c SE would be ~1e8: no
+    # intervals, and the diagnostic names the boundary.
     fit = fit_model(short_days_sample, FamilySpec("lognormal", cure=True))
     assert fit.converged and fit.n_iter == 0
     assert fit.params.cure_fraction < 1e-17
-    assert fit.standard_errors is None
-    assert "boundary c = 0" in fit.se_diagnostic
-    iv = wald_intervals(fit)
+    iv = wald_intervals(fit, short_days_sample)
     assert iv.intervals is None
-    assert iv.diagnostic == fit.se_diagnostic
+    assert iv.diagnostic == (
+        "the cure fraction sits on the boundary c = 0, where logit c has no "
+        "finite standard error"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1022,12 +1009,12 @@ def _cure_fit(seed=101, n=300):
         seed=seed,
     )
     sample, _ = simulate_mixture(cfg)
-    return fit_model(sample, FamilySpec("weibull", cure=True))
+    return fit_model(sample, FamilySpec("weibull", cure=True)), sample
 
 
 def test_wald_intervals_symmetric_on_transformed_scale():
-    fit = _cure_fit()
-    iv = wald_intervals(fit, level=0.95)
+    fit, sample = _cure_fit()
+    iv = wald_intervals(fit, sample, level=0.95)
     assert iv.intervals is not None
     est = fit.param_dict
     for name, (lo, hi) in iv.intervals.items():
@@ -1043,29 +1030,29 @@ def test_wald_intervals_symmetric_on_transformed_scale():
 
 
 def test_wald_intervals_widen_with_level():
-    fit = _cure_fit()
-    narrow = wald_intervals(fit, level=0.80).intervals
-    wide = wald_intervals(fit, level=0.99).intervals
+    fit, sample = _cure_fit()
+    narrow = wald_intervals(fit, sample, level=0.80).intervals
+    wide = wald_intervals(fit, sample, level=0.99).intervals
     for name in narrow:
         assert wide[name][0] < narrow[name][0]
         assert wide[name][1] > narrow[name][1]
 
 
 def test_wald_intervals_at_the_largest_level_below_one():
-    fit = _cure_fit()
+    fit, sample = _cure_fit()
     level = 0.9999999999999999  # 1 - 2**-53; 0.5 * (1 + level) rounds to 1.0
-    widest = wald_intervals(fit, level=level).intervals
-    narrow = wald_intervals(fit, level=0.99).intervals
+    widest = wald_intervals(fit, sample, level=level).intervals
+    narrow = wald_intervals(fit, sample, level=0.99).intervals
     for name, (lo, hi) in widest.items():
         assert 0.0 < lo < narrow[name][0] and narrow[name][1] < hi
         assert math.isfinite(hi) and (name != "cure_fraction" or hi <= 1.0)
 
 
 def test_wald_intervals_level_validation():
-    fit = _cure_fit()
+    fit, sample = _cure_fit()
     for bad in (0.0, 1.0, -0.2, 1.5, "x", None):
         with pytest.raises(DomainError, match="confidence level"):
-            wald_intervals(fit, bad)
+            wald_intervals(fit, sample, bad)
 
 
 def test_wald_intervals_unavailable_without_convergence(monkeypatch):
@@ -1079,6 +1066,6 @@ def test_wald_intervals_unavailable_without_convergence(monkeypatch):
     assert not fit.converged and fit.n_iter == 0
     start = log_likelihood(fit.spec, _initial_params(fit.spec, _start_basis(sample)), sample)
     assert fit.log_likelihood == start
-    iv = wald_intervals(fit)
+    iv = wald_intervals(fit, sample)
     assert iv.intervals is None
     assert "did not converge" in iv.diagnostic

@@ -226,6 +226,24 @@ def test_decisions_invariant_under_rescaling_by_up_to_a_million(records, seed):
     assert _decisions(rescaled(sample, scale)) == _decisions(sample), scale
 
 
+# At these units the fitted rates reach ~1e305 and the scales ~1e-305, past
+# e^(+-700) but inside the log of the largest float, where the fitting
+# coordinates are clamped.
+@pytest.mark.parametrize("factor", [1e-305, 1e305])
+def test_decisions_invariant_at_the_ends_of_the_float_range(factor):
+    config = SimulationConfig(
+        n=500, cure_fraction=0.4, family="weibull", latency=(0.8, 0.8),
+        censoring=CompositeCensoring(7.3, 14.6), seed=7,
+    )
+    demo = simulate_mixture(config)[0]  # the README demo
+    base, other = receus_assess(demo), receus_assess(rescaled(demo, factor))
+    assert other.verdict == base.verdict == "appropriate"
+    assert other.selected.spec == base.selected.spec
+    assert [r.fit.converged for r in other.model_table] == [True] * 10
+    assert other.notes == base.notes
+    assert other.cure_fraction == pytest.approx(base.cure_fraction, rel=0.0, abs=1e-15)
+
+
 @pytest.mark.parametrize("records", [_SAMPLE_A, _SAMPLE_B], ids=["A", "B"])
 def test_cli_assess_reports_on_small_degenerate_samples(records, tmp_path, capsys):
     path = tmp_path / "small.csv"
@@ -298,7 +316,7 @@ def test_wald_interval_coverage_near_nominal():
         )
         sample, _ = simulate_mixture(cfg)
         fit = fit_model(sample, FamilySpec("exponential"))
-        iv = wald_intervals(fit, level=0.95)
+        iv = wald_intervals(fit, sample, level=0.95)
         lo, hi = iv.intervals["rate"]
         if lo <= 1.0 <= hi:
             covered += 1

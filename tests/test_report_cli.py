@@ -18,7 +18,7 @@ from conftest import records
 
 from curecheck.assessment import AssessmentConfig, receus_assess
 from curecheck.cli import _parse_censoring, build_parser, main, read_csv, write_csv
-from curecheck.errors import DomainError, ValidationError
+from curecheck.errors import DomainError, FitError, ValidationError
 from curecheck.plot import emit_km_plot, km_plot_csv, km_plot_svg
 from curecheck.report import build_report, render_json, render_text, report_schema
 from curecheck.simulate import (
@@ -302,6 +302,38 @@ def test_report_json_keys_follow_the_schema_property_order(small_assessment):
     walk(doc, report_schema())
     # the top level, its six object blocks and the four model rows
     assert len(seen) == 11
+
+
+def test_report_without_a_converged_cure_fit(monkeypatch):
+    # Every cure fit fails: the cure-specific quantities are absent, the
+    # text prints "-" for them and says why, and the JSON's nulls pass the schema.
+    from curecheck.models import _fits
+
+    def noncure_only(sample, families):
+        for spec, fit in _fits(sample, families):
+            yield spec, FitError(f"cannot fit {spec.label}") if spec.cure else fit
+
+    monkeypatch.setattr("curecheck.assessment._fits", noncure_only)
+    cfg = SimulationConfig(
+        n=400,
+        cure_fraction=0.4,
+        family="weibull",
+        latency=(0.8, 0.8),
+        censoring=CompositeCensoring(7.3, 14.6),
+        seed=20001,
+    )
+    sample, _ = simulate_mixture(cfg)
+    a = receus_assess(sample, AssessmentConfig(families=("exponential", "weibull")))
+    assert a.verdict == "not_appropriate_noncure_selected"
+    doc = build_report(a, label="unit")
+    text = render_text(doc)
+    assert "S0(tau) = -, S(tau) = -, uncured-among-survivors r = -\n" in text
+    assert "checks: cure fraction - > 0.025: no; r - < 0.05: no\n" in text
+    assert "  note: no cure fit converged; cure-specific quantities unavailable\n" in text
+    parsed = json.loads(render_json(doc))
+    jsonschema.validate(parsed, report_schema())
+    block = parsed["assessment"]
+    assert [block[k] for k in ("cure_fraction", "s0_at_tau", "s_at_tau", "r_hat")] == [None] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +786,15 @@ def test_cli_simulate_truth_record(tmp_path, capsys):
     assert record["seed"] == 3
 
 
-def test_cli_simulate_bad_censoring_spec(capsys):
+@pytest.mark.parametrize(
+    "params, censoring, message",
+    [
+        ("0.8,0.8", "weekly:1", "censoring"),
+        ("0.8,x", "administrative:1", "bad latency parameters '0.8,x'"),
+    ],
+    ids=["censoring", "params"],
+)
+def test_cli_simulate_bad_censoring_spec(params, censoring, message, capsys):
     code = main(
         [
             "simulate",
@@ -765,14 +805,14 @@ def test_cli_simulate_bad_censoring_spec(capsys):
             "--family",
             "weibull",
             "--params",
-            "0.8,0.8",
+            params,
             "--censoring",
-            "weekly:1",
+            censoring,
         ]
     )
     captured = capsys.readouterr()
     assert code == 1
-    assert "censoring" in captured.err
+    assert message in captured.err
 
 
 def test_cli_censoring_syntax_covers_every_mechanism():
