@@ -63,8 +63,8 @@ class AssessmentConfig:
     families: tuple[str, ...] = FAMILIES
     cure_fraction_threshold: float = 0.025
     r_threshold: float = 0.05
-    tau: float | None = None  # None: the sample's maximum observed time
     alpha_threshold: float = 0.05
+    tau: float | None = None  # None: the sample's maximum observed time
     late_window: float | None = None  # None: 20% of the maximum follow-up
 
     def __post_init__(self):

@@ -1,8 +1,8 @@
 """Parametric latency families, censored-data likelihoods, ML fitting.
 
 Each latency family is one private record, an instance of a ``_Family``
-subclass, in the ordered table ``_TABLE``: parameter names, the one log S0
-formula, the fit engine's terms, quantile, starting values and zero-time-event
+subclass, in the ordered table ``_TABLE``: parameter names, the fit engine's
+terms (the one log S0 formula), quantile, starting values and zero-time-event
 rule.  ``FAMILIES`` is the table's order, also the AIC tie-break order.
 
 Latency parameterizations (all parameters strictly positive):
@@ -18,6 +18,8 @@ probability: S(t) = c + (1-c) S0(t) and f(t) = (1-c) f0(t).
 ``latency_survival(spec, params, t)`` and ``latency_quantile(spec, params, u)``
 evaluate S0 and its inverse; both check ``params`` against ``spec`` and read
 only its latency, so a cure spec's fraction is validated but not used.
+``latency_survival`` reads S0 off the family's terms on an ``_at_times``
+cache.
 
 Fitting maximizes the censored-data log-likelihood sum_events log f +
 sum_censored log S over logit c and the log of each latency parameter.
@@ -90,7 +92,6 @@ from .special import (
     inv_reg_lower_gamma,
     log_gamma,
     log_normal_sf,
-    log_reg_upper_gamma,
 )
 from .survival import SurvivalSample, _is_number, _km_tail
 
@@ -107,9 +108,6 @@ class _Family:
 
     Each method takes the latency parameters last, in ``param_names`` order.
 
-    * ``log_sf(t, log_t, *theta)``: log S0 at times t >= 0 given log_t = log(t),
-      the one log S0 formula (``latency_survival``; ``derivatives`` computes
-      the same values at the censoring times).
     * ``quantile(u, *theta)``: the latency CDF inverted on a 1-D array in [0, 1).
     * ``start(te, scale)``: starting values from the event times and a time
       scale (``_initial_params`` says which).
@@ -121,11 +119,13 @@ class _Family:
       the log parameters, ``(ev, ev_g, ev_h, ls, ls_g, ls_h)``: the sum
       ``ev`` of log f0 over the events of a ``_LikCache``, events at time 0
       included and -inf where f0 vanishes, with its gradient (p,) and
-      Hessian (p(p+1)/2,), and log S0 at the cache's censoring times
-      (``log_sf``) with its gradients (m, p) and Hessians (m, p(p+1)/2).  A
-      Hessian is its distinct entries (00, 01, 11), so a weighted sum over
-      the times is one ``w @ ls_h``.  This is the only event log-density
-      formula; events at time 0 reach it only where the family allows them.
+      Hessian (p(p+1)/2,), and log S0 at the cache's censoring times with
+      its gradients (m, p) and Hessians (m, p(p+1)/2).  A Hessian is its
+      distinct entries (00, 01, 11), so a weighted sum over the times is one
+      ``w @ ls_h``.  This is the family's only log S0 formula, which
+      ``latency_survival`` reads on an ``_at_times`` cache, and its only event
+      log-density formula; events at time 0 reach it only where the family
+      allows them.
     """
 
     param_names: tuple[str, ...]
@@ -136,12 +136,9 @@ class _Exponential(_Family):
     param_names = ("rate",)
     zero_events = "allowed"
 
-    def log_sf(self, t, log_t, rate):
-        return -rate * t
-
     def derivatives(self, cache, rate):
-        ls = self.log_sf(cache.tc, cache.log_tc, rate)
-        bt = rate * cache.sum_te
+        ls = -rate * cache.tc
+        bt = float(np.ldexp(rate * cache.sum_te, cache.unit))
         ev = cache.n_events * math.log(rate) - bt
         ev_g, ev_h = np.array([cache.n_events - bt]), np.array([-bt])
         return ev, ev_g, ev_h, ls, ls[:, None], ls[:, None]
@@ -171,9 +168,6 @@ class _ShapeScale(_Family):
             - self.event_weight * float(cache.we @ g)
         )
 
-    def log_sf(self, t, log_t, shape, scale):
-        return -self.jet(shape * (log_t - math.log(scale)))[0]
-
     def _jet_terms(self, log_t, shape, log_scale):
         """G with the gradient (m, 2) and Hessian entries (m, 3) of -G."""
         z = shape * (log_t - log_scale)
@@ -194,6 +188,9 @@ class _ShapeScale(_Family):
             np.array([shape * a, -n * shape, 0.0]) + self.event_weight * (cache.we @ eh),
             -gc, cg, ch,
         )
+
+    def start(self, te, scale):
+        return (1.0, scale)
 
 
 class _Weibull(_ShapeScale):
@@ -220,16 +217,10 @@ class _Weibull(_ShapeScale):
     def quantile(self, u, shape, scale):
         return scale * np.power(-np.log1p(-u), 1.0 / shape)
 
-    def start(self, te, scale):
-        return (1.0, scale)
-
 
 class _Gamma(_Family):
     param_names = ("shape", "rate")
     zero_events = "outside support"
-
-    def log_sf(self, t, log_t, shape, rate):
-        return log_reg_upper_gamma(shape, rate * t)
 
     def derivatives(self, cache, shape, rate):
         # Rate: through x r = x g(k, x) / Q(k, x), with g the Gamma(k, 1)
@@ -238,7 +229,7 @@ class _Gamma(_Family):
         psi, psi1 = _digamma_trigamma(shape)
         n, log_rate = cache.n_events, math.log(rate)
         a = n * log_rate + cache.sum_log_te - n * psi
-        bt = rate * cache.sum_te
+        bt = float(np.ldexp(rate * cache.sum_te, cache.unit))
         ev = n * (shape * log_rate - log_gamma(shape)) + (shape - 1.0) * cache.sum_log_te - bt
         ev_g = np.array([shape * a, n * shape - bt])
         ev_h = np.array([shape * a - n * shape * shape * psi1, n * shape, -bt])
@@ -274,16 +265,10 @@ class _LogLogistic(_ShapeScale):
         with np.errstate(divide="ignore"):
             return scale * np.power(u / (1.0 - u), 1.0 / shape)
 
-    def start(self, te, scale):
-        return (1.0, scale)
-
 
 class _LogNormal(_Family):
     param_names = ("scale", "sigma")
     zero_events = "outside support"
-
-    def log_sf(self, t, log_t, scale, sigma):
-        return log_normal_sf((log_t - math.log(scale)) / sigma)
 
     def derivatives(self, cache, scale, sigma):
         log_scale = math.log(scale)
@@ -295,7 +280,7 @@ class _LogNormal(_Family):
         ev_g = np.array([s1 / sigma, s2 - n])
         ev_h = np.array([-n / sigma2, -2.0 * s1 / sigma, -2.0 * s2])
         z = (cache.log_tc - log_scale) / sigma
-        ls = log_normal_sf(z)  # log_sf at the censoring times
+        ls = log_normal_sf(z)  # log S0 at the censoring times
         lam = np.exp(-0.5 * z * z - 0.5 * _LOG_2PI - ls)  # hazard of z: phi / (1 - Phi)
         dlam = lam * (lam - z)
         b = dlam * z + lam
@@ -417,10 +402,10 @@ def latency_survival(spec: FamilySpec, params: Params, t) -> float | np.ndarray:
     tt = np.asarray(t, dtype=float)
     if np.any(~np.isfinite(tt)) or np.any(tt < 0.0):
         raise DomainError("evaluation time must be finite and >= 0")
-    t1 = np.atleast_1d(tt)
+    theta = tuple(float(v) for v in params.latency)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        theta = tuple(float(v) for v in params.latency)
-        out = np.exp(np.minimum(_family(spec.family).log_sf(t1, np.log(t1), *theta), 0.0))
+        ls = _family(spec.family).derivatives(_at_times(tt.ravel()), *theta)[3]
+        out = np.exp(np.minimum(ls, 0.0))
     if scalar:
         return float(out[0])
     return out.reshape(tt.shape)
@@ -437,16 +422,19 @@ class _LikCache:
 
     Tied records are merged: ``we`` and ``wc`` count the records at each
     distinct time, and every sum over records is weighted by them.  The
-    censoring times ``tc`` are strictly increasing, finite and > 0, so
-    ``rate * tc`` reaches the gamma kernel without a sort unless rounding
-    merges, underflows or overflows some of them (``_log_q_shape`` checks).
+    censoring times ``tc`` of a sample's cache are strictly increasing,
+    finite and > 0, so ``rate * tc`` reaches the gamma kernel without a sort
+    unless rounding merges, underflows or overflows some of them
+    (``_log_q_shape`` checks).  A cache from ``_at_times`` has no events and
+    its times in any order, zeros included.
     """
 
     n_events: int  # all events, including any at time 0
     n_zero_events: int
     we: np.ndarray  # records at each distinct event time > 0
     log_te: np.ndarray
-    sum_te: float
+    sum_te: float  # the event times' sum scaled by 2^-unit, so it cannot overflow
+    unit: int
     sum_log_te: float
     tc: np.ndarray  # distinct censoring times > 0 (zeros contribute log S(0) = 0)
     wc: np.ndarray
@@ -458,11 +446,22 @@ def _build_cache(sample: SurvivalSample) -> _LikCache:
     te, we = np.unique(times[events & (times > 0.0)], return_counts=True)
     tc, wc = np.unique(times[~events & (times > 0.0)], return_counts=True)
     we, wc, log_te = we.astype(float), wc.astype(float), np.log(te)
+    unit = math.frexp(sample.max_time)[1]
     return _LikCache(
         n_events=sample.n_events,
         n_zero_events=sample.n_events - int(we.sum()),
-        we=we, log_te=log_te, sum_te=float(we @ te), sum_log_te=float(we @ log_te),
-        tc=tc, wc=wc, log_tc=np.log(tc),
+        we=we, log_te=log_te, sum_te=float(we @ np.ldexp(te, -unit)), unit=unit,
+        sum_log_te=float(we @ log_te), tc=tc, wc=wc, log_tc=np.log(tc),
+    )
+
+
+def _at_times(t: np.ndarray) -> _LikCache:
+    """A cache with no events whose censoring times are ``t``, so a family's
+    ``derivatives`` on it gives log S0 at ``t``."""
+    none = np.zeros(0)
+    return _LikCache(
+        n_events=0, n_zero_events=0, we=none, log_te=none, sum_te=0.0, unit=0,
+        sum_log_te=0.0, tc=t, wc=np.ones(t.size), log_tc=np.log(t),
     )
 
 
@@ -611,8 +610,12 @@ def _start_basis(sample: SurvivalSample):
     shape-1 member of the Weibull and gamma families.
     """
     te = sample.times[sample.events]
-    mean_te = float(te.mean()) if te.size else 1.0
-    exposure = float(sample.times.sum()) / sample.n_events if sample.n_events else 1.0
+    # On times scaled by a power of 2, exactly, so that their sum cannot overflow.
+    unit = math.frexp(sample.max_time)[1]
+    scaled = np.ldexp(sample.times, -unit)
+    with np.errstate(over="ignore"):
+        mean_te = float(np.ldexp(scaled[sample.events].mean(), unit)) if te.size else 1.0
+        exposure = float(np.ldexp(scaled.sum() / sample.n_events, unit)) if sample.n_events else 1.0
     mean_te, exposure = (v if 0.0 < v < math.inf else 1.0 for v in (mean_te, exposure))
     return te, mean_te, exposure, min(max(_km_tail(sample), 0.01), 0.99)
 

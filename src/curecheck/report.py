@@ -36,19 +36,11 @@ class ReportDocument:
         a = self.assessment
         t = a.followup_test
         dv = a.deviance_test
-        cfg = a.config
         doc = {
             "tool": "curecheck",
             "version": __version__,
             "dataset": self.label,
-            "config": {
-                "families": list(cfg.families),
-                "cure_fraction_threshold": cfg.cure_fraction_threshold,
-                "r_threshold": cfg.r_threshold,
-                "alpha_threshold": cfg.alpha_threshold,
-                "tau": cfg.tau,
-                "late_window": cfg.late_window,
-            },
+            "config": {**asdict(a.config), "families": list(a.config.families)},
             "followup_summary": asdict(a.summary),
             # The interval as the list that json.loads gives back.
             "followup_test": {**asdict(t), "interval": list(t.interval)},

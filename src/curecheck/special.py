@@ -9,12 +9,13 @@ normal quantiles, which one vectorized solver inverts at once.
 P(a, x) comes from a series / continued fraction split, which the gamma
 quantile inverts; its loops and the solver iterate only the elements not
 yet converged, so an element's value does not depend on its batch.
-log Q(a, x) and its first two derivatives in the shape a, which the gamma
-fits use, come from one Gauss-Legendre quadrature of t^(a-1) e^(-t) on the
-log scale: over the gaps between the sorted x, summed from the right, so
-one pass gives every element of a batch.  The fits' x are already sorted
-and distinct and go to the quadrature as they are; any other batch is
-sorted and de-duplicated first, with the same bits.
+log Q(a, x) and its first two derivatives in the shape a, the gamma
+family's log S0 and its shape terms, come from one Gauss-Legendre
+quadrature of t^(a-1) e^(-t) on the log scale: over the gaps between the
+sorted x, summed from the right, so one pass gives every element of a
+batch.  The fits' x are already sorted and distinct and go to the
+quadrature as they are; any other batch is sorted and de-duplicated first,
+with the same bits.
 
 Accuracy: erfc and log_gamma are good to about 1 ulp, as the platform's
 ``math.erfc`` and ``math.lgamma`` are; P iterates to machine tolerance; log Q
@@ -406,12 +407,6 @@ def _log_q_shape(a: float, x):
         out[:, lo:hi] = _upper_gamma_quadrature(a, xs[lo:hi])
     out = out.take(inverse.reshape(x.shape), axis=1)
     return out[0], out[1], out[2]
-
-
-def log_reg_upper_gamma(a: float, x):
-    """log Q(a, x), Q = 1 - P, finite wherever Q itself underflows."""
-    lq = _log_q_shape(a, x)[0]
-    return float(lq) if lq.ndim == 0 else lq
 
 
 _SOLVE_MAX_STEPS = 100

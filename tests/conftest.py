@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -39,28 +41,50 @@ def long_followup_sample():
     return validate_sample(recs)
 
 
-@pytest.fixture(scope="session")
-def plateau_sample():
-    """The benchmark's assess_plateau data: the README demo mechanism
-    (Weibull(0.8, 0.8) latency, 40% cured, administrative censoring at 7.3
-    plus uniform dropout on (0, 14.6)) at n = 5000, data seed 7."""
-    config = SimulationConfig(
-        n=5000, cure_fraction=0.4, family="weibull", latency=(0.8, 0.8),
-        censoring=CompositeCensoring(time=7.3, dropout_maximum=14.6), seed=7,
+def _demo_mechanism(n, seed):
+    """The README demo mechanism: Weibull(0.8, 0.8) latency, 40% cured,
+    administrative censoring at 7.3 plus uniform dropout on (0, 14.6)."""
+    return SimulationConfig(
+        n=n, cure_fraction=0.4, family="weibull", latency=(0.8, 0.8),
+        censoring=CompositeCensoring(time=7.3, dropout_maximum=14.6), seed=seed,
     )
-    return simulate_mixture(config)[0]
 
 
 @pytest.fixture(scope="session")
-def short_days_sample():
-    """The benchmark's assess_short_days data: the same mechanism at
-    n = 10 000, data seed 7, times rounded up to whole days and follow-up cut
-    at one year.  A non-cure model is selected; the lognormal cure fit sits
-    on the boundary c = 0."""
-    config = SimulationConfig(
-        n=10000, cure_fraction=0.4, family="weibull", latency=(0.8, 0.8),
-        censoring=CompositeCensoring(time=7.3, dropout_maximum=14.6), seed=7,
-    )
-    drawn = simulate_mixture(config)[0]
-    days = np.ceil(drawn.times * 365.25) / 365.25
-    return restrict_followup(validate_sample(zip(days.tolist(), drawn.events.tolist())), 1.0)
+def plateau_samples():
+    """The benchmark's assess_plateau data at a data seed: the demo mechanism
+    at n = 5000."""
+
+    @functools.cache
+    def make(seed):
+        return simulate_mixture(_demo_mechanism(5000, seed))[0]
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def short_days_samples():
+    """The benchmark's assess_short_days data at a data seed: the demo
+    mechanism at n = 10 000, times rounded up to whole days and follow-up cut
+    at one year."""
+
+    @functools.cache
+    def make(seed):
+        drawn = simulate_mixture(_demo_mechanism(10000, seed))[0]
+        days = np.ceil(drawn.times * 365.25) / 365.25
+        return restrict_followup(validate_sample(zip(days.tolist(), drawn.events.tolist())), 1.0)
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def plateau_sample(plateau_samples):
+    """The benchmark's assess_plateau data at data seed 7."""
+    return plateau_samples(7)
+
+
+@pytest.fixture(scope="session")
+def short_days_sample(short_days_samples):
+    """The benchmark's assess_short_days data at data seed 7.  A non-cure
+    model is selected; the lognormal cure fit sits on the boundary c = 0."""
+    return short_days_samples(7)

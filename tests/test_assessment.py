@@ -410,14 +410,33 @@ def test_short_days_assess_stays_within_its_evaluation_budget(short_days_sample,
     assert len(calls) <= 80
 
 
+# Data seeds 1-8 of both benchmark shapes: (shape, seed, verdict, selected
+# spec, trust-region steps over the ten fits, number of notes).  Seed 7 is the
+# benchmark's own data, and its cases keep the shape's name as their id.
+_SEEDED_ASSESSMENTS = [
+    *(("plateau", seed, VERDICT_APPROPRIATE, FamilySpec("weibull", cure=True), 49, int(seed > 1))
+      for seed in range(1, 9)),
+    *(("short_days", seed, VERDICT_NONCURE, FamilySpec("lognormal"), steps, 1)
+      for seed, steps in ((1, 49), (2, 52), (4, 52), (5, 50), (6, 51), (7, 53), (8, 51))),
+    ("short_days", 3, VERDICT_INSUFFICIENT, FamilySpec("loglogistic", cure=True), 54, 0),
+]
+
+
 @pytest.mark.parametrize(
-    "fixture, expected", [("plateau_sample", 49), ("short_days_sample", 53)],
-    ids=["plateau", "short_days"],
+    "shape, seed, verdict, selected, steps, n_notes", _SEEDED_ASSESSMENTS,
+    ids=[shape if seed == 7 else f"{shape}-seed{seed}" for shape, seed, *_ in _SEEDED_ASSESSMENTS],
 )
-def test_assess_takes_a_pinned_number_of_trust_region_steps(fixture, expected, request):
-    # An exact count over the ten fits, so a change that adds steps shows.
-    rows = receus_assess(request.getfixturevalue(fixture)).model_table
-    assert sum(row.fit.n_iter for row in rows) == expected
+def test_assess_takes_a_pinned_number_of_trust_region_steps(
+    shape, seed, verdict, selected, steps, n_notes, request
+):
+    # The decisions must hold, and the step count is exact over the ten fits,
+    # so a change that adds steps shows.  No float is pinned.
+    a = receus_assess(request.getfixturevalue(f"{shape}_samples")(seed))
+    assert a.verdict == verdict
+    assert a.selected.spec == selected
+    assert [row.fit.converged for row in a.model_table] == [True] * 10
+    assert sum(row.fit.n_iter for row in a.model_table) == steps
+    assert len(a.notes) == n_notes
 
 
 def test_fit_model_equals_the_assessments_row(plateau_sample, short_days_sample):
@@ -452,17 +471,18 @@ def test_assessment_builds_one_likelihood_cache(monkeypatch):
 
 @pytest.mark.parametrize(
     "fixture, expected",
-    [("plateau_sample", 59), ("short_days_sample", 62)],
+    [("plateau_sample", 60), ("short_days_sample", 63)],
     ids=["plateau", "short_days"],
 )
 def test_a_boundary_cure_fit_reuses_its_noncure_fits_terms(fixture, expected, request, monkeypatch):
     # Counts of the family-term evaluations (_Family.derivatives) in one
     # assessment: one per fit start and one per trust-region step, less one
-    # per cure fit that starts on the boundary c = 0.  That fit takes its
-    # first evaluation from its non-cure fit, which computed the same
-    # latency at its end.  On the plateau data every cure fit starts cold
-    # (10 starts + 49 steps); on the short-days data the lognormal cure fit
-    # starts on the boundary (10 + 53 - 1).
+    # per cure fit that starts on the boundary c = 0, plus one for S0(tau)
+    # of the ratio fit.  The boundary fit takes its first evaluation from its
+    # non-cure fit, which computed the same latency at its end.  On the
+    # plateau data every cure fit starts cold (10 starts + 49 steps + 1); on
+    # the short-days data the lognormal cure fit starts on the boundary
+    # (10 + 53 - 1 + 1).
     from curecheck import models
 
     sample = request.getfixturevalue(fixture)

@@ -28,6 +28,7 @@ from curecheck.models import (
     _initial_params,
     _loglik_derivatives,
     _objective,
+    _standard_errors,
     _start_basis,
     _tr_step,
     _transform,
@@ -555,21 +556,6 @@ def test_analytic_derivatives_match_finite_differences(family, cure, tied):
         np.testing.assert_allclose(-h, h_fd, rtol=1e-5, atol=1e-7 * scale)
 
 
-@pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
-@pytest.mark.parametrize("family", FAMILIES)
-def test_derivatives_take_the_one_log_sf(family, tied):
-    # The fit engine's log S0 is log_sf's bit for bit: each family has one
-    # log S0 formula.
-    sample = _derivative_sample(tied)
-    cache = _build_cache(sample)
-    fam = _TABLE[family]
-    start = _initial_params(FamilySpec(family), _start_basis(sample)).latency
-    for scale in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.3), (1.7, 1.7)):
-        theta = tuple(v * f for v, f in zip(start, scale))
-        ls = fam.derivatives(cache, *theta)[3]
-        assert np.array_equal(ls, fam.log_sf(cache.tc, cache.log_tc, *theta))
-
-
 def test_trust_region_step_is_the_subproblem_minimum():
     # Random 1-4 dimensional models, definite and indefinite, a seventh of
     # them in the hard case (gradient orthogonal to the lowest eigenvector):
@@ -1069,3 +1055,18 @@ def test_wald_intervals_unavailable_without_convergence(monkeypatch):
     iv = wald_intervals(fit, sample)
     assert iv.intervals is None
     assert "did not converge" in iv.diagnostic
+
+
+@pytest.mark.parametrize(
+    "info, reason",
+    [
+        ([[math.nan]], "not finite"),
+        ([[1.0, 2.0], [2.0, 1.0]], "not positive definite"),  # eigenvalues 3 and -1
+        ([[1e-310]], "not positive definite"),  # its inverse overflows to inf
+    ],
+    ids=["nan", "indefinite", "inverse-overflows"],
+)
+def test_standard_errors_name_an_unusable_information_matrix(info, reason):
+    assert _standard_errors(np.array(info)) == (
+        None, f"observed information matrix is {reason} at the optimum"
+    )

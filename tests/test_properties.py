@@ -228,8 +228,9 @@ def test_decisions_invariant_under_rescaling_by_up_to_a_million(records, seed):
 
 # At these units the fitted rates reach ~1e305 and the scales ~1e-305, past
 # e^(+-700) but inside the log of the largest float, where the fitting
-# coordinates are clamped.
-@pytest.mark.parametrize("factor", [1e-305, 1e305])
+# coordinates are clamped.  From ~3e305 on the sum of the times overflows,
+# so the cache and the start values sum them scaled by a power of 2.
+@pytest.mark.parametrize("factor", [1e-305, 1e305, 3e305, 1e306, 3e306])
 def test_decisions_invariant_at_the_ends_of_the_float_range(factor):
     config = SimulationConfig(
         n=500, cure_fraction=0.4, family="weibull", latency=(0.8, 0.8),

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import jsonschema
 import numpy as np
@@ -200,6 +201,15 @@ def test_read_csv_event_words_are_stripped_and_case_blind(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("time,event\n1.0, TRUE \n2.0,False\n3.0, 0\n4.0,1 \n")
     assert read_csv(str(p)).events.tolist() == [True, False, False, True]
+
+
+def test_read_csv_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"time,event\n1.0,1\n2.0,0\xff\n")
+    with pytest.raises(ValidationError, match="cannot read .*'utf-8' codec can't decode byte 0xff"):
+        read_csv(str(p))
+    assert main(["km", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"curecheck: error: cannot read {p}: 'utf-8' codec")
 
 
 def test_csv_round_trip_is_exact_with_ties_and_zeros(tmp_path):
@@ -454,6 +464,27 @@ def test_cli_km_svg_draws_the_time_axis_at_extreme_times(tmp_path, rows, x_label
     assert proc.stdout.endswith("</svg>\n")
 
 
+@pytest.mark.parametrize(
+    "rows, x_labels, n_censored",
+    [
+        # every time is 0: the axis spans [0, 1]
+        ("0,1\n0,0\n0,0\n", ["0", "0.2", "0.4", "0.6", "0.8", "1"], 2),
+        # span / 5 rounds to 0: the tick step is the span itself
+        ("0,1\n5e-324,0\n5e-324,0\n0,0\n", ["0", "4.94066e-324"], 3),
+    ],
+    ids=["all-zero", "zero-and-smallest-subnormal"],
+)
+def test_cli_km_svg_on_a_zero_or_subnormal_time_span(tmp_path, capsys, rows, x_labels, n_censored):
+    p = tmp_path / "d.csv"
+    p.write_text("time,event\n" + rows)
+    assert main(["km", str(p), "--plot", "svg"]) == 0
+    svg = capsys.readouterr().out
+    root = ElementTree.fromstring(svg)  # well-formed XML
+    labels = [e.text for e in root if e.get("font-size") == "11" and e.get("text-anchor") == "middle"]
+    assert labels == x_labels
+    assert sum(e.get("stroke-width") == "1.4" for e in root) == n_censored  # one mark per record
+
+
 def test_plot_deterministic():
     curve = kaplan_meier(validate_sample([(1.0, True), (2.5, False), (3.0, True)]))
     assert km_plot_svg(curve) == km_plot_svg(curve)
@@ -536,6 +567,25 @@ def test_cli_fit_names_an_interval_that_overflows(tmp_path, capsys):
     assert intervals == {"level": 0.999, "values": None, "diagnostic": note}
     assert main(argv + ["--level", "0.999"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"  note: {note}"
+
+
+def test_cli_fit_notes_an_information_matrix_that_is_not_finite(cure_csv, capsys, monkeypatch):
+    # The exponential fit converges at its closed-form start without reading
+    # a Hessian, so only the intervals see the NaN one.
+    from curecheck import models
+
+    loglik_derivatives = models._loglik_derivatives
+
+    def nan_hessian(*args):
+        ll, g, h, terms = loglik_derivatives(*args)
+        return ll, g, np.full_like(h, math.nan), terms
+
+    monkeypatch.setattr(models, "_loglik_derivatives", nan_hessian)
+    assert main(["fit", cure_csv, "--family", "exponential"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("converged = yes")
+    assert re.fullmatch(r"  rate = \S+", lines[1])
+    assert lines[2:] == ["  note: observed information matrix is not finite at the optimum"]
 
 
 def test_cli_assess_text_appropriate(cure_csv, capsys):

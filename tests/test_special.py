@@ -25,7 +25,6 @@ from curecheck.special import (
     inv_reg_lower_gamma,
     log_gamma,
     log_normal_sf,
-    log_reg_upper_gamma,
     normal_cdf,
     normal_sf,
     reg_lower_gamma,
@@ -131,7 +130,7 @@ def test_reg_gamma_matches_scipy():
             reg_lower_gamma(a, xs), sp.gammainc(a, xs), rtol=1e-10, atol=1e-14
         )
         np.testing.assert_allclose(
-            np.exp(log_reg_upper_gamma(a, xs)), sp.gammaincc(a, xs), rtol=1e-10, atol=1e-14
+            np.exp(_log_q_shape(a, xs)[0]), sp.gammaincc(a, xs), rtol=1e-10, atol=1e-14
         )
 
 
@@ -157,10 +156,10 @@ def test_reg_gamma_complement_and_edges():
     for a in (0.4, 1.0, 3.7):
         xs = np.geomspace(1e-8, 50.0, 80)
         p = reg_lower_gamma(a, xs)
-        q = np.exp(log_reg_upper_gamma(a, xs))
+        q = np.exp(_log_q_shape(a, xs)[0])
         np.testing.assert_allclose(p + q, 1.0, rtol=0, atol=1e-12)
         assert reg_lower_gamma(a, 0.0) == 0.0
-        assert log_reg_upper_gamma(a, 0.0) == 0.0
+        assert _log_q_shape(a, 0.0)[0] == 0.0
         # P(a, inf) = 1 and NaN stays NaN, alone or in a batch whose finite
         # elements keep their own values.
         assert reg_lower_gamma(a, math.inf) == 1.0
@@ -185,22 +184,22 @@ def _log_q_asymptotic(a, x):
     return (a - 1.0) * math.log(x) - x - sp.gammaln(a) + math.log(total)
 
 
-def test_log_reg_upper_gamma_matches_log_of_q():
+def test_log_q_matches_log_of_q():
     for a in (0.05, 0.7, 1.0, 3.5, 40.0):
         xs = np.concatenate([np.geomspace(1e-10, a, 40), np.linspace(a, 700.0, 60)])
         np.testing.assert_allclose(
-            log_reg_upper_gamma(a, xs), np.log(sp.gammaincc(a, xs)), rtol=1e-10, atol=1e-14
+            _log_q_shape(a, xs)[0], np.log(sp.gammaincc(a, xs)), rtol=1e-10, atol=1e-14
         )
-        assert log_reg_upper_gamma(a, 0.0) == 0.0
+        assert _log_q_shape(a, 0.0)[0] == 0.0
 
 
-def test_log_reg_upper_gamma_is_finite_where_q_underflows():
+def test_log_q_is_finite_where_q_underflows():
     # Q(a, x) rounds to 0 from x ~ 745 on; its log stays finite and accurate.
     for a in (0.3, 1.0, 2.5, 9.0):
         xs = np.array([800.0, 1500.0, 1e4, 1e6])
         assert np.all(sp.gammaincc(a, xs) == 0.0)
         want = [_log_q_asymptotic(a, float(x)) for x in xs]
-        np.testing.assert_allclose(log_reg_upper_gamma(a, xs), want, rtol=1e-13)
+        np.testing.assert_allclose(_log_q_shape(a, xs)[0], want, rtol=1e-13)
 
 
 def test_digamma_trigamma_match_scipy():
@@ -228,14 +227,12 @@ def _log_q_shape_oracle(a, x):
     return mean - sp.digamma(a), var - sp.polygamma(1, a)
 
 
-def test_log_reg_upper_gamma_shape_derivatives_match_quadrature():
+def test_log_q_shape_derivatives_match_quadrature():
     # Both branches, the far tail where Q underflows, and integer shapes,
-    # where the continued fraction ends but its derivative does not.  The
-    # value is log_reg_upper_gamma's, bit for bit.
+    # where the continued fraction ends but its derivative does not.
     for a in (0.3, 1.0, 2.5, 10.0):
         xs = np.array([1e-3, 0.5 * a, a + 0.5, a + 1.0, 3.0 * a + 2.0, 60.0, 900.0])
-        lq, d1, d2 = _log_q_shape(a, xs)
-        assert np.array_equal(lq, log_reg_upper_gamma(a, xs))
+        _, d1, d2 = _log_q_shape(a, xs)
         want = np.array([_log_q_shape_oracle(a, float(x)) for x in xs])
         np.testing.assert_allclose(d1, want[:, 0], rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(d2, want[:, 1], rtol=1e-10, atol=1e-12)
@@ -281,7 +278,7 @@ def test_log_q_at_vanishing_shapes():
     for a in (1e-300, 1e-170, 1e-20):
         xs = np.array([0.5, 3.0])
         np.testing.assert_allclose(
-            log_reg_upper_gamma(a, xs), np.log(sp.gammaincc(a, xs)), rtol=1e-10, atol=1e-14
+            _log_q_shape(a, xs)[0], np.log(sp.gammaincc(a, xs)), rtol=1e-10, atol=1e-14
         )
 
 
@@ -294,8 +291,8 @@ def test_log_q_never_exceeds_zero_where_q_is_near_one():
     # log Q there is the sum of two O(1) terms, accurate to ~1e-16 absolute.
     for a in (2.5, 57.3, 300.0):
         x = a * np.array([1e-3, 1e-2])
-        assert np.all(log_reg_upper_gamma(a, x) <= 0.0), a
-        assert log_reg_upper_gamma(a, float(x[0])) <= 0.0, a
+        assert np.all(_log_q_shape(a, x)[0] <= 0.0), a
+        assert _log_q_shape(a, float(x[0]))[0] <= 0.0, a
 
 
 def test_log_q_at_infinite_and_nan_x():
@@ -305,7 +302,7 @@ def test_log_q_at_infinite_and_nan_x():
     assert lq[0] == d1[0] == d2[0] == 0.0
     assert lq[1] == lq[3] == -math.inf and math.isnan(lq[2])
     assert np.isnan(d1[1:]).all() and np.isnan(d2[1:]).all()
-    assert log_reg_upper_gamma(2.5, math.inf) == -math.inf
+    assert _log_q_shape(2.5, math.inf)[0] == -math.inf
     # A strictly increasing, finite, positive batch skips the sort and
     # de-duplication; any other batch takes them.  Both give the same bits:
     # a permutation of the batch, and batches with an adjacent duplicate, a
@@ -318,7 +315,6 @@ def test_log_q_at_infinite_and_nan_x():
         back = np.empty_like(direct)
         back[:, order] = _log_q_shape(a, x[order])
         assert back.tobytes() == direct.tobytes(), a
-        assert log_reg_upper_gamma(a, x).tobytes() == direct[0].tobytes(), a
         edges = (
             (np.insert(x, 7, x[7]), np.insert(direct, 7, direct[:, 7], axis=1)),
             (np.insert(x, 0, 0.0), np.insert(direct, 0, 0.0, axis=1)),
@@ -379,16 +375,13 @@ def test_log_q_element_does_not_depend_on_its_batch_order(a):
     x = _batch(a)
     first = None
     for order in _orders(x.size):
-        got = np.stack([*_log_q_shape(a, x[order]), log_reg_upper_gamma(a, x[order])])
+        got = np.stack(_log_q_shape(a, x[order]))
         back = np.empty_like(got)
         back[:, order] = got
         if first is None:
             first = back
         assert back.tobytes() == first.tobytes(), a
-    alone = np.stack([
-        [*(float(v[0]) for v in _log_q_shape(a, x[k : k + 1])), log_reg_upper_gamma(a, float(x[k]))]
-        for k in range(x.size)
-    ], 1)
+    alone = np.stack([[float(v) for v in _log_q_shape(a, float(x[k]))] for k in range(x.size)], 1)
     np.testing.assert_allclose(first, alone, rtol=1e-13, atol=1e-13)
 
 
