@@ -68,7 +68,8 @@ def alpha_n_test(
         )
     y_max = sample.max_time
     y_max_event = sample.max_event_time
-    lower = 2.0 * y_max_event - y_max
+    # Halved first where 2 y_max_event could overflow; the same bits elsewhere.
+    lower = 2.0 * y_max_event - y_max if y_max < 1.0 else 2.0 * (y_max_event - 0.5 * y_max)
     event_times = sample.times[sample.events]
     if count_max_event:
         inside = (event_times > lower) & (event_times <= y_max_event)

@@ -88,7 +88,6 @@ from .errors import CurecheckError, DomainError, FitError
 from .special import (
     _digamma_trigamma,
     _log_q_shape,
-    inv_normal_cdf,
     inv_reg_lower_gamma,
     log_gamma,
     log_normal_sf,
@@ -289,7 +288,9 @@ class _LogNormal(_Family):
         return ev, ev_g, ev_h, ls, ls_g, ls_h
 
     def quantile(self, u, scale, sigma):
-        z = inv_normal_cdf(np.where(u > 0.0, u, 0.5))
+        from statistics import NormalDist  # AS241 in C; imported here, off the CLI's start-up
+
+        z = np.fromiter(map(NormalDist().inv_cdf, np.where(u > 0.0, u, 0.5).tolist()), float, u.size)
         return np.where(u > 0.0, scale * np.exp(sigma * z), 0.0)
 
     def start(self, te, scale):
@@ -586,7 +587,8 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_FLOAT_MAX = float(np.finfo(float).max)
+_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 
 
 def _transform(spec: FamilySpec, params: Params) -> np.ndarray:
@@ -603,8 +605,8 @@ def _untransform(spec: FamilySpec, x: np.ndarray) -> Params:
 
 def _start_basis(sample: SurvivalSample):
     """What every start value reads off the sample: the event times, their
-    mean, the exposure per event sum(times) / n_events (each 1 where it is
-    not finite and > 0) and the KM tail clipped to [0.01, 0.99].
+    mean, the exposure per event sum(times) / n_events (each at most the
+    largest float, and 1 where not > 0) and the KM tail in [0.01, 0.99].
 
     The exposure is the inverse of the censored-data exponential MLE, the
     shape-1 member of the Weibull and gamma families.
@@ -616,7 +618,7 @@ def _start_basis(sample: SurvivalSample):
     with np.errstate(over="ignore"):
         mean_te = float(np.ldexp(scaled[sample.events].mean(), unit)) if te.size else 1.0
         exposure = float(np.ldexp(scaled.sum() / sample.n_events, unit)) if sample.n_events else 1.0
-    mean_te, exposure = (v if 0.0 < v < math.inf else 1.0 for v in (mean_te, exposure))
+    mean_te, exposure = (min(v, _FLOAT_MAX) if v > 0.0 else 1.0 for v in (mean_te, exposure))
     return te, mean_te, exposure, min(max(_km_tail(sample), 0.01), 0.99)
 
 
@@ -890,8 +892,10 @@ def wald_intervals(fit: ModelFit, sample: SurvivalSample, level: float = 0.95) -
     standard_errors, diagnostic = _standard_errors(-h)
     if standard_errors is None:
         return WaldIntervals(None, diagnostic)
+    from statistics import NormalDist  # imported here, off the CLI's start-up
+
     # The lower tail: 0.5 * (1 + level) rounds to 1.0 for a level just below 1.
-    z = -inv_normal_cdf(0.5 * (1.0 - level))
+    z = -NormalDist().inv_cdf(0.5 * (1.0 - level))
     x = _transform(fit.spec, fit.params)
     out: dict[str, tuple[float, float]] = {}
     for i, name in enumerate(fit.spec.param_names):

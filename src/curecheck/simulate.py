@@ -10,10 +10,10 @@ and ``read_csv``.
 
 Draws come from numpy's seeded PCG64 generator as plain uniforms; every
 family transform is an explicit inverse CDF on all draws at once (the gamma
-and log-normal ones through one vectorized solver, the gamma to 1e-10), so a
-given (config, seed) reproduces byte-identical samples on one platform and
-numpy version; across platforms the draws follow the C library's exp, log,
-erfc and lgamma.
+one through a vectorized solver, to 1e-10), so a given (config, seed)
+reproduces byte-identical samples on one platform, numpy and Python version;
+across platforms the draws follow the C library's exp, log and lgamma and
+the normal quantile of CPython's ``statistics``.
 
 ``restrict_followup`` emulates an earlier analysis cutoff: observations
 beyond the cutoff are censored there, everything else is untouched.

@@ -2,13 +2,14 @@
 
 Keeps the package free of heavy numeric dependencies: numpy and the standard
 library are the whole runtime.  It exposes log-gamma and erfc, both the C
-library's through ``math``, with the normal CDF and tails built on erfc, the
-chi-square(1) tail, the regularized incomplete gamma, and the gamma and
-normal quantiles, which one vectorized solver inverts at once.
+library's through ``math``, the normal upper tail and its log built on
+erfc, the chi-square(1) tail, the regularized incomplete gamma and the
+gamma quantile; the normal quantile is ``statistics.NormalDist``'s.
 
 P(a, x) comes from a series / continued fraction split, which the gamma
-quantile inverts; its loops and the solver iterate only the elements not
-yet converged, so an element's value does not depend on its batch.
+quantile inverts with a vectorized solver; its loops and the solver
+iterate only the elements not yet converged, so an element's value does
+not depend on its batch.
 log Q(a, x) and its first two derivatives in the shape a, the gamma
 family's log S0 and its shape terms, come from one Gauss-Legendre
 quadrature of t^(a-1) e^(-t) on the log scale: over the gaps between the
@@ -20,8 +21,9 @@ with the same bits.
 Accuracy: erfc and log_gamma are good to about 1 ulp, as the platform's
 ``math.erfc`` and ``math.lgamma`` are; P iterates to machine tolerance; log Q
 and its shape derivatives are good to about 1e-14, relative or absolute where
-the value is below 1; gamma quantiles are solved to 1e-10 relative.  The test
-suite checks all of them against scipy and brute-force quadrature.
+the value is below 1; gamma quantiles are solved to 1e-10 relative, less
+near u = 1 (see ``inv_reg_lower_gamma``).  The test suite checks all of
+them against scipy and brute-force quadrature.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import numpy as np
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 _LOG_2SQRTPI = math.log(2.0 * math.sqrt(math.pi))
 
 
@@ -53,11 +54,6 @@ def erfc(x):
     if a.ndim == 0:
         return math.erfc(float(a))
     return np.fromiter(map(math.erfc, a.ravel().tolist()), float, a.size).reshape(a.shape)
-
-
-def normal_cdf(z):
-    """Standard normal CDF Phi(z)."""
-    return 0.5 * erfc(-np.asarray(z, dtype=float) / _SQRT2)
 
 
 def normal_sf(z):
@@ -411,7 +407,6 @@ def _log_q_shape(a: float, x):
 
 _SOLVE_MAX_STEPS = 100
 _GAMMA_LOG_XTOL = 1e-10  # on log x, so relative on x
-_NORMAL_XTOL = 1e-13
 _E_RATIO = math.e / (math.e - 1.0)  # from log(x / a) <= x / (e a)
 _LOG_MIN_FLOAT = math.log(5e-324)
 
@@ -451,7 +446,9 @@ def inv_reg_lower_gamma(a: float, u):
     Solved on log(x) to 1e-10 relative, as the root can span hundreds of
     orders of magnitude, in the bracket from P(a, x) <= x^a / Gamma(a + 1) and
     the Chernoff bound 1 - P(a, x) <= exp(a - x) (x / a)^a.  A root below the
-    smallest positive float gives 0.
+    smallest positive float gives 0.  Near u = 1, where P is flat, digits
+    are lost: at a = 0.7 the relative error against scipy is 8e-9 at
+    u = 1 - 1e-10, 1e-6 at 1 - 1e-12 and 2e-2 at the last float below 1.
     """
     uu = np.asarray(u, dtype=float)
     if not np.all((uu >= 0.0) & (uu < 1.0)):
@@ -467,17 +464,6 @@ def inv_reg_lower_gamma(a: float, u):
     x = np.zeros(uu.shape)
     x[pos] = np.where(y < _LOG_MIN_FLOAT, 0.0, np.exp(y))
     return float(x) if x.ndim == 0 else x
-
-
-def inv_normal_cdf(u):
-    """Standard normal quantile, scalar or ndarray u in (0, 1), solved on Phi over [-40, 40]."""
-    uu = np.asarray(u, dtype=float)
-    if not np.all((uu > 0.0) & (uu < 1.0)):
-        raise DomainError(f"inv_normal_cdf requires 0 < u < 1, got {u!r}")
-    z = _solve_increasing(
-        normal_cdf, lambda z: np.exp(-0.5 * z * z) / _SQRT2PI, uu.ravel(), -40.0, 40.0, _NORMAL_XTOL
-    )
-    return float(z[0]) if uu.ndim == 0 else z.reshape(uu.shape)
 
 
 def chi2_sf_1df(d: float) -> float:

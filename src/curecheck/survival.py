@@ -306,10 +306,12 @@ def followup_summary(sample: SurvivalSample, late_window: float | None = None) -
     plateau = max_fu - max_event if max_event is not None else max_fu
     lo = max_fu - late_window
     in_window = (sample.times > lo) & (sample.times <= max_fu) & sample.events
+    # The middle time(s), and np.median's (a + b) / 2, halved first where a + b could overflow.
+    a, b = sample.times[(sample.n - 1) // 2], sample.times[sample.n // 2]
     return FollowUpSummary(
         n=sample.n,
         n_events=sample.n_events,
-        median_followup=float(np.median(sample.times)),
+        median_followup=float(0.5 * (a + b) if b < 1.0 else 0.5 * a + 0.5 * b),
         max_followup=max_fu,
         max_event_time=max_event,
         km_at_max=_km_tail(sample),

@@ -184,6 +184,14 @@ def test_alpha_n_scale_invariance():
         assert scaled.alpha_n == base.alpha_n  # bitwise: counts are integers
 
 
+def test_alpha_n_interval_near_the_largest_float():
+    # 2 y_max_event alone would overflow here.
+    times = (1.0, 1.6e308, 1.68e308, 1.7e308, 1.75e308)
+    t = alpha_n_test(validate_sample(zip(times, (True, True, True, True, False))))
+    assert t.interval == (pytest.approx(1.65e308, rel=1e-15), 1.7e308)
+    assert t.n_n == 1
+
+
 def _sample_with_late_events(k):
     # n = 20 fixed; k events placed inside the late interval (8, 10).
     recs = [(float(j + 1) * 0.3, True) for j in range(18 - k)]

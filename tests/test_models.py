@@ -713,6 +713,17 @@ def test_noncure_starts_sit_on_the_exposure_scale():
     assert _initial_params(FamilySpec("gamma", cure=True), basis).latency == (1.0, 1.0 / mean_te)
 
 
+def test_overflowing_exposure_starts_at_the_largest_float():
+    # sum(times) / n_events overflows here; at 1 in its place the start's
+    # log-likelihood would be -inf and the fit would raise.
+    sample = validate_sample([(1.7e308, False), (1.7e308, False), (1.0, True), (1.5e308, True)])
+    assert _start_basis(sample)[2] == np.finfo(float).max
+    for family in FAMILIES:
+        for cure in (False, True):
+            spec = FamilySpec(family, cure=cure)
+            assert math.isfinite(fit_model(sample, spec).log_likelihood), spec.label
+
+
 @pytest.mark.parametrize("data", ["simulated", "zero_time_event", "plateau_sample", "short_days_sample"])
 def test_exponential_noncure_fit_returns_at_its_closed_form_start(data, request):
     # The censored-data exponential MLE is n_events / sum(times), events at

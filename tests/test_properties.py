@@ -29,6 +29,7 @@ from curecheck.models import (
 )
 from curecheck.report import build_report, render_json, report_schema
 from curecheck.simulate import (
+    AdministrativeCensoring,
     CompositeCensoring,
     SimulationConfig,
     UniformCensoring,
@@ -243,6 +244,38 @@ def test_decisions_invariant_at_the_ends_of_the_float_range(factor):
     assert [r.fit.converged for r in other.model_table] == [True] * 10
     assert other.notes == base.notes
     assert other.cure_fraction == pytest.approx(base.cure_fraction, rel=0.0, abs=1e-15)
+
+
+# Past half the largest float, 2 y_max_event - y_max and the sum of the two
+# middle times overflow unless they are halved first.
+def test_cli_json_report_with_times_near_the_largest_float(tmp_path, capsys):
+    config = SimulationConfig(
+        n=500, cure_fraction=0.4, family="weibull", latency=(0.8, 0.8),
+        censoring=CompositeCensoring(7.3, 14.6), seed=7,
+    )
+    path = tmp_path / "demo.csv"
+    write_csv(rescaled(simulate_mixture(config)[0], 2.4e307), str(path))  # the README demo
+    assert main(["assess", str(path), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, report_schema())
+    assert doc["followup_test"]["alpha_n"] == 0.04933921081791663  # as unscaled
+
+
+# With the largest time at 1.75e308 the exposure sum(times) / n_events
+# overflows; the start clamps it to the largest float, so every fit runs.
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_verdict_and_report_survive_times_up_to_the_largest_float(seed):
+    config = SimulationConfig(
+        n=200, cure_fraction=0.3, family="weibull", latency=(3.0, 0.8),
+        censoring=AdministrativeCensoring(1.0), seed=seed,
+    )
+    sample = simulate_mixture(config)[0]
+    base = receus_assess(sample)
+    other = receus_assess(rescaled(sample, 1.75e308 / sample.max_time))
+    assert other.verdict == base.verdict
+    assert [row.error for row in other.model_table] == [None] * 10
+    doc = json.loads(render_json(build_report(other, label="scaled")))
+    jsonschema.validate(doc, report_schema())
 
 
 @pytest.mark.parametrize("records", [_SAMPLE_A, _SAMPLE_B], ids=["A", "B"])

@@ -974,3 +974,21 @@ def test_module_entry_point_runs_without_warnings():
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"curecheck {curecheck.__version__}"
     assert proc.stderr == ""
+
+
+def test_package_import_leaves_scipy_statistics_and_decimal_unloaded():
+    # scipy is a test oracle only.  statistics (which pulls in fractions and
+    # decimal) and decimal are imported by the functions that use them, so a
+    # CLI run that does not need them does not pay for them at start-up.
+    import curecheck
+
+    env = dict(os.environ, PYTHONPATH=str(Path(curecheck.__file__).resolve().parents[1]))
+    code = (
+        "import sys, curecheck, curecheck.cli; "
+        "print(sorted({'scipy', 'statistics', 'decimal'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

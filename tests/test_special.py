@@ -14,6 +14,7 @@ from scipy import stats as st
 from scipy.integrate import quad
 
 from curecheck.errors import DomainError
+from curecheck.models import FamilySpec, Params, latency_quantile
 from curecheck.special import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -21,11 +22,9 @@ from curecheck.special import (
     _log_q_shape,
     chi2_sf_1df,
     erfc,
-    inv_normal_cdf,
     inv_reg_lower_gamma,
     log_gamma,
     log_normal_sf,
-    normal_cdf,
     normal_sf,
     reg_lower_gamma,
 )
@@ -77,16 +76,15 @@ def test_erfc_matches_scipy_in_relative_terms():
 def test_erf_symmetry_and_complement():
     assert erfc(0.0) == 1.0
     # NaN in gives NaN out, and leaves the other elements of an array alone.
-    for f, ref in ((erfc, sp.erfc), (normal_cdf, st.norm.cdf), (normal_sf, st.norm.sf)):
+    for f, ref in ((erfc, sp.erfc), (normal_sf, st.norm.sf)):
         assert math.isnan(f(math.nan))
         got = f(np.array([0.5, math.nan, -1.0]))
         assert math.isnan(got[1])
         np.testing.assert_allclose(got[[0, 2]], ref([0.5, -1.0]), rtol=1e-14)
 
 
-def test_normal_cdf_and_sf_match_scipy():
+def test_normal_sf_matches_scipy():
     zs = np.linspace(-8.0, 8.0, 321)
-    np.testing.assert_allclose(normal_cdf(zs), st.norm.cdf(zs), rtol=1e-10, atol=1e-15)
     np.testing.assert_allclose(normal_sf(zs), st.norm.sf(zs), rtol=1e-10, atol=1e-15)
 
 
@@ -97,24 +95,16 @@ def test_log_normal_sf_matches_scipy_far_into_the_tail():
     assert np.all(np.isfinite(log_normal_sf(np.array([40.0, 1e6]))))
 
 
-def test_inv_normal_cdf_round_trip_and_scipy():
-    # scipy comparison where the CDF slope is not vanishing; in the far
-    # tails the inversion is checked by round trip instead (solving on the
-    # CDF scale conditions z only up to tol / pdf(z) out there).
-    for u in (1e-6, 0.01, 0.1, 0.5, 0.9, 0.975, 1 - 1e-6):
-        z = inv_normal_cdf(u)
-        assert z == pytest.approx(st.norm.ppf(u), rel=1e-8, abs=1e-10)
-    for u in (1e-12, 1e-6, 0.3, 0.99, 1 - 1e-12):
-        assert normal_cdf(inv_normal_cdf(u)) == pytest.approx(u, rel=1e-9, abs=5e-13)
-    assert inv_normal_cdf(0.5) == pytest.approx(0.0, abs=1e-13)
-    # standard two-sided 95% multiplier
-    assert inv_normal_cdf(0.975) == pytest.approx(1.959963984540054, rel=1e-10)
+_LOGNORMAL = FamilySpec("lognormal"), Params((math.exp(1.2), 0.7))
 
 
-def test_inv_normal_cdf_rejects_boundary():
-    for bad in (0.0, 1.0, -0.1, 1.1, math.nan):
-        with pytest.raises(DomainError):
-            inv_normal_cdf(bad)
+def test_lognormal_quantile_matches_scipy_into_both_tails():
+    # The normal quantile is the standard library's (Wichura's AS241), good
+    # to rounding up to the last float below 1, where a solve on the CDF
+    # scale loses digits because the CDF is flat there.
+    us = [5e-324, 1e-300, 1e-12, 0.025, 0.5, 0.975, 1 - 1e-6, 1 - 1e-12, 1 - 2.0**-53]
+    want = st.lognorm.ppf(us, 0.7, scale=math.exp(1.2))
+    np.testing.assert_allclose(latency_quantile(*_LOGNORMAL, np.array(us)), want, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +421,12 @@ def test_inverses_take_arrays_and_keep_their_shape():
         scalars = np.array([inv_reg_lower_gamma(a, float(v)) for v in u.ravel()])
         assert x.ravel().tobytes() == scalars.tobytes(), a
         assert inv_reg_lower_gamma(a, u.ravel()[order]).tobytes() == scalars[order].tobytes(), a
-    z = inv_normal_cdf(u)
-    assert z.shape == u.shape
-    np.testing.assert_allclose(z, st.norm.ppf(u), rtol=1e-8, atol=1e-10)
-    scalars = np.array([inv_normal_cdf(float(v)) for v in u.ravel()])
-    assert z.ravel().tobytes() == scalars.tobytes()
-    assert inv_normal_cdf(u.ravel()[order]).tobytes() == scalars[order].tobytes()
-    assert isinstance(inv_normal_cdf(0.3), float)
+    t = latency_quantile(*_LOGNORMAL, u)
+    assert t.shape == u.shape
+    scalars = np.array([latency_quantile(*_LOGNORMAL, float(v)) for v in u.ravel()])
+    assert t.ravel().tobytes() == scalars.tobytes()
+    assert latency_quantile(*_LOGNORMAL, u.ravel()[order]).tobytes() == scalars[order].tobytes()
+    assert isinstance(latency_quantile(*_LOGNORMAL, 0.3), float)
     assert isinstance(inv_reg_lower_gamma(2.0, 0.3), float)
 
 
@@ -448,9 +437,6 @@ def test_inverse_edges_on_arrays():
     for bad in (1.0, -0.1, math.nan):
         with pytest.raises(DomainError, match="0 <= u < 1"):
             inv_reg_lower_gamma(2.0, np.array([0.5, bad]))
-    for bad in (0.0, 1.0, math.nan):
-        with pytest.raises(DomainError, match="0 < u < 1"):
-            inv_normal_cdf(np.array([0.5, bad]))
 
 
 def test_inverse_extremes():
@@ -458,6 +444,7 @@ def test_inverse_extremes():
     assert inv_reg_lower_gamma(0.01, 1e-12) == 0.0
     assert inv_reg_lower_gamma(0.05, 1e-300) == 0.0
     # Far tails and large shapes, where plain Newton from the bracket middle is slow.
-    assert inv_normal_cdf(1e-300) == pytest.approx(st.norm.ppf(1e-300), rel=1e-12)
+    want = st.lognorm.ppf(1e-300, 0.7, scale=math.exp(1.2))
+    assert latency_quantile(*_LOGNORMAL, 1e-300) == pytest.approx(want, rel=1e-12)
     assert inv_reg_lower_gamma(1000.0, 0.3) == pytest.approx(st.gamma.ppf(0.3, 1000.0), rel=1e-10)
     assert inv_reg_lower_gamma(0.001, 0.5) == pytest.approx(st.gamma.ppf(0.5, 0.001), rel=1e-9)

@@ -306,6 +306,23 @@ def test_followup_median_pools_events_and_censorings():
     assert fs.n == 4 and fs.n_events == 2
 
 
+@pytest.mark.parametrize("times", [
+    [1.0, 2.0, 3.0],
+    [0.3, 0.7, 1.1, 2.9],
+    [1e-310, 1e-310],  # subnormal: halving first would lose the last bit
+    [2.5e-308, 2.5e-308, 1.0, 1.2e-300],
+    [1e-300, 3.0, 7.0, 1e300],
+])
+def test_followup_median_is_numpys_where_that_is_finite(times):
+    fs = followup_summary(validate_sample([(t, True) for t in times]))
+    assert fs.median_followup == np.median(np.array(times))
+
+
+def test_followup_median_does_not_overflow_near_the_largest_float():
+    s = validate_sample([(1.0, True), (1.5e308, False), (1.7e308, True), (1.75e308, False)])
+    assert followup_summary(s).median_followup == 1.6e308
+
+
 def test_followup_late_event_rate_arithmetic():
     # max follow-up 10, default window 0.2 * 10 = 2, events in (8, 10]: two.
     recs = [(1.0, True), (8.5, True), (9.5, True), (8.0, True), (10.0, False)]
