@@ -5,9 +5,10 @@ ascending by time with events placed before censorings at tied times;
 that canonical order encodes the usual product-limit tie convention
 (censored subjects at t are still at risk for the step at t).
 
-``validate_sample`` (pairs), ``read_csv`` (two CSV columns) and
-``simulate.simulate_mixture`` (arrays) all go through ``_canonical_sample``:
-one vectorized finite, non-negative check and one stable sort.
+``validate_sample`` (pairs), ``read_csv`` (two CSV columns, parsed by
+numpy's C text reader) and ``simulate.simulate_mixture`` (arrays) all go
+through ``_canonical_sample``: one vectorized finite, non-negative check and
+one stable sort.
 ``_km_product`` computes the product-limit estimate for every caller.
 A sample and a Kaplan-Meier curve are read-only numpy arrays with a few
 counts; callers read the arrays (the curve's last survival value is
@@ -17,13 +18,13 @@ counts; callers read the arrays (the curve's last survival value is
 from __future__ import annotations
 
 import csv
+import io
 import math
 import numbers
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -152,6 +153,27 @@ class KaplanMeierCurve:
             values.setflags(write=False)
 
 
+def _is_time_cell(cell: str) -> bool:
+    """Whether numpy's text reader parses the stripped ``cell`` as a float:
+    ``float``'s grammar on ASCII text without ``_`` digit separators."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return cell.isascii() and "_" not in cell
+
+
+def _csv_records(fh, path: str) -> list[list[str]]:
+    """Every non-blank record of ``fh``, header included, read by ``csv`` from
+    the start; undecodable text or a field longer than ``csv.field_size_limit()``
+    is a :class:`ValidationError` naming ``path``."""
+    fh.seek(0)
+    try:
+        return list(filter(None, csv.reader(fh)))  # a blank line reads as []
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+
+
 def read_csv(
     path: str,
     time_col: str = "time",
@@ -160,11 +182,22 @@ def read_csv(
 ) -> SurvivalSample:
     """Load a right-censored sample from a headered CSV file.
 
-    Times are divided by ``time_scale`` (365.25 turns days into years).
-    Event cells must be one of 0/1/true/false (case-insensitive).  Errors
-    name the file row (1 = header; blank lines are skipped and not counted)
-    and column.  Extra columns are ignored.  The file is read as UTF-8
-    whatever the locale; a leading byte-order mark is skipped.
+    ``csv`` parses the header; one ``np.loadtxt`` call, numpy's C text
+    reader (``quotechar`` needs numpy >= 1.23), parses the two columns, with
+    ``csv``'s quoting: a field that opens with ``"`` may hold commas,
+    newlines and doubled quotes.  A time cell is Python ``float`` syntax
+    (surrounding whitespace, exponents, ``inf``, ``nan``) in ASCII without
+    ``_`` separators; times are divided by ``time_scale`` (365.25 turns days
+    into years).  An event cell is 0, 1, true or false, case-insensitive,
+    surrounding whitespace ignored.  Extra columns are ignored.  The file is
+    read as UTF-8 whatever the locale; a leading byte-order mark is skipped.
+
+    Only after a failed parse does a per-row ``csv`` scan run, to name the
+    first bad cell by file row (1 = header; blank lines are skipped and not
+    counted) and column; a file that ``csv`` cannot read, undecodable or
+    with a field longer than ``csv.field_size_limit()``, is reported as such
+    first.  A long field in a file that parses is read.  A stream that
+    cannot seek, such as a pipe, is read into memory first, for the scan.
     """
     if not (_is_number(time_scale, numbers.Real) and 0.0 < time_scale < math.inf):
         raise ValidationError(f"time_scale must be finite and > 0, got {time_scale!r}")
@@ -173,44 +206,59 @@ def read_csv(
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            rows = list(filter(None, reader))  # a blank line reads as []
+            if not fh.seekable():
+                fh = io.StringIO("".join(fh), newline="")
+            header = next(csv.reader(fh), None)
+            first = next((line for line in fh if line.strip("\r\n")), None)  # first data line
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ValidationError(f"cannot read {path}: {exc}") from None
-    if header is None:
-        raise ValidationError(f"empty file: {path} has no header row")
-    # A repeated column name means its last occurrence.
-    column = {name: j for j, name in enumerate(header)}
-    for col in (time_col, event_col):
-        if col not in column:
-            raise ValidationError(f"missing column {col!r} in {path} (found: {', '.join(header)})")
-    if not rows:
-        raise ValidationError(f"empty file: {path} has a header but no data rows")
-    jt, je = column[time_col], column[event_col]
-    try:
-        with np.errstate(over="ignore"):  # an overflow to inf is reported as non-finite
-            times = np.fromiter(map(float, map(itemgetter(jt), rows)), float, len(rows)) / time_scale
-        cells = list(map(itemgetter(je), rows))
-        word = {cell: _EVENT_WORDS[cell.strip().lower()] for cell in set(cells)}
-        events = np.fromiter(map(word.__getitem__, cells), bool, len(rows))
-    except (IndexError, ValueError, KeyError):
-        for i, row in enumerate(rows, start=2):  # name the first cell that fails
-            raw_t, raw_e = (row[j].strip() if j < len(row) else "" for j in (jt, je))
-            try:
-                float(raw_t)
-            except ValueError:
+        if header is None:
+            raise ValidationError(f"empty file: {path} has no header row")
+        # A repeated column name means its last occurrence.
+        column = {name: j for j, name in enumerate(header)}
+        for col in (time_col, event_col):
+            if col not in column:
+                _csv_records(fh, path)  # an unreadable file says so first
                 raise ValidationError(
-                    f"unparseable time {raw_t!r} at row {i}, column {time_col!r} of {path}"
-                ) from None
-            if raw_e.lower() not in _EVENT_WORDS:
-                raise ValidationError(
-                    f"unparseable event {raw_e!r} at row {i}, column {event_col!r} "
-                    f"of {path}: expected 0, 1, true or false"
-                ) from None
-        raise
-    return _canonical_sample(times, events, lambda i: f"row {i + 2}, column {time_col!r} of {path}")
+                    f"missing column {col!r} in {path} (found: {', '.join(header)})"
+                )
+        if first is None:
+            raise ValidationError(f"empty file: {path} has a header but no data rows")
+        jt, je = column[time_col], column[event_col]
+        try:
+            parsed = np.loadtxt(
+                chain((first,), fh), delimiter=",", quotechar='"', comments=None,
+                usecols=(jt, je), dtype=[("t", float), ("e", object)], ndmin=1,
+            )
+            with np.errstate(over="ignore"):  # an overflow to inf is reported as non-finite
+                times = parsed["t"] / time_scale
+            cells = parsed["e"]
+            events = np.zeros(cells.size, bool)
+            for cell in set(cells):
+                if _EVENT_WORDS[cell.strip().lower()]:
+                    events |= cells == cell
+            return _canonical_sample(
+                times, events, lambda i: f"row {i + 2}, column {time_col!r} of {path}"
+            )
+        except (ValueError, KeyError) as exc:  # ValidationError and UnicodeDecodeError included
+            failure = exc
+        rows = _csv_records(fh, path)[1:]  # the header is the first record
+    for i, row in enumerate(rows, start=2):  # name the first cell that fails
+        raw_t, raw_e = (row[j].strip() if j < len(row) else "" for j in (jt, je))
+        if not _is_time_cell(raw_t):
+            raise ValidationError(
+                f"unparseable time {raw_t!r} at row {i}, column {time_col!r} of {path}"
+            )
+        if raw_e.lower() not in _EVENT_WORDS:
+            raise ValidationError(
+                f"unparseable event {raw_e!r} at row {i}, column {event_col!r} "
+                f"of {path}: expected 0, 1, true or false"
+            )
+    if isinstance(failure, ValidationError):  # a negative or non-finite time
+        raise failure
+    # Only a file that numpy's tokenizer splits otherwise than csv's gets here.
+    raise ValidationError(f"cannot read {path}: {failure}") from None
 
 
 def _rows(template: str, *columns: np.ndarray) -> str:
@@ -295,11 +343,14 @@ def followup_summary(sample: SurvivalSample, late_window: float | None = None) -
     """Summary statistics of observed follow-up.
 
     The median pools event and censoring times. ``late_window`` defaults
-    to 20% of the maximum follow-up.
+    to 20% of the maximum follow-up, and to the smallest positive float
+    where that underflows to 0.
     """
     max_fu = sample.max_time
     if late_window is None:
-        late_window = DEFAULT_LATE_WINDOW_FRACTION * max_fu if max_fu > 0.0 else 1.0
+        late_window = (
+            max(DEFAULT_LATE_WINDOW_FRACTION * max_fu, math.ulp(0.0)) if max_fu > 0.0 else 1.0
+        )
     if not (_is_number(late_window, numbers.Real) and 0.0 < late_window < math.inf):
         raise ValidationError(f"late_window must be finite and > 0, got {late_window!r}")
     max_event = sample.max_event_time

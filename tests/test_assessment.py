@@ -558,6 +558,16 @@ def test_config_validation():
                 AssessmentConfig(**{name: bad})
 
 
+def test_default_late_window_of_subnormal_follow_up_is_not_an_error():
+    # The default window, 0.2 * 1e-323, underflows; it once failed the
+    # late_window check, naming a parameter the caller did not set.
+    sample = validate_sample([(5e-324, True), (5e-324, False), (1e-323, False)])
+    try:
+        receus_assess(sample, AssessmentConfig())
+    except AssessmentError as exc:  # the fits may fail on such data, and say so
+        assert "late_window" not in str(exc)
+
+
 def test_selection_and_deviance_test_check_their_families():
     # AssessmentConfig checks receus_assess's families (test_config_validation);
     # deviance_cure_test's one family goes through FamilySpec.

@@ -212,6 +212,47 @@ def test_read_csv_names_a_file_that_is_not_utf8(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"curecheck: error: cannot read {p}: 'utf-8' codec")
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # Changed: the time grammar is numpy's, which has no digit separators or
+        # non-ASCII digits; float() read these as 1000.0 and 12.0.
+        ("time,event\n1,1\n1_000,0\n", "unparseable time '1_000' at row 3, column 'time' of "),
+        ("time,event\n1,1\n\u0661\u0662,0\n", "unparseable time '\u0661\u0662' at row 3, column 'time' of "),
+        ("time,event\n1,1\n2,0\x00\n", "unparseable event '0\\x00' at row 3, column 'event' of "),
+        ("time,event\n1,1\n2\x00,0\n", "unparseable time '2\\x00' at row 3, column 'time' of "),
+        ('time,event\n1,1\n"2,0\n3,1\n', "unparseable time '2,0\\n3,1' at row 3, column 'time' of "),
+        ("time,event\n1,1\n2,1       x\n", "unparseable event '1       x' at row 3, column 'event' of "),
+        ("time,event\n1,1\n2,truex\n", "unparseable event 'truex' at row 3, column 'event' of "),
+        ("time,event\r\n\r\n", "empty file: "),
+        ("", "empty file: "),
+    ],
+    ids=["underscore", "arabic-digits", "nul-event", "nul-time", "unterminated-quote",
+         "long-event", "event-prefix", "header-only", "empty"],
+)
+def test_malformed_csv_is_a_named_error(tmp_path, capsys, body, message):
+    p = tmp_path / "d.csv"
+    p.write_text(body, newline="")
+    with pytest.raises(ValidationError) as info:
+        read_csv(str(p))
+    assert message in str(info.value) and str(p) in str(info.value)
+    assert main(["km", str(p)]) == 1
+    assert capsys.readouterr().err == f"curecheck: error: {info.value}\n"
+
+
+def test_read_csv_accepts_what_csv_and_float_disagreed_on(tmp_path):
+    # Changed: a time padded with an ASCII information separator (U+001C-U+001F)
+    # strips as whitespace; float() refused it after the scan had stripped it,
+    # and the bare ValueError escaped.  A field longer than
+    # csv.field_size_limit() is read when it parses; it still fails the read
+    # when anything else in the file does (test_csv_parity).
+    p = tmp_path / "d.csv"
+    p.write_text("time,event\n1\x1c,1\n\x1f2,0\n", newline="")
+    assert records(read_csv(str(p))) == [(1.0, True), (2.0, False)]
+    p.write_text("time,note,event\n1," + "x" * 200_000 + ",1\n" + "0" * 200_000 + "2,,0\n")
+    assert records(read_csv(str(p))) == [(1.0, True), (2.0, False)]
+
+
 def test_csv_round_trip_is_exact_with_ties_and_zeros(tmp_path):
     s = validate_sample(
         [(0.0, False), (0.0, True), (2.5, False), (2.5, True), (2.5, True), (1e-300, True),
@@ -685,13 +726,13 @@ def test_cli_assess_missing_file_is_an_error(capsys):
     assert "cannot read" in captured.err
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, stdin=None):
     import curecheck
 
     env = dict(os.environ, PYTHONPATH=str(Path(curecheck.__file__).resolve().parents[1]))
     return subprocess.run(
         [sys.executable, "-m", "curecheck.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        input=stdin, capture_output=True, text=True, env=env, timeout=60,
     )
 
 
@@ -712,6 +753,21 @@ def test_cli_unreadable_csv_is_an_error_not_a_traceback(tmp_path, body, reason):
     assert reason in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+@pytest.mark.parametrize(
+    "body", ["time,event\n1,1\n2,0\n", "time,event\n1,1\nsoon,0\n", "start,event\n1,1\n"]
+)
+def test_cli_reads_a_pipe_as_it_reads_a_file(tmp_path, body):
+    # A pipe cannot seek, and a failed parse reads the text a second time.
+    p = tmp_path / "d.csv"
+    p.write_text(body)
+    from_file = _run_cli("km", str(p))
+    from_pipe = _run_cli("km", "/dev/stdin", stdin=body)
+    assert from_pipe.returncode == from_file.returncode
+    assert from_pipe.stdout == from_file.stdout
+    assert from_pipe.stderr == from_file.stderr.replace(str(p), "/dev/stdin")
 
 
 @pytest.mark.parametrize("flag", ["--tau", "--late-window"])

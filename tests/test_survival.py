@@ -345,6 +345,18 @@ def test_followup_late_window_validation():
             followup_summary(s, late_window=flag)
 
 
+def test_followup_default_window_where_a_fifth_of_the_follow_up_underflows():
+    # 0.2 * 1e-323 rounds to 0; the default window is then the smallest positive float.
+    s = validate_sample([(5e-324, True), (5e-324, False), (1e-323, False)])
+    fs = followup_summary(s)
+    assert fs.late_window == math.ulp(0.0)
+    assert fs.late_event_rate == 0.0  # the event at 5e-324 lies on the window's open end
+    assert followup_summary(validate_sample([(1e-300, True)])).late_window == 0.2 * 1e-300
+    assert followup_summary(validate_sample([(0.0, True)])).late_window == 1.0
+    with pytest.raises(ValidationError, match="late_window must be finite and > 0, got 0.0"):
+        followup_summary(s, late_window=0.0)
+
+
 def test_followup_long_plateau_fixture(long_followup_sample):
     fs = followup_summary(long_followup_sample)
     assert fs.n == 1000
