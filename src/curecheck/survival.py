@@ -7,8 +7,10 @@ that canonical order encodes the usual product-limit tie convention
 
 ``validate_sample`` (pairs), ``read_csv`` (two CSV columns, parsed by
 numpy's C text reader) and ``simulate.simulate_mixture`` (arrays) all go
-through ``_canonical_sample``: one vectorized finite, non-negative check and
-one stable sort.
+through ``_canonical_sample``: one vectorized finite, non-negative check,
+then the event times and the censoring times each sorted and merged (-0.0
+is stored as 0.0).  ``_rows`` writes sorted rows, formatting each run of
+equal rows once.
 ``_km_product`` computes the product-limit estimate for every caller.
 A sample and a Kaplan-Meier curve are read-only numpy arrays with a few
 counts; callers read the arrays (the curve's last survival value is
@@ -94,9 +96,20 @@ def _canonical_sample(times, events, where="row {}".format) -> SurvivalSample:
         i = int(np.argmin(ok))
         kind = "negative" if math.isfinite(times[i]) else "non-finite"
         raise ValidationError(f"{kind} time at {where(i)}")
-    # Stable sort on (time, events-first): censorings get secondary key 1.
-    order = np.lexsort((~events, times))
-    return SurvivalSample(times=times[order], events=events[order])
+    # Records equal in (time, event) are interchangeable, so two plain sorts
+    # merge into the canonical order: event j goes to slot j plus the number
+    # of censorings before its time, and the censorings fill the other slots.
+    # Adding 0.0 turns -0.0 into 0.0, which the sorts could not tell apart.
+    te, tc = times[events], times[~events]
+    for part in (te, tc):
+        part += 0.0
+        part.sort()
+    out_e = np.zeros(times.size, bool)
+    out_e[tc.searchsorted(te, "left") + np.arange(te.size)] = True
+    out_t = np.empty(times.size)
+    out_t[out_e] = te
+    out_t[~out_e] = tc
+    return SurvivalSample(times=out_t, events=out_e)
 
 
 def validate_sample(raw) -> SurvivalSample:
@@ -261,12 +274,49 @@ def read_csv(
     raise ValidationError(f"cannot read {path}: {failure}") from None
 
 
+_SPLICE_MIN_ROWS = 64
+
+
 def _rows(template: str, *columns: np.ndarray) -> str:
-    """``template`` once per row of ``columns``, filled in one ``%`` pass over
-    their ``tolist()`` values: ``'%r' % x`` is ``repr(x)``, and ``'%.2f' % x``
-    is ``f'{x:.2f}'``, so the bytes equal a per-row f-string's."""
-    cells = chain.from_iterable(zip(*(c.tolist() for c in columns)))
-    return (template * len(columns[0])) % tuple(cells)
+    """``template`` once per row of ``columns``, filled by ``%`` from their
+    ``tolist()`` values: ``'%r' % x`` is ``repr(x)``, and ``'%.2f' % x`` is
+    ``f'{x:.2f}'``, so the bytes equal a per-row f-string's.
+
+    A row equal, bit for bit, to the row before it is formatted once and
+    repeated: sorted output puts equal rows next to each other (the
+    plateau's censorings, the records a cutoff caps, day-granular times).
+    One ``%`` pass formats the first row of every run of two or more,
+    each followed by a NUL (``template`` holds none); each text, repeated
+    over its run, goes into the template as literal text; a second pass
+    fills in the rows that do not repeat.  Below ``_SPLICE_MIN_ROWS`` rows,
+    or where at most one row in eight repeats, that splice would cost more
+    than the formats it saves, and every row is formatted.
+    """
+    n = len(columns[0])
+    starts_run = np.ones(n, bool)  # row i differs from row i - 1
+    if n >= _SPLICE_MIN_ROWS:
+        starts_run[1:] = False
+        for c in columns:
+            bits = c.view(f"u{c.itemsize}")
+            starts_run[1:] |= bits[1:] != bits[:-1]
+
+    def cells(rows):
+        return tuple(chain.from_iterable(zip(*(c[rows].tolist() for c in columns))))
+
+    if n - np.count_nonzero(starts_run) <= n // 8:
+        return (template * n) % cells(slice(None))
+    starts = np.flatnonzero(starts_run)
+    counts = np.diff(starts, append=n)
+    repeated = np.flatnonzero(counts > 1)
+    texts = ((template + "\0") * repeated.size % cells(starts[repeated])).replace("%", "%%")
+    lone = np.diff(repeated, prepend=-1, append=starts.size) - 1  # runs of one between them
+    # A generator, so that join's pieces are freed before the second pass.
+    pieces = chain.from_iterable(
+        (template * k, text * count)
+        for k, text, count in zip(lone.tolist(), texts.split("\0"), counts[repeated].tolist())
+    )
+    spliced = "".join(chain(pieces, (template * int(lone[-1]),)))
+    return spliced % cells(starts[counts == 1])
 
 
 def write_csv(

@@ -7,10 +7,13 @@ import pytest
 from conftest import km_rows, records
 
 from curecheck.errors import ValidationError
+from curecheck.plot import _AXIS_COLOR, _CENSOR_MARK, _LEFT, _TICK_COLOR, _Y_TICK
 from curecheck.survival import (
     DEFAULT_LATE_WINDOW_FRACTION,
     SurvivalSample,
+    _canonical_sample,
     _km_tail,
+    _rows,
     followup_summary,
     kaplan_meier,
     validate_sample,
@@ -33,6 +36,40 @@ def test_validate_breaks_time_ties_events_first():
 def test_validate_tie_break_is_stable_for_larger_samples():
     s = validate_sample([(3.0, False), (2.0, False), (2.0, True), (1.0, True), (2.0, True)])
     assert records(s) == [(1.0, True), (2.0, True), (2.0, True), (2.0, False), (3.0, False)]
+
+
+def _tie_heavy(rng, n):
+    """Times on a coarse grid with many zeros, so that (time, event) ties abound."""
+    times = rng.integers(0, max(2, n // 4), n) * 0.25
+    times[rng.random(n) < 0.2] = 0.0
+    return times, rng.random(n) < 0.5
+
+
+def test_canonical_order_is_the_stable_sort_with_events_first():
+    # Two plain sorts merged give the records of the stable (time,
+    # events-first) sort: equal (time, event) records cannot be told apart.
+    rng = np.random.default_rng(20)
+    for n in (1, 2, 3, 7, 40, 333):
+        for _ in range(25):
+            times, events = _tie_heavy(rng, n)
+            order = np.lexsort((~events, times))
+            s = _canonical_sample(times.copy(), events.copy())
+            assert s.times.tobytes() == times[order].tobytes()
+            assert s.events.tobytes() == events[order].tobytes()
+
+
+def test_canonical_order_does_not_depend_on_the_sign_of_zero():
+    # -0.0 == 0.0, so no sort can order the two zeros; both are stored as 0.0
+    # and the sample's bytes do not depend on the order of the records.
+    records_ = [(0.0, False), (-0.0, False), (1.0, True), (-0.0, True), (0.0, True), (0.5, False)]
+    rng = np.random.default_rng(4)
+    first = validate_sample(records_)
+    assert not np.signbit(first.times).any()
+    for _ in range(20):
+        shuffled = [records_[i] for i in rng.permutation(len(records_))]
+        s = validate_sample(shuffled)
+        assert s.times.tobytes() == first.times.tobytes()
+        assert s.events.tobytes() == first.events.tobytes()
 
 
 def test_negative_time_names_the_row():
@@ -381,3 +418,65 @@ def test_followup_plateau_positive_iff_last_observation_censored():
             assert fs.plateau_length == 0.0
         else:
             assert fs.plateau_length > 0.0
+
+
+# ---------------------------------------------------------------------------
+# row writer
+
+def _csv_row(t, e):
+    return f"{t!r},{e:d}\r\n"
+
+
+def _censor_mark(x1, y1, x2, y2):
+    return (f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            f'stroke="{_TICK_COLOR}" stroke-width="1.4"/>\n')
+
+
+def _y_tick(y1, y2, y3, p):
+    return (f'<line x1="{_LEFT - 4:.2f}" y1="{y1:.2f}" x2="{_LEFT:.2f}" y2="{y2:.2f}" '
+            f'stroke="{_AXIS_COLOR}" stroke-width="1"/>\n'
+            f'<text x="{_LEFT - 8:.2f}" y="{y3:.2f}" font-family="sans-serif" '
+            f'font-size="11" text-anchor="end">{p:.6g}</text>\n')
+
+
+def _repeat_patterns():
+    """Sorted times and events with the repeats real output has, and none."""
+    rng = np.random.default_rng(8)
+    n = 400
+    t = np.sort(rng.exponential(1.0, n))
+    e = rng.random(n) < 0.6
+    one = t.copy()
+    one[200] = one[201]
+    days = np.sort(np.floor(rng.exponential(40.0, n)))
+    capped = np.minimum(t, t[n // 2])  # a cutoff: one long final run
+    return {
+        "no repeats": (t, e),
+        "one repeat": (one, np.where(np.arange(n) == 200, e[201], e)),
+        "long final run": (capped, e & (t < t[n // 2])),
+        "integer days": (days, np.zeros(n, bool)),
+        "every row twice": (np.repeat(t[: n // 2], 2), np.repeat(e[: n // 2], 2)),
+        "one row": (t[:1], e[:1]),
+    }
+
+
+@pytest.mark.parametrize("pattern", list(_repeat_patterns()))
+def test_rows_equal_a_per_row_f_string(pattern):
+    # Runs of equal rows are formatted once and repeated; the bytes must be
+    # those of formatting every row, whatever the runs.
+    t, e = _repeat_patterns()[pattern]
+    x, y = 62.0 + 3.0 * t, 100.0 + np.floor(t)
+    cases = [
+        ("%r,%d\r\n", _csv_row, (t, e)),
+        (_CENSOR_MARK, _censor_mark, (x, y - 4, x, y + 4)),
+        (_Y_TICK, _y_tick, (y, y, y + 3.5, t)),
+    ]
+    for template, row, columns in cases:
+        want = "".join(row(*cells) for cells in zip(*(c.tolist() for c in columns)))
+        assert _rows(template, *columns) == want, template
+
+
+def test_rows_tell_the_two_zeros_apart():
+    # -0.0 == 0.0, but the rows differ; rows equal bit for bit repeat.
+    t = np.array([-0.0, 0.0] * 40 + [1.0] * 40)
+    e = np.ones(t.size, bool)
+    assert _rows("%r,%d\r\n", t, e) == "-0.0,1\r\n0.0,1\r\n" * 40 + "1.0,1\r\n" * 40
