@@ -6,17 +6,17 @@ library's through ``math``, the normal upper tail and its log built on
 erfc, the chi-square(1) tail, the regularized incomplete gamma and the
 gamma quantile; the normal quantile is ``statistics.NormalDist``'s.
 
-P(a, x) comes from a series / continued fraction split.  The gamma
-quantile inverts it with a vectorized Halley solver from a close start:
-on log P from the series below u = 1/2, on -log Q from the continued
-fraction (or 1 - P below x = a + 1) above; its loops and the solver
+P(a, x) comes from a series / continued fraction split, for shapes up to
+1e5.  The gamma quantile inverts it with a vectorized Halley solver from a
+close start: on log P from the series below u = 1/2, on -log Q from the
+continued fraction (or 1 - P below x = a + 1) above; its loops and the solver
 iterate only the elements not yet converged, so an element's value does
 not depend on its batch.
 log Q(a, x) and its first two derivatives in the shape a, the gamma
 family's log S0 and its shape terms, come from one Gauss-Legendre
 quadrature of t^(a-1) e^(-t) on the log scale: over the gaps between the
-sorted x, summed from the right, so one pass gives every element of a
-batch.  The fits' x are already sorted and distinct and go to the
+sorted x, summed from the right in one sweep that gives every element of
+a batch.  The fits' x are already sorted and distinct and go to the
 quadrature as they are; any other batch is sorted and de-duplicated first,
 with the same bits.
 
@@ -24,9 +24,9 @@ Accuracy: erfc and log_gamma are good to about 1 ulp, as the platform's
 ``math.erfc`` and ``math.lgamma`` are; P iterates to machine tolerance; log Q
 and its shape derivatives are good to about 1e-14, relative or absolute where
 the value is below 1; gamma quantiles match scipy to about 3e-14 relative
-into both tails for shapes a >= 0.05 (see ``inv_reg_lower_gamma``).  The
-test suite checks all of them against scipy and
-brute-force quadrature.
+into both tails for shapes 0.05 <= a <= 1e4 and to 1e-12 up to 1e5 (see
+``inv_reg_lower_gamma``).  The test suite checks all of them against scipy
+and brute-force quadrature.
 """
 
 from __future__ import annotations
@@ -87,7 +87,12 @@ def log_normal_sf(z):
     return out
 
 
-_MAX_INC_GAMMA_ITER = 600
+_MAX_SERIES_SHAPE = 1e5  # the largest shape P and the gamma quantile are checked at
+
+
+def _max_terms(a: float) -> int:
+    """Terms the series or the fraction may take: near x = a the series' fall like e^(-k^2 / 2a)."""
+    return max(600, math.ceil(12.0 * math.sqrt(a)))
 
 
 def _digamma_trigamma(a: float) -> tuple[float, float]:
@@ -112,9 +117,11 @@ def _digamma_trigamma(a: float) -> tuple[float, float]:
     return psi, psi1
 
 
-def _check_shape(a: float) -> None:
+def _check_shape(a: float, largest: float = math.inf) -> None:
     if not (a > 0.0) or not math.isfinite(a):
         raise DomainError(f"incomplete gamma requires a > 0, got {a!r}")
+    if a > largest:
+        raise DomainError(f"P(a, x) and its inverse take shapes a <= {largest:g}, got {a!r}")
 
 
 def _series(a: float, x: np.ndarray) -> np.ndarray:
@@ -122,7 +129,7 @@ def _series(a: float, x: np.ndarray) -> np.ndarray:
     term = np.full_like(x, 1.0 / a)
     total = term.copy()
     active, ak = np.arange(x.size), a
-    for _ in range(_MAX_INC_GAMMA_ITER):
+    for _ in range(_max_terms(a)):
         ak += 1.0
         term[active] = ta = term[active] * (x[active] / ak)
         total[active] = sa = total[active] + ta
@@ -141,7 +148,7 @@ def _fraction(a: float, x: np.ndarray) -> np.ndarray:
     d = 1.0 / b
     h = d.copy()
     active = np.arange(x.size)
-    for i in range(1, _MAX_INC_GAMMA_ITER):
+    for i in range(1, _max_terms(a)):
         an = -i * (i - a)
         b[active] = ba = b[active] + 2.0
         da = an * d[active] + ba
@@ -164,14 +171,16 @@ def reg_lower_gamma(a: float, x):
     from the series expansion (``_series``) where 0 < x < a + 1, and
     1 - exp(log_pref) * h from the Lentz continued fraction for Q
     (``_fraction``) where x >= a + 1; x = 0 gives 0, x = inf gives 1 and
-    x = NaN gives NaN.  Both are iterated to machine tolerance (capped at
-    600 terms).
+    x = NaN gives NaN.  Both are iterated to machine tolerance, capped at
+    max(600, 12 sqrt(a)) terms (``_max_terms``).  The rounding of
+    log_pref grows like 1e-16 a log a, to 2e-10 in P at a = 1e5; larger
+    shapes raise ``DomainError``.
 
     Elements converge at very different speeds, slowest near x ~ a.  Each
     loop iterates an index array of those not yet converged, so an element
     stops at its first convergence and does not depend on its batch.
     """
-    _check_shape(a)
+    _check_shape(a, _MAX_SERIES_SHAPE)
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0.0):
@@ -235,8 +244,7 @@ def _reverse_sums(M, dc):
     """P_i, T1_i, T2_i as rows: sums over gaps j >= i of the moments of
     f (u - c_i)^k, from the rows p, m1, m2 of M, each gap's moments about
     its own centre c_j, and the steps dc_j = c_{j+1} - c_j >= 0 between
-    them.  Right of the peak, where it runs, every term is >= 0.  M is
-    overwritten."""
+    them.  M is overwritten."""
     acc = np.empty_like(M)  # each row accumulated from the right end
     out = acc[:, ::-1]
     p, m1, m2 = M
@@ -280,16 +288,17 @@ def _upper_gamma_quadrature(a: float, x: np.ndarray):
     The gaps left of log a are the first ``split``; the one holding the
     peak, if any, is the last of them and has a part on either side.
 
-    The moments of gap j are taken about c_j = max(u_j, log a): right of
-    the peak all of them are >= 0; left of it the conditional mean and
-    variance of u stay small, so T2 / P - (T1 / P)^2 does not cancel.
-    Then log Q = log P - log Gamma(a), d/da log Q = c_i + T1 / P - psi(a)
-    and d2/da2 log Q = T2 / P - (T1 / P)^2 - psi'(a).
+    The moments of gap j are taken about c_j = max(u_j, log a), so the
+    steps dc_j = c_{j+1} - c_j are 0 left of the peak, where the first
+    moments are < 0; there the conditional mean and variance of u stay
+    small, so T2 / P - (T1 / P)^2 does not cancel.  Then
+    log Q = log P - log Gamma(a), d/da log Q = c_i + T1 / P - psi(a) and
+    d2/da2 log Q = T2 / P - (T1 / P)^2 - psi'(a).
 
-    Sums left of the peak run on the peak's scale, where the gap holding
-    the peak bounds them away from 0.  Right of it each gap's maximum
-    falls as x grows; while they span less than ``_PLAIN_SPAN`` nats the
-    sums run on one scale, past that in log space.
+    One sweep of ``_reverse_sums`` from the right gives every sum, each
+    gap scaled by its maximum of f over the peak's.  Past ``_PLAIN_SPAN``
+    nats of spread in those maxima it runs in log space, where the
+    negative first moments get a log-sum of their own.
     """
     m = x.size
     la = math.log(a)
@@ -349,44 +358,28 @@ def _upper_gamma_quadrature(a: float, x: np.ndarray):
     rows = (gap + np.array([[0], [m], [2 * m]])).ravel()
     M = np.bincount(rows, ((_GL_W @ y) * hp).ravel(), 3 * m).reshape(3, m)  # p, m1, m2 per gap
 
-    # Sums from the right: first over the gaps right of the peak, then on.
-    # Each gap's maximum of log f, less a log a - a, is -a phi(tm); right of
-    # the peak, where e^tm might overflow, a (1 + tm) - e_max from tm = 1 on.
-    out = np.empty((3, m))  # log P, T1 / P and T2 / P
-    if split < m:
-        tr = tm[split:]
-        near = np.minimum(tr, 1.0)
-        gr = np.where(tr < 1.0, a * (near - np.expm1(near)), a * (1.0 + tr) - e_max[split:])
-        if gr[0] - gr[-1] < _PLAIN_SPAN:
-            S = _reverse_sums(M[:, split:] * np.exp(gr - gr[0]), g[split:-1])
-            out[0, split:] = np.log(S[0]) + gr[0]
-            out[1:, split:] = S[1:] / S[0]
-            cp, c1, c2 = S[:, 0] * math.exp(gr[0])  # the sums at the split, on the peak's scale
-        else:
-            with np.errstate(divide="ignore"):
-                S = _log_reverse_sums(np.log(M[:, split:]) + gr, np.log(g[split:-1]))
-            out[0, split:] = S[0]
-            out[1:, split:] = np.exp(S[1:] - S[0])
-            cp, c1, c2 = (math.exp(v) for v in S[:, 0])
-    if split:
-        # Left of the peak every gap's centre is log a: the sums are plain
-        # sums from the right, started from the right part's sums moved from
-        # its centre u_split by dc = t_split.
-        tl = tm[:split]
-        L = M[:, :split] * np.exp(a * (tl - np.expm1(tl)))
-        if split < m:
-            dc = t[split]
-            L[1, -1] += dc * cp
-            L[2, -1] += dc * (2.0 * c1 + dc * cp)
-            L[:, -1] += (cp, c1, c2)
-        S = np.cumsum(L[:, ::-1], axis=1)[:, ::-1]
-        out[0, :split] = np.log(S[0])
-        out[1:, :split] = S[1:] / S[0]
+    # Sums from the right over every gap.  Gap j's maximum of log f, less
+    # the peak's a log a - a, is -a phi(tm); from tm = 1 on, where e^tm might
+    # overflow, a (1 + tm) - e_max.
+    c = np.maximum(u, la)  # each gap's centre: the steps dc between them are 0 left of the peak
+    near = np.minimum(tm, 1.0)
+    gr = np.where(tm < 1.0, a * (near - np.expm1(near)), a * (1.0 + tm) - e_max)
+    top = gr.max()
+    if top - gr.min() < _PLAIN_SPAN:
+        P, T1, T2 = _reverse_sums(M * np.exp(gr - top), np.diff(c))
+        lp, r1, r2 = np.log(P) + top, T1 / P, T2 / P
+    else:
+        # First moments left of the peak are < 0: they get a log-sum of their
+        # own, which T2 never reads, since dc = 0 there.
+        with np.errstate(divide="ignore"):
+            neg = np.logaddexp.accumulate((np.log(np.maximum(-M[1], 0.0)) + gr)[::-1])[::-1]
+            M[1] = np.maximum(M[1], 0.0)
+            lp, l1, l2 = _log_reverse_sums(np.log(M) + gr, np.log(np.diff(c)))
+        r1, r2 = np.exp(l1 - lp) - np.exp(neg - lp), np.exp(l2 - lp)
     psi, psi1 = _digamma_trigamma(a)
     # Where Q ~ 1 the sum of two O(1) terms can round above 0; Q <= 1.
-    lq = np.minimum(out[0] + _peak_minus_log_gamma(a), 0.0)
-    r1, r2 = out[1], out[2]
-    return lq, np.maximum(u, la) + r1 - psi, r2 - r1 * r1 - psi1
+    lq = np.minimum(lp + _peak_minus_log_gamma(a), 0.0)
+    return lq, c + r1 - psi, r2 - r1 * r1 - psi1
 
 
 def _log_q_shape(a: float, x):
@@ -490,8 +483,11 @@ def inv_reg_lower_gamma(a: float, u):
     Against scipy the relative error is about 4e-15 at a = 0.7 and 3e-14
     at a = 0.05, up to the last float below 1.  Far smaller shapes lose
     digits where u is near 1 and x < a + 1, since there Q = 1 - P is small:
-    at a = 1e-8 the error is 9e-8 at u = 1 - 1e-8.
+    at a = 1e-8 the error is 9e-8 at u = 1 - 1e-8.  Large shapes lose
+    digits to the rounding of log P: the error is about 6e-14 at a = 1e4
+    and 8e-13 at a = 1e5, the largest shape taken (5e-11 at 1e6).
     """
+    _check_shape(a, _MAX_SERIES_SHAPE)
     uu = np.asarray(u, dtype=float)
     if not np.all((uu >= 0.0) & (uu < 1.0)):
         raise DomainError(f"inv_reg_lower_gamma requires 0 <= u < 1, got {u!r}")

@@ -242,12 +242,31 @@ def test_log_q_and_shape_derivatives_at_large_shapes():
         np.testing.assert_allclose(d2, want[:, 1], rtol=1e-10, atol=1e-12)
 
 
-def test_log_q_batch_spanning_more_than_600_nats():
-    # The gap maxima of log f fall by more than 600 from x = 3 to x = 2000,
-    # so the sums right of the peak run in log space; each element must
-    # still match the oracles, and its value alone (one gap, plain sums).
-    a = 2.5
-    xs = np.array([1e-6, 0.4, 3.0, 9.0, 40.0, 150.0, 700.0, 900.0, 2000.0])
+def _gap_maxima(a, xs):
+    """Each gap's largest log f less the peak's a log a - a; the gaps run
+    from each x to the next, the last to infinity."""
+    e = np.clip(a, xs, np.append(xs[1:], np.inf))  # e^u where log f peaks on the gap
+    return a * (1.0 + np.log(e / a)) - e
+
+
+# One sweep from the right sums every gap, on either side of x = a.  The
+# gap maxima of log f span more than 600 nats in the last two batches, so
+# their sums run in log space: in the first of them they fall by more than
+# 600 from x = 3 to x = 2000, in the second from the left alone, where the
+# first moments are negative.  Each element must match the oracles, and
+# its value alone (one gap, plain sums).
+_SWEEP_BATCHES = {
+    "below_a": (57.3, 57.3 * np.array([1e-3, 0.05, 0.3, 0.7, 0.95, 0.999])),
+    "above_a": (2.5, np.array([2.6, 3.0, 5.0, 9.0, 20.0, 60.0])),
+    "straddling_a": (10.0, np.array([0.5, 3.0, 9.5, 10.5, 14.0, 30.0])),
+    "log_space_across_a": (2.5, np.array([1e-6, 0.4, 3.0, 9.0, 40.0, 150.0, 700.0, 900.0, 2000.0])),
+    "log_space_below_a": (4.0, np.array([1e-300, 1e-150, 1e-20, 0.01, 1.0, 3.9])),
+}
+
+
+@pytest.mark.parametrize("name", list(_SWEEP_BATCHES))
+def test_log_q_sweep_matches_oracles_and_lone_elements(name):
+    a, xs = _SWEEP_BATCHES[name]
     lq, d1, d2 = _log_q_shape(a, xs)
     q = sp.gammaincc(a, xs)
     finite = q > 0.0
@@ -260,6 +279,21 @@ def test_log_q_batch_spanning_more_than_600_nats():
     np.testing.assert_allclose(d2, want[:, 1], rtol=1e-10, atol=1e-12)
     alone = np.array([_log_q_shape(a, xs[k : k + 1]) for k in range(xs.size)])[:, :, 0]
     np.testing.assert_allclose(np.stack([lq, d1, d2], 1), alone, rtol=1e-13, atol=1e-13)
+    assert (np.ptp(_gap_maxima(a, xs)) > 600.0) == name.startswith("log_space")
+
+
+def test_log_q_agrees_across_the_log_space_switch():
+    # The gap maxima span 600 nats where x - 2.5 log(x / 2.5) - 2.5 = 600.
+    # One last x just below that point keeps the sums plain and one just
+    # above takes them to log space; the x they share agree either way.
+    a, base = 2.5, np.array([1e-3, 0.5, 2.0, 3.0, 9.0, 40.0, 150.0])
+    x_switch = 600.0
+    for _ in range(50):
+        x_switch = 602.5 + a * math.log(x_switch / a)
+    batches = [np.append(base, x_switch - 0.5), np.append(base, x_switch + 0.5)]
+    assert np.ptp(_gap_maxima(a, batches[0])) < 600.0 < np.ptp(_gap_maxima(a, batches[1]))
+    plain, logged = (np.stack(_log_q_shape(a, xs)) for xs in batches)
+    np.testing.assert_allclose(plain[:, :-1], logged[:, :-1], rtol=1e-13, atol=1e-13)
 
 
 def test_log_q_at_vanishing_shapes():
@@ -402,6 +436,24 @@ def test_gamma_quantile_matches_scipy_into_both_tails(a):
     spec, params = FamilySpec("gamma"), Params((a, 0.8))
     want = st.gamma.ppf(us, a, scale=1 / 0.8)
     np.testing.assert_allclose(latency_quantile(spec, params, np.array(us)), want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("a", [1e4, 1e5])
+def test_gamma_quantile_and_p_match_scipy_at_large_shapes(a):
+    # Near x = a the series' terms fall like exp(-k^2 / (2 a)), so it needs
+    # about 9 sqrt(a) of them; past that the rounding of log P, about
+    # 1e-16 a log a, sets the error.
+    us = np.array([1e-300, 1e-10, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-10])
+    np.testing.assert_allclose(inv_reg_lower_gamma(a, us), st.gamma.ppf(us, a), rtol=1e-12)
+    xs = a + math.sqrt(a) * np.linspace(-8.0, 8.0, 33)
+    np.testing.assert_allclose(reg_lower_gamma(a, xs), sp.gammainc(a, xs), rtol=0, atol=1e-9)
+
+
+def test_incomplete_gamma_rejects_shapes_above_the_largest_checked():
+    assert reg_lower_gamma(1e5, 1e5) == pytest.approx(sp.gammainc(1e5, 1e5), abs=1e-9)
+    for f, arg in ((reg_lower_gamma, 1e5), (inv_reg_lower_gamma, 0.5)):
+        with pytest.raises(DomainError, match="a <= 100000"):
+            f(1.000001e5, arg)
 
 
 @pytest.mark.parametrize("a", [0.05, 0.3, 0.7, 2.5, 40.0])
