@@ -34,8 +34,9 @@ derivatives are exact, with no finite differences, so their rounding stays
 far below that tolerance even for millions of records: each family gives
 its event term and its log S0 at every distinct censoring time with their
 derivatives in the log parameters (the gamma shape through digamma and the
-derivatives of log Q in the shape, which come with log Q from one quadrature
-over the sorted censoring times), each Hessian as its distinct entries,
+derivatives of log Q in the shape, which come with log Q from one pass over
+the sorted censoring times: the series of P where it converges fast, a
+quadrature elsewhere), each Hessian as its distinct entries,
 from one pass over its arrays; one shared cure layer computes S0 once and
 chains them through the mixture and logit c.  Their Hessian at the
 returned point is the observed information, which ``wald_intervals``
@@ -224,7 +225,7 @@ class _Gamma(_Family):
     def derivatives(self, cache, shape, rate):
         # Rate: through x r = x g(k, x) / Q(k, x), with g the Gamma(k, 1)
         # density at x = rate t.  Shape: log Gamma(k) through digamma and
-        # trigamma, log Q through its derivatives in k from the same quadrature.
+        # trigamma, log Q through its derivatives in k from the same kernel call.
         psi, psi1 = _digamma_trigamma(shape)
         n, log_rate = cache.n_events, math.log(rate)
         a = n * log_rate + cache.sum_log_te - n * psi

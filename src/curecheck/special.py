@@ -13,12 +13,14 @@ continued fraction (or 1 - P below x = a + 1) above; its loops and the solver
 iterate only the elements not yet converged, so an element's value does
 not depend on its batch.
 log Q(a, x) and its first two derivatives in the shape a, the gamma
-family's log S0 and its shape terms, come from one Gauss-Legendre
-quadrature of t^(a-1) e^(-t) on the log scale: over the gaps between the
-sorted x, summed from the right in one sweep that gives every element of
-a batch.  The fits' x are already sorted and distinct and go to the
-quadrature as they are; any other batch is sorted and de-duplicated first,
-with the same bits.
+family's log S0 and its shape terms, come from the series of P where, at
+the batch's largest x, it converges within 32 terms and leaves Q at least
+0.03: one array of terms gives every element.  Any other batch takes one
+Gauss-Legendre quadrature of t^(a-1) e^(-t) on the log scale: over the
+gaps between the sorted x, summed from the right in one sweep that gives
+every element of a batch.  The fits' x are already sorted and distinct
+and go to that choice as they are; any other batch is sorted and
+de-duplicated first, with the same bits.
 
 Accuracy: erfc and log_gamma are good to about 1 ulp, as the platform's
 ``math.erfc`` and ``math.lgamma`` are; P iterates to machine tolerance; log Q
@@ -382,22 +384,87 @@ def _upper_gamma_quadrature(a: float, x: np.ndarray):
     return lq, c + r1 - psi, r2 - r1 * r1 - psi1
 
 
+# log Q(a, x) from the series of P where it converges fast: with
+# t_k = x^k / ((a+1)...(a+k)), P(a, x) = x^a e^(-x) / Gamma(a + 1) * sum t_k.
+_SERIES_MAX_TERMS = 32  # past this many terms at the batch's largest x the quadrature takes it
+_SERIES_MAX_P = 0.97  # so Q = 1 - P >= 0.03 keeps all but 5 bits
+
+
+def _series_terms(a: float, x: float) -> int | None:
+    """The number of terms past t_0 the series of P needs at x > 0, if it
+    is at most ``_SERIES_MAX_TERMS``, P(a, x) is at most ``_SERIES_MAX_P``
+    and a is at most ``_MAX_SERIES_SHAPE``; else None."""
+    if a > _MAX_SERIES_SHAPE:
+        return None
+    t = s = 1.0
+    for k in range(1, _SERIES_MAX_TERMS + 1):
+        t *= x / (a + k)
+        s += t
+        if t < 2.0**-60 * s:
+            break
+    else:
+        return None
+    log_p = a * math.log(x) - x + math.log(s) - math.lgamma(a + 1.0)
+    return k if log_p <= math.log(_SERIES_MAX_P) else None
+
+
+def _upper_gamma_series(a: float, x: np.ndarray, n: int):
+    """log Q(a, x) and its first two derivatives in a from n + 1 terms of
+    the series of P, on 1-D x > 0.
+
+    With H_k and H2_k the sums of 1 / (a + j) and 1 / (a + j)^2 over
+    j = 1..k, S0, S1 and S2 are the sums of t_k, t_k H_k and
+    t_k (H_k^2 + H2_k); then d/da log P = log x - psi(a + 1) - S1 / S0 and
+    d2/da2 log P = S2 / S0 - (S1 / S0)^2 - psi'(a + 1).  With the k = 0
+    term kept out of the sums, psi(a + 1) holds the 1/a parts, which
+    cancel at small a otherwise.  Then log Q = log1p(-P), and with
+    r = P / Q, d/da log Q = -r d/da log P and
+    d2/da2 log Q = -r (d2/da2 log P + (d/da log P)^2) - (d/da log Q)^2.
+    """
+    inv = 1.0 / (a + np.arange(1.0, n + 1.0))
+    h1 = np.cumsum(inv)
+    weights = np.array([np.ones(n), h1, h1 * h1 + np.cumsum(inv * inv)])
+    # Row k - 1 becomes t_k, a row at a time: np.cumprod down axis 0 makes
+    # the same products column by column, twice as slow at m ~ 1000.
+    t = inv[:, None] * x
+    for k in range(1, n):
+        np.multiply(t[k - 1], t[k], out=t[k])
+    s0, s1, s2 = weights @ t
+    s0 += 1.0
+    psi, psi1 = _digamma_trigamma(a + 1.0)
+    log_x = np.log(x)
+    m1 = s1 / s0
+    d1p = log_x - psi - m1
+    p = np.exp(a * log_x - x + np.log(s0) - math.lgamma(a + 1.0))
+    r = p / (1.0 - p)
+    d1 = -r * d1p
+    return np.log1p(-p), d1, -r * (s2 / s0 - m1 * m1 - psi1 + d1p * d1p) - d1 * d1
+
+
+def _upper_gamma(a: float, x: np.ndarray):
+    """log Q(a, x) and its first two derivatives in a on sorted, distinct,
+    finite x > 0: from the series of P where it converges in few terms at
+    the largest x and leaves Q at least 0.03 there, else by quadrature."""
+    n = _series_terms(a, float(x[-1]))
+    return _upper_gamma_quadrature(a, x) if n is None else _upper_gamma_series(a, x, n)
+
+
 def _log_q_shape(a: float, x):
     """log Q(a, x) with its first and second derivatives in a, arrays shaped
     like x >= 0.  x = 0 gives 0 for all three; x = inf gives log Q = -inf
     with NaN derivatives, and x = NaN gives NaN for all three.
 
     A 1-D batch that is already strictly increasing, finite and > 0, as
-    the gamma fits' ``rate * tc`` is, goes straight to
-    ``_upper_gamma_quadrature``.  Any other batch is sorted and
-    de-duplicated first and its distinct positive x go through the kernel,
-    so an element's result does not depend on the order of its batch, and
-    both ways give the same bits.
+    the gamma fits' ``rate * tc`` is, goes straight to ``_upper_gamma``,
+    which takes the series of P or the quadrature by the largest x alone.
+    Any other batch is sorted and de-duplicated first and its distinct
+    positive x go through the same choice, so an element's result does
+    not depend on the order of its batch, and both ways give the same bits.
     """
     _check_shape(a)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1 and x.size and x[0] > 0.0 and x[-1] < np.inf and (x[1:] > x[:-1]).all():
-        return _upper_gamma_quadrature(a, x)
+        return _upper_gamma(a, x)
     if np.any(x < 0.0):
         raise DomainError("incomplete gamma requires x >= 0")
     xs, inverse = np.unique(x, return_inverse=True)
@@ -407,7 +474,7 @@ def _log_q_shape(a: float, x):
     out[:, hi:] = np.nan
     out[0, hi:][xs[hi:] == np.inf] = -np.inf
     if lo < hi:
-        out[:, lo:hi] = _upper_gamma_quadrature(a, xs[lo:hi])
+        out[:, lo:hi] = _upper_gamma(a, xs[lo:hi])
     out = out.take(inverse.reshape(x.shape), axis=1)
     return out[0], out[1], out[2]
 

@@ -141,6 +141,7 @@ def validate_sample(raw) -> SurvivalSample:
             except (TypeError, KeyError):
                 raise ValidationError(f"non-binary event {e!r} at row {i}: expected 0 or 1") from None
         raise
+    del rows, time_cells, event_cells  # the Python records go before the sort's arrays come
     return _canonical_sample(times, events)
 
 
@@ -251,6 +252,7 @@ def read_csv(
             for cell in set(cells):
                 if _EVENT_WORDS[cell.strip().lower()]:
                     events |= cells == cell
+            del parsed, cells  # the event strings go before the sort's arrays come
             return _canonical_sample(
                 times, events, lambda i: f"row {i + 2}, column {time_col!r} of {path}"
             )

@@ -368,7 +368,8 @@ def test_assessment_reports_unconverged_rows(monkeypatch):
 def test_plateau_assess_stays_within_its_evaluation_budget(plateau_sample, monkeypatch):
     # Counts, not seconds, so the guard holds on any host: on the benchmark's
     # plateau data every fit converges within 40 trust-region iterations, and
-    # the incomplete-gamma quadrature runs at most 100 times per assessment.
+    # the incomplete-gamma quadrature runs only for the gamma cure fit, at
+    # most 6 times per assessment; the series of P takes every other call.
     from curecheck import special
 
     calls = []
@@ -383,24 +384,31 @@ def test_plateau_assess_stays_within_its_evaluation_budget(plateau_sample, monke
     for row in a.model_table:
         assert row.fit.converged, row.spec.label
         assert row.fit.n_iter <= 40, row.spec.label
-    assert len(calls) <= 100
+    assert len(calls) <= 6
 
 
 def test_short_days_assess_stays_within_its_evaluation_budget(short_days_sample, monkeypatch):
     # Counts, not seconds.  The lognormal non-cure fit has a negative cure
     # score, so the lognormal cure fit starts on the boundary c = 0 and stops
     # there at once, instead of walking ~34 iterations down the c -> 0 ridge
-    # from _initial_params.
-    from curecheck import models
+    # from _initial_params.  Every x the gamma fits give the incomplete gamma
+    # kernel is below 3, where the series of P takes them all: the
+    # quadrature never runs.
+    from curecheck import models, special
 
-    calls = []
-    derivatives = models._loglik_derivatives
+    calls, quadratures = [], []
+    derivatives, quadrature = models._loglik_derivatives, special._upper_gamma_quadrature
 
     def counted(*args):
         calls.append(args[0])
         return derivatives(*args)
 
+    def counted_quadrature(a, x):
+        quadratures.append(a)
+        return quadrature(a, x)
+
     monkeypatch.setattr(models, "_loglik_derivatives", counted)
+    monkeypatch.setattr(special, "_upper_gamma_quadrature", counted_quadrature)
     a = receus_assess(short_days_sample)
     rows = {row.spec.label: row for row in a.model_table}
     assert a.verdict == VERDICT_NONCURE
@@ -408,6 +416,7 @@ def test_short_days_assess_stays_within_its_evaluation_budget(short_days_sample,
     assert rows["lognormal non-cure"].fit.cure_score <= 0.0
     assert rows["lognormal cure"].fit.n_iter == 0
     assert len(calls) <= 80
+    assert quadratures == []
 
 
 # Data seeds 1-8 of both benchmark shapes: (shape, seed, verdict, selected

@@ -18,8 +18,12 @@ from curecheck.models import FamilySpec, Params, latency_quantile
 from curecheck.special import (
     _GL_NODES,
     _GL_WEIGHTS,
+    _SERIES_MAX_P,
+    _SERIES_MAX_TERMS,
     _digamma_trigamma,
     _log_q_shape,
+    _series_terms,
+    _upper_gamma_quadrature,
     chi2_sf_1df,
     erfc,
     inv_reg_lower_gamma,
@@ -217,15 +221,43 @@ def _log_q_shape_oracle(a, x):
     return mean - sp.digamma(a), var - sp.polygamma(1, a)
 
 
+def _assert_matches_oracles(a, xs, lq, d1, d2):
+    """log Q against scipy (against the asymptotic series where Q underflows)
+    and both shape derivatives against ``_log_q_shape_oracle``."""
+    q = sp.gammaincc(a, xs)
+    finite = q > 0.0
+    np.testing.assert_allclose(lq[finite], np.log(q[finite]), rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(
+        lq[~finite], [_log_q_asymptotic(a, float(x)) for x in xs[~finite]], rtol=1e-13
+    )
+    want = np.array([_log_q_shape_oracle(a, float(x)) for x in xs])
+    np.testing.assert_allclose(d1, want[:, 0], rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(d2, want[:, 1], rtol=1e-10, atol=1e-12)
+
+
+# How many of the first x of each shape below make a batch that the series
+# of P takes: the x = 900 of the whole batch sends it to the quadrature.
+_SERIES_PREFIX = {0.3: 4, 1.0: 4, 2.5: 4, 10.0: 2}
+
+
 def test_log_q_shape_derivatives_match_quadrature():
     # Both branches, the far tail where Q underflows, and integer shapes,
-    # where the continued fraction ends but its derivative does not.
+    # where the continued fraction ends but its derivative does not.  The
+    # first x of each shape go again as a batch of their own, which the
+    # series of P takes, and so do x up to a at a small shape.
     for a in (0.3, 1.0, 2.5, 10.0):
         xs = np.array([1e-3, 0.5 * a, a + 0.5, a + 1.0, 3.0 * a + 2.0, 60.0, 900.0])
+        assert _series_terms(a, 900.0) is None
         _, d1, d2 = _log_q_shape(a, xs)
         want = np.array([_log_q_shape_oracle(a, float(x)) for x in xs])
         np.testing.assert_allclose(d1, want[:, 0], rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(d2, want[:, 1], rtol=1e-10, atol=1e-12)
+        head = xs[: _SERIES_PREFIX[a]]
+        assert _series_terms(a, float(head[-1])) is not None, a
+        _assert_matches_oracles(a, head, *_log_q_shape(a, head))
+    a, xs = 0.05, np.array([1e-3, 0.01, 0.025, 0.05])
+    assert _series_terms(a, float(xs[-1])) is not None
+    _assert_matches_oracles(a, xs, *_log_q_shape(a, xs))
 
 
 def test_log_q_and_shape_derivatives_at_large_shapes():
@@ -254,7 +286,9 @@ def _gap_maxima(a, xs):
 # their sums run in log space: in the first of them they fall by more than
 # 600 from x = 3 to x = 2000, in the second from the left alone, where the
 # first moments are negative.  Each element must match the oracles, and
-# its value alone (one gap, plain sums).
+# its value alone (one gap, plain sums).  The series of P takes the last
+# batch from ``_log_q_shape``, so the quadrature is called on every batch
+# directly as well.
 _SWEEP_BATCHES = {
     "below_a": (57.3, 57.3 * np.array([1e-3, 0.05, 0.3, 0.7, 0.95, 0.999])),
     "above_a": (2.5, np.array([2.6, 3.0, 5.0, 9.0, 20.0, 60.0])),
@@ -267,16 +301,9 @@ _SWEEP_BATCHES = {
 @pytest.mark.parametrize("name", list(_SWEEP_BATCHES))
 def test_log_q_sweep_matches_oracles_and_lone_elements(name):
     a, xs = _SWEEP_BATCHES[name]
+    _assert_matches_oracles(a, xs, *_upper_gamma_quadrature(a, xs))
     lq, d1, d2 = _log_q_shape(a, xs)
-    q = sp.gammaincc(a, xs)
-    finite = q > 0.0
-    np.testing.assert_allclose(lq[finite], np.log(q[finite]), rtol=1e-10, atol=1e-14)
-    np.testing.assert_allclose(
-        lq[~finite], [_log_q_asymptotic(a, float(x)) for x in xs[~finite]], rtol=1e-13
-    )
-    want = np.array([_log_q_shape_oracle(a, float(x)) for x in xs])
-    np.testing.assert_allclose(d1, want[:, 0], rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(d2, want[:, 1], rtol=1e-10, atol=1e-12)
+    _assert_matches_oracles(a, xs, lq, d1, d2)
     alone = np.array([_log_q_shape(a, xs[k : k + 1]) for k in range(xs.size)])[:, :, 0]
     np.testing.assert_allclose(np.stack([lq, d1, d2], 1), alone, rtol=1e-13, atol=1e-13)
     assert (np.ptp(_gap_maxima(a, xs)) > 600.0) == name.startswith("log_space")
@@ -294,6 +321,48 @@ def test_log_q_agrees_across_the_log_space_switch():
     assert np.ptp(_gap_maxima(a, batches[0])) < 600.0 < np.ptp(_gap_maxima(a, batches[1]))
     plain, logged = (np.stack(_log_q_shape(a, xs)) for xs in batches)
     np.testing.assert_allclose(plain[:, :-1], logged[:, :-1], rtol=1e-13, atol=1e-13)
+
+
+def _last_series_x(a, lo, hi):
+    """The largest float x in (lo, hi] whose batch the series of P takes,
+    given that it takes lo and not hi: bisection down to neighbouring floats."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if _series_terms(a, mid) is not None else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("bound", ["terms", "p"])
+def test_log_q_agrees_across_the_series_switch(bound):
+    # A batch goes to the series of P when it converges within
+    # _SERIES_MAX_TERMS terms at its largest x and P is at most
+    # _SERIES_MAX_P there.  At a = 20 the term cap binds first, at a = 0.5
+    # the bound on P.  One last x just inside the bound takes the batch to
+    # the series, the next float to the quadrature; the x they share agree.
+    a = {"terms": 20.0, "p": 0.5}[bound]
+    base = a * np.array([1e-4, 0.01, 0.1, 0.25, 0.4])
+    inside = _last_series_x(a, float(base[-1]), 4.0 * a + 10.0)
+    outside = float(np.nextafter(inside, math.inf))
+    assert _series_terms(a, inside) is not None and _series_terms(a, outside) is None
+    if bound == "terms":
+        assert _series_terms(a, inside) == _SERIES_MAX_TERMS
+        assert sp.gammainc(a, outside) < _SERIES_MAX_P
+    else:
+        assert sp.gammainc(a, inside) == pytest.approx(_SERIES_MAX_P, rel=1e-12)
+    series, quadrature = (np.stack(_log_q_shape(a, np.append(base, x))) for x in (inside, outside))
+    np.testing.assert_allclose(series[:, :-1], quadrature[:, :-1], rtol=1e-13, atol=1e-13)
+    _assert_matches_oracles(a, np.append(base, inside), *series)
+
+
+def test_series_is_not_taken_at_vanishing_or_huge_shapes():
+    # P rounds to 1 at vanishing shapes, and shapes above 1e5 are beyond
+    # where P is checked: both go to the quadrature, whatever the x, with
+    # no error from the term loop where x / (a + k) underflows.
+    for a in (1e-300, 1e-170, 1e-20, 1e-8):
+        for x in (1e-300, 0.5, 3.0):
+            assert _series_terms(a, x) is None, (a, x)
+    for a in (1.0001e5, 1e170, 1e300, 1.7e308):
+        for x in (7e-300, 1.0, 1e3):
+            assert _series_terms(a, x) is None, (a, x)
 
 
 def test_log_q_at_vanishing_shapes():
