@@ -37,8 +37,10 @@ derivatives in the log parameters (the gamma shape through digamma and the
 derivatives of log Q in the shape, which come with log Q from one pass over
 the sorted censoring times: the series of P where it converges fast, a
 quadrature elsewhere), each Hessian as its distinct entries,
-from one pass over its arrays; one shared cure layer computes S0 once and
-chains them through the mixture and logit c.  Their Hessian at the
+from one pass over its arrays (the Weibull and log-logistic families run
+one jet over the event and the censoring times together); one shared cure
+layer computes S0 once and chains them through the mixture and logit c.
+The trust region's bookkeeping runs on Python floats.  Their Hessian at the
 returned point is the observed information, which ``wald_intervals``
 evaluates there when intervals are asked for.  The coordinates are not
 boxed: ``_untransform`` clamps logit c to [-40, 40] (beyond -40 the
@@ -81,6 +83,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,39 +157,43 @@ class _ShapeScale(_Family):
     """Families with log S0 = -G(z), z = shape (log t - log scale), and
     log f0 = log(shape / scale) + (shape - 1) log(t / scale) + k log S0, with
     k = ``event_weight``.  Each family gives ``jet(z)`` = (G, G', G''), and
-    one jet per array serves both the values and their derivatives."""
+    one jet over the event and censoring times together serves both the
+    values and their derivatives."""
 
     param_names = ("shape", "scale")
     event_weight: float
 
-    def _event_value(self, cache, shape, log_scale, g):
-        """The event log-density sum, given G at the distinct event times > 0."""
+    def _event_value(self, cache, shape, log_scale, sum_g):
+        """The event log-density sum, given the weighted sum of G over the
+        distinct event times > 0."""
         n_pos = cache.n_events - cache.n_zero_events
         return (
             n_pos * (math.log(shape) - log_scale)
             + (shape - 1.0) * (cache.sum_log_te - n_pos * log_scale)
-            - self.event_weight * float(cache.we @ g)
+            - self.event_weight * sum_g
         )
 
     def _jet_terms(self, log_t, shape, log_scale):
-        """G with the gradient (m, 2) and Hessian entries (m, 3) of -G."""
+        """The rows G, the gradient (2) and the Hessian entries (3) of -G at each time."""
         z = shape * (log_t - log_scale)
         g0, g1, g2 = self.jet(z)
         b = g2 * z + g1
-        h = np.array([-b * z, shape * b, -shape * shape * g2]).T
-        return g0, np.array([-g1 * z, shape * g1]).T, h
+        return np.array([g0, -g1 * z, shape * g1, -b * z, shape * b, -shape * shape * g2])
 
     def derivatives(self, cache, shape, scale):
         log_scale = math.log(scale)
         n = cache.n_events - cache.n_zero_events
         a = cache.sum_log_te - n * log_scale
-        ge, eg, eh = self._jet_terms(cache.log_te, shape, log_scale)
-        gc, cg, ch = self._jet_terms(cache.log_tc, shape, log_scale)
+        # One jet over the event and censoring times end to end; the event
+        # columns come first, and one product gives all six event sums.
+        jet = self._jet_terms(cache.log_t, shape, log_scale)
+        k = cache.we.size
+        sums = cache.we @ jet[:, :k].T
         return (
-            self._event_value(cache, shape, log_scale, ge),
-            np.array([n + shape * a, -n * shape]) + self.event_weight * (cache.we @ eg),
-            np.array([shape * a, -n * shape, 0.0]) + self.event_weight * (cache.we @ eh),
-            -gc, cg, ch,
+            self._event_value(cache, shape, log_scale, float(sums[0])),
+            np.array([n + shape * a, -n * shape]) + self.event_weight * sums[1:3],
+            np.array([shape * a, -n * shape, 0.0]) + self.event_weight * sums[3:],
+            -jet[0, k:], jet[1:3, k:].T, jet[3:, k:].T,
         )
 
     def start(self, te, scale):
@@ -201,7 +208,7 @@ class _Weibull(_ShapeScale):
         g = np.exp(z)
         return g, g, g
 
-    def _event_value(self, cache, shape, log_scale, g):
+    def _event_value(self, cache, shape, log_scale, sum_g):
         zero_part = 0.0
         if cache.n_zero_events:
             if shape < 1.0:
@@ -212,7 +219,7 @@ class _Weibull(_ShapeScale):
             if shape > 1.0:
                 return -math.inf  # f0(0) = 0
             zero_part = cache.n_zero_events * (math.log(shape) - log_scale)
-        return zero_part + super()._event_value(cache, shape, log_scale, g)
+        return zero_part + super()._event_value(cache, shape, log_scale, sum_g)
 
     def quantile(self, u, shape, scale):
         return scale * np.power(-np.log1p(-u), 1.0 / shape)
@@ -427,13 +434,16 @@ class _LikCache:
     censoring times ``tc`` of a sample's cache are strictly increasing,
     finite and > 0, so ``rate * tc`` reaches the gamma kernel without a sort
     unless rounding merges, underflows or overflows some of them
-    (``_log_q_shape`` checks).  A cache from ``_at_times`` has no events and
-    its times in any order, zeros included.
+    (``_log_q_shape`` checks).  ``log_t`` holds the log event times and then
+    the log censoring times, end to end, so that one array pass covers both;
+    ``log_te`` and ``log_tc`` are its two parts.  A cache from ``_at_times``
+    has no events and its times in any order, zeros included.
     """
 
     n_events: int  # all events, including any at time 0
     n_zero_events: int
     we: np.ndarray  # records at each distinct event time > 0
+    log_t: np.ndarray  # log_te, then log_tc
     log_te: np.ndarray
     sum_te: float  # the event times' sum scaled by 2^-unit, so it cannot overflow
     unit: int
@@ -447,23 +457,25 @@ def _build_cache(sample: SurvivalSample) -> _LikCache:
     times, events = sample.times, sample.events
     te, we = np.unique(times[events & (times > 0.0)], return_counts=True)
     tc, wc = np.unique(times[~events & (times > 0.0)], return_counts=True)
-    we, wc, log_te = we.astype(float), wc.astype(float), np.log(te)
+    we, wc = we.astype(float), wc.astype(float)
+    log_t = np.concatenate((np.log(te), np.log(tc)))
+    log_te, log_tc = log_t[: te.size], log_t[te.size:]
     unit = math.frexp(sample.max_time)[1]
     return _LikCache(
         n_events=sample.n_events,
         n_zero_events=sample.n_events - int(we.sum()),
-        we=we, log_te=log_te, sum_te=float(we @ np.ldexp(te, -unit)), unit=unit,
-        sum_log_te=float(we @ log_te), tc=tc, wc=wc, log_tc=np.log(tc),
+        we=we, log_t=log_t, log_te=log_te, sum_te=float(we @ np.ldexp(te, -unit)), unit=unit,
+        sum_log_te=float(we @ log_te), tc=tc, wc=wc, log_tc=log_tc,
     )
 
 
 def _at_times(t: np.ndarray) -> _LikCache:
     """A cache with no events whose censoring times are ``t``, so a family's
     ``derivatives`` on it gives log S0 at ``t``."""
-    none = np.zeros(0)
+    none, log_t = np.zeros(0), np.log(t)
     return _LikCache(
-        n_events=0, n_zero_events=0, we=none, log_te=none, sum_te=0.0, unit=0,
-        sum_log_te=0.0, tc=t, wc=np.ones(t.size), log_tc=np.log(t),
+        n_events=0, n_zero_events=0, we=none, log_t=log_t, log_te=none, sum_te=0.0, unit=0,
+        sum_log_te=0.0, tc=t, wc=np.ones(t.size), log_tc=log_t,
     )
 
 
@@ -511,19 +523,21 @@ def _loglik_derivatives(spec: FamilySpec, params: Params, cache: _LikCache, term
             return ev + float(wc @ ls), ev_g + wc @ ls_g, (ev_h + wc @ ls_h)[unpack], terms
         s0 = np.exp(ls)
         m = c + (1.0 - c) * s0
-        cen = float(wc @ np.log(m))
-        # _expit rounds logits above ~36.8 to c = 1.0, where log(1 - c) = -inf.
-        ll = cache.n_events * (math.log1p(-c) if c < 1.0 else -math.inf) + ev + cen
         t_l = (1.0 - c) * s0 / m
         t_c = (1.0 - s0) / m
+        # The scalar sums in one product, the ls_g-weighted vectors in another.
+        cen, wt_c, wt_cc = (np.array([np.log(m), t_c, t_c * t_c]) @ wc).tolist()
+        # _expit rounds logits above ~36.8 to c = 1.0, where log(1 - c) = -inf.
+        ll = cache.n_events * (math.log1p(-c) if c < 1.0 else -math.inf) + ev + cen
         dc = c * (1.0 - c)
         w_l = wc * t_l
-        wt_c = float(wc @ t_c)
-        g = np.concatenate([[dc * wt_c - cache.n_events * c], ev_g + w_l @ ls_g])
+        # dc T_cL = -c T_L / m, so the cross terms weight ls_g by w_l / m.
+        g_l, g_cl = np.array([w_l, w_l / m]) @ ls_g
+        g = np.concatenate([[dc * wt_c - cache.n_events * c], ev_g + g_l])
         h = np.empty((g.size, g.size))
-        h[0, 0] = -dc * dc * float(wc @ (t_c * t_c)) + dc * (1.0 - 2.0 * c) * wt_c - cache.n_events * dc
-        h[0, 1:] = h[1:, 0] = -dc * ((wc * s0 / (m * m)) @ ls_g)
-        h_ll = (ls_g * (w_l * (1.0 - t_l))[:, None]).T @ ls_g
+        h[0, 0] = -dc * dc * wt_cc + dc * (1.0 - 2.0 * c) * wt_c - cache.n_events * dc
+        h[0, 1:] = h[1:, 0] = -c * g_cl
+        h_ll = (ls_g.T * (w_l * (1.0 - t_l))) @ ls_g
         h[1:, 1:] = ev_h[unpack] + h_ll + (w_l @ ls_h)[unpack]
     return ll, g, h, terms
 
@@ -598,10 +612,9 @@ def _transform(spec: FamilySpec, params: Params) -> np.ndarray:
 
 
 def _untransform(spec: FamilySpec, x: np.ndarray) -> Params:
-    latency = (
-        math.exp(min(max(float(v), -_LOG_FLOAT_MAX), _LOG_FLOAT_MAX)) for v in x[int(spec.cure):]
-    )
-    return Params(tuple(latency), _expit(float(x[0])) if spec.cure else None)
+    x = x.tolist()
+    latency = (math.exp(min(max(v, -_LOG_FLOAT_MAX), _LOG_FLOAT_MAX)) for v in x[int(spec.cure):])
+    return Params(tuple(latency), _expit(x[0]) if spec.cure else None)
 
 
 def _start_basis(sample: SurvivalSample):
@@ -643,19 +656,18 @@ _MAX_ITER = 100
 _MAX_RADIUS = 10.0
 
 
-def _newton_step(g: np.ndarray, b: np.ndarray, radius: float):
-    """The Newton step -b^-1 g from a Cholesky factor of b, or None when b is
-    not positive definite or the step is longer than the radius.
+def _newton_step(g: list, h: list, radius: float):
+    """The Newton step (-h)^-1 g from a Cholesky factor of -h, or None when
+    -h is not positive definite or the step is longer than the radius.
 
     On Python floats: the fits have at most 3 parameters, where numpy's
     per-call overhead outweighs the arithmetic.
     """
-    p = g.size
-    b = b.tolist()
-    s = [-v for v in g.tolist()]
-    low = []  # rows of the factor L, b = L L^T
+    p = len(g)
+    s = list(g)
+    low = []  # rows of the factor L, -h = L L^T
     for i in range(p):
-        row = b[i][: i + 1]
+        row = [-v for v in h[i][: i + 1]]
         for j in range(i + 1):
             lj = low[j] if j < i else row
             for k in range(j):
@@ -666,7 +678,7 @@ def _newton_step(g: np.ndarray, b: np.ndarray, radius: float):
                 row[i] = math.sqrt(row[i])
             else:
                 return None
-        for k in range(i):  # forward: L y = -g
+        for k in range(i):  # forward: L y = g
             s[i] -= row[k] * s[k]
         s[i] /= row[i]
         low.append(row)
@@ -674,25 +686,27 @@ def _newton_step(g: np.ndarray, b: np.ndarray, radius: float):
         for k in range(i + 1, p):
             s[i] -= low[k][i] * s[k]
         s[i] /= low[i][i]
-    return np.array(s) if math.hypot(*s) <= radius else None
+    return s if math.hypot(*s) <= radius else None
 
 
-def _tr_step(g: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
-    """Minimizer of g.s + s.b.s / 2 over |s| <= radius (Moré & Sorensen 1983).
+def _tr_step(g: list, h: list, radius: float) -> list:
+    """Maximizer of g.s + s.h.s / 2 over |s| <= radius (Moré & Sorensen 1983),
+    g a list and h a list of rows, as Python floats.
 
     The interior step is the Newton step from a Cholesky factor
-    (``_newton_step``); when b is not positive definite or that step leaves
+    (``_newton_step``); when -h is not positive definite or that step leaves
     the radius, the eigendecomposition below finds the step on the boundary,
-    (b + mu I) s = -g with mu > max(0, -lambda_min): Newton's
+    with b = -h, (b + mu I) s = g and mu > max(0, -lambda_min): Newton's
     method on 1/radius - 1/|s(mu)|, bisecting whenever a step leaves the
     bracket.  When g has no component along the lowest eigenvector (the
     "hard case") no such mu exists, and that eigenvector fills the step up
     to the boundary.
     """
-    s = _newton_step(g, b, radius)
+    s = _newton_step(g, h, radius)
     if s is not None:
         return s
-    lam, v = np.linalg.eigh(b)
+    g = np.array(g)
+    lam, v = np.linalg.eigh(-np.array(h))
     a = v.T @ g
     # A step whose norm overflows or is NaN fails every `<=` test against the radius.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -714,17 +728,21 @@ def _tr_step(g: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
             mu += norm * norm * (norm - radius) / (radius * float(np.sum(a * a / d**3)))
             if not below < mu < above:
                 mu = 0.5 * (below + above)
-        s = -(v @ (a / (lam + mu)))
+        s = v @ (a / (lam + mu))
         gap = radius * radius - float(s @ s)
         if gap <= 0.0:
-            return s * (radius / math.sqrt(float(s @ s)))
+            return (s * (radius / math.sqrt(float(s @ s)))).tolist()
         along = float(s @ v[:, 0])  # the root of |s + tau v0| = radius nearer 0
-        return s + math.copysign(gap / (math.sqrt(along * along + gap) + abs(along)), along) * v[:, 0]
+        tau = math.copysign(gap / (math.sqrt(along * along + gap) + abs(along)), along)
+        return (s + tau * v[:, 0]).tolist()
 
 
-def _finite(point) -> bool:
-    ll, g, h, _ = point
-    return math.isfinite(ll) and bool(np.isfinite(g).all() and np.isfinite(h).all())
+def _finite(ll: float, g: list, h: list) -> bool:
+    """Whether the value, every gradient component and every Hessian entry
+    (h a list of rows) are finite."""
+    return math.isfinite(ll) and all(map(math.isfinite, g)) and all(
+        math.isfinite(v) for row in h for v in row
+    )
 
 
 def _trust_region(evaluate, x: np.ndarray, point):
@@ -737,33 +755,40 @@ def _trust_region(evaluate, x: np.ndarray, point):
     gain, or both gains are below the value's rounding noise.  The radius
     shrinks on poor agreement and grows on good agreement at the boundary.
     Converged: every gradient component within _GTOL.
+
+    The bookkeeping runs on the Python floats of the value, gradient,
+    Hessian and step, read once per point: with at most 3 parameters
+    numpy's per-call overhead outweighs the arithmetic.
     """
     radius = 1.0
-    finite_start = _finite(point)  # a step is taken only to a finite point
+    ll, g, h = point[0], point[1].tolist(), point[2].tolist()
+    finite_start = _finite(ll, g, h)  # a step is taken only to a finite point
     for it in range(_MAX_ITER + 1):
-        ll, g, h, _ = point
-        if all(abs(v) <= _GTOL for v in g.tolist()):  # a NaN component fails
+        if all(abs(v) <= _GTOL for v in g):  # a NaN component fails
             return x, point, it, True
         if it == _MAX_ITER or radius < 1e-12 or not finite_start:
             break
-        s = _tr_step(-g, -h, radius)
-        x_new = x + s
-        pred = float(g @ s + 0.5 * s @ h @ s)
+        s = _tr_step(g, h, radius)
+        x_new = x + np.array(s)
+        # The model's predicted gain g.s + s.h.s / 2.
+        pred = sum(si * (gi + 0.5 * sum(map(operator.mul, row, s))) for si, gi, row in zip(s, g, h))
         new = evaluate(x_new)
+        new_g, new_h = new[1].tolist(), new[2].tolist()
         gain = new[0] - ll
         noise = 1e-13 * max(1.0, abs(ll))
-        finite = _finite(new)
+        finite = _finite(new[0], new_g, new_h)
         if finite and pred <= noise and gain >= -noise:
             rho = 1.0  # both below rounding: the model is the better guide
         else:
             rho = gain / pred if finite and pred > 0.0 else -math.inf
-        step = math.hypot(*s.tolist())
+        step = math.hypot(*s)
         if rho < 0.25:
             radius = 0.25 * step
         elif rho > 0.75 and step >= 0.99 * radius:
             radius = min(2.0 * radius, _MAX_RADIUS)
         if rho > 0.1:
             x, point = x_new, new
+            ll, g, h = new[0], new_g, new_h
     return x, point, it, False
 
 

@@ -73,11 +73,14 @@ def log_normal_sf(z):
     its log is taken.  Beyond, the asymptotic series
     erfc(y) = exp(-y^2) / (y sqrt(pi)) (1 - w + 3 w^2 - 15 w^3 + ...),
     w = 1 / (2 y^2) <= 7.4e-4, is summed in log space through the w^6 term;
-    the first omitted term is below 2e-17.
+    the first omitted term is below 2e-17.  A batch with no y beyond 26
+    skips the masks, with the same bits.
     """
     z = np.asarray(z, dtype=float)
     y = z / _SQRT2
     far = y > 26.0
+    if not far.any():
+        return np.log(normal_sf(z))
     out = np.empty_like(z)
     out[~far] = np.log(normal_sf(z[~far]))
     yf = y[far]
@@ -242,32 +245,33 @@ def _left_reach(c: np.ndarray) -> np.ndarray:
     return np.where(two_ec > 1.0, c + 1.0, np.sqrt(two_ec))
 
 
-def _reverse_sums(M, dc):
+def _reverse_sums(M, dc, k):
     """P_i, T1_i, T2_i as rows: sums over gaps j >= i of the moments of
     f (u - c_i)^k, from the rows p, m1, m2 of M, each gap's moments about
     its own centre c_j, and the steps dc_j = c_{j+1} - c_j >= 0 between
+    them from gap k on; the steps before gap k are 0, and the shifts skip
     them.  M is overwritten."""
     acc = np.empty_like(M)  # each row accumulated from the right end
     out = acc[:, ::-1]
     p, m1, m2 = M
     P, T1, T2 = out
     np.cumsum(p[::-1], out=acc[0])
-    next_p = P[1:]
-    m1[:-1] += dc * next_p
+    next_p = P[k + 1:]
+    m1[k:-1] += dc * next_p
     np.cumsum(m1[::-1], out=acc[1])
-    m2[:-1] += dc * (2.0 * T1[1:] + dc * next_p)
+    m2[k:-1] += dc * (2.0 * T1[k + 1:] + dc * next_p)
     np.cumsum(m2[::-1], out=acc[2])
     return out
 
 
-def _log_reverse_sums(lM, ldc):
+def _log_reverse_sums(lM, ldc, k):
     """``_reverse_sums`` on the logs of its (here all >= 0) arguments."""
     acc = np.logaddexp.accumulate
     lp, lm1, lm2 = lM
     P = acc(lp[::-1])[::-1]
-    lm1[:-1] = np.logaddexp(lm1[:-1], ldc + P[1:])
+    lm1[k:-1] = np.logaddexp(lm1[k:-1], ldc + P[k + 1:])
     T1 = acc(lm1[::-1])[::-1]
-    lm2[:-1] = np.logaddexp(lm2[:-1], np.logaddexp(math.log(2.0) + ldc + T1[1:], 2.0 * ldc + P[1:]))
+    lm2[k:-1] = np.logaddexp(lm2[k:-1], np.logaddexp(math.log(2.0) + ldc + T1[k + 1:], 2.0 * ldc + P[k + 1:]))
     T2 = acc(lm2[::-1])[::-1]
     return np.array([P, T1, T2])
 
@@ -367,8 +371,9 @@ def _upper_gamma_quadrature(a: float, x: np.ndarray):
     near = np.minimum(tm, 1.0)
     gr = np.where(tm < 1.0, a * (near - np.expm1(near)), a * (1.0 + tm) - e_max)
     top = gr.max()
+    dc = np.diff(c[k0:])  # the steps from the first gap right of log a on; 0 before it
     if top - gr.min() < _PLAIN_SPAN:
-        P, T1, T2 = _reverse_sums(M * np.exp(gr - top), np.diff(c))
+        P, T1, T2 = _reverse_sums(M * np.exp(gr - top), dc, k0)
         lp, r1, r2 = np.log(P) + top, T1 / P, T2 / P
     else:
         # First moments left of the peak are < 0: they get a log-sum of their
@@ -376,7 +381,7 @@ def _upper_gamma_quadrature(a: float, x: np.ndarray):
         with np.errstate(divide="ignore"):
             neg = np.logaddexp.accumulate((np.log(np.maximum(-M[1], 0.0)) + gr)[::-1])[::-1]
             M[1] = np.maximum(M[1], 0.0)
-            lp, l1, l2 = _log_reverse_sums(np.log(M) + gr, np.log(np.diff(c)))
+            lp, l1, l2 = _log_reverse_sums(np.log(M) + gr, np.log(dc), k0)
         r1, r2 = np.exp(l1 - lp) - np.exp(neg - lp), np.exp(l2 - lp)
     psi, psi1 = _digamma_trigamma(a)
     # Where Q ~ 1 the sum of two O(1) terms can round above 0; Q <= 1.

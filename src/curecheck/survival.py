@@ -27,6 +27,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -112,6 +113,23 @@ def _canonical_sample(times, events, where="row {}".format) -> SurvivalSample:
     return SurvivalSample(times=out_t, events=out_e)
 
 
+def _columns(rows: list):
+    """The time cells and the event cells of the records, two iterables to unpack.
+
+    Records with a length are read in two passes, one per column, which
+    allocate nothing per record; records without one, such as iterators,
+    can be read only once, by ``zip``.  Raises ValueError when some record
+    with a length is not a pair.
+    """
+    try:
+        pairs = set(map(len, rows)) == {2}
+    except TypeError:
+        return zip(*rows, strict=True)
+    if not pairs:
+        raise ValueError("a record is not a (time, event) pair")
+    return map(itemgetter(0), rows), map(itemgetter(1), rows)
+
+
 def validate_sample(raw) -> SurvivalSample:
     """Validate raw (time, event) pairs and return them in canonical order.
 
@@ -123,7 +141,7 @@ def validate_sample(raw) -> SurvivalSample:
     if not rows:
         raise ValidationError("empty sample: at least one (time, event) record required")
     try:
-        time_cells, event_cells = zip(*rows, strict=True)
+        time_cells, event_cells = _columns(rows)
         times = np.fromiter(map(float, time_cells), float, len(rows))
         events = np.fromiter(map(_BINARY.__getitem__, event_cells), bool, len(rows))
     except (TypeError, ValueError, KeyError):

@@ -25,6 +25,10 @@ from curecheck.models import (
     wald_intervals,
     _TABLE,
     _build_cache,
+    _LOG_FLOAT_MAX,
+    _LOGIT_BOX,
+    _expit,
+    _finite,
     _initial_params,
     _loglik_derivatives,
     _objective,
@@ -556,6 +560,12 @@ def test_analytic_derivatives_match_finite_differences(family, cure, tied):
         np.testing.assert_allclose(-h, h_fd, rtol=1e-5, atol=1e-7 * scale)
 
 
+def _min_step(g, b, radius):
+    """The minimizer of g.s + s.b.s / 2 over |s| <= radius, from ``_tr_step``,
+    which maximizes g.s + s.h.s / 2 on Python floats."""
+    return np.array(_tr_step((-g).tolist(), (-b).tolist(), radius))
+
+
 def test_trust_region_step_is_the_subproblem_minimum():
     # Random 1-4 dimensional models, definite and indefinite, a seventh of
     # them in the hard case (gradient orthogonal to the lowest eigenvector):
@@ -570,7 +580,7 @@ def test_trust_region_step_is_the_subproblem_minimum():
             v0 = np.linalg.eigh(b)[1][:, 0]
             g -= (g @ v0) * v0
         radius = 10.0 ** rng.uniform(-3, 1)
-        s = _tr_step(g, b, radius)
+        s = _min_step(g, b, radius)
         assert np.linalg.norm(s) <= radius * (1.0 + 1e-12)
         u = rng.normal(size=(100, n))
         u *= (radius * rng.uniform(size=(100, 1)) ** (1.0 / n)) / np.linalg.norm(u, axis=1, keepdims=True)
@@ -582,7 +592,7 @@ def test_trust_region_step_is_the_subproblem_minimum():
 def test_trust_region_step_lands_exactly_on_the_radius_in_the_hard_case():
     # g has no component along the lowest eigenvector and the root mu = 1
     # puts the step exactly on the boundary: there is nothing to fill in.
-    s = _tr_step(np.array([0.0, -3.0]), np.diag([-1.0, 2.0]), 1.0)
+    s = _min_step(np.array([0.0, -3.0]), np.diag([-1.0, 2.0]), 1.0)
     np.testing.assert_array_equal(np.abs(s), [0.0, 1.0])
     # The gamma-cure fit of these four records once took the same step.  It
     # still takes a step that lands exactly on the radius, but with g off
@@ -632,11 +642,51 @@ def test_trust_region_step_tries_the_cholesky_newton_step_first(monkeypatch):
         else:
             radius = 10.0 ** rng.uniform(-3, 1)
         calls.clear()
-        s = _tr_step(g, b, radius)
+        s = _min_step(g, b, radius)
         assert len(calls) == (0 if kind == "inside" else 1), (trial, kind)
         if kind == "inside":
             np.testing.assert_allclose(s, newton, rtol=1e-12, atol=1e-12 * norm)
         assert np.linalg.norm(s) <= radius * (1.0 + 1e-12), (trial, kind)
+
+
+def test_finite_rejects_a_non_finite_value_gradient_or_hessian_entry():
+    # The trust region steps only to points where all of these are finite.
+    g, h = [0.5, -1.0, 2.0], [[-3.0, 0.1, 0.2], [0.1, -2.0, 0.3], [0.2, 0.3, -1.0]]
+    assert _finite(-10.0, g, h)
+    for bad in (math.nan, math.inf, -math.inf):
+        assert not _finite(bad, g, h)
+        for i in range(3):
+            assert not _finite(-10.0, g[:i] + [bad] + g[i + 1:], h), (bad, i)
+            for j in range(3):
+                hb = [list(row) for row in h]
+                hb[i][j] = bad
+                assert not _finite(-10.0, g, hb), (bad, i, j)
+    # Finite entries whose sums would overflow are still finite.
+    big = 1.7e308
+    assert _finite(-big, [big, big, -big], [[big] * 3, [-big] * 3, [big, -big, big]])
+
+
+def test_untransform_clamps_logit_c_and_the_log_parameters():
+    # logit c is clamped to [-40, 40] and each log latency parameter to the
+    # log of the largest float, so every trial point maps to finite
+    # parameters > 0; a NaN coordinate stays NaN, so its point is not finite.
+    spec = FamilySpec("weibull", cure=True)
+    for y, x_big in ((1e3, math.inf), (-1e3, -math.inf)):
+        params = _untransform(spec, np.array([y, x_big, -x_big]))
+        edge = math.copysign(_LOGIT_BOX, y)
+        at_edge = _untransform(spec, np.array([edge, 0.0, 0.0]))
+        assert params.cure_fraction == _expit(edge) == at_edge.cure_fraction
+        assert params.latency == (math.exp(math.copysign(_LOG_FLOAT_MAX, x_big)),
+                                  math.exp(-math.copysign(_LOG_FLOAT_MAX, x_big)))
+        assert all(math.isfinite(v) and v > 0.0 for v in params.latency)
+    # Inside the clamp c still moves (tested below it: above 36.8, c rounds to 1).
+    assert _untransform(spec, np.array([-39.5, 0.0, 0.0])).cure_fraction > _expit(-_LOGIT_BOX)
+    inside = _untransform(spec, np.array([-3.0, 700.0, -700.0]))
+    assert inside.latency == (math.exp(700.0), math.exp(-700.0))
+    assert all(type(v) is float for v in inside.latency + (inside.cure_fraction,))
+    nan = _untransform(spec, np.array([math.nan, math.nan, 0.0]))
+    assert math.isnan(nan.cure_fraction) and math.isnan(nan.latency[0])
+    assert _untransform(FamilySpec("exponential"), np.array([1e3])).latency == (math.exp(_LOG_FLOAT_MAX),)
 
 
 def test_trust_region_takes_no_step_from_a_start_without_finite_derivatives(long_followup_sample):

@@ -22,6 +22,8 @@ from curecheck.special import (
     _SERIES_MAX_TERMS,
     _digamma_trigamma,
     _log_q_shape,
+    _log_reverse_sums,
+    _reverse_sums,
     _series_terms,
     _upper_gamma_quadrature,
     chi2_sf_1df,
@@ -97,6 +99,23 @@ def test_log_normal_sf_matches_scipy_far_into_the_tail():
     zs = np.concatenate([np.linspace(-8.0, 8.0, 161), np.geomspace(8.0, 1e4, 60)])
     np.testing.assert_allclose(log_normal_sf(zs), sp.log_ndtr(-zs), rtol=1e-12, atol=1e-15)
     assert np.all(np.isfinite(log_normal_sf(np.array([40.0, 1e6]))))
+
+
+def test_log_normal_sf_gives_a_batch_below_the_far_tail_the_bits_of_a_mixed_batch():
+    # A batch with every z / sqrt(2) <= 26 skips the far-tail masks; its
+    # elements get the bits they get inside a batch that also holds far-tail
+    # elements, and both batches match scipy.
+    near = np.concatenate([np.linspace(-8.0, 8.0, 161), np.geomspace(8.0, 36.76, 40)])
+    far = np.geomspace(37.0, 1e4, 20)
+    assert near.max() / math.sqrt(2.0) <= 26.0 < far.min() / math.sqrt(2.0)
+    mixed = np.empty(near.size + far.size)
+    mixed[0::2][: far.size], mixed[1::2][: far.size] = near[: far.size], far
+    mixed[2 * far.size:] = near[far.size:]
+    alone, together = log_normal_sf(near), log_normal_sf(mixed)
+    is_near = np.isin(mixed, near)
+    assert alone.tobytes() == together[is_near].tobytes()
+    for zs, got in ((near, alone), (mixed, together)):
+        np.testing.assert_allclose(got, sp.log_ndtr(-zs), rtol=1e-12, atol=1e-15)
 
 
 _LOGNORMAL = FamilySpec("lognormal"), Params((math.exp(1.2), 0.7))
@@ -185,6 +204,28 @@ def test_log_q_matches_log_of_q():
             _log_q_shape(a, xs)[0], np.log(sp.gammaincc(a, xs)), rtol=1e-10, atol=1e-14
         )
         assert _log_q_shape(a, 0.0)[0] == 0.0
+
+
+@pytest.mark.parametrize("log_space", [False, True])
+def test_reverse_sums_skip_the_zero_steps_left_of_the_peak_with_the_same_bits(log_space):
+    # The steps between gap centres are 0 left of log a; the shift updates
+    # start at the first gap right of it, and adding 0 to each skipped
+    # moment would leave its bits as they are.
+    rng = np.random.default_rng(11)
+    m, k = 60, 23
+    M = rng.uniform(0.1, 1.0, (3, m)) * np.exp(-rng.uniform(0.0, 30.0, m))
+    if not log_space:
+        M[1, :k] *= -1.0  # first moments left of the peak are < 0
+    dc = np.concatenate((np.zeros(k), rng.uniform(0.0, 0.5, m - 1 - k)))
+    if log_space:
+        with np.errstate(divide="ignore"):
+            every, skipped = (
+                _log_reverse_sums(np.log(M), np.log(steps), start)
+                for steps, start in ((dc, 0), (dc[k:], k))
+            )
+    else:
+        every, skipped = (_reverse_sums(M.copy(), steps, start) for steps, start in ((dc, 0), (dc[k:], k)))
+    assert np.all(np.isfinite(every)) and every.tobytes() == skipped.tobytes()
 
 
 def test_log_q_is_finite_where_q_underflows():

@@ -1,6 +1,7 @@
 """Sample validation, Kaplan-Meier estimation, and follow-up summaries."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,50 @@ def test_first_failing_record_is_named_in_input_order():
         validate_sample([(1.0, True), (2.0, "x"), ("soon", True)])
     with pytest.raises(ValidationError, match=r"non-finite time at row 1"):
         validate_sample([(1.0, True), (-math.inf, True), (-1.0, True)])
+
+
+def test_records_of_every_shape_get_the_same_messages():
+    # Records with a length are read a column at a time, records without one
+    # (iterators) by zip, and a record that fails either way is named by
+    # the same row-by-row check.
+    pair = "malformed record at row {}: expected (time, event) pair"
+    cases = [
+        ([(1.0, True), (2.0,)], pair.format(1)),
+        ([(1.0, True, 1), (2.0, True, 3)], pair.format(0)),
+        ([[1.0, 1], [2.0, 0, 0]], pair.format(1)),
+        ([(1.0, True), None], pair.format(1)),
+        ([iter((1.0,)), iter((2.0, True))], pair.format(0)),
+        ([(1.0, True), iter((2.0, True, 3))], pair.format(1)),
+        # zip reads iterator rows up before a bad cell is seen, so the
+        # row-by-row check finds the first one empty.
+        ([iter((1.0, True)), iter((2.0, "x"))], pair.format(0)),
+        ([(1.0, True), iter((2.0, False)), (3.0, 5)], pair.format(1)),
+        (["11", "20"], "non-binary event '1' at row 0: expected 0 or 1"),
+        (["110", "20"], pair.format(0)),
+        (["1"], pair.format(0)),
+        ([("soon", True)], "non-numeric time at row 0: 'soon'"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(ValidationError) as err:
+            validate_sample(rows)
+        assert str(err.value) == message, rows
+    for rows in ([iter((2.0, False)), iter((1.0, True))], [(2.0, False), iter((1.0, 1))],
+                 [[2.0, 0], np.array([1.0, 1.0])], [b"\x02\x00", (1.0, True)]):
+        assert records(validate_sample(rows)) == [(1.0, True), (2.0, False)]
+
+
+def test_validate_reads_ten_thousand_records_without_copying_them():
+    # Transposing the records with zip(*rows) would hold one iterator per
+    # record (860 KiB here); read a column at a time, the peak is the sort's.
+    rng = np.random.default_rng(7)
+    rows = list(zip(rng.exponential(size=10_000).tolist(), (rng.random(10_000) < 0.6).tolist()))
+    tracemalloc.start()
+    try:
+        sample = validate_sample(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.n == 10_000 and peak < 500 * 1024
 
 
 def test_sample_arrays_are_read_only():
