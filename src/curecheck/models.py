@@ -365,7 +365,9 @@ class Params:
 
 
 def check_params(spec: FamilySpec, params: Params) -> None:
-    """Validate a Params against its spec; raises DomainError on violation."""
+    """Validate a Params against its spec; raises DomainError naming the
+    parameter on violation.  Each value must be a real number (a
+    ``numbers.Real`` that is not a bool, so numpy scalars count)."""
     expected = len(spec.latency_param_names)
     if len(params.latency) != expected:
         raise DomainError(
@@ -373,15 +375,13 @@ def check_params(spec: FamilySpec, params: Params) -> None:
             f"({', '.join(spec.latency_param_names)}), got {len(params.latency)}"
         )
     for name, value in zip(spec.latency_param_names, params.latency):
-        v = float(value)
-        if not math.isfinite(v) or v <= 0.0:
+        if not (_is_number(value, numbers.Real) and 0.0 < value < math.inf):
             raise DomainError(f"latency parameter {name} must be finite and > 0, got {value!r}")
     if spec.cure:
         c = params.cure_fraction
         if c is None:
             raise DomainError(f"{spec.label} requires a cure_fraction")
-        c = float(c)
-        if not math.isfinite(c) or not (0.0 < c < 1.0):
+        if not (_is_number(c, numbers.Real) and 0.0 < c < 1.0):
             raise DomainError(f"cure_fraction must lie strictly in (0, 1), got {c!r}")
     elif params.cure_fraction is not None:
         raise DomainError(f"{spec.label} does not accept a cure_fraction")

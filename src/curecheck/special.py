@@ -3,15 +3,18 @@
 Keeps the package free of heavy numeric dependencies: numpy and the standard
 library are the whole runtime.  It exposes log-gamma and erfc, both the C
 library's through ``math``, the normal upper tail and its log built on
-erfc, the chi-square(1) tail, the regularized incomplete gamma and the
-gamma quantile; the normal quantile is ``statistics.NormalDist``'s.
+erfc, the chi-square(1) tail, log Q(a, x) of the regularized upper
+incomplete gamma with its shape derivatives, and the gamma quantile; the
+normal quantile is ``statistics.NormalDist``'s.
 
-P(a, x) comes from a series / continued fraction split, for shapes up to
-1e5.  The gamma quantile inverts it with a vectorized Halley solver from a
-close start: on log P from the series below u = 1/2, on -log Q from the
-continued fraction (or 1 - P below x = a + 1) above; its loops and the solver
+The gamma quantile, for shapes up to 1e5, reads P from its series below
+x = a + 1 and Q from the Lentz continued fraction above (``_series`` and
+``_fraction``, Numerical Recipes' ``gser`` and ``gcf``).  A vectorized
+Halley solver inverts them from a close start: on log P below u = 1/2, on
+-log Q above, with Q = 1 - P below x = a + 1.  Its loops and the solver
 iterate only the elements not yet converged, so an element's value does
 not depend on its batch.
+
 log Q(a, x) and its first two derivatives in the shape a, the gamma
 family's log S0 and its shape terms, come from the series of P where, at
 the batch's largest x, it converges within 32 terms and leaves Q at least
@@ -23,9 +26,9 @@ and go to that choice as they are; any other batch is sorted and
 de-duplicated first, with the same bits.
 
 Accuracy: erfc and log_gamma are good to about 1 ulp, as the platform's
-``math.erfc`` and ``math.lgamma`` are; P iterates to machine tolerance; log Q
-and its shape derivatives are good to about 1e-14, relative or absolute where
-the value is below 1; gamma quantiles match scipy to about 3e-14 relative
+``math.erfc`` and ``math.lgamma`` are; the series and the fraction iterate
+to machine tolerance; log Q and its shape derivatives are good to about
+1e-14, relative or absolute where the value is below 1; gamma quantiles match scipy to about 3e-14 relative
 into both tails for shapes 0.05 <= a <= 1e4 and to 1e-12 up to 1e5 (see
 ``inv_reg_lower_gamma``).  The test suite checks all of them against scipy
 and brute-force quadrature.
@@ -92,7 +95,7 @@ def log_normal_sf(z):
     return out
 
 
-_MAX_SERIES_SHAPE = 1e5  # the largest shape P and the gamma quantile are checked at
+_MAX_SERIES_SHAPE = 1e5  # the largest shape the gamma quantile is checked at
 
 
 def _max_terms(a: float) -> int:
@@ -126,11 +129,12 @@ def _check_shape(a: float, largest: float = math.inf) -> None:
     if not (a > 0.0) or not math.isfinite(a):
         raise DomainError(f"incomplete gamma requires a > 0, got {a!r}")
     if a > largest:
-        raise DomainError(f"P(a, x) and its inverse take shapes a <= {largest:g}, got {a!r}")
+        raise DomainError(f"the gamma quantile takes shapes a <= {largest:g}, got {a!r}")
 
 
 def _series(a: float, x: np.ndarray) -> np.ndarray:
-    """The sum s with P(a, x) = x^a e^(-x) / Gamma(a) * s, on 1-D 0 <= x < a + 1."""
+    """The sum s with P(a, x) = x^a e^(-x) / Gamma(a) * s, on 1-D 0 <= x < a + 1,
+    to machine tolerance within ``_max_terms(a)`` terms."""
     term = np.full_like(x, 1.0 / a)
     total = term.copy()
     active, ak = np.arange(x.size), a
@@ -167,44 +171,6 @@ def _fraction(a: float, x: np.ndarray) -> np.ndarray:
         if not active.size:
             break
     return h
-
-
-def reg_lower_gamma(a: float, x):
-    """Regularized lower incomplete gamma P(a, x), scalar or ndarray x >= 0.
-
-    With log_pref = -x + a log x - log Gamma(a), P(a, x) = exp(log_pref) * s
-    from the series expansion (``_series``) where 0 < x < a + 1, and
-    1 - exp(log_pref) * h from the Lentz continued fraction for Q
-    (``_fraction``) where x >= a + 1; x = 0 gives 0, x = inf gives 1 and
-    x = NaN gives NaN.  Both are iterated to machine tolerance, capped at
-    max(600, 12 sqrt(a)) terms (``_max_terms``).  The rounding of
-    log_pref grows like 1e-16 a log a, to 2e-10 in P at a = 1e5; larger
-    shapes raise ``DomainError``.
-
-    Elements converge at very different speeds, slowest near x ~ a.  Each
-    loop iterates an index array of those not yet converged, so an element
-    stops at its first convergence and does not depend on its batch.
-    """
-    _check_shape(a, _MAX_SERIES_SHAPE)
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0.0):
-        raise DomainError("incomplete gamma requires x >= 0")
-    p = np.zeros_like(x)
-    p[np.isnan(x)] = np.nan
-    p[x == np.inf] = 1.0
-    lg = log_gamma(a)
-    nonzero = (x > 0.0) & (x < np.inf)
-    ser = nonzero & (x < a + 1.0)
-    with np.errstate(under="ignore"):
-        if ser.any():
-            xs = x[ser]
-            p[ser] = np.exp(-xs + a * np.log(xs) - lg) * _series(a, xs)
-        cfm = nonzero & ~ser
-        if cfm.any():
-            xc = x[cfm]
-            p[cfm] = 1.0 - np.exp(-xc + a * np.log(xc) - lg) * _fraction(a, xc)
-    return float(p[0]) if scalar else p
 
 
 # log Q(a, x) by quadrature.  With u = log t, Gamma(a) Q(a, x) is the integral
@@ -587,8 +553,11 @@ def inv_reg_lower_gamma(a: float, u):
         far = x >= a + 1.0
         lq = np.empty_like(y)
         lq[far] = g[far] + np.log(_fraction(a, x[far]))
-        with np.errstate(divide="ignore"):  # P rounds to 1 only for a below ~1e-16
-            lq[~far] = np.log1p(-np.minimum(reg_lower_gamma(a, x[~far]), 1.0))
+        xn = x[~far]
+        # An x that underflows to 0 gives P = 0; P rounds to 1 only for a below ~1e-16.
+        with np.errstate(under="ignore", divide="ignore"):
+            p = np.exp(-xn + a * np.log(xn) - lg) * _series(a, xn)
+            lq[~far] = np.log1p(-np.minimum(p, 1.0))
         d1 = np.exp(g - lq)
         return -lq, d1, (a - x) + d1
 

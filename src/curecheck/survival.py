@@ -5,9 +5,10 @@ ascending by time with events placed before censorings at tied times;
 that canonical order encodes the usual product-limit tie convention
 (censored subjects at t are still at risk for the step at t).
 
-``validate_sample`` (pairs), ``read_csv`` (two CSV columns, parsed by
-numpy's C text reader) and ``simulate.simulate_mixture`` (arrays) all go
-through ``_canonical_sample``: one vectorized finite, non-negative check,
+``validate_sample`` (records, each a sized pair that is not a mapping,
+read by index), ``read_csv`` (two CSV columns, parsed by numpy's C text
+reader) and ``simulate.simulate_mixture`` (arrays) all go through
+``_canonical_sample``: one vectorized finite, non-negative check,
 then the event times and the censoring times each sorted and merged (-0.0
 is stored as 0.0).  ``_rows`` writes sorted rows, formatting each run of
 equal rows once.
@@ -24,6 +25,7 @@ import io
 import math
 import numbers
 import sys
+from collections.abc import Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
@@ -113,27 +115,13 @@ def _canonical_sample(times, events, where="row {}".format) -> SurvivalSample:
     return SurvivalSample(times=out_t, events=out_e)
 
 
-def _columns(rows: list):
-    """The time cells and the event cells of the records, two iterables to unpack.
-
-    Records with a length are read in two passes, one per column, which
-    allocate nothing per record; records without one, such as iterators,
-    can be read only once, by ``zip``.  Raises ValueError when some record
-    with a length is not a pair.
-    """
-    try:
-        pairs = set(map(len, rows)) == {2}
-    except TypeError:
-        return zip(*rows, strict=True)
-    if not pairs:
-        raise ValueError("a record is not a (time, event) pair")
-    return map(itemgetter(0), rows), map(itemgetter(1), rows)
-
-
 def validate_sample(raw) -> SurvivalSample:
-    """Validate raw (time, event) pairs and return them in canonical order.
+    """Validate raw (time, event) records and return them in canonical order.
 
-    An event is a value equal to 0 or 1 (bool, int, float, numpy scalar).
+    A record is a sized pair that is not a mapping: a tuple, a list, a 1-D
+    array, even a two-character string.  Its time is ``record[0]`` and its
+    event ``record[1]``; iterators, sets and dicts are not records.  An
+    event is a value equal to 0 or 1 (bool, int, float, numpy scalar).
     Raises :class:`ValidationError` naming the offending row for malformed
     records, non-numeric, negative or non-finite times, non-binary events.
     """
@@ -141,25 +129,31 @@ def validate_sample(raw) -> SurvivalSample:
     if not rows:
         raise ValidationError("empty sample: at least one (time, event) record required")
     try:
-        time_cells, event_cells = _columns(rows)
-        times = np.fromiter(map(float, time_cells), float, len(rows))
-        events = np.fromiter(map(_BINARY.__getitem__, event_cells), bool, len(rows))
-    except (TypeError, ValueError, KeyError):
-        for i, row in enumerate(rows):  # name the first record that fails
+        # Mapping-ness is a property of the type, so each distinct type is asked once.
+        if set(map(len, rows)) != {2} or any(issubclass(t, Mapping) for t in set(map(type, rows))):
+            raise TypeError
+        times = np.fromiter(map(float, map(itemgetter(0), rows)), float, len(rows))
+        events = np.fromiter(map(_BINARY.__getitem__, map(itemgetter(1), rows)), bool, len(rows))
+    except (TypeError, ValueError, LookupError, OverflowError):
+        for i, row in enumerate(rows):  # name the first record that fails, read the same way
             try:
-                t, e = row
-            except (TypeError, ValueError):
+                if isinstance(row, Mapping) or len(row) != 2:
+                    raise TypeError
+                t, e = row[0], row[1]
+            except (TypeError, LookupError):
                 raise ValidationError(f"malformed record at row {i}: expected (time, event) pair") from None
             try:
                 float(t)
             except (TypeError, ValueError):
                 raise ValidationError(f"non-numeric time at row {i}: {t!r}") from None
+            except OverflowError:  # an int or a fraction beyond the largest float
+                raise ValidationError(f"non-finite time at row {i}") from None
             try:
                 _BINARY[e]
             except (TypeError, KeyError):
                 raise ValidationError(f"non-binary event {e!r} at row {i}: expected 0 or 1") from None
         raise
-    del rows, time_cells, event_cells  # the Python records go before the sort's arrays come
+    del rows  # the Python records go before the sort's arrays come
     return _canonical_sample(times, events)
 
 

@@ -6,6 +6,7 @@ per-record log-densities; the library itself never imports scipy.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,21 @@ def test_check_params_cure_fraction_rules():
         check_params(plain, Params(latency=(1.0,), cure_fraction=0.5))
     with pytest.raises(DomainError, match="expects"):
         check_params(plain, Params(latency=(1.0, 2.0)))
+
+
+@pytest.mark.parametrize("value", ["abc", None, True, "0.8"])
+def test_check_params_refuses_values_that_are_not_real_numbers(value):
+    # A string or None would leak ValueError or TypeError from float(), and
+    # True or "0.8" would pass as 1.0 or 0.8; each is named instead (a None
+    # cure fraction is a missing one).
+    gamma, got = FamilySpec("gamma"), re.escape(f"got {value!r}")
+    with pytest.raises(DomainError, match=f"latency parameter shape must be finite and > 0, {got}"):
+        latency_survival(gamma, Params((value, 0.8)), 1.0)
+    with pytest.raises(DomainError, match=f"latency parameter rate must be finite and > 0, {got}"):
+        latency_survival(gamma, Params((0.8, value)), 1.0)
+    cure = "requires a cure_fraction" if value is None else rf"cure_fraction must lie strictly in \(0, 1\), {got}"
+    with pytest.raises(DomainError, match=cure):
+        latency_survival(FamilySpec("gamma", cure=True), Params((0.8, 0.8), value), 1.0)
 
 
 def test_params_as_dict_orders_cure_first():

@@ -287,6 +287,30 @@ def test_cli_assess_reports_on_small_degenerate_samples(records, tmp_path, capsy
     jsonschema.validate(json.loads(capsys.readouterr().out), report_schema())
 
 
+# Samples A and B pinned: what each one's assessment concludes and which fits
+# end unconverged.  ROADMAP item 3 (why each fit ended) and item 22 (small
+# samples make the verdict more confident) both start from these two, so a
+# change to either result must be a visible decision, made here.
+@pytest.mark.parametrize(
+    "records, verdict, selected, unconverged",
+    [
+        (_SAMPLE_A, "not_appropriate_noncure_selected", FamilySpec("exponential"), [
+            "weibull non-cure", "weibull cure", "gamma non-cure", "gamma cure",
+            "loglogistic non-cure", "loglogistic cure", "lognormal non-cure", "lognormal cure",
+        ]),
+        (_SAMPLE_B, "appropriate", FamilySpec("exponential", cure=True), [
+            "weibull cure", "gamma cure", "loglogistic cure", "lognormal cure",
+        ]),
+    ],
+    ids=["A", "B"],
+)
+def test_small_degenerate_samples_keep_their_verdicts(records, verdict, selected, unconverged):
+    a = receus_assess(validate_sample(records))
+    assert a.verdict == verdict
+    assert a.selected.spec == selected
+    assert [row.spec.label for row in a.model_table if not (row.fit and row.fit.converged)] == unconverged
+
+
 def test_internal_identities(mixed_sample):
     a = receus_assess(mixed_sample, AssessmentConfig(families=("exponential", "weibull")))
     # AIC is exactly 2k - 2 loglik, recomputable bit for bit

@@ -21,9 +21,11 @@ from curecheck.special import (
     _SERIES_MAX_P,
     _SERIES_MAX_TERMS,
     _digamma_trigamma,
+    _fraction,
     _log_q_shape,
     _log_reverse_sums,
     _reverse_sums,
+    _series,
     _series_terms,
     _upper_gamma_quadrature,
     chi2_sf_1df,
@@ -32,7 +34,6 @@ from curecheck.special import (
     log_gamma,
     log_normal_sf,
     normal_sf,
-    reg_lower_gamma,
 )
 
 # ---------------------------------------------------------------------------
@@ -140,17 +141,14 @@ def test_reg_gamma_matches_scipy():
             [np.geomspace(1e-10, a, 50), np.linspace(a, 8 * a + 20, 60)]
         )
         np.testing.assert_allclose(
-            reg_lower_gamma(a, xs), sp.gammainc(a, xs), rtol=1e-10, atol=1e-14
-        )
-        np.testing.assert_allclose(
             np.exp(_log_q_shape(a, xs)[0]), sp.gammaincc(a, xs), rtol=1e-10, atol=1e-14
         )
 
 
 def test_reg_gamma_against_quadrature():
     # Independent oracle: integrate t^(a-1) e^(-t) on [0, x] with Simpson's
-    # rule on a dense grid and normalize by Gamma(a).  Shapes >= 1 only so
-    # the integrand stays bounded at the origin.
+    # rule on a dense grid and normalize by Gamma(a) to get P = 1 - Q.
+    # Shapes >= 1 only so the integrand stays bounded at the origin.
     for a, x in [(1.0, 0.8), (1.5, 0.7), (2.0, 3.0), (4.5, 2.2)]:
         ts = np.linspace(1e-12, x, 200001)
         integrand = ts ** (a - 1.0) * np.exp(-ts)
@@ -161,29 +159,20 @@ def test_reg_gamma_against_quadrature():
             + 4.0 * integrand[1:-1:2].sum()
             + 2.0 * integrand[2:-1:2].sum()
         )
-        want = simpson / math.gamma(a)
-        assert reg_lower_gamma(a, x) == pytest.approx(want, rel=1e-8)
+        want = 1.0 - simpson / math.gamma(a)
+        assert math.exp(_log_q_shape(a, x)[0]) == pytest.approx(want, rel=1e-8)
 
 
 def test_reg_gamma_complement_and_edges():
     for a in (0.4, 1.0, 3.7):
         xs = np.geomspace(1e-8, 50.0, 80)
-        p = reg_lower_gamma(a, xs)
         q = np.exp(_log_q_shape(a, xs)[0])
-        np.testing.assert_allclose(p + q, 1.0, rtol=0, atol=1e-12)
-        assert reg_lower_gamma(a, 0.0) == 0.0
+        np.testing.assert_allclose(sp.gammainc(a, xs) + q, 1.0, rtol=0, atol=1e-12)
         assert _log_q_shape(a, 0.0)[0] == 0.0
-        # P(a, inf) = 1 and NaN stays NaN, alone or in a batch whose finite
-        # elements keep their own values.
-        assert reg_lower_gamma(a, math.inf) == 1.0
-        assert math.isnan(reg_lower_gamma(a, math.nan))
-        edges = reg_lower_gamma(a, np.array([math.inf, math.nan, 0.0, 2.0, 9.0]))
-        assert edges[0] == 1.0 and math.isnan(edges[1]) and edges[2] == 0.0
-        assert edges[3:].tobytes() == reg_lower_gamma(a, np.array([2.0, 9.0])).tobytes()
     with pytest.raises(DomainError):
-        reg_lower_gamma(0.0, 1.0)
+        _log_q_shape(0.0, 1.0)
     with pytest.raises(DomainError):
-        reg_lower_gamma(1.0, -1.0)
+        _log_q_shape(1.0, -1.0)
 
 
 def _log_q_asymptotic(a, x):
@@ -466,8 +455,12 @@ def test_gauss_legendre_constants_match_numpy():
 
 
 def _series_outputs(a, x):
-    """P at (a, x) from the series / continued-fraction loops."""
-    return [reg_lower_gamma(a, x)]
+    """The series' sum below x = a + 1 and the continued fraction's at and
+    above it, each NaN outside its own range."""
+    ser, out = x < a + 1.0, np.full((2, x.size), np.nan)
+    out[0, ser] = _series(a, x[ser])
+    out[1, ~ser] = _fraction(a, x[~ser])
+    return list(out)
 
 
 _BATCH_SHAPES = [0.05, 0.7253, 1.0, 3.0, 57.3, 300.0]
@@ -523,7 +516,7 @@ def test_inv_reg_lower_gamma_round_trip():
     for a in (0.3, 0.8, 1.0, 2.5, 9.0, 40.0):
         for u in (1e-12, 1e-8, 1e-4, 0.05, 0.5, 0.95, 1 - 1e-6):
             x = inv_reg_lower_gamma(a, u)
-            back = reg_lower_gamma(a, x)
+            back = sp.gammainc(a, x)
             assert back == pytest.approx(u, rel=1e-7, abs=1e-14), (a, u)
 
 
@@ -549,21 +542,17 @@ def test_gamma_quantile_matches_scipy_into_both_tails(a):
 
 
 @pytest.mark.parametrize("a", [1e4, 1e5])
-def test_gamma_quantile_and_p_match_scipy_at_large_shapes(a):
+def test_gamma_quantile_matches_scipy_at_large_shapes(a):
     # Near x = a the series' terms fall like exp(-k^2 / (2 a)), so it needs
     # about 9 sqrt(a) of them; past that the rounding of log P, about
     # 1e-16 a log a, sets the error.
     us = np.array([1e-300, 1e-10, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-10])
     np.testing.assert_allclose(inv_reg_lower_gamma(a, us), st.gamma.ppf(us, a), rtol=1e-12)
-    xs = a + math.sqrt(a) * np.linspace(-8.0, 8.0, 33)
-    np.testing.assert_allclose(reg_lower_gamma(a, xs), sp.gammainc(a, xs), rtol=0, atol=1e-9)
 
 
 def test_incomplete_gamma_rejects_shapes_above_the_largest_checked():
-    assert reg_lower_gamma(1e5, 1e5) == pytest.approx(sp.gammainc(1e5, 1e5), abs=1e-9)
-    for f, arg in ((reg_lower_gamma, 1e5), (inv_reg_lower_gamma, 0.5)):
-        with pytest.raises(DomainError, match="a <= 100000"):
-            f(1.000001e5, arg)
+    with pytest.raises(DomainError, match="a <= 100000"):
+        inv_reg_lower_gamma(1.000001e5, 0.5)
 
 
 @pytest.mark.parametrize("a", [0.05, 0.3, 0.7, 2.5, 40.0])

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import km_rows, records
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curecheck.errors import ValidationError
 from curecheck.plot import _AXIS_COLOR, _CENSOR_MARK, _LEFT, _TICK_COLOR, _Y_TICK
@@ -128,9 +130,9 @@ def test_first_failing_record_is_named_in_input_order():
 
 
 def test_records_of_every_shape_get_the_same_messages():
-    # Records with a length are read a column at a time, records without one
-    # (iterators) by zip, and a record that fails either way is named by
-    # the same row-by-row check.
+    # A record is a sized pair that is not a mapping, read by index both
+    # column at a time and by the row-by-row check that names a failure;
+    # iterators, sets and mappings are malformed records.
     pair = "malformed record at row {}: expected (time, event) pair"
     cases = [
         ([(1.0, True), (2.0,)], pair.format(1)),
@@ -139,22 +141,70 @@ def test_records_of_every_shape_get_the_same_messages():
         ([(1.0, True), None], pair.format(1)),
         ([iter((1.0,)), iter((2.0, True))], pair.format(0)),
         ([(1.0, True), iter((2.0, True, 3))], pair.format(1)),
-        # zip reads iterator rows up before a bad cell is seen, so the
-        # row-by-row check finds the first one empty.
         ([iter((1.0, True)), iter((2.0, "x"))], pair.format(0)),
         ([(1.0, True), iter((2.0, False)), (3.0, 5)], pair.format(1)),
+        ([iter((2.0, False)), iter((1.0, True))], pair.format(0)),
+        ([(2.0, False), iter((1.0, 1))], pair.format(1)),
+        ([{0, 1}], pair.format(0)),
+        ([(1.0, True), frozenset((2.0, 0))], pair.format(1)),
+        ([{0: 5.0, 1: 1}, {0: 2.0, 1: 0}], pair.format(0)),
+        ([(1.0, True), np.array(2.0)], pair.format(1)),
         (["11", "20"], "non-binary event '1' at row 0: expected 0 or 1"),
         (["110", "20"], pair.format(0)),
         (["1"], pair.format(0)),
         ([("soon", True)], "non-numeric time at row 0: 'soon'"),
+        ([(1.0, True), (10**400, False)], "non-finite time at row 1"),
     ]
     for rows, message in cases:
         with pytest.raises(ValidationError) as err:
             validate_sample(rows)
         assert str(err.value) == message, rows
-    for rows in ([iter((2.0, False)), iter((1.0, True))], [(2.0, False), iter((1.0, 1))],
-                 [[2.0, 0], np.array([1.0, 1.0])], [b"\x02\x00", (1.0, True)]):
+    for rows in ([[2.0, 0], np.array([1.0, 1.0])], [b"\x02\x00", (1.0, True)]):
         assert records(validate_sample(rows)) == [(1.0, True), (2.0, False)]
+
+
+_CELLS = st.one_of(
+    st.floats(), st.integers(-(10**400), 10**400), st.booleans(), st.text(max_size=3), st.none()
+)
+_PAIR_KINDS = {"tuple", "list", "1-D array", "str", "bytes"}  # the kinds that may hold a pair
+_RECORD_KINDS = {
+    "tuple": lambda draw: tuple(draw(st.lists(_CELLS, max_size=3))),
+    "list": lambda draw: draw(st.lists(_CELLS, max_size=3)),
+    "1-D array": lambda draw: np.array(draw(st.lists(st.floats(), max_size=3)), dtype=float),
+    "str": lambda draw: draw(st.text(max_size=3)),
+    "bytes": lambda draw: draw(st.binary(max_size=3)),
+    "dict": lambda draw: dict(enumerate(draw(st.lists(_CELLS, max_size=3)))),
+    "set": lambda draw: set(draw(st.lists(_CELLS, max_size=3))),
+    "frozenset": lambda draw: frozenset(draw(st.lists(_CELLS, max_size=3))),
+    "iterator": lambda draw: iter(draw(st.lists(_CELLS, max_size=3))),
+    "None": lambda draw: None,
+    "0-d array": lambda draw: np.array(draw(st.floats())),
+    "float": lambda draw: draw(st.floats()),
+}
+
+
+@st.composite
+def _odd_records(draw):
+    """1-5 (kind, record) draws, each of 0-3 cells where its kind has cells."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_RECORD_KINDS)), min_size=1, max_size=5))
+    return [(kind, _RECORD_KINDS[kind](draw)) for kind in kinds]
+
+
+# On a failure hypothesis imports libcst to print the example as a patch, and
+# that import warns; as an error it would hide the failure behind an internal one.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(drawn=_odd_records())
+@example(drawn=[("set", {0.0, 1.0})])
+@example(drawn=[("dict", {0: 5.0, 1: 1})])
+@example(drawn=[("tuple", (10**400, 1))])
+def test_odd_records_give_a_sample_or_a_validation_error(drawn):
+    kinds = [kind for kind, _ in drawn]
+    try:
+        sample = validate_sample([record for _, record in drawn])
+    except ValidationError:
+        return
+    assert sample.n == len(drawn) and set(kinds) <= _PAIR_KINDS, kinds
 
 
 def test_validate_reads_ten_thousand_records_without_copying_them():
